@@ -20,6 +20,7 @@ use crate::tokenbucket::TokenBucket;
 use mpichgq_dsrt::{AdmissionError, CompleteOutcome, Cpu, ProcId, Update, WorkId};
 use mpichgq_obs::{CounterId, JsonWriter, Obs, Timeline};
 use mpichgq_sim::{fnv1a, Engine, Recorder, SchedulerKind, SimDelta, SimRng, SimTime};
+use std::collections::VecDeque;
 
 /// What kind of node this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +64,8 @@ impl Node {
 pub enum Ev {
     /// Transmission of the head packet on `chan` finished.
     TxDone { chan: ChanId },
-    /// `pkt` arrives at `chan.to`.
-    Deliver { chan: ChanId, pkt: Packet },
+    /// The head of `chan`'s wire FIFO arrives at `chan.to`.
+    Deliver { chan: ChanId },
     /// A transport/application timer on a host.
     HostTimer { host: NodeId, token: u64 },
     /// A CPU work item may have completed.
@@ -386,6 +387,11 @@ pub struct Net {
     nodes: Vec<Node>,
     chans: Vec<Chan>,
     queues: Vec<Queue>,
+    /// Per-channel wire FIFO: packets serialized onto the wire, each under
+    /// the `(deliver_at, seq)` key reserved at its tx start. Keys are
+    /// monotone per channel, so only the head owns an engine event
+    /// (`Ev::Deliver`); firing it keys the next head.
+    wires: Vec<VecDeque<(SimTime, u64, Packet)>>,
     routes: RouteTable,
     /// Reusable buffer for shaper releases (no per-event allocation).
     shaper_scratch: Vec<Packet>,
@@ -425,6 +431,7 @@ impl Net {
         Net {
             engine: Engine::with_scheduler(scheduler),
             nodes,
+            wires: chans.iter().map(|_| VecDeque::new()).collect(),
             chans,
             queues,
             routes,
@@ -488,13 +495,7 @@ impl Net {
         if let Some(sc) = self.shard.as_deref_mut() {
             sc.cross_in += 1;
         }
-        self.engine.schedule(
-            m.at,
-            Ev::Deliver {
-                chan: m.chan,
-                pkt: m.pkt,
-            },
-        );
+        self.put_on_wire(m.chan, m.at, m.pkt);
     }
 
     /// Record one parallel-engine window barrier for this shard: bump the
@@ -1817,7 +1818,12 @@ impl Net {
                 self.chans[chan.0 as usize].busy = false;
                 self.try_start_tx(chan);
             }
-            Ev::Deliver { chan, pkt } => {
+            Ev::Deliver { chan } => {
+                let wire = &mut self.wires[chan.0 as usize];
+                let (_, _, pkt) = wire.pop_front().expect("Deliver for an empty wire");
+                if let Some(&(at, seq, _)) = wire.front() {
+                    self.engine.schedule_keyed(at, seq, Ev::Deliver { chan });
+                }
                 // Off the wire: from here the packet is either delivered,
                 // forwarded, or accounted to a named drop cause — never
                 // silently in flight. The conservation audit depends on
@@ -2071,8 +2077,25 @@ impl Net {
                     pkt,
                 });
             }
-            _ => self.engine.schedule(deliver_at, Ev::Deliver { chan, pkt }),
+            _ => self.put_on_wire(chan, deliver_at, pkt),
         }
+    }
+
+    /// Reserve `pkt`'s delivery key where its `Ev::Deliver` used to be
+    /// scheduled and append it to `chan`'s wire FIFO; the event itself is
+    /// inserted now only if the packet is the new head.
+    fn put_on_wire(&mut self, chan: ChanId, at: SimTime, pkt: Packet) {
+        let seq = self.engine.reserve_seq();
+        let wire = &mut self.wires[chan.0 as usize];
+        debug_assert!(
+            wire.back().is_none_or(|&(last, _, _)| last <= at),
+            "transmissions on chan {} overlap",
+            chan.0
+        );
+        if wire.is_empty() {
+            self.engine.schedule_keyed(at, seq, Ev::Deliver { chan });
+        }
+        wire.push_back((at, seq, pkt));
     }
 }
 

@@ -16,9 +16,18 @@
 //!   this packet-event workload. Bucket width and count adapt to the
 //!   observed event density.
 //!
-//! Cancellation is not supported directly; users attach generation counters
-//! to their events and ignore stale ones on delivery (lazy cancellation).
-//! This is both simpler and faster than tombstoning entries.
+//! There is no cancellation. What keeps the pending set small instead is
+//! **reserved-key deferred scheduling**: an event's `(at, seq)` key is
+//! allocated eagerly, where it becomes known ([`Engine::reserve_seq`]), but
+//! the entry is inserted lazily ([`Engine::schedule_keyed`]) — only once
+//! it can matter, or never. An owner that holds many future events of
+//! which only the earliest can fire next (a wire's in-flight packets, a
+//! timer that is re-armed on every ACK) keeps them in its own storage and
+//! has one entry in the queue; [`Engine::cursor`] tells it whether a key
+//! it never inserted has been passed. The invariant: sequence numbers are
+//! consumed exactly as eager scheduling would consume them and every
+//! inserted entry carries the key it would have had, so the pop order of
+//! the events that do something is unchanged — only the no-ops are gone.
 
 use crate::time::{SimDelta, SimTime};
 use std::cmp::Ordering;
@@ -291,6 +300,9 @@ enum Backend<E> {
 pub struct Engine<E> {
     now: SimTime,
     seq: u64,
+    /// Sequence number of the event being dispatched; `u64::MAX` while
+    /// none is (see [`Engine::cursor`]).
+    cur_seq: u64,
     backend: Backend<E>,
     processed: u64,
 }
@@ -316,6 +328,7 @@ impl<E> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
+            cur_seq: u64::MAX,
             backend,
             processed: 0,
         }
@@ -374,13 +387,55 @@ impl<E> Engine<E> {
             "scheduling into the past: at={at} now={}",
             self.now
         );
-        let seq = self.seq;
-        self.seq += 1;
-        let entry = Entry { at, seq, ev };
+        let seq = self.reserve_seq();
+        self.push(Entry { at, seq, ev });
+    }
+
+    #[inline]
+    fn push(&mut self, entry: Entry<E>) {
         match &mut self.backend {
             Backend::Heap(h) => h.push(entry),
             Backend::Calendar(c) => c.push(entry),
         }
+    }
+
+    /// Allocate the sequence number [`Engine::schedule`] would have used,
+    /// without inserting anything. Pair with [`Engine::schedule_keyed`].
+    #[inline]
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Insert `ev` under a key `(at, seq)` whose `seq` came from
+    /// [`Engine::reserve_seq`]. The event pops exactly where a
+    /// `schedule(at, ev)` made at reservation time would have popped.
+    ///
+    /// Panics if the key is not after [`Engine::cursor`] while an event is
+    /// being dispatched, or if `at` is in the past.
+    pub fn schedule_keyed(&mut self, at: SimTime, seq: u64, ev: E) {
+        debug_assert!(seq < self.seq, "seq {seq} was never reserved");
+        assert!(
+            at >= self.now && (self.cur_seq == u64::MAX || (at, seq) > (self.now, self.cur_seq)),
+            "keyed insert behind the cursor: key=({at}, {seq}) cursor=({}, {})",
+            self.now,
+            self.cur_seq
+        );
+        self.push(Entry { at, seq, ev });
+    }
+
+    /// The `(time, seq)` key of the event being dispatched. A reserved key
+    /// below the cursor has been passed: had it been inserted, it would
+    /// already have fired. While no event is being dispatched — before the
+    /// first pop, and once `pop`/`pop_until` has returned `None`, i.e.
+    /// everything due has fired — `seq` reads `u64::MAX`, so every key at
+    /// or before `now()` compares as passed. (A key reserved *at* `now()`
+    /// outside dispatch is the one case that convention misjudges; users
+    /// comparing against the cursor reserve strictly-future keys.)
+    #[inline]
+    pub fn cursor(&self) -> (SimTime, u64) {
+        (self.now, self.cur_seq)
     }
 
     /// Schedule `ev` after delay `d` from the current time.
@@ -401,11 +456,16 @@ impl<E> Engine<E> {
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let e = match &mut self.backend {
-            Backend::Heap(h) => h.pop()?,
-            Backend::Calendar(c) => c.pop()?,
+            Backend::Heap(h) => h.pop(),
+            Backend::Calendar(c) => c.pop(),
+        };
+        let Some(e) = e else {
+            self.cur_seq = u64::MAX;
+            return None;
         };
         debug_assert!(e.at >= self.now);
         self.now = e.at;
+        self.cur_seq = e.seq;
         self.processed += 1;
         Some((e.at, e.ev))
     }
@@ -418,8 +478,11 @@ impl<E> Engine<E> {
         match self.peek_time() {
             Some(t) if t <= limit => self.pop(),
             _ => {
-                if self.now < limit {
+                // A horizon behind the clock leaves same-instant events
+                // pending, so the cursor stays on the last dispatched key.
+                if self.now <= limit {
                     self.now = limit;
+                    self.cur_seq = u64::MAX;
                 }
                 None
             }
@@ -506,6 +569,53 @@ mod tests {
             e.schedule_in(SimDelta::from_secs(1), 2);
             assert_eq!(e.pop().unwrap().0, SimTime::from_secs(2));
         }
+    }
+
+    #[test]
+    fn keyed_insert_pops_at_its_reserved_position() {
+        for mut e in both() {
+            let t = SimTime::from_millis(5);
+            e.schedule(t, 0);
+            let held = e.reserve_seq();
+            e.schedule(t, 2);
+            // Inserted last, pops second: the key decides, not the insert.
+            e.schedule_keyed(t, held, 1);
+            let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
+            assert_eq!(order, vec![0, 1, 2]);
+        }
+    }
+
+    #[test]
+    fn cursor_is_the_dispatched_key_and_reads_max_when_idle() {
+        for mut e in both() {
+            assert_eq!(e.cursor(), (SimTime::ZERO, u64::MAX));
+            let t = SimTime::from_secs(1);
+            e.schedule(t, 0);
+            e.schedule(t, 1);
+            e.pop();
+            assert_eq!(e.cursor(), (t, 0));
+            // A horizon behind the clock fires nothing and leaves the
+            // same-instant event pending: the cursor must not jump past it.
+            assert_eq!(e.pop_until(SimTime::ZERO), None);
+            assert_eq!(e.cursor(), (t, 0));
+            e.pop();
+            assert_eq!(e.cursor(), (t, 1));
+            assert_eq!(e.pop_until(SimTime::from_secs(2)), None);
+            assert_eq!(e.cursor(), (SimTime::from_secs(2), u64::MAX));
+            assert_eq!(e.pop(), None);
+            assert_eq!(e.cursor(), (SimTime::from_secs(2), u64::MAX));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "behind the cursor")]
+    fn keyed_insert_behind_the_cursor_panics() {
+        let mut e: Engine<u32> = Engine::new();
+        let t = SimTime::from_secs(1);
+        let early = e.reserve_seq();
+        e.schedule(t, 0);
+        e.pop();
+        e.schedule_keyed(t, early, 1);
     }
 
     #[test]
