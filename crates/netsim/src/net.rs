@@ -535,10 +535,13 @@ impl Net {
     }
 
     /// FNV-1a digest of the world's externally observable physics: clock,
-    /// event count, per-channel wire counters, and drop ledger. Two runs of
-    /// the same world are bit-identical iff these digests match per shard;
+    /// per-channel wire counters, and drop ledger. Two runs of the same
+    /// world are physically identical iff these digests match per shard;
     /// the parallel-engine determinism gates compare them across thread
-    /// counts.
+    /// counts. The event count is deliberately not folded in: it is a
+    /// schedule-cost figure ([`Net::events_processed`]) that engine work may
+    /// lower without touching physics, and gates that want it compare it
+    /// alongside.
     pub fn state_fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut put = |v: u64| {
@@ -548,7 +551,6 @@ impl Net {
             }
         };
         put(self.now().as_nanos());
-        put(self.engine.processed());
         put(self.chans.len() as u64);
         for c in &self.chans {
             put(c.tx_packets);
@@ -572,6 +574,8 @@ impl Net {
         self.engine.now()
     }
 
+    /// Events dispatched so far: what the run cost to schedule, not what
+    /// it simulated (see [`Net::state_fingerprint`]).
     pub fn events_processed(&self) -> u64 {
         self.engine.processed()
     }

@@ -487,7 +487,13 @@ mod tests {
                         .chan_ids()
                         .map(|c| (net.chan(c).tx_packets, net.chan(c).rx_packets))
                         .collect();
-                    (shard, h.got, net.state_fingerprint(), wire)
+                    (
+                        shard,
+                        h.got,
+                        net.state_fingerprint(),
+                        net.events_processed(),
+                        wire,
+                    )
                 },
             )
         };
@@ -498,12 +504,12 @@ mod tests {
         // Per-channel physics: tx counted in the owner-of-from copy, rx in
         // the owner-of-to copy; summed across shard copies they must equal
         // the monolithic run exactly.
-        let delivered: u64 = one.iter().map(|(_, got, _, _)| got).sum();
+        let delivered: u64 = one.iter().map(|(_, got, ..)| got).sum();
         assert_eq!(delivered, mh.got, "sharding changed delivery count");
         for c in mono.chan_ids() {
             let i = c.0 as usize;
-            let tx: u64 = one.iter().map(|(_, _, _, w)| w[i].0).sum();
-            let rx: u64 = one.iter().map(|(_, _, _, w)| w[i].1).sum();
+            let tx: u64 = one.iter().map(|(.., w)| w[i].0).sum();
+            let rx: u64 = one.iter().map(|(.., w)| w[i].1).sum();
             assert_eq!(tx, mono.chan(c).tx_packets, "chan {i} tx diverged");
             assert_eq!(rx, mono.chan(c).rx_packets, "chan {i} rx diverged");
         }

@@ -201,9 +201,9 @@ impl ParShape {
     }
 }
 
-/// FNV-1a digest of one shard's end state: engine clock + event count +
-/// wire counters via [`Net::state_fingerprint`], plus per-connection TCP
-/// stats in socket-creation order.
+/// FNV-1a digest of one shard's end state: engine clock + wire counters
+/// via [`Net::state_fingerprint`], plus per-connection TCP stats in
+/// socket-creation order. The shard's event count travels beside it.
 fn shard_digest(net: &Net, stack: &Stack) -> u64 {
     let mut h = net.state_fingerprint();
     let mut put = |v: u64| {

@@ -41,9 +41,11 @@ pub struct RunOutcome {
     pub inject: Inject,
     /// Empty on a clean run; otherwise the first slice's violations.
     pub violations: Vec<Violation>,
-    /// FNV-1a over the final simulation state (event count, ledgers,
-    /// per-connection stats). Equal fingerprints ⇔ bit-identical replay.
+    /// FNV-1a over the final simulated state (ledgers, per-connection
+    /// stats). Equal fingerprints ⇔ physically identical replay.
     pub fingerprint: u64,
+    /// Events the engine dispatched: the run's schedule cost, kept out of
+    /// `fingerprint` so engine work can lower it with physics pinned.
     pub events: u64,
     pub sent: u64,
     pub delivered: u64,
@@ -345,12 +347,12 @@ impl Fnv {
 }
 
 /// Digest the run's observable end state. Deliberately avoids anything
-/// iteration-order-dependent (hash maps); every input comes from a vector
-/// in creation order or a named counter.
+/// iteration-order-dependent (hash maps) — every input comes from a vector
+/// in creation order or a named counter — and anything that measures the
+/// simulator rather than the simulated (the event count).
 fn fingerprint(sim: &mut Sim) -> u64 {
     let audit = sim.net.audit();
     let mut h = Fnv::new();
-    h.u64(sim.net.events_processed());
     h.u64(audit.sent);
     h.u64(audit.delivered);
     h.u64(audit.policed);

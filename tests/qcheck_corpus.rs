@@ -71,25 +71,31 @@ fn pinned_seed_corpus_runs_clean() {
 /// drop-tail path, which draws nothing from the `"qdisc"` RNG stream), so
 /// these fingerprints matching means the pluggable-discipline rebuild of
 /// the queue layer changed no observable behavior under the default.
+///
+/// The fingerprint column is physics only. It was re-pinned once, on the
+/// commit whose only change was dropping the event count from the hash
+/// (the `events` column did not move on that commit), and must not move
+/// again for engine work; the `events` column is the run's schedule cost
+/// and may be re-pinned downwards when no-op events stop being simulated.
 #[test]
 fn pinned_corpus_fingerprints_are_unchanged_by_the_interval_tree_swap() {
     const PINNED: [(u64, u64, u64); 16] = [
-        (0, 0x24d941e6b7eca1e7, 19606),
-        (1, 0xa5fa70d0da02659e, 3190),
-        (2, 0x62d81e0c8b8fdcc6, 6807),
-        (3, 0x2fe047084db5aefb, 17760),
-        (4, 0x4527f85217ab5e42, 12980),
-        (5, 0x4b1a305716db8690, 16114),
-        (6, 0x0de13ca03d199983, 3484),
-        (7, 0x404d2bdf7ead852e, 9361),
-        (8, 0xf51bf855d0c23d22, 8336),
-        (9, 0xc677aa23f322acb0, 16896),
-        (10, 0x511622688ea30328, 6193),
-        (11, 0xbbdb49d3fbcafa56, 19449),
-        (12, 0xec6f6aa2ff6bf036, 10462),
-        (13, 0x803cc09a17f35d6e, 11049),
-        (14, 0x24a1efeb48285870, 884),
-        (15, 0xdd26af418e1504b6, 10661),
+        (0, 0xe91cf642f0ab873d, 19606),
+        (1, 0x0de1bb3d4a4caed4, 3190),
+        (2, 0xed00eb4be6640167, 6807),
+        (3, 0xa78a8004bab4e890, 17760),
+        (4, 0x7f14198ed61b6098, 12980),
+        (5, 0x0be848e4d5d88d8c, 16114),
+        (6, 0x4e9e029db0d980dc, 3484),
+        (7, 0x2e82f8b0c85fbbf7, 9361),
+        (8, 0x426eb477160d6812, 8336),
+        (9, 0x1331e41ae4708382, 16896),
+        (10, 0x615d00207b30dca9, 6193),
+        (11, 0x962fefc593d53eb6, 19449),
+        (12, 0x28003028e02ed4a8, 10462),
+        (13, 0xc64415709defef5e, 11049),
+        (14, 0xd62069ea4dde9d95, 884),
+        (15, 0x9cf0b78e86554408, 10661),
     ];
     for (seed, fingerprint, events) in PINNED {
         let mut spec = ScenarioSpec::from_seed(seed);
