@@ -89,7 +89,6 @@ pub struct Chan {
     /// Set on host→router channels: the downstream router treats arrivals as
     /// edge ingress (classification/policing applies).
     pub edge_ingress: bool,
-    pub busy: bool,
     /// Transmission counters.
     pub tx_packets: u64,
     pub tx_bytes_wire: u64,
@@ -153,7 +152,6 @@ mod tests {
                 framing: Framing::None,
             },
             edge_ingress: false,
-            busy: false,
             tx_packets: 0,
             tx_bytes_wire: 0,
             rx_packets: 0,

@@ -158,6 +158,8 @@ pub struct ChanAudit {
     pub tx_packets: u64,
     /// Packets whose propagation completed (counted before fault verdicts).
     pub rx_packets: u64,
+    /// Packets held in this copy of the world's wire FIFO for the channel.
+    pub wire_fifo: u64,
     /// Packets popped from the queue by a `HostCrash` purge instead of a
     /// transmission (accounted as `faults.drops.host_down`).
     pub purged: u64,
@@ -168,6 +170,17 @@ impl ChanAudit {
     /// Packets currently serialized onto this wire.
     pub fn wire_in_flight(&self) -> u64 {
         self.tx_packets.saturating_sub(self.rx_packets)
+    }
+
+    /// The wire identity: the FIFO holds exactly the packets serialized and
+    /// not yet arrived. Per row in a monolithic world; a cross-shard
+    /// channel transmits in one copy and keeps its FIFO in the other, so
+    /// there it holds for the two copies' rows summed (once the barrier
+    /// has drained the outbox). Not part of [`ChanAudit::conserved`], which
+    /// must keep holding for ledgers merged by callers that predate the
+    /// FIFO.
+    pub fn wire_conserved(&self) -> bool {
+        self.wire_fifo == self.wire_in_flight()
     }
 
     /// The per-interface identity: every packet accepted into the queue was
@@ -381,17 +394,34 @@ struct TimelineCtx {
     slow: BurnEdge,
 }
 
+/// Engine-facing state of one channel: what is on its wire and until when
+/// its transmitter is busy. Lives beside [`Chan`], not in it — route
+/// construction strides over the `Chan`s and slows with every byte there.
+#[derive(Debug, Default)]
+struct Wire {
+    /// Packets serialized onto the wire, each under the `(deliver_at, seq)`
+    /// key reserved at its tx start. Keys are monotone per channel, so only
+    /// the head owns an engine event (`Ev::Deliver`); firing it keys the
+    /// next head.
+    fifo: VecDeque<(SimTime, u64, Packet)>,
+    /// Engine key `(busy_until, txdone_seq)` of the `TxDone` ending the
+    /// latest transmission, reserved at its start. The transmitter is busy
+    /// until the engine's cursor reaches that key, whether or not the event
+    /// was ever inserted.
+    busy_until: SimTime,
+    txdone_seq: u64,
+    /// Whether that `TxDone` is in the engine. It goes in only once a
+    /// packet waits behind the transmission.
+    txdone_scheduled: bool,
+}
+
 /// The simulated network.
 pub struct Net {
     engine: Engine<Ev>,
     nodes: Vec<Node>,
     chans: Vec<Chan>,
     queues: Vec<Queue>,
-    /// Per-channel wire FIFO: packets serialized onto the wire, each under
-    /// the `(deliver_at, seq)` key reserved at its tx start. Keys are
-    /// monotone per channel, so only the head owns an engine event
-    /// (`Ev::Deliver`); firing it keys the next head.
-    wires: Vec<VecDeque<(SimTime, u64, Packet)>>,
+    wires: Vec<Wire>,
     routes: RouteTable,
     /// Reusable buffer for shaper releases (no per-event allocation).
     shaper_scratch: Vec<Packet>,
@@ -403,6 +433,11 @@ pub struct Net {
     pub obs: Obs,
     ctrs: NetCounters,
     next_pkt_id: u64,
+    /// `TxDone` keys that became engine events (the rest were elided).
+    txdone_inserted: u64,
+    /// Host-timer keys superseded before they were ever inserted
+    /// ([`Net::host_timer_elided`]).
+    timers_elided: u64,
     /// Fault-injection state; `None` (one branch per delivery) until
     /// [`Net::install_fault_plan`] is called.
     faults: Option<Box<FaultLayer>>,
@@ -431,7 +466,7 @@ impl Net {
         Net {
             engine: Engine::with_scheduler(scheduler),
             nodes,
-            wires: chans.iter().map(|_| VecDeque::new()).collect(),
+            wires: chans.iter().map(|_| Wire::default()).collect(),
             chans,
             queues,
             routes,
@@ -442,6 +477,8 @@ impl Net {
             obs,
             ctrs,
             next_pkt_id: 0,
+            txdone_inserted: 0,
+            timers_elided: 0,
             faults: None,
             lifecycle: None,
             shard: None,
@@ -578,6 +615,20 @@ impl Net {
     /// it simulated (see [`Net::state_fingerprint`]).
     pub fn events_processed(&self) -> u64 {
         self.engine.processed()
+    }
+
+    /// `TxDone` keys reserved at a tx start whose transmission ended with
+    /// nobody waiting, so the event was never inserted.
+    fn txdone_elided(&self) -> u64 {
+        let cur = self.engine.cursor();
+        let started: u64 = self.chans.iter().map(|c| c.tx_packets).sum();
+        // Still transmitting, not inserted yet: may go either way.
+        let undecided = self
+            .wires
+            .iter()
+            .filter(|w| !w.txdone_scheduled && (w.busy_until, w.txdone_seq) > cur)
+            .count() as u64;
+        started - self.txdone_inserted - undecided
     }
 
     /// Calendar-scheduler operation counters, for benchmark diagnostics.
@@ -1007,9 +1058,12 @@ impl Net {
     /// registry a complete picture of the run at the moment of the call.
     pub fn publish_metrics(&mut self) {
         let now = self.now();
+        let txdone_elided = self.txdone_elided();
         let m = &mut self.obs.metrics;
         m.record_total("engine.events_processed", self.engine.processed());
         m.set_gauge("engine.pending_events", self.engine.len() as f64);
+        m.record_total("engine.events_elided.txdone", txdone_elided);
+        m.record_total("engine.events_elided.timer", self.timers_elided);
         if let Some(cs) = self.engine.calendar_stats() {
             m.record_total("engine.calendar.rebuilds", cs.rebuilds);
             m.record_total("engine.calendar.fallbacks", cs.fallbacks);
@@ -1307,6 +1361,8 @@ impl Net {
         let at = SimTime::from_nanos(at_ns);
         tl.push_counter("engine.events_processed", at_ns, self.engine.processed());
         tl.push_gauge("engine.pending_events", at_ns, self.engine.len() as f64);
+        tl.push_counter("engine.events_elided.txdone", at_ns, self.txdone_elided());
+        tl.push_counter("engine.events_elided.timer", at_ns, self.timers_elided);
         if let Some(cs) = self.engine.calendar_stats() {
             tl.push_counter("engine.calendar.rebuilds", at_ns, cs.rebuilds);
             tl.push_counter("engine.calendar.fallbacks", at_ns, cs.fallbacks);
@@ -1543,6 +1599,7 @@ impl Net {
                 queued_pkts: q.len(),
                 tx_packets: c.tx_packets,
                 rx_packets: c.rx_packets,
+                wire_fifo: self.wires[i].fifo.len() as u64,
                 purged: c.purged,
                 prio_inversions: st.prio_inversions,
             };
@@ -1660,6 +1717,35 @@ impl Net {
     /// Arm a host-level timer; the handler receives (`host`, `token`).
     pub fn set_host_timer(&mut self, host: NodeId, at: SimTime, token: u64) {
         self.engine.schedule(at, Ev::HostTimer { host, token });
+    }
+
+    /// Reserve the engine key a [`Net::set_host_timer`] call made now would
+    /// get, without arming anything — for callers that re-arm a timer far
+    /// more often than it fires and insert (via
+    /// [`Net::set_host_timer_keyed`]) only the arm that can fire next.
+    #[inline]
+    pub fn reserve_host_timer(&mut self) -> u64 {
+        self.engine.reserve_seq()
+    }
+
+    /// Arm a host-level timer under a key from [`Net::reserve_host_timer`].
+    pub fn set_host_timer_keyed(&mut self, host: NodeId, at: SimTime, seq: u64, token: u64) {
+        self.engine
+            .schedule_keyed(at, seq, Ev::HostTimer { host, token });
+    }
+
+    /// Record that a reserved host-timer key was superseded without ever
+    /// having been inserted (`engine.events_elided.timer`).
+    #[inline]
+    pub fn host_timer_elided(&mut self) {
+        self.timers_elided += 1;
+    }
+
+    /// The engine key `(time, seq)` of the event being dispatched; see
+    /// [`mpichgq_sim::Engine::cursor`].
+    #[inline]
+    pub fn cursor(&self) -> (SimTime, u64) {
+        self.engine.cursor()
     }
 
     /// Arm a scenario control point.
@@ -1818,14 +1904,12 @@ impl Net {
 
     fn dispatch<H: NetHandler>(&mut self, ev: Ev, h: &mut H) {
         match ev {
-            Ev::TxDone { chan } => {
-                self.chans[chan.0 as usize].busy = false;
-                self.try_start_tx(chan);
-            }
+            // The cursor is on the channel's key: the wire reads idle.
+            Ev::TxDone { chan } => self.try_start_tx(chan),
             Ev::Deliver { chan } => {
-                let wire = &mut self.wires[chan.0 as usize];
-                let (_, _, pkt) = wire.pop_front().expect("Deliver for an empty wire");
-                if let Some(&(at, seq, _)) = wire.front() {
+                let fifo = &mut self.wires[chan.0 as usize].fifo;
+                let (_, _, pkt) = fifo.pop_front().expect("Deliver for an empty wire");
+                if let Some(&(at, seq, _)) = fifo.front() {
                     self.engine.schedule_keyed(at, seq, Ev::Deliver { chan });
                 }
                 // Off the wire: from here the packet is either delivered,
@@ -2035,8 +2119,18 @@ impl Net {
     }
 
     fn try_start_tx(&mut self, chan: ChanId) {
-        let c = &mut self.chans[chan.0 as usize];
-        if c.busy {
+        let w = &mut self.wires[chan.0 as usize];
+        // Busy until the cursor reaches the reserved `TxDone` key — in the
+        // `now == busy_until` tie that is exactly the order in which this
+        // event and an eagerly scheduled `TxDone` would have fired.
+        if (w.busy_until, w.txdone_seq) > self.engine.cursor() {
+            // A packet now waits for the wire, so the `TxDone` matters.
+            if !w.txdone_scheduled && !self.queues[chan.0 as usize].is_empty() {
+                w.txdone_scheduled = true;
+                self.txdone_inserted += 1;
+                self.engine
+                    .schedule_keyed(w.busy_until, w.txdone_seq, Ev::TxDone { chan });
+            }
             return;
         }
         // A cut channel transmits nothing; queued packets wait for LinkUp.
@@ -2051,18 +2145,28 @@ impl Net {
         let Some(pkt) = self.queues[chan.0 as usize].pop() else {
             return;
         };
+        let waiting = !self.queues[chan.0 as usize].is_empty();
+        let now = self.engine.now();
         let c = &mut self.chans[chan.0 as usize];
-        c.busy = true;
         let ser = c.serialization(pkt.ip_len());
         c.tx_packets += 1;
         c.tx_bytes_wire += c.cfg.framing.wire_bytes(pkt.ip_len()) as u64;
         let delay = c.cfg.delay;
         let to = c.to;
-        let now = self.now();
+        // The key is reserved where the `TxDone` used to be scheduled; the
+        // event goes in only if the queue is still backed up.
+        let w = &mut self.wires[chan.0 as usize];
+        w.busy_until = now + ser;
+        w.txdone_seq = self.engine.reserve_seq();
+        w.txdone_scheduled = waiting;
+        if waiting {
+            self.txdone_inserted += 1;
+            self.engine
+                .schedule_keyed(w.busy_until, w.txdone_seq, Ev::TxDone { chan });
+        }
         if let Some(t) = self.lifecycle.as_deref_mut() {
             t.on_tx_start(now, &pkt, chan, ser.as_nanos(), delay.as_nanos());
         }
-        self.engine.schedule(now + ser, Ev::TxDone { chan });
         let deliver_at = now + ser + delay;
         match self.shard.as_deref_mut() {
             // The cross-shard handoff: the delivery lands on a node a
@@ -2090,16 +2194,16 @@ impl Net {
     /// inserted now only if the packet is the new head.
     fn put_on_wire(&mut self, chan: ChanId, at: SimTime, pkt: Packet) {
         let seq = self.engine.reserve_seq();
-        let wire = &mut self.wires[chan.0 as usize];
+        let fifo = &mut self.wires[chan.0 as usize].fifo;
         debug_assert!(
-            wire.back().is_none_or(|&(last, _, _)| last <= at),
+            fifo.back().is_none_or(|&(last, _, _)| last <= at),
             "transmissions on chan {} overlap",
             chan.0
         );
-        if wire.is_empty() {
+        if fifo.is_empty() {
             self.engine.schedule_keyed(at, seq, Ev::Deliver { chan });
         }
-        wire.push_back((at, seq, pkt));
+        fifo.push_back((at, seq, pkt));
     }
 }
 
@@ -2181,7 +2285,6 @@ impl TopoBuilder {
             to,
             cfg,
             edge_ingress,
-            busy: false,
             tx_packets: 0,
             tx_bytes_wire: 0,
             rx_packets: 0,

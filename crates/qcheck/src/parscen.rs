@@ -382,10 +382,12 @@ mod tests {
             .gauge_peak(name)
             .expect("the sampler records the engine gauge");
         let final_value = out.registry.gauge_value(name).unwrap_or(0.0);
-        assert!(
-            refined <= summed,
-            "refined peak {refined} exceeds the sum-of-peaks bound {summed}"
-        );
+        // Each shard publishes this gauge once, at the end of its run, so
+        // the "peak" the naive merge sums is just every shard's last value
+        // — a bound on nothing. (It used to look like one: uninserted
+        // events were once all in the queue, which therefore only grew, and
+        // the last value was the largest.) The merged series knows better.
+        assert_eq!(summed, final_value);
         assert_eq!(
             refined,
             from_series.max(final_value),

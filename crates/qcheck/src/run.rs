@@ -144,18 +144,20 @@ fn check_instant(sim: &mut Sim, out: &mut Vec<Violation>) {
         ));
     }
     for c in &audit.chans {
-        if !c.conserved() {
+        // Fuzz scenarios are one shard, so the wire identity holds per row.
+        if !c.conserved() || !c.wire_conserved() {
             out.push(Violation::new(
                 "chan_conservation",
                 format!(
-                    "t={:?} iface {}: enq {} deq {} queued {} tx {} rx {}",
+                    "t={:?} iface {}: enq {} deq {} queued {} tx {} rx {} wire fifo {}",
                     now,
                     c.chan.0,
                     c.enqueued,
                     c.dequeued,
                     c.queued_pkts,
                     c.tx_packets,
-                    c.rx_packets
+                    c.rx_packets,
+                    c.wire_fifo
                 ),
             ));
         }

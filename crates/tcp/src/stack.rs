@@ -92,6 +92,19 @@ enum SockKind {
     Udp,
 }
 
+/// One of a TCP socket's two timers as the engine sees it. The connection
+/// re-arms on almost every ACK; only the arm that can fire next is an
+/// engine event.
+#[derive(Debug, Clone, Copy, Default)]
+struct TimerSlot {
+    /// The latest arm: deadline, reserved engine seq, generation.
+    want: Option<(SimTime, u64, u64)>,
+    /// Key of the one engine event that will consult `want`. Never later
+    /// than `want`'s key; an event that fires under any other key was
+    /// superseded by an earlier deadline and is ignored.
+    live: Option<(SimTime, u64)>,
+}
+
 struct Sock {
     host: NodeId,
     owner: AppId,
@@ -109,6 +122,8 @@ struct Sock {
     /// connection state (audits still sum its counters) but never
     /// produces or consumes anything again.
     dead: bool,
+    /// Retransmission timer (even generations) and delayed-ACK timer (odd).
+    timers: [TimerSlot; 2],
 }
 
 struct AppSlot {
@@ -117,7 +132,9 @@ struct AppSlot {
     proc: ProcId,
 }
 
-// Timer token layout: [kind:8][index:24][payload:32]
+// Timer token layout: [kind:8][index:24][payload:32]. A TCP token's payload
+// is the timer slot (generation parity); the generation itself is a `u64`
+// that outgrows 32 bits on a long-lived connection and stays in the slot.
 const KIND_TCP: u64 = 1;
 const KIND_APP: u64 = 2;
 
@@ -354,10 +371,7 @@ impl Stack {
         for out in outs {
             match out {
                 Out::Seg(seg) => self.emit_segment(net, sock, seg),
-                Out::ArmTimer { at, gen } => {
-                    let host = self.socks[sock.0 as usize].host;
-                    net.set_host_timer(host, at, encode_token(KIND_TCP, sock.0, gen as u32));
-                }
+                Out::ArmTimer { at, gen } => self.arm_tcp_timer(net, sock, at, gen),
                 Out::Connected => {
                     let owner = self.socks[sock.0 as usize].owner;
                     self.wake(net, owner, |a, ctx| a.on_connected(sock, ctx));
@@ -411,6 +425,55 @@ impl Stack {
                 }
             }
         }
+    }
+
+    /// `Out::ArmTimer`: reserve the engine key the arm would have been
+    /// scheduled under and remember it; insert an event only if none is
+    /// live or the deadline moved earlier. Out of line on purpose — inlined
+    /// into `apply_outs` it measurably slowed the segment path.
+    #[inline(never)]
+    fn arm_tcp_timer(&mut self, net: &mut Net, sock: SockId, at: SimTime, gen: u64) {
+        let s = &mut self.socks[sock.0 as usize];
+        let slot = &mut s.timers[(gen & 1) as usize];
+        let seq = net.reserve_host_timer();
+        if slot
+            .want
+            .is_some_and(|(at, seq, _)| slot.live != Some((at, seq)))
+        {
+            net.host_timer_elided();
+        }
+        slot.want = Some((at, seq, gen));
+        if slot.live.is_none_or(|(live_at, _)| at < live_at) {
+            slot.live = Some((at, seq));
+            net.set_host_timer_keyed(
+                s.host,
+                at,
+                seq,
+                encode_token(KIND_TCP, sock.0, gen as u32 & 1),
+            );
+        }
+    }
+
+    /// A TCP timer event fired for `sock`'s slot `parity`. Returns the
+    /// generation to hand to `Connection::on_timer` if the latest arm is
+    /// due exactly now; otherwise re-inserts under the latest arm's key
+    /// (deadline moved later) or ignores the event (superseded).
+    #[inline(never)]
+    fn tcp_timer_due(&mut self, net: &mut Net, sock: SockId, parity: u32) -> Option<u64> {
+        let s = &mut self.socks[sock.0 as usize];
+        let slot = &mut s.timers[parity as usize & 1];
+        let cur = net.cursor();
+        if slot.live != Some(cur) {
+            return None;
+        }
+        let (at, seq, gen) = slot.want.expect("live timer event without an arm");
+        if (at, seq) > cur {
+            slot.live = Some((at, seq));
+            net.set_host_timer_keyed(s.host, at, seq, encode_token(KIND_TCP, sock.0, parity));
+            return None;
+        }
+        *slot = TimerSlot::default();
+        Some(gen)
     }
 
     fn emit_segment(&mut self, net: &mut Net, sock: SockId, seg: SegOut) {
@@ -496,6 +559,7 @@ impl Stack {
                     },
                     trace: None,
                     dead: false,
+                    timers: Default::default(),
                 });
                 self.conns.insert(key, sock);
                 // Link the two endpoints for byte-stream transport.
@@ -541,9 +605,12 @@ impl NetHandler for Stack {
                     // net layer, but this one may fire after a restart).
                     return;
                 }
+                let Some(gen) = self.tcp_timer_due(net, sock, payload) else {
+                    return;
+                };
                 let now = net.now();
                 let outs = match &mut self.socks[sock.0 as usize].kind {
-                    SockKind::Tcp(c) => c.on_timer(payload as u64, now),
+                    SockKind::Tcp(c) => c.on_timer(gen, now),
                     _ => Vec::new(),
                 };
                 self.apply_outs(net, sock, outs);
@@ -703,6 +770,7 @@ impl Ctx<'_> {
             },
             trace: None,
             dead: false,
+            timers: Default::default(),
         });
         self.stack
             .conns
@@ -726,6 +794,7 @@ impl Ctx<'_> {
             tx: StreamBuf::default(),
             trace: None,
             dead: false,
+            timers: Default::default(),
         });
         let prev = self.stack.listeners.insert((self.host, port), sock);
         assert!(
@@ -923,6 +992,7 @@ impl Ctx<'_> {
             tx: StreamBuf::default(),
             trace: None,
             dead: false,
+            timers: Default::default(),
         });
         let prev = self.stack.udp_binds.insert((self.host, port), sock);
         assert!(
@@ -1018,3 +1088,7 @@ impl Sim {
         self.net.now()
     }
 }
+
+#[cfg(test)]
+#[path = "stack_timer_tests.rs"]
+mod timer_tests;

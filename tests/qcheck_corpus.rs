@@ -80,22 +80,22 @@ fn pinned_seed_corpus_runs_clean() {
 #[test]
 fn pinned_corpus_fingerprints_are_unchanged_by_the_interval_tree_swap() {
     const PINNED: [(u64, u64, u64); 16] = [
-        (0, 0xe91cf642f0ab873d, 19606),
-        (1, 0x0de1bb3d4a4caed4, 3190),
-        (2, 0xed00eb4be6640167, 6807),
-        (3, 0xa78a8004bab4e890, 17760),
-        (4, 0x7f14198ed61b6098, 12980),
-        (5, 0x0be848e4d5d88d8c, 16114),
-        (6, 0x4e9e029db0d980dc, 3484),
-        (7, 0x2e82f8b0c85fbbf7, 9361),
-        (8, 0x426eb477160d6812, 8336),
-        (9, 0x1331e41ae4708382, 16896),
-        (10, 0x615d00207b30dca9, 6193),
-        (11, 0x962fefc593d53eb6, 19449),
-        (12, 0x28003028e02ed4a8, 10462),
-        (13, 0xc64415709defef5e, 11049),
-        (14, 0xd62069ea4dde9d95, 884),
-        (15, 0x9cf0b78e86554408, 10661),
+        (0, 0xe91cf642f0ab873d, 13977),
+        (1, 0x0de1bb3d4a4caed4, 2054),
+        (2, 0xed00eb4be6640167, 4451),
+        (3, 0xa78a8004bab4e890, 11303),
+        (4, 0x7f14198ed61b6098, 8292),
+        (5, 0x0be848e4d5d88d8c, 10418),
+        (6, 0x4e9e029db0d980dc, 2019),
+        (7, 0x2e82f8b0c85fbbf7, 6069),
+        (8, 0x426eb477160d6812, 4967),
+        (9, 0x1331e41ae4708382, 9727),
+        (10, 0x615d00207b30dca9, 3776),
+        (11, 0x962fefc593d53eb6, 12087),
+        (12, 0x28003028e02ed4a8, 6978),
+        (13, 0xc64415709defef5e, 7202),
+        (14, 0xd62069ea4dde9d95, 625),
+        (15, 0x9cf0b78e86554408, 6610),
     ];
     for (seed, fingerprint, events) in PINNED {
         let mut spec = ScenarioSpec::from_seed(seed);
