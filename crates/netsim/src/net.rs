@@ -298,8 +298,8 @@ impl NetCounters {
 
 /// One cross-shard packet handoff (see [`crate::shard`]): produced by the
 /// sender-owning shard in `try_start_tx`, exchanged at the next safe-time
-/// barrier, and drained into the destination shard's engine under the
-/// deterministic merge rule `(at, src_shard, seq)`.
+/// barrier, and drained onto the channel's wire FIFO in the destination
+/// shard under the deterministic merge rule `(at, src_shard, seq)`.
 #[derive(Debug)]
 pub(crate) struct XMsg {
     /// Absolute delivery time: `tx_start + serialization + propagation`.
@@ -525,9 +525,10 @@ impl Net {
             .unwrap_or_default()
     }
 
-    /// Schedule one cross-shard delivery received at a barrier. The caller
-    /// presents messages in merge order; `at` is always at or beyond the
-    /// window edge, hence `>= now`, so this can never schedule into the past.
+    /// Put one cross-shard delivery received at a barrier on its wire. The
+    /// caller presents messages in merge order (so per channel in time
+    /// order); `at` is always at or beyond the window edge, hence `> now`,
+    /// so this can never schedule into the past.
     pub(crate) fn inject_cross(&mut self, m: XMsg) {
         if let Some(sc) = self.shard.as_deref_mut() {
             sc.cross_in += 1;
@@ -637,7 +638,9 @@ impl Net {
         self.engine.calendar_stats()
     }
 
-    /// Number of events currently pending in the engine.
+    /// Number of events currently pending in the engine: the things that
+    /// can happen next, not the packets in flight (those wait on their
+    /// wires; see [`NetAudit::wire_pkts`]) nor the timers ever armed.
     pub fn pending_events(&self) -> usize {
         self.engine.len()
     }
@@ -2119,18 +2122,12 @@ impl Net {
     }
 
     fn try_start_tx(&mut self, chan: ChanId) {
-        let w = &mut self.wires[chan.0 as usize];
+        let w = &self.wires[chan.0 as usize];
         // Busy until the cursor reaches the reserved `TxDone` key — in the
         // `now == busy_until` tie that is exactly the order in which this
         // event and an eagerly scheduled `TxDone` would have fired.
         if (w.busy_until, w.txdone_seq) > self.engine.cursor() {
-            // A packet now waits for the wire, so the `TxDone` matters.
-            if !w.txdone_scheduled && !self.queues[chan.0 as usize].is_empty() {
-                w.txdone_scheduled = true;
-                self.txdone_inserted += 1;
-                self.engine
-                    .schedule_keyed(w.busy_until, w.txdone_seq, Ev::TxDone { chan });
-            }
+            self.insert_txdone_if_awaited(chan);
             return;
         }
         // A cut channel transmits nothing; queued packets wait for LinkUp.
@@ -2145,7 +2142,6 @@ impl Net {
         let Some(pkt) = self.queues[chan.0 as usize].pop() else {
             return;
         };
-        let waiting = !self.queues[chan.0 as usize].is_empty();
         let now = self.engine.now();
         let c = &mut self.chans[chan.0 as usize];
         let ser = c.serialization(pkt.ip_len());
@@ -2154,16 +2150,12 @@ impl Net {
         let delay = c.cfg.delay;
         let to = c.to;
         // The key is reserved where the `TxDone` used to be scheduled; the
-        // event goes in only if the queue is still backed up.
+        // event goes in now only if the queue is still backed up.
         let w = &mut self.wires[chan.0 as usize];
         w.busy_until = now + ser;
         w.txdone_seq = self.engine.reserve_seq();
-        w.txdone_scheduled = waiting;
-        if waiting {
-            self.txdone_inserted += 1;
-            self.engine
-                .schedule_keyed(w.busy_until, w.txdone_seq, Ev::TxDone { chan });
-        }
+        w.txdone_scheduled = false;
+        self.insert_txdone_if_awaited(chan);
         if let Some(t) = self.lifecycle.as_deref_mut() {
             t.on_tx_start(now, &pkt, chan, ser.as_nanos(), delay.as_nanos());
         }
@@ -2186,6 +2178,19 @@ impl Net {
                 });
             }
             _ => self.put_on_wire(chan, deliver_at, pkt),
+        }
+    }
+
+    /// `chan` is transmitting. If a packet waits behind the transmission
+    /// and its `TxDone` is not yet an event, make it one, under the key
+    /// reserved at the tx start.
+    fn insert_txdone_if_awaited(&mut self, chan: ChanId) {
+        let w = &mut self.wires[chan.0 as usize];
+        if !w.txdone_scheduled && !self.queues[chan.0 as usize].is_empty() {
+            w.txdone_scheduled = true;
+            self.txdone_inserted += 1;
+            self.engine
+                .schedule_keyed(w.busy_until, w.txdone_seq, Ev::TxDone { chan });
         }
     }
 

@@ -3,11 +3,22 @@
 //! A [`Partition`] splits a topology's nodes into `k` shards. Each shard
 //! runs a complete [`Net`] copy but only ever schedules events for the
 //! nodes it owns: a channel belongs to the shard of its `from` node (its
-//! queue, busy flag, and `TxDone` events live there) and a delivery
-//! executes in the shard of its `to` node. The single place where
-//! simulated causality crosses a shard boundary — a transmission whose
-//! channel lands on a foreign node — becomes a timestamped outbox message
-//! instead of an engine event (see `Net::try_start_tx`).
+//! queue, its transmitter's busy-until key, and its `TxDone` events live
+//! there) and a delivery executes in the shard of its `to` node. The
+//! single place where simulated causality crosses a shard boundary — a
+//! transmission whose channel lands on a foreign node — becomes a
+//! timestamped outbox message instead of an entry on the channel's wire
+//! FIFO (see `Net::try_start_tx`).
+//!
+//! Packets in flight live in `Net`, not in the engine: each channel keeps
+//! a FIFO in the shard of its `to` node and only the FIFO head owns an
+//! engine event. An injected cross-shard message joins that FIFO under a
+//! delivery key reserved at the barrier, exactly where it used to be
+//! scheduled. `Net::peek_time`, which drives the idle-window vote, is
+//! therefore the time of the next thing that can *happen* in a shard —
+//! transmissions that end with nobody waiting and re-armed TCP timers no
+//! longer hold the vote back — while `shardNN.pending_events` no longer
+//! says how many packets a shard has in flight (`NetAudit` does).
 //!
 //! **Lookahead bound.** Let `L` be the minimum propagation delay over all
 //! cross-shard channels. A packet transmitted at time `s` arrives at

@@ -7,6 +7,7 @@
 
 use mpichgq_sim::{Engine, SchedulerKind, SimTime};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, VecDeque};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -40,7 +41,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// One engine under test plus the keys it has reserved but not inserted.
 struct Sut {
     e: Engine<u64>,
-    held: std::collections::VecDeque<(SimTime, u64, u64)>,
+    held: VecDeque<(SimTime, u64, u64)>,
     payload: u64,
 }
 
@@ -140,11 +141,11 @@ proptest! {
             let mut eager: Engine<u64> = Engine::with_scheduler(kind);
             let mut lazy: Engine<u64> = Engine::with_scheduler(kind);
             // Deferred keys not yet in `lazy`'s queue, and the one that is.
-            let mut store = std::collections::BTreeMap::<(SimTime, u64), u64>::new();
+            let mut store = BTreeMap::<(SimTime, u64), u64>::new();
             let mut queued: Option<(SimTime, u64)> = None;
             let pop_both = |eager: &mut Engine<u64>,
                                 lazy: &mut Engine<u64>,
-                                store: &mut std::collections::BTreeMap<(SimTime, u64), u64>,
+                                store: &mut BTreeMap<(SimTime, u64), u64>,
                                 queued: &mut Option<(SimTime, u64)>| {
                 let (a, b) = (eager.pop(), lazy.pop());
                 assert_eq!(a, b);

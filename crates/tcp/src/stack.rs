@@ -434,23 +434,17 @@ impl Stack {
     #[inline(never)]
     fn arm_tcp_timer(&mut self, net: &mut Net, sock: SockId, at: SimTime, gen: u64) {
         let s = &mut self.socks[sock.0 as usize];
-        let slot = &mut s.timers[(gen & 1) as usize];
+        let parity = (gen & 1) as u32;
+        let slot = &mut s.timers[parity as usize];
         let seq = net.reserve_host_timer();
-        if slot
-            .want
-            .is_some_and(|(at, seq, _)| slot.live != Some((at, seq)))
-        {
+        // The arm this one replaces never became an event.
+        if slot.want.is_some_and(|(a, s, _)| slot.live != Some((a, s))) {
             net.host_timer_elided();
         }
         slot.want = Some((at, seq, gen));
         if slot.live.is_none_or(|(live_at, _)| at < live_at) {
             slot.live = Some((at, seq));
-            net.set_host_timer_keyed(
-                s.host,
-                at,
-                seq,
-                encode_token(KIND_TCP, sock.0, gen as u32 & 1),
-            );
+            net.set_host_timer_keyed(s.host, at, seq, encode_token(KIND_TCP, sock.0, parity));
         }
     }
 

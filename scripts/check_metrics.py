@@ -33,14 +33,33 @@ ship a sibling timeline.json next to their metrics.json.
 All problems in a file are collected and reported together — a missing
 section or key never aborts the remaining checks, so one run lists
 every violation at once.
+
+Usage: check_metrics.py --physics-equal OLD_RESULTS NEW_RESULTS
+
+Compares two results/ trees and requires them to describe the same
+simulated physics: every file present in both or neither, and
+byte-identical — every CSV table, flight-recorder trace, histogram and
+SLO report — except for what measures the simulator rather than the
+simulated, which is removed from both sides first:
+- counters, gauges and timeline series named `engine.*` or
+  `shardNN.{events,pending_events}` (event counts, queue population,
+  calendar health: the schedule cost an engine change is meant to move);
+- `<n> events` figures printed in the .txt reports, and `totals.events`
+  of the qcheck summary;
+- `*.admission_ns` histograms (bench_gara's host wall-clock latencies).
+`trace.json` lifecycle exports are regenerated but never committed, so
+one that exists on one side only is not an error.
 """
 
 import json
 import os
+import re
 import sys
 
 REQUIRED_COUNTERS = [
     "engine.events_processed",
+    "engine.events_elided.txdone",
+    "engine.events_elided.timer",
     "net.pkts.sent",
     "net.pkts.delivered",
     "net.drops.policed",
@@ -443,7 +462,80 @@ def check(path):
     return errors, doc
 
 
+SCHEDULE_COST = re.compile(r"^(engine\..*|shard\d+\.(events|pending_events))$")
+HOST_TIME_HIST = re.compile(r"\.admission_ns$")
+EVENTS_FIGURE = re.compile(rb"\b\d+ events\b")
+
+
+def physics_of(path):
+    """The content of one results file with schedule-cost and host-time
+    figures removed; two files agree on physics iff these are equal."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if path.endswith(".txt"):
+        return EVENTS_FIGURE.sub(b"N events", raw)
+    if os.path.basename(path) not in ("metrics.json", "timeline.json", "summary.json"):
+        return raw
+    doc = json.loads(raw)
+    if "qcheck_summary" in doc:
+        doc.get("totals", {}).pop("events", None)
+
+    def strip(section, pattern):
+        if isinstance(doc.get(section), dict):
+            doc[section] = {
+                k: v for k, v in doc[section].items() if not pattern.search(k)
+            }
+
+    for section in ("counters", "gauges", "series"):
+        strip(section, SCHEDULE_COST)
+    strip("histograms", HOST_TIME_HIST)
+    return doc
+
+
+def physics_equal(old_root, new_root):
+    def files(root):
+        return {
+            os.path.relpath(os.path.join(d, f), root)
+            for d, _, fs in os.walk(root)
+            for f in fs
+        }
+
+    old, new = files(old_root), files(new_root)
+    problems = [
+        f"{p}: only in {root}"
+        for only, root in ((old - new, old_root), (new - old, new_root))
+        for p in sorted(only)
+        if os.path.basename(p) != "trace.json"
+    ]
+    for p in sorted(old & new):
+        a = physics_of(os.path.join(old_root, p))
+        b = physics_of(os.path.join(new_root, p))
+        if a == b:
+            continue
+        if isinstance(a, dict) and isinstance(b, dict):
+            for section in sorted(set(a) | set(b)):
+                sa, sb = a.get(section), b.get(section)
+                if sa == sb:
+                    continue
+                if isinstance(sa, dict) and isinstance(sb, dict):
+                    keys = sorted(k for k in set(sa) | set(sb) if sa.get(k) != sb.get(k))
+                    shown = ", ".join(keys[:8]) + (" ..." if len(keys) > 8 else "")
+                    problems.append(f"{p}: {section}: {len(keys)} differ: {shown}")
+                else:
+                    problems.append(f"{p}: section {section!r} differs")
+        else:
+            problems.append(f"{p}: differs")
+    for line in problems:
+        print(line, file=sys.stderr)
+    if not problems:
+        print(f"physics equal: {len(old & new)} files under {old_root} and "
+              f"{new_root} differ in schedule cost at most")
+    return 1 if problems else 0
+
+
 def main():
+    if len(sys.argv) == 4 and sys.argv[1] == "--physics-equal":
+        return physics_equal(sys.argv[2], sys.argv[3])
     if len(sys.argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2

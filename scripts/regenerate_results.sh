@@ -29,4 +29,13 @@ echo "results/ refreshed:"
 grep -H "^#" results/*.txt | grep -iE "summary|phases|adequate|penalty|saturate" || true
 if command -v python3 >/dev/null; then
   python3 scripts/check_metrics.py results/*/metrics.json results/*/timeline.json
+  # Physics gate (full-resolution runs only): against the committed tree,
+  # the regenerated one may differ in schedule cost and nothing else. A
+  # change that means to move physics fails here and lists what moved.
+  if [ -z "$FAST" ] && git rev-parse -q --verify HEAD >/dev/null; then
+    committed=$(mktemp -d)
+    trap 'rm -rf "$committed"' EXIT
+    git archive HEAD results | tar -x -C "$committed"
+    python3 scripts/check_metrics.py --physics-equal "$committed/results" results
+  fi
 fi
