@@ -13,8 +13,9 @@
 //! - [`SchedulerKind::Calendar`] (the default): a calendar queue in the
 //!   style of Brown (CACM 1988) — a power-of-two ring of time buckets with
 //!   amortized O(1) enqueue/dequeue, the structure ns-2 adopted for exactly
-//!   this packet-event workload. Bucket width and count adapt to the
-//!   observed event density.
+//!   this packet-event workload. Bucket count follows occupancy; bucket
+//!   width follows the two costs it trades, measured over a window of
+//!   dequeues (scan steps per dequeue, entries shifted per enqueue).
 //!
 //! There is no cancellation. What keeps the pending set small instead is
 //! **reserved-key deferred scheduling**: an event's `(at, seq)` key is
@@ -100,13 +101,12 @@ struct CalendarQueue<E> {
     mask: u64,
     len: usize,
     head: Option<Head>,
-    /// Timestamp of the last dequeued entry (ns), for gap statistics.
-    last_pop_ns: u64,
-    /// Exponential moving average of inter-pop gaps (ns); sizes bucket width.
-    avg_gap_ns: u64,
-    /// Dequeues since the last rebuild that fell through the one-year scan
-    /// to a full direct search — a signal the bucket width is mismatched.
-    fallback_scans: u32,
+    /// The tuning window (see [`CalendarQueue::retune`]): dequeues since it
+    /// opened, the bucket windows their scans examined, and the entries
+    /// that mid-bucket inserts had to shift.
+    win_pops: u64,
+    win_scan: u64,
+    win_shift: u64,
     stats: CalendarStats,
 }
 
@@ -129,6 +129,9 @@ const MAX_BUCKETS: usize = 1 << 20;
 /// Initial bucket width: 2^10 ns ≈ 1 µs, a typical packet-event gap.
 const INIT_WLOG: u32 = 10;
 const MAX_WLOG: u32 = 44; // ~4.8 hours per bucket; beyond this, width stops helping.
+/// Shortest tuning window, in dequeues; a ring above a quarter of this
+/// gets four per bucket, so re-bucketing stays amortized O(1).
+const MIN_WINDOW: u64 = 1024;
 
 impl<E> CalendarQueue<E> {
     fn new() -> Self {
@@ -138,9 +141,9 @@ impl<E> CalendarQueue<E> {
             mask: (MIN_BUCKETS - 1) as u64,
             len: 0,
             head: None,
-            last_pop_ns: 0,
-            avg_gap_ns: 1 << INIT_WLOG,
-            fallback_scans: 0,
+            win_pops: 0,
+            win_scan: 0,
+            win_shift: 0,
             stats: CalendarStats::default(),
         }
     }
@@ -169,11 +172,12 @@ impl<E> CalendarQueue<E> {
         } else {
             self.stats.slow_pushes += 1;
             let pos = b.partition_point(|x| (x.at, x.seq) < (e.at, e.seq));
+            self.win_shift += pos.min(b.len() - pos) as u64;
             b.insert(pos, e);
         }
         self.len += 1;
         if self.len > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild();
+            self.rebuild(self.wlog);
         }
     }
 
@@ -184,17 +188,47 @@ impl<E> CalendarQueue<E> {
             .expect("head points at empty bucket");
         debug_assert!(e.at == h.at && e.seq == h.seq);
         self.len -= 1;
-        let at_ns = e.at.as_nanos();
-        let gap = at_ns.saturating_sub(self.last_pop_ns);
-        self.last_pop_ns = at_ns;
-        self.avg_gap_ns =
-            (((self.avg_gap_ns as u128) * 7 + gap as u128) / 8).min(u64::MAX as u128) as u64;
         self.head = self.find_next(e.at);
+        self.win_pops += 1;
         let nb = self.buckets.len();
-        if (self.len < nb / 8 && nb > MIN_BUCKETS) || self.fallback_scans >= 64 {
-            self.rebuild();
+        if self.win_pops >= MIN_WINDOW.max(4 * nb as u64) || self.win_scan >= 64 * nb as u64 {
+            self.retune();
+        } else if self.len < nb / 8 && nb > MIN_BUCKETS {
+            self.rebuild(self.wlog);
         }
         Some(e)
+    }
+
+    /// Close the tuning window and re-bucket if the width no longer fits.
+    ///
+    /// The width trades two costs, and the window measures both. Buckets
+    /// too narrow make a dequeue scan several bucket windows for the next
+    /// entry — in the limit a whole empty year, then the direct search.
+    /// Buckets too wide make an enqueue shift many entries to keep its
+    /// bucket sorted. The width moves only when one cost is out of bounds
+    /// (a quarter of a scan step per dequeue beyond the first; 32 entries
+    /// shifted per dequeue) and the other is not, by as many octaves as
+    /// the excess calls for — so where it settles is a property
+    /// of the workload, not of the instant it was sized at, and holds for
+    /// a population too shallow ever to resize the ring (DESIGN.md §8). A
+    /// few dozen entries cannot crowd a bucket: their ring widens into, in
+    /// effect, one short sorted list, the fastest structure at that size.
+    fn retune(&mut self) {
+        let narrow = 4 * self.win_scan.saturating_sub(self.win_pops) / self.win_pops;
+        let wide = self.win_shift / self.win_pops / 16;
+        self.win_pops = 0;
+        self.win_scan = 0;
+        self.win_shift = 0;
+        let wlog = if narrow >= 1 && wide < 2 {
+            (self.wlog + narrow.ilog2() + 1).min(MAX_WLOG)
+        } else if wide >= 2 && narrow < 1 {
+            self.wlog.saturating_sub(wide.ilog2())
+        } else {
+            self.wlog
+        };
+        if wlog != self.wlog {
+            self.rebuild(wlog);
+        }
     }
 
     /// Locate the minimum remaining entry, starting the scan at the bucket
@@ -212,6 +246,7 @@ impl<E> CalendarQueue<E> {
             // Windows are scanned in increasing time order, so the first
             // bucket front that falls inside its window is the global min.
             self.stats.scan_steps += 1;
+            self.win_scan += 1;
             let Some(v) = virt.checked_add(k) else { break };
             let i = (v & self.mask) as usize;
             let top: u128 = ((v as u128) + 1) << self.wlog;
@@ -227,8 +262,7 @@ impl<E> CalendarQueue<E> {
         }
         // Nothing within one ring revolution: direct search. Frequent hits
         // here mean the bucket width is too small for the event spacing;
-        // rebuild (triggered by the caller) will widen it.
-        self.fallback_scans += 1;
+        // the year just scanned counts against it in the tuning window.
         self.stats.fallbacks += 1;
         let mut best: Option<Head> = None;
         for (i, b) in self.buckets.iter().enumerate() {
@@ -245,20 +279,15 @@ impl<E> CalendarQueue<E> {
         best
     }
 
-    /// Re-bucket every entry with a bucket count proportional to occupancy
-    /// and a width tracking the observed inter-pop gap.
-    fn rebuild(&mut self) {
-        self.fallback_scans = 0;
+    /// Re-bucket every entry into `2^wlog`-ns buckets, their count
+    /// proportional to occupancy.
+    fn rebuild(&mut self, wlog: u32) {
         self.stats.rebuilds += 1;
         let nbuckets = self
             .len
             .max(MIN_BUCKETS)
             .next_power_of_two()
             .min(MAX_BUCKETS);
-        // Aim for roughly one average gap per bucket, so consecutive pops
-        // land in nearby buckets and the year scan stays short.
-        let gap = self.avg_gap_ns.max(1);
-        let wlog = (63 - gap.leading_zeros()).min(MAX_WLOG);
         let mut entries: Vec<Entry<E>> = Vec::with_capacity(self.len);
         for b in &mut self.buckets {
             entries.extend(b.drain(..));
@@ -636,6 +665,46 @@ mod tests {
         }
         assert_eq!(n, 10_001);
         assert_eq!(last, (SimTime::from_secs(3_600), u64::MAX));
+    }
+
+    /// A population too shallow to ever resize the ring must still get its
+    /// bucket width fitted: 16 events hopping 20 µs at a time never leave
+    /// a year of 32 × 1 µs empty (so never fall back), yet every pop scans
+    /// through the gap until the tuning window widens the buckets.
+    #[test]
+    fn calendar_fits_its_width_to_a_shallow_population() {
+        let mut e: Engine<u64> = Engine::with_scheduler(SchedulerKind::Calendar);
+        for i in 0..16u64 {
+            e.schedule(SimTime::from_nanos(1_250 * i), i);
+        }
+        let hop = |e: &mut Engine<u64>, pops: u64| {
+            let before = e.calendar_stats().unwrap().scan_steps;
+            for _ in 0..pops {
+                let (t, v) = e.pop().unwrap();
+                e.schedule(t + SimDelta::from_nanos(20_000 + 7 * v), v);
+            }
+            e.calendar_stats().unwrap().scan_steps - before
+        };
+        assert!(
+            hop(&mut e, 1_000) > 1_500,
+            "the initial width should not fit"
+        );
+        hop(&mut e, 4_000);
+        assert!(hop(&mut e, 4_000) <= 5_000, "more than 1.25 steps per pop");
+        assert_eq!(e.len(), 16);
+    }
+
+    /// One event in flight: every pop empties the queue and scans nothing,
+    /// so a window closes with fewer scan steps than pops.
+    #[test]
+    fn calendar_tuning_window_survives_an_emptying_queue() {
+        let mut e: Engine<u32> = Engine::with_scheduler(SchedulerKind::Calendar);
+        e.schedule(SimTime::ZERO, 0);
+        for _ in 0..3 * MIN_WINDOW {
+            let (t, v) = e.pop().unwrap();
+            e.schedule(t + SimDelta::from_nanos(5), v);
+        }
+        assert_eq!(e.calendar_stats().unwrap().rebuilds, 0);
     }
 
     #[test]
