@@ -18,8 +18,8 @@
 use crate::slot_table::{RejectReason, Rejected, SlotId, SlotTable};
 use mpichgq_dsrt::ProcId;
 use mpichgq_netsim::{
-    depth_for, ChanId, DepthRule, Dscp, FlowSpec, Net, NodeId, NodeKind, PolicingAction, Proto,
-    TimelineSource, TokenBucket,
+    depth_for, ChanId, CounterId, DepthRule, Dscp, FlowSpec, Net, NodeId, NodeKind, PolicingAction,
+    Proto, TimelineSource, TokenBucket,
 };
 use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::{control_token, Controller, ControllerId, Stack};
@@ -186,6 +186,63 @@ struct Resv {
     enforcement: Enforcement,
 }
 
+/// A `gara.*` registry counter whose id is interned on the first bump: a
+/// decision then costs one vector add instead of a string hash, a counter
+/// that never fires never shows up in a snapshot, and counters register in
+/// the order they first fire. A `Gara` therefore serves one `Net`.
+struct LazyCounter {
+    name: &'static str,
+    id: Option<CounterId>,
+}
+
+impl LazyCounter {
+    const fn new(name: &'static str) -> LazyCounter {
+        LazyCounter { name, id: None }
+    }
+
+    fn bump(&mut self, net: &mut Net) {
+        let id = *self
+            .id
+            .get_or_insert_with(|| net.obs.metrics.counter(self.name));
+        net.obs.metrics.inc(id, 1);
+    }
+}
+
+struct Counters {
+    granted: LazyCounter,
+    rejected: LazyCounter,
+    injected_rejections: LazyCounter,
+    modifies: LazyCounter,
+    modifies_rejected: LazyCounter,
+    cancels: LazyCounter,
+    revocations: LazyCounter,
+    // Per-reason refusal breakdown, picked by [`Gara::reject_counter`].
+    rej_over_capacity: LazyCounter,
+    rej_unknown_slot: LazyCounter,
+    rej_no_route: LazyCounter,
+    rej_unknown_server: LazyCounter,
+    rej_invalid: LazyCounter,
+    rej_injected: LazyCounter,
+}
+
+impl Counters {
+    const NEW: Counters = Counters {
+        granted: LazyCounter::new("gara.reservations_granted"),
+        rejected: LazyCounter::new("gara.reservations_rejected"),
+        injected_rejections: LazyCounter::new("gara.injected_rejections"),
+        modifies: LazyCounter::new("gara.modifies"),
+        modifies_rejected: LazyCounter::new("gara.modifies_rejected"),
+        cancels: LazyCounter::new("gara.cancels"),
+        revocations: LazyCounter::new("gara.revocations"),
+        rej_over_capacity: LazyCounter::new("gara.rejects.over_capacity"),
+        rej_unknown_slot: LazyCounter::new("gara.rejects.unknown_slot"),
+        rej_no_route: LazyCounter::new("gara.rejects.no_route"),
+        rej_unknown_server: LazyCounter::new("gara.rejects.unknown_server"),
+        rej_invalid: LazyCounter::new("gara.rejects.invalid"),
+        rej_injected: LazyCounter::new("gara.rejects.injected"),
+    };
+}
+
 /// CPU slot tables count in milli-fractions so they stay integral.
 const CPU_UNITS: f64 = 1000.0;
 /// DSRT's admission ceiling, in milli-fraction units.
@@ -217,6 +274,7 @@ pub struct Gara {
     /// Controller to ping (same sim-time) whenever a reservation is
     /// revoked, so an adaptation loop can react in event order.
     adapt_ctl: Option<ControllerId>,
+    ctrs: Counters,
 }
 
 impl Gara {
@@ -233,6 +291,7 @@ impl Gara {
             ctl: None,
             inject_rejections: 0,
             adapt_ctl: None,
+            ctrs: Counters::NEW,
         }
     }
 
@@ -320,21 +379,21 @@ impl Gara {
             Some(d) => start_t + d,
             None => SimTime::MAX,
         };
-        if let Err(e) = self.validate(&req) {
-            Self::count_reservation_reject(net, &e);
+        if let Err(e) = self.validate(&req, start_t, end_t) {
+            self.count_reservation_reject(net, &e);
             return Err(e);
         }
         if self.inject_rejections > 0 {
             self.inject_rejections -= 1;
-            Self::count_reservation_reject(net, &ReserveError::Injected);
-            net.obs.metrics.add("gara.injected_rejections", 1);
+            self.count_reservation_reject(net, &ReserveError::Injected);
+            self.ctrs.injected_rejections.bump(net);
             net.obs.trace.record(now, "gara.reject", self.next_id, -1);
             return Err(ReserveError::Injected);
         }
         let slots = match self.admit(net, &req, start_t, end_t) {
             Ok(s) => s,
             Err(e) => {
-                Self::count_reservation_reject(net, &e);
+                self.count_reservation_reject(net, &e);
                 net.obs.trace.record(now, "gara.reject", self.next_id, 0);
                 return Err(e);
             }
@@ -353,7 +412,7 @@ impl Gara {
             },
         );
         let rid = ResvId(id);
-        net.obs.metrics.add("gara.reservations_granted", 1);
+        self.ctrs.granted.bump(net);
         let granted_amount = match &self.resvs[&id].req {
             Request::Network(n) => n.rate_bps as i64,
             Request::Cpu(c) => (c.fraction * 1000.0) as i64,
@@ -388,23 +447,6 @@ impl Gara {
         reqs: Vec<(Request, StartSpec, Option<SimDelta>)>,
     ) -> Result<Vec<ResvId>, ReserveError> {
         let now = net.now();
-        // Phase 0: validate everything before any slot moves.
-        for (req, _, _) in &reqs {
-            if let Err(e) = self.validate(req) {
-                Self::count_reservation_reject(net, &e);
-                return Err(e);
-            }
-        }
-        if !reqs.is_empty() && self.inject_rejections > 0 {
-            self.inject_rejections -= 1;
-            Self::count_reservation_reject(net, &ReserveError::Injected);
-            net.obs.metrics.add("gara.injected_rejections", 1);
-            net.obs.trace.record(now, "gara.reject", self.next_id, -1);
-            return Err(ReserveError::Injected);
-        }
-        // Phase 1: resolve every request to per-table demands, grouped by
-        // table in first-seen order (so SlotIds come out exactly as a
-        // sequential admission would have assigned them).
         let windows: Vec<(SimTime, SimTime)> = reqs
             .iter()
             .map(|(_, start, duration)| {
@@ -419,6 +461,23 @@ impl Gara {
                 (start_t, end_t)
             })
             .collect();
+        // Phase 0: validate everything before any slot moves.
+        for ((req, _, _), &(start_t, end_t)) in reqs.iter().zip(&windows) {
+            if let Err(e) = self.validate(req, start_t, end_t) {
+                self.count_reservation_reject(net, &e);
+                return Err(e);
+            }
+        }
+        if !reqs.is_empty() && self.inject_rejections > 0 {
+            self.inject_rejections -= 1;
+            self.count_reservation_reject(net, &ReserveError::Injected);
+            self.ctrs.injected_rejections.bump(net);
+            net.obs.trace.record(now, "gara.reject", self.next_id, -1);
+            return Err(ReserveError::Injected);
+        }
+        // Phase 1: resolve every request to per-table demands, grouped by
+        // table in first-seen order (so SlotIds come out exactly as a
+        // sequential admission would have assigned them).
         let mut groups: Vec<(TableKey, Vec<Demand>)> = Vec::new();
         let push_demand = |groups: &mut Vec<(TableKey, Vec<Demand>)>,
                            key: TableKey,
@@ -434,7 +493,7 @@ impl Gara {
                 Request::Network(n) => {
                     let Some(path) = net.path_chans(n.src, n.dst) else {
                         let e = ReserveError::NoRoute;
-                        Self::count_reservation_reject(net, &e);
+                        self.count_reservation_reject(net, &e);
                         net.obs.trace.record(now, "gara.reject", self.next_id, 0);
                         return Err(e);
                     };
@@ -462,7 +521,7 @@ impl Gara {
                 Request::Storage(s) => {
                     if !self.storage.contains_key(&s.server) {
                         let e = ReserveError::UnknownServer(s.server.clone());
-                        Self::count_reservation_reject(net, &e);
+                        self.count_reservation_reject(net, &e);
                         net.obs.trace.record(now, "gara.reject", self.next_id, 0);
                         return Err(e);
                     }
@@ -503,7 +562,7 @@ impl Gara {
                         self.release_slot(s);
                     }
                     let e = ReserveError::Admission(rej);
-                    Self::count_reservation_reject(net, &e);
+                    self.count_reservation_reject(net, &e);
                     net.obs.trace.record(now, "gara.reject", self.next_id, 0);
                     return Err(e);
                 }
@@ -529,7 +588,7 @@ impl Gara {
                 },
             );
             let rid = ResvId(id);
-            net.obs.metrics.add("gara.reservations_granted", 1);
+            self.ctrs.granted.bump(net);
             let granted_amount = match &self.resvs[&id].req {
                 Request::Network(n) => n.rate_bps as i64,
                 Request::Cpu(c) => (c.fraction * 1000.0) as i64,
@@ -554,11 +613,11 @@ impl Gara {
         };
         match r.status {
             Status::Active => {
-                net.obs.metrics.add("gara.cancels", 1);
+                self.ctrs.cancels.bump(net);
                 self.deactivate(net, id, Status::Cancelled);
             }
             Status::Pending => {
-                net.obs.metrics.add("gara.cancels", 1);
+                self.ctrs.cancels.bump(net);
                 self.release_slots(id);
                 self.set_status(id, Status::Cancelled);
             }
@@ -585,7 +644,7 @@ impl Gara {
             }
             _ => return,
         }
-        net.obs.metrics.add("gara.revocations", 1);
+        self.ctrs.revocations.bump(net);
         let now = net.now();
         net.obs.trace.record(now, "gara.revoke", id.0, 0);
         if let Some(ctl) = self.adapt_ctl {
@@ -615,7 +674,7 @@ impl Gara {
     ) -> Result<(), ReserveError> {
         let r = self.modify_network_rate_inner(net, id, new_rate_bps);
         if let Err(e) = &r {
-            Self::count_modify_reject(net, e);
+            self.count_modify_reject(net, e);
         }
         r
     }
@@ -637,44 +696,34 @@ impl Gara {
         let Request::Network(nreq) = &r.req else {
             return Err(ReserveError::Invalid("not a network reservation"));
         };
-        let depth_rule = nreq.depth;
+        let (depth_rule, old_rate) = (nreq.depth, nreq.rate_bps);
         // First pass: try to resize every slot; roll back on failure.
-        let mut resized: Vec<(ChanId, SlotId, u64)> = Vec::new();
-        let slot_list: Vec<(ChanId, SlotId)> = r
-            .slots
-            .iter()
-            .filter_map(|s| match s {
-                SlotRef::Net(c, sid) => Some((*c, *sid)),
-                _ => None,
-            })
-            .collect();
-        let old_rate = nreq.rate_bps;
-        for (chan, sid) in &slot_list {
+        for (k, slot) in r.slots.iter().enumerate() {
+            let SlotRef::Net(chan, sid) = slot else {
+                continue;
+            };
             let refusal = match self.links.get_mut(chan) {
                 // A managed channel can disappear under us (broker
                 // reconfiguration); that refuses the modify, it must not
                 // abort the process.
-                None => Some(ReserveError::Invalid("managed channel vanished")),
+                None => ReserveError::Invalid("managed channel vanished"),
                 Some(table) => match table.try_resize(*sid, new_rate_bps) {
-                    Ok(()) => None,
-                    Err(rej) => Some(ReserveError::Admission(rej)),
+                    Ok(()) => continue,
+                    Err(rej) => ReserveError::Admission(rej),
                 },
             };
-            match refusal {
-                None => resized.push((*chan, *sid, old_rate)),
-                Some(err) => {
-                    // Roll back infallibly: the old amounts were admitted
-                    // before, so `restore` reinstates them without
-                    // re-running admission (which could refuse, e.g. after
-                    // a capacity-lowering reconfiguration mid-sequence).
-                    for (c, s, old) in resized {
-                        if let Some(t) = self.links.get_mut(&c) {
-                            t.restore(s, old);
-                        }
+            // Roll back infallibly: the old amounts were admitted before,
+            // so `restore` reinstates them without re-running admission
+            // (which could refuse, e.g. after a capacity-lowering
+            // reconfiguration mid-sequence).
+            for done in &r.slots[..k] {
+                if let SlotRef::Net(c, s) = done {
+                    if let Some(t) = self.links.get_mut(c) {
+                        t.restore(*s, old_rate);
                     }
-                    return Err(err);
                 }
             }
+            return Err(refusal);
         }
         // Commit: update the request and reconfigure the live policer.
         let r = self.resvs.get_mut(&id.0).unwrap();
@@ -688,7 +737,7 @@ impl Gara {
             tb.reconfigure(now, new_rate_bps, depth);
             net.node_mut(router).classifier.set_policer(rule, Some(tb));
         }
-        net.obs.metrics.add("gara.modifies", 1);
+        self.ctrs.modifies.bump(net);
         let now = net.now();
         net.obs
             .trace
@@ -707,7 +756,7 @@ impl Gara {
     ) -> Result<(), ReserveError> {
         let r = self.modify_cpu_fraction_inner(net, id, new_fraction);
         if let Err(e) = &r {
-            Self::count_modify_reject(net, e);
+            self.count_modify_reject(net, e);
         }
         r
     }
@@ -750,7 +799,7 @@ impl Gara {
             net.cpu_set_reservation(creq.host, creq.proc, Some(new_fraction))
                 .map_err(|_| ReserveError::Invalid("DSRT refused the new fraction"))?;
         }
-        net.obs.metrics.add("gara.modifies", 1);
+        self.ctrs.modifies.bump(net);
         let now = net.now();
         net.obs
             .trace
@@ -885,38 +934,39 @@ impl Gara {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Per-reason reject counter key, so benchmarks and operators can
+    /// The per-reason reject counter, so benchmarks and operators can
     /// break refusals down by cause instead of one opaque total.
-    fn reject_reason_key(e: &ReserveError) -> &'static str {
+    fn reject_counter(&mut self, e: &ReserveError) -> &mut LazyCounter {
+        let c = &mut self.ctrs;
         match e {
             ReserveError::Admission(r) => match r.reason {
-                RejectReason::OverCapacity => "gara.rejects.over_capacity",
-                RejectReason::UnknownSlot => "gara.rejects.unknown_slot",
+                RejectReason::OverCapacity => &mut c.rej_over_capacity,
+                RejectReason::UnknownSlot => &mut c.rej_unknown_slot,
             },
-            ReserveError::NoRoute => "gara.rejects.no_route",
-            ReserveError::UnknownServer(_) => "gara.rejects.unknown_server",
-            ReserveError::Invalid(_) => "gara.rejects.invalid",
-            ReserveError::Injected => "gara.rejects.injected",
+            ReserveError::NoRoute => &mut c.rej_no_route,
+            ReserveError::UnknownServer(_) => &mut c.rej_unknown_server,
+            ReserveError::Invalid(_) => &mut c.rej_invalid,
+            ReserveError::Injected => &mut c.rej_injected,
         }
     }
 
     /// Count a refused reservation: the lifecycle total plus the
     /// per-reason breakdown.
-    fn count_reservation_reject(net: &mut Net, e: &ReserveError) {
-        net.obs.metrics.add("gara.reservations_rejected", 1);
-        net.obs.metrics.add(Self::reject_reason_key(e), 1);
+    fn count_reservation_reject(&mut self, net: &mut Net, e: &ReserveError) {
+        self.ctrs.rejected.bump(net);
+        self.reject_counter(e).bump(net);
     }
 
     /// Count a refused modify. Deliberately *not* `reservations_rejected`:
     /// that counter means "a reservation request was refused" and
     /// participates in qcheck run fingerprints; in-place modifies keep
     /// their own total alongside the shared per-reason breakdown.
-    fn count_modify_reject(net: &mut Net, e: &ReserveError) {
-        net.obs.metrics.add("gara.modifies_rejected", 1);
-        net.obs.metrics.add(Self::reject_reason_key(e), 1);
+    fn count_modify_reject(&mut self, net: &mut Net, e: &ReserveError) {
+        self.ctrs.modifies_rejected.bump(net);
+        self.reject_counter(e).bump(net);
     }
 
-    fn validate(&self, req: &Request) -> Result<(), ReserveError> {
+    fn validate(&self, req: &Request, start: SimTime, end: SimTime) -> Result<(), ReserveError> {
         match req {
             Request::Network(n) => {
                 if n.rate_bps == 0 {
@@ -934,6 +984,11 @@ impl Gara {
                 }
             }
         }
+        // A zero duration holds nothing, and the slot tables treat an empty
+        // interval as a caller bug (they assert on it).
+        if end <= start {
+            return Err(ReserveError::Invalid("empty interval"));
+        }
         Ok(())
     }
 
@@ -948,14 +1003,20 @@ impl Gara {
         let result = (|| -> Result<(), ReserveError> {
             match req {
                 Request::Network(n) => {
-                    let path = net.path_chans(n.src, n.dst).ok_or(ReserveError::NoRoute)?;
-                    for chan in path {
+                    // Hop by hop off the route table, no path vector. The
+                    // table is a frozen BFS, so a first hop implies the
+                    // rest: an unreachable pair is refused at `cur == src`,
+                    // before any slot has moved.
+                    let mut cur = n.src;
+                    while cur != n.dst {
+                        let chan = net.route(cur, n.dst).ok_or(ReserveError::NoRoute)?;
                         if let Some(table) = self.links.get_mut(&chan) {
                             let sid = table
                                 .try_insert(start, end, n.rate_bps)
                                 .map_err(ReserveError::Admission)?;
                             slots.push(SlotRef::Net(chan, sid));
                         }
+                        cur = net.chan(chan).to;
                     }
                     Ok(())
                 }
@@ -1027,12 +1088,12 @@ impl Gara {
         let r = self.resvs.get_mut(&id.0).unwrap();
         let enforcement = match &r.req {
             Request::Network(n) => {
-                let Some(path) = net.path_chans(n.src, n.dst) else {
+                let Some(first_hop) = net.route(n.src, n.dst) else {
                     self.set_status(id, Status::Failed);
                     return;
                 };
                 // The edge router is the first router on the path.
-                let router = net.chan(path[0]).to;
+                let router = net.chan(first_hop).to;
                 debug_assert_eq!(net.node(router).kind, NodeKind::Router);
                 let depth = depth_for(n.depth, n.rate_bps);
                 let rule = net.node_mut(router).classifier.install(

@@ -11,28 +11,36 @@
 //!
 //! # Implementation (DESIGN.md §14)
 //!
-//! The table is an augmented balanced tree (a treap with deterministic
-//! priorities) keyed on the *time boundaries* of reservations. Each
-//! boundary node carries the net load change at that instant (`+amount`
-//! at a slot's start, `-amount` at its end) and every subtree aggregates
-//! the sum of its deltas and the maximum prefix sum over its in-order
-//! sequence. The committed load at any instant is a prefix sum of
-//! boundary deltas, so:
+//! The table is an augmented B+tree keyed on the *time boundaries* of
+//! reservations. A boundary carries the net load change at that instant
+//! (`+amount` at a slot's start, `-amount` at its end); leaves hold up
+//! to 32 of them in three parallel arrays, and an inner node holds, for
+//! each of up to 32 children, a separator key and the child's
+//! `(sum, max prefix sum)` over its deltas in key order. The committed
+//! load at any instant is a prefix sum of boundary deltas, so:
 //!
-//! * peak load over an interval (`[SlotTable::available]`, admission) is
-//!   one `O(log n)` range query — prefix sum up to the interval's start
-//!   plus the max prefix of the boundaries strictly inside it;
-//! * admit / free / resize are `O(log n)` boundary updates;
-//! * the global peak ([`SlotTable::max_peak`]) is the root's max-prefix
-//!   aggregate, `O(1)`;
+//! * peak load over an interval ([`SlotTable::available`], admission)
+//!   is a range query — prefix sum up to the interval's start plus the
+//!   max prefix of the boundaries strictly inside it — that reads one
+//!   node per level along each bound and scans contiguous entries in it;
+//! * admit / free / resize are boundary updates: one descent, after
+//!   which the nodes on the path re-derive their aggregates. A full node
+//!   splits in half; a node that empties is freed. Nodes never borrow or
+//!   merge, so a drained region stays sparse until it empties;
+//! * the global peak ([`SlotTable::max_peak`]) is the whole tree's
+//!   max-prefix aggregate, kept beside the root, `O(1)`;
 //! * capacity changes ([`SlotTable::set_capacity`]) are `O(1)` — the
 //!   tree stores loads, not headroom.
+//!
+//! Three levels cover 100k standing slots, where the balanced binary
+//! tree this replaced went ~22 nodes deep with a cache miss at each.
 //!
 //! Batch admission ([`SlotTable::try_insert_batch`]) admits a vector of
 //! co-reservations all-or-nothing in one pass over the tree, and
 //! compaction ([`SlotTable::compact`]) merges a tenant's adjacent
-//! same-amount slots so long-running reservations that are repeatedly
-//! extended do not grow the boundary set without bound.
+//! same-amount slots in one sorted sweep, so long-running reservations
+//! that are repeatedly extended do not grow the boundary set without
+//! bound.
 
 use mpichgq_sim::SimTime;
 use std::collections::HashMap;
@@ -93,26 +101,177 @@ impl std::error::Error for Rejected {}
 // The boundary tree
 // ---------------------------------------------------------------------
 
+/// Fan-out: boundaries per leaf, children per inner node. At 32 a
+/// 100k-slot table is three levels deep and a node's keys span four cache
+/// lines (16 and 64 both measured slower, DESIGN.md §14). Unit tests run
+/// at 4 so that small tables already split inner nodes.
+#[cfg(not(test))]
+const B: usize = 32;
+#[cfg(test)]
+const B: usize = 4;
+
 const NIL: u32 = u32::MAX;
 
-/// One boundary instant: the net load change across every slot endpoint
-/// at this time, plus how many endpoints reference it (the node is freed
-/// when the last endpoint goes away, even if its net delta is zero).
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    key: SimTime,
-    prio: u64,
-    left: u32,
-    right: u32,
-    /// Net load change at `key` (sum over endpoints here).
-    delta: i128,
-    /// Endpoints (slot starts + slot ends) located at `key`.
-    refs: u32,
-    /// Sum of `delta` over this subtree.
-    sum: i128,
-    /// Max over k of the sum of the first k deltas (in key order) of this
-    /// subtree, k >= 1.
-    max_prefix: i128,
+/// `(sum, max_prefix)` of a run of boundary deltas in key order:
+/// `max_prefix` is the largest sum of its first k deltas, k >= 1.
+type Agg = (i128, i128);
+
+/// The empty run. Its `max_prefix` stands for minus infinity; halved so
+/// that adding a real sum to it cannot overflow.
+const EMPTY: Agg = (0, i128::MIN / 2);
+
+/// Concatenate two runs, `a` first.
+fn cat(a: Agg, b: Agg) -> Agg {
+    (a.0 + b.0, a.1.max(a.0 + b.1))
+}
+
+fn insert_at<T: Copy>(a: &mut [T; B], len: usize, i: usize, v: T) {
+    a.copy_within(i..len, i + 1);
+    a[i] = v;
+}
+
+fn remove_at<T: Copy>(a: &mut [T; B], len: usize, i: usize) {
+    a.copy_within(i + 1..len, i);
+}
+
+/// Up to `B` boundary instants in key order. A boundary carries the net
+/// load change across every slot endpoint at that instant and how many
+/// endpoints reference it (it is dropped when the last endpoint goes
+/// away, even if its net delta is zero).
+#[derive(Debug, Clone)]
+struct Leaf {
+    len: usize,
+    key: [SimTime; B],
+    delta: [i128; B],
+    refs: [u32; B],
+}
+
+impl Leaf {
+    const NEW: Leaf = Leaf {
+        len: 0,
+        key: [SimTime::ZERO; B],
+        delta: [0; B],
+        refs: [0; B],
+    };
+
+    fn agg(&self) -> Agg {
+        self.agg_of(0, self.len)
+    }
+
+    fn agg_of(&self, lo: usize, hi: usize) -> Agg {
+        let mut run = EMPTY;
+        for &d in &self.delta[lo..hi] {
+            run = cat(run, (d, d));
+        }
+        run
+    }
+
+    fn insert(&mut self, i: usize, key: SimTime, delta: i128, refs: u32) {
+        insert_at(&mut self.key, self.len, i, key);
+        insert_at(&mut self.delta, self.len, i, delta);
+        insert_at(&mut self.refs, self.len, i, refs);
+        self.len += 1;
+    }
+
+    /// Move the upper half of a full leaf into a new one.
+    fn split(&mut self) -> Leaf {
+        let mut r = Leaf::NEW;
+        r.len = B - B / 2;
+        r.key[..r.len].copy_from_slice(&self.key[B / 2..]);
+        r.delta[..r.len].copy_from_slice(&self.delta[B / 2..]);
+        r.refs[..r.len].copy_from_slice(&self.refs[B / 2..]);
+        self.len = B / 2;
+        r
+    }
+}
+
+/// Up to `B` children in key order. Child `i` holds the keys in
+/// `[sep[i], sep[i + 1])`; `sep[0]` is not consulted, child 0 takes
+/// everything below `sep[1]`. `agg[i]` is child `i`'s whole-subtree
+/// aggregate, so a query reads one node per level and never a child it
+/// does not descend into.
+#[derive(Debug, Clone)]
+struct Inner {
+    len: usize,
+    sep: [SimTime; B],
+    child: [u32; B],
+    agg: [Agg; B],
+}
+
+impl Inner {
+    const NEW: Inner = Inner {
+        len: 0,
+        sep: [SimTime::ZERO; B],
+        child: [NIL; B],
+        agg: [EMPTY; B],
+    };
+
+    fn agg(&self) -> Agg {
+        self.agg[..self.len]
+            .iter()
+            .fold(EMPTY, |run, &a| cat(run, a))
+    }
+
+    /// The child whose key range contains `key`.
+    fn child_for(&self, key: SimTime) -> usize {
+        self.sep[1..self.len].partition_point(|&s| s <= key)
+    }
+
+    fn insert(&mut self, i: usize, sep: SimTime, child: u32, agg: Agg) {
+        insert_at(&mut self.sep, self.len, i, sep);
+        insert_at(&mut self.child, self.len, i, child);
+        insert_at(&mut self.agg, self.len, i, agg);
+        self.len += 1;
+    }
+
+    /// Move the upper half of a full node into a new one.
+    fn split(&mut self) -> Inner {
+        let mut r = Inner::NEW;
+        r.len = B - B / 2;
+        r.sep[..r.len].copy_from_slice(&self.sep[B / 2..]);
+        r.child[..r.len].copy_from_slice(&self.child[B / 2..]);
+        r.agg[..r.len].copy_from_slice(&self.agg[B / 2..]);
+        self.len = B / 2;
+        r
+    }
+}
+
+/// Index-addressed node storage with a free list.
+#[derive(Debug, Clone)]
+struct Arena<T> {
+    items: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T> Arena<T> {
+    const NEW: Arena<T> = Arena {
+        items: Vec::new(),
+        free: Vec::new(),
+    };
+
+    fn alloc(&mut self, v: T) -> u32 {
+        match self.free.pop() {
+            Some(i) => {
+                self.items[i as usize] = v;
+                i
+            }
+            None => {
+                self.items.push(v);
+                (self.items.len() - 1) as u32
+            }
+        }
+    }
+}
+
+/// What one level of [`SlotTable::apply`] reports to the level above.
+enum Up {
+    /// The node is still there; this is its aggregate now.
+    Kept(Agg),
+    /// The node lost its last entry and was freed.
+    Emptied,
+    /// The node was full and split: its own aggregate, then the first
+    /// key, index and aggregate of the new right sibling.
+    Split(Agg, SimTime, u32, Agg),
 }
 
 /// Capacity-over-time bookkeeping with all-or-nothing admission.
@@ -121,20 +280,17 @@ pub struct SlotTable {
     capacity: u64,
     slots: HashMap<u64, Slot>,
     next_id: u64,
-    nodes: Vec<Node>,
-    free: Vec<u32>,
+    leaves: Arena<Leaf>,
+    inners: Arena<Inner>,
+    /// `NIL` while the table holds no boundary; a leaf while `height` is
+    /// 0, an inner node above that.
     root: u32,
-    /// Counter feeding the deterministic priority stream (splitmix64), so
-    /// identical operation sequences build identical trees.
-    prio_seq: u64,
-}
-
-/// splitmix64: cheap, well-mixed deterministic priorities for the treap.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+    height: u32,
+    root_agg: Agg,
+    boundaries: usize,
+    /// Scratch for [`SlotTable::apply`]: the `(inner node, child taken)`
+    /// pairs of its descent.
+    path: Vec<(u32, usize)>,
 }
 
 impl SlotTable {
@@ -143,10 +299,13 @@ impl SlotTable {
             capacity,
             slots: HashMap::new(),
             next_id: 0,
-            nodes: Vec::new(),
-            free: Vec::new(),
+            leaves: Arena::NEW,
+            inners: Arena::NEW,
             root: NIL,
-            prio_seq: 0,
+            height: 0,
+            root_agg: EMPTY,
+            boundaries: 0,
+            path: Vec::new(),
         }
     }
 
@@ -166,268 +325,182 @@ impl SlotTable {
 
     // -- tree plumbing -------------------------------------------------
 
-    fn node(&self, i: u32) -> &Node {
-        &self.nodes[i as usize]
-    }
-
-    fn sum_of(&self, i: u32) -> i128 {
-        if i == NIL {
-            0
-        } else {
-            self.nodes[i as usize].sum
-        }
-    }
-
-    /// Max prefix of subtree `i`, or `None` when empty.
-    fn max_prefix_of(&self, i: u32) -> Option<i128> {
-        if i == NIL {
-            None
-        } else {
-            Some(self.nodes[i as usize].max_prefix)
-        }
-    }
-
-    /// Recompute `i`'s aggregates from its children (the "pull" step).
-    fn pull(&mut self, i: u32) {
-        let (l, r, delta) = {
-            let n = &self.nodes[i as usize];
-            (n.left, n.right, n.delta)
-        };
-        let lsum = self.sum_of(l);
-        let rsum = self.sum_of(r);
-        let mut best = lsum + delta; // prefix ending at this node
-        if let Some(m) = self.max_prefix_of(l) {
-            best = best.max(m);
-        }
-        if let Some(m) = self.max_prefix_of(r) {
-            best = best.max(lsum + delta + m);
-        }
-        let n = &mut self.nodes[i as usize];
-        n.sum = lsum + delta + rsum;
-        n.max_prefix = best;
-    }
-
-    fn alloc(&mut self, key: SimTime, delta: i128, refs: u32) -> u32 {
-        let prio = splitmix64(self.prio_seq);
-        self.prio_seq += 1;
-        let n = Node {
-            key,
-            prio,
-            left: NIL,
-            right: NIL,
-            delta,
-            refs,
-            sum: delta,
-            max_prefix: delta,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize] = n;
-                i
-            }
-            None => {
-                self.nodes.push(n);
-                (self.nodes.len() - 1) as u32
-            }
-        }
-    }
-
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.node(a).prio >= self.node(b).prio {
-            let ar = self.node(a).right;
-            let m = self.merge(ar, b);
-            self.nodes[a as usize].right = m;
-            self.pull(a);
-            a
-        } else {
-            let bl = self.node(b).left;
-            let m = self.merge(a, bl);
-            self.nodes[b as usize].left = m;
-            self.pull(b);
-            b
-        }
-    }
-
     /// Add `delta` (and `refs_delta` endpoint references) at boundary
-    /// `key`, creating the node if absent, freeing it when its last
-    /// reference goes away.
+    /// `key`, creating the boundary if absent, dropping it when its last
+    /// reference goes away. One descent; the nodes on its path re-derive
+    /// their aggregates on the way back up, a full node splits in half
+    /// and an emptied one is freed (no borrowing or merging: a sparse
+    /// node costs memory, never correctness).
     fn apply(&mut self, key: SimTime, delta: i128, refs_delta: i32) {
-        let root = self.root;
-        self.root = self.apply_rec(root, key, delta, refs_delta);
+        if self.root == NIL {
+            self.root = self.leaves.alloc(Leaf::NEW);
+        }
+        let mut n = self.root;
+        for _ in 0..self.height {
+            let x = &self.inners.items[n as usize];
+            let i = x.child_for(key);
+            self.path.push((n, i));
+            n = x.child[i];
+        }
+        let mut up = self.apply_leaf(n, key, delta, refs_delta);
+        while let Some((p, i)) = self.path.pop() {
+            up = self.apply_inner(p, i, up);
+        }
+        match up {
+            Up::Kept(a) => self.root_agg = a,
+            Up::Emptied => (self.root, self.height, self.root_agg) = (NIL, 0, EMPTY),
+            Up::Split(la, sep, right, ra) => {
+                let mut top = Inner::NEW;
+                top.insert(0, SimTime::ZERO, self.root, la);
+                top.insert(1, sep, right, ra);
+                self.root = self.inners.alloc(top);
+                self.height += 1;
+                self.root_agg = cat(la, ra);
+            }
+        }
     }
 
-    fn apply_rec(&mut self, t: u32, key: SimTime, delta: i128, refs_delta: i32) -> u32 {
-        if t == NIL {
-            debug_assert!(refs_delta > 0, "releasing a boundary that was never added");
-            return self.alloc(key, delta, refs_delta as u32);
-        }
-        let (nkey, nprio) = {
-            let n = self.node(t);
-            (n.key, n.prio)
-        };
-        if key == nkey {
-            let n = &mut self.nodes[t as usize];
-            n.delta += delta;
-            n.refs = (n.refs as i64 + refs_delta as i64) as u32;
-            if n.refs == 0 {
-                debug_assert_eq!(n.delta, 0, "freed boundary with nonzero delta");
-                let (l, r) = (n.left, n.right);
-                self.free.push(t);
-                return self.merge(l, r);
+    fn apply_leaf(&mut self, n: u32, key: SimTime, delta: i128, refs_delta: i32) -> Up {
+        let l = &mut self.leaves.items[n as usize];
+        let pos = l.key[..l.len].partition_point(|&k| k < key);
+        if pos < l.len && l.key[pos] == key {
+            l.delta[pos] += delta;
+            l.refs[pos] = (l.refs[pos] as i64 + refs_delta as i64) as u32;
+            if l.refs[pos] == 0 {
+                debug_assert_eq!(l.delta[pos], 0, "freed boundary with nonzero delta");
+                remove_at(&mut l.key, l.len, pos);
+                remove_at(&mut l.delta, l.len, pos);
+                remove_at(&mut l.refs, l.len, pos);
+                l.len -= 1;
+                self.boundaries -= 1;
+                if l.len == 0 {
+                    self.leaves.free.push(n);
+                    return Up::Emptied;
+                }
             }
-            self.pull(t);
-            return t;
+            return Up::Kept(l.agg());
         }
-        if key < nkey {
-            let l = self.node(t).left;
-            let nl = self.apply_rec(l, key, delta, refs_delta);
-            self.nodes[t as usize].left = nl;
-            // Rotate the child up when a fresh node won the priority draw.
-            if nl != NIL && self.node(nl).prio > nprio {
-                let t2 = self.rotate_right(t);
-                return t2;
-            }
+        debug_assert!(refs_delta > 0, "releasing a boundary that was never added");
+        self.boundaries += 1;
+        if l.len < B {
+            l.insert(pos, key, delta, refs_delta as u32);
+            return Up::Kept(l.agg());
+        }
+        let mut r = l.split();
+        if pos <= B / 2 {
+            l.insert(pos, key, delta, refs_delta as u32);
         } else {
-            let r = self.node(t).right;
-            let nr = self.apply_rec(r, key, delta, refs_delta);
-            self.nodes[t as usize].right = nr;
-            if nr != NIL && self.node(nr).prio > nprio {
-                let t2 = self.rotate_left(t);
-                return t2;
+            r.insert(pos - B / 2, key, delta, refs_delta as u32);
+        }
+        let (la, sep, ra) = (l.agg(), r.key[0], r.agg());
+        Up::Split(la, sep, self.leaves.alloc(r), ra)
+    }
+
+    /// Fold what child `i` of inner node `p` reported into `p`.
+    fn apply_inner(&mut self, p: u32, i: usize, up: Up) -> Up {
+        let x = &mut self.inners.items[p as usize];
+        match up {
+            Up::Kept(a) => x.agg[i] = a,
+            Up::Emptied => {
+                remove_at(&mut x.sep, x.len, i);
+                remove_at(&mut x.child, x.len, i);
+                remove_at(&mut x.agg, x.len, i);
+                x.len -= 1;
+                if x.len == 0 {
+                    self.inners.free.push(p);
+                    return Up::Emptied;
+                }
+            }
+            Up::Split(la, sep, right, ra) => {
+                x.agg[i] = la;
+                if x.len == B {
+                    let mut r = x.split();
+                    if i < B / 2 {
+                        x.insert(i + 1, sep, right, ra);
+                    } else {
+                        r.insert(i + 1 - B / 2, sep, right, ra);
+                    }
+                    let (xa, sep, ra) = (x.agg(), r.sep[0], r.agg());
+                    return Up::Split(xa, sep, self.inners.alloc(r), ra);
+                }
+                x.insert(i + 1, sep, right, ra);
             }
         }
-        self.pull(t);
-        t
-    }
-
-    /// Right rotation: left child becomes the subtree root.
-    fn rotate_right(&mut self, t: u32) -> u32 {
-        let l = self.node(t).left;
-        let lr = self.node(l).right;
-        self.nodes[t as usize].left = lr;
-        self.pull(t);
-        self.nodes[l as usize].right = t;
-        self.pull(l);
-        l
-    }
-
-    fn rotate_left(&mut self, t: u32) -> u32 {
-        let r = self.node(t).right;
-        let rl = self.node(r).left;
-        self.nodes[t as usize].right = rl;
-        self.pull(t);
-        self.nodes[r as usize].left = t;
-        self.pull(r);
-        r
+        Up::Kept(x.agg())
     }
 
     /// Committed load just after every boundary `<= t` has applied —
-    /// i.e. the load at instant `t`. Non-mutating `O(log n)` walk.
+    /// i.e. the load at instant `t`. One read-only descent.
     fn prefix_le(&self, t: SimTime) -> i128 {
-        let mut acc = 0i128;
-        let mut i = self.root;
-        while i != NIL {
-            let n = self.node(i);
-            if n.key <= t {
-                acc += self.sum_of(n.left) + n.delta;
-                i = n.right;
-            } else {
-                i = n.left;
-            }
+        if self.root == NIL {
+            return 0;
         }
-        acc
+        let mut acc = 0i128;
+        let mut n = self.root;
+        for _ in 0..self.height {
+            let x = &self.inners.items[n as usize];
+            let i = x.child_for(t);
+            acc += x.agg[..i].iter().map(|a| a.0).sum::<i128>();
+            n = x.child[i];
+        }
+        let l = &self.leaves.items[n as usize];
+        let hi = l.key[..l.len].partition_point(|&k| k <= t);
+        acc + l.delta[..hi].iter().sum::<i128>()
     }
 
-    /// Peak committed load over `[start, end)` (all slots). `O(log n)`,
-    /// read-only: the load at `start` plus the best prefix of the
-    /// boundary deltas strictly inside the interval, computed by walking
-    /// the two boundary paths of the key range.
+    /// Peak committed load over `[start, end)` (all slots), read-only:
+    /// the load at `start` plus the best prefix of the boundary deltas
+    /// strictly inside the interval.
     fn peak_in(&self, start: SimTime, end: SimTime) -> u64 {
-        debug_assert!(start < end);
+        if self.root == NIL {
+            return 0;
+        }
         let base = self.prefix_le(start);
-        let inner = self.range_agg(self.root, start, end);
-        let peak = match inner {
-            Some((_, maxpre)) if maxpre > 0 => base + maxpre,
-            _ => base,
+        // An empty interval (a caller's `available(t, t)`) reads as the
+        // instant `start`.
+        let inside = if start < end {
+            self.range_agg(self.height, self.root, Some(start), Some(end))
+        } else {
+            EMPTY
         };
+        let peak = base + inside.1.max(0);
         debug_assert!(peak >= 0, "negative committed load");
         peak.max(0) as u64
     }
 
-    /// `(sum, max_prefix)` over one subtree, `None` when empty.
-    fn whole(&self, t: u32) -> Option<(i128, i128)> {
-        if t == NIL {
-            None
-        } else {
-            let n = self.node(t);
-            Some((n.sum, n.max_prefix))
+    /// Aggregate over the keys of subtree `n` (`level` 0 is a leaf) that
+    /// lie above `s` and below `e`, both exclusive, `None` for unbounded.
+    /// Children strictly between the two boundary children contribute
+    /// their stored aggregates; each bound is followed down one path.
+    fn range_agg(&self, level: u32, n: u32, s: Option<SimTime>, e: Option<SimTime>) -> Agg {
+        if level == 0 {
+            let l = &self.leaves.items[n as usize];
+            let keys = &l.key[..l.len];
+            let lo = s.map_or(0, |s| keys.partition_point(|&k| k <= s));
+            let hi = e.map_or(l.len, |e| keys.partition_point(|&k| k < e));
+            return l.agg_of(lo, hi);
         }
-    }
-
-    /// Concatenate two in-order aggregates.
-    fn combine(a: Option<(i128, i128)>, b: Option<(i128, i128)>) -> Option<(i128, i128)> {
-        match (a, b) {
-            (None, x) | (x, None) => x,
-            (Some((sa, ma)), Some((sb, mb))) => Some((sa + sb, ma.max(sa + mb))),
+        let x = &self.inners.items[n as usize];
+        let a = s.map(|s| x.child_for(s));
+        let b = e.map(|e| x.sep[1..x.len].partition_point(|&k| k < e));
+        if let (Some(a), Some(b)) = (a, b) {
+            if a == b {
+                return self.range_agg(level - 1, x.child[a], s, e);
+            }
         }
-    }
-
-    /// Aggregate over keys strictly greater than `s` within subtree `t`
-    /// (a suffix of its in-order sequence). Single-path descent.
-    fn agg_gt(&self, t: u32, s: SimTime) -> Option<(i128, i128)> {
-        if t == NIL {
-            return None;
+        let mut run = EMPTY;
+        let mut lo = 0;
+        if let Some(a) = a {
+            run = self.range_agg(level - 1, x.child[a], s, None);
+            lo = a + 1;
         }
-        let n = self.node(t);
-        if n.key <= s {
-            self.agg_gt(n.right, s)
-        } else {
-            let left = self.agg_gt(n.left, s);
-            let here = Some((n.delta, n.delta));
-            Self::combine(Self::combine(left, here), self.whole(n.right))
+        for &whole in &x.agg[lo..b.unwrap_or(x.len)] {
+            run = cat(run, whole);
         }
-    }
-
-    /// Aggregate over keys strictly less than `e` within subtree `t`
-    /// (a prefix of its in-order sequence). Single-path descent.
-    fn agg_lt(&self, t: u32, e: SimTime) -> Option<(i128, i128)> {
-        if t == NIL {
-            return None;
+        if let Some(b) = b {
+            run = cat(run, self.range_agg(level - 1, x.child[b], None, e));
         }
-        let n = self.node(t);
-        if n.key >= e {
-            self.agg_lt(n.left, e)
-        } else {
-            let here = Some((n.delta, n.delta));
-            let right = self.agg_lt(n.right, e);
-            Self::combine(Self::combine(self.whole(n.left), here), right)
-        }
-    }
-
-    /// Aggregate over keys in the open range `(s, e)`: descend to the
-    /// topmost node inside the range, then take a suffix of its left
-    /// subtree and a prefix of its right one.
-    fn range_agg(&self, t: u32, s: SimTime, e: SimTime) -> Option<(i128, i128)> {
-        if t == NIL {
-            return None;
-        }
-        let n = self.node(t);
-        if n.key <= s {
-            self.range_agg(n.right, s, e)
-        } else if n.key >= e {
-            self.range_agg(n.left, s, e)
-        } else {
-            let left = self.agg_gt(n.left, s);
-            let here = Some((n.delta, n.delta));
-            let right = self.agg_lt(n.right, e);
-            Self::combine(Self::combine(left, here), right)
-        }
+        run
     }
 
     // -- the admission API ---------------------------------------------
@@ -440,12 +513,9 @@ impl SlotTable {
     }
 
     /// Peak committed amount over all time (the all-slots high-water
-    /// mark). `O(1)`: the root's max-prefix aggregate.
+    /// mark). `O(1)`: the whole tree's max-prefix aggregate.
     pub fn max_peak(&self) -> u64 {
-        match self.max_prefix_of(self.root) {
-            Some(m) if m > 0 => m as u64,
-            _ => 0,
-        }
+        self.root_agg.1.max(0) as u64
     }
 
     /// How far the committed peak exceeds capacity (0 when within bounds).
@@ -581,24 +651,18 @@ impl SlotTable {
                 reason: RejectReason::UnknownSlot,
             });
         };
-        // Lift the slot's own load out of the tree, audit the interval
-        // against everyone else, then commit either amount — O(log n)
-        // throughout, no rescans.
-        self.apply(slot.start, -(slot.amount as i128), 0);
-        self.apply(slot.end, slot.amount as i128, 0);
-        let peak_others = self.peak_in(slot.start, slot.end);
+        // The slot's own load is constant over its own interval, so what
+        // everyone else commits there peaks at `peak - amount`: one
+        // read-only query decides, and a refusal touches nothing.
+        let peak_others = self.peak_in(slot.start, slot.end) - slot.amount;
         if peak_others.saturating_add(new_amount) > self.capacity {
-            self.apply(slot.start, slot.amount as i128, 0);
-            self.apply(slot.end, -(slot.amount as i128), 0);
             return Err(Rejected {
                 requested: new_amount,
                 available: self.capacity.saturating_sub(peak_others),
                 reason: RejectReason::OverCapacity,
             });
         }
-        self.apply(slot.start, new_amount as i128, 0);
-        self.apply(slot.end, -(new_amount as i128), 0);
-        self.slots.get_mut(&id.0).unwrap().amount = new_amount;
+        self.restore(id, new_amount);
         Ok(())
     }
 
@@ -626,25 +690,24 @@ impl SlotTable {
     pub fn compact(&mut self) -> Vec<(SlotId, SlotId)> {
         let mut order: Vec<(u64, Slot)> = self.slots.iter().map(|(&id, &s)| (id, s)).collect();
         // Deterministic sweep order regardless of hash-map iteration.
-        order.sort_by_key(|&(id, s)| (s.tenant, s.start, s.end, id));
+        order.sort_unstable_by_key(|&(id, s)| (s.tenant, s.start, s.end, id));
         let mut merged = Vec::new();
-        let mut i = 0;
-        while i + 1 < order.len() {
-            let (sid, s) = order[i];
-            let (tid, t) = order[i + 1];
+        // One forward sweep: `order[head]` is the survivor the current
+        // slot may chain onto, grown in place as it absorbs.
+        let mut head = 0;
+        for i in 1..order.len() {
+            let (sid, s) = order[head];
+            let (tid, t) = order[i];
             if s.tenant == t.tenant && s.amount == t.amount && s.end == t.start {
                 // The shared boundary carries +amount and -amount from the
                 // pair; both endpoints retire together.
                 self.apply(s.end, 0, -2);
                 self.slots.remove(&tid);
-                let surv = self.slots.get_mut(&sid).unwrap();
-                surv.end = t.end;
+                self.slots.get_mut(&sid).unwrap().end = t.end;
+                order[head].1.end = t.end;
                 merged.push((SlotId(tid), SlotId(sid)));
-                // The survivor may chain with the next slot.
-                order[i].1.end = t.end;
-                order.remove(i + 1);
             } else {
-                i += 1;
+                head = i;
             }
         }
         merged
@@ -679,7 +742,7 @@ impl SlotTable {
     /// Compaction exists to keep this from growing without bound under
     /// adjacent-extension churn; `bench_gara` reports it per table size.
     pub fn boundary_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.boundaries
     }
 }
 
@@ -709,6 +772,9 @@ mod tests {
         assert_eq!(st.load_at(t(15)), 100);
         // Endpoint is exclusive: a reservation ending at 10 frees 10.
         assert_eq!(st.available(t(9), t(10)), 0);
+        // An empty interval reads as the instant itself, in every build.
+        assert_eq!(st.available(t(10), t(10)), 0);
+        assert_eq!(st.available(t(20), t(20)), 100);
     }
 
     #[test]
@@ -930,6 +996,258 @@ mod tests {
         assert_eq!(st.boundary_count(), 0);
         assert!(st.is_empty());
         assert_eq!(st.max_peak(), 0);
+    }
+
+    impl SlotTable {
+        /// Walk every reachable node and assert the tree's invariants:
+        /// keys strictly ascending across leaves, separators bounding
+        /// their children, every stored aggregate equal to the recomputed
+        /// one, no reachable empty node, no leaked node, and
+        /// `boundary_count()` equal to the leaves' total length.
+        fn check_structure(&self) {
+            if self.root == NIL {
+                assert_eq!((self.height, self.boundaries), (0, 0));
+                assert_eq!(self.root_agg, EMPTY);
+                assert_eq!(self.leaves.items.len(), self.leaves.free.len());
+                assert_eq!(self.inners.items.len(), self.inners.free.len());
+                return;
+            }
+            let mut keys = Vec::new();
+            let mut nodes = (0, 0);
+            let agg = self.check_node(self.height, self.root, None, None, &mut keys, &mut nodes);
+            assert_eq!(agg, self.root_agg, "root aggregate is stale");
+            assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys out of order");
+            assert_eq!(keys.len(), self.boundary_count());
+            let live = |a: usize, free: &[u32]| a - free.len();
+            assert_eq!(nodes.0, live(self.leaves.items.len(), &self.leaves.free));
+            assert_eq!(nodes.1, live(self.inners.items.len(), &self.inners.free));
+        }
+
+        /// Check subtree `n`, whose keys must lie in `[lo, hi)`; returns
+        /// its aggregate recomputed from the leaves up.
+        fn check_node(
+            &self,
+            level: u32,
+            n: u32,
+            lo: Option<SimTime>,
+            hi: Option<SimTime>,
+            keys: &mut Vec<SimTime>,
+            nodes: &mut (usize, usize),
+        ) -> Agg {
+            if level == 0 {
+                let l = &self.leaves.items[n as usize];
+                assert!(
+                    (1..=B).contains(&l.len),
+                    "reachable leaf of {} entries",
+                    l.len
+                );
+                assert!(
+                    !self.leaves.free.contains(&n),
+                    "reachable leaf is on the free list"
+                );
+                nodes.0 += 1;
+                let mut run = EMPTY;
+                for j in 0..l.len {
+                    assert!(
+                        lo.is_none_or(|lo| lo <= l.key[j]),
+                        "key below its separator"
+                    );
+                    assert!(
+                        hi.is_none_or(|hi| l.key[j] < hi),
+                        "key at or above the next separator"
+                    );
+                    assert!(l.refs[j] > 0, "boundary without endpoints");
+                    keys.push(l.key[j]);
+                    run = cat(run, (l.delta[j], l.delta[j]));
+                }
+                return run;
+            }
+            let x = &self.inners.items[n as usize];
+            assert!(
+                (1..=B).contains(&x.len),
+                "reachable inner node of {} children",
+                x.len
+            );
+            assert!(
+                !self.inners.free.contains(&n),
+                "reachable inner node is on the free list"
+            );
+            nodes.1 += 1;
+            let mut run = EMPTY;
+            for i in 0..x.len {
+                let clo = if i == 0 { lo } else { Some(x.sep[i]) };
+                let chi = if i + 1 < x.len {
+                    Some(x.sep[i + 1])
+                } else {
+                    hi
+                };
+                let agg = self.check_node(level - 1, x.child[i], clo, chi, keys, nodes);
+                assert_eq!(agg, x.agg[i], "stored child aggregate is stale");
+                run = cat(run, agg);
+            }
+            run
+        }
+    }
+
+    /// The flat reference for [`churn_matches_flat_model_and_keeps_the_tree_sound`]:
+    /// live slots in a list, every answer a full scan.
+    #[derive(Default)]
+    struct Flat {
+        cap: u64,
+        // (id, start, end, amount, tenant), seconds
+        slots: Vec<(SlotId, u64, u64, u64, u64)>,
+    }
+
+    impl Flat {
+        fn load_at(&self, at: u64) -> u64 {
+            let covers = |&&(_, s, e, _, _): &&(SlotId, u64, u64, u64, u64)| s <= at && at < e;
+            self.slots.iter().filter(covers).map(|s| s.3).sum()
+        }
+
+        /// The load only changes at slot boundaries.
+        fn peak_in(&self, start: u64, end: u64) -> u64 {
+            let inside = |b: &u64| start < *b && *b < end;
+            let edges = self.slots.iter().flat_map(|s| [s.1, s.2]).filter(inside);
+            edges.chain([start]).map(|b| self.load_at(b)).max().unwrap()
+        }
+
+        fn boundaries(&self) -> usize {
+            let mut edges: Vec<u64> = self.slots.iter().flat_map(|s| [s.1, s.2]).collect();
+            edges.sort_unstable();
+            edges.dedup();
+            edges.len()
+        }
+
+        fn admit(&self, start: u64, end: u64, amount: u64) -> Result<(), Rejected> {
+            let peak = self.peak_in(start, end);
+            if peak + amount > self.cap {
+                return Err(Rejected {
+                    requested: amount,
+                    available: self.cap.saturating_sub(peak),
+                    reason: RejectReason::OverCapacity,
+                });
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn churn_matches_flat_model_and_keeps_the_tree_sound() {
+        // 24 000 operations at fan-out 4: a population of a few hundred
+        // boundaries keeps the tree five or more levels deep, so leaf and
+        // inner splits, frees at empty and root growth all happen often.
+        // Times are whole seconds out of 2 000, so boundaries are shared
+        // and re-created constantly.
+        let mut rng = mpichgq_sim::SimRng::new(0xB7EE);
+        let mut st = SlotTable::new(2_000);
+        let mut flat = Flat {
+            cap: 2_000,
+            ..Flat::default()
+        };
+        let (mut deepest, mut refused, mut folded) = (0, 0, 0);
+        for op in 0..24_000u32 {
+            // Grow for the first third, hold, then drain to empty.
+            let target = if op < 16_000 { 250 } else { 0 };
+            let grow = flat.slots.len() < target;
+            match rng.below(10) {
+                0..=4 if grow || rng.chance(0.3) => {
+                    // One time in five, renew a standing slot: the same
+                    // tenant and amount from its end on, what `compact` folds.
+                    let (start, amount, tenant) = if !flat.slots.is_empty() && rng.chance(0.2) {
+                        let (_, _, e, a, ten) =
+                            flat.slots[rng.below(flat.slots.len() as u64) as usize];
+                        (e, a, ten)
+                    } else {
+                        (rng.below(2_000), rng.range(1, 400), rng.below(6))
+                    };
+                    let end = start + rng.range(1, 120);
+                    let got = st.try_insert_tenant(t(start), t(end), amount, tenant);
+                    assert_eq!(got.map(|_| ()), flat.admit(start, end, amount));
+                    match got {
+                        Ok(id) => flat.slots.push((id, start, end, amount, tenant)),
+                        Err(_) => refused += 1,
+                    }
+                }
+                5 if grow => {
+                    // All-or-nothing pair; the model admits them in turn.
+                    let items: Vec<(u64, u64, u64)> = (0..2)
+                        .map(|_| {
+                            let start = rng.below(2_000);
+                            (start, start + rng.range(1, 120), rng.range(1, 400))
+                        })
+                        .collect();
+                    let timed: Vec<_> = items.iter().map(|&(s, e, a)| (t(s), t(e), a)).collect();
+                    let got = st.try_insert_batch(&timed);
+                    let before = flat.slots.len();
+                    for (k, &(s, e, a)) in items.iter().enumerate() {
+                        flat.slots.push((SlotId(u64::MAX - k as u64), s, e, a, 0));
+                    }
+                    let fits = items
+                        .iter()
+                        .all(|&(s, e, _)| flat.peak_in(s, e) <= flat.cap);
+                    assert_eq!(got.is_ok(), fits);
+                    flat.slots.truncate(before);
+                    if let Ok(ids) = got {
+                        for (id, &(s, e, a)) in ids.into_iter().zip(&items) {
+                            flat.slots.push((id, s, e, a, 0));
+                        }
+                    }
+                }
+                6 if !flat.slots.is_empty() => {
+                    let k = rng.below(flat.slots.len() as u64) as usize;
+                    let (id, start, end, old, _) = flat.slots[k];
+                    let amount = rng.range(1, 600);
+                    flat.slots[k].3 = 0;
+                    let want = flat.admit(start, end, amount);
+                    flat.slots[k].3 = if want.is_ok() { amount } else { old };
+                    assert_eq!(st.try_resize(id, amount), want);
+                }
+                7 if op % 16 == 7 => {
+                    for (absorbed, survivor) in st.compact() {
+                        folded += 1;
+                        let gone = flat.slots.iter().position(|s| s.0 == absorbed).unwrap();
+                        let (_, s, e, a, ten) = flat.slots.swap_remove(gone);
+                        let keep = flat.slots.iter_mut().find(|s| s.0 == survivor).unwrap();
+                        assert_eq!((keep.2, keep.3, keep.4), (s, a, ten), "illegal merge");
+                        keep.2 = e;
+                    }
+                    assert!(st.compact().is_empty(), "compaction left a foldable pair");
+                }
+                _ if !flat.slots.is_empty() => {
+                    let k = rng.below(flat.slots.len() as u64) as usize;
+                    assert!(st.remove(flat.slots.swap_remove(k).0));
+                }
+                _ => {}
+            }
+            st.check_structure();
+            deepest = deepest.max(st.height);
+            assert_eq!(st.len(), flat.slots.len());
+            assert_eq!(st.boundary_count(), flat.boundaries());
+            let at = rng.below(2_100);
+            assert_eq!(st.load_at(t(at)), flat.load_at(at));
+            let end = at + rng.range(1, 300);
+            assert_eq!(
+                st.available(t(at), t(end)),
+                flat.cap.saturating_sub(flat.peak_in(at, end))
+            );
+            let peak = flat
+                .slots
+                .iter()
+                .map(|s| flat.load_at(s.1))
+                .max()
+                .unwrap_or(0);
+            assert_eq!(st.max_peak(), peak);
+        }
+        assert!(
+            deepest >= 4,
+            "the churn never built a deep tree (height {deepest})"
+        );
+        assert!(refused > 500, "capacity never bound ({refused} refusals)");
+        assert!(
+            folded > 100,
+            "compaction had nothing to fold ({folded} merges)"
+        );
+        assert!(st.is_empty() && st.root == NIL);
     }
 
     #[test]

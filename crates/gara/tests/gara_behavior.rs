@@ -653,3 +653,70 @@ fn modify_rollback_survives_capacity_lowering_reconfiguration() {
         assert_eq!(g.available_on(t12, SimTime::ZERO, horizon), Some(0));
     });
 }
+
+#[test]
+fn empty_interval_is_refused_not_a_panic() {
+    // Regression: a zero duration (or a co_reserve item whose window ends
+    // where it starts) on a path with a managed link used to reach the
+    // slot table's `assert!(start < end)` and abort the process.
+    let (mut sim, src, dst) = dumbbell_sim();
+    let proc = sim.net.cpu_add_process(src);
+    with_gara(&mut sim, |g, net| {
+        let zero = Some(SimDelta::ZERO);
+        let err = g
+            .reserve(net, net_request(src, dst, 1_000_000), StartSpec::Now, zero)
+            .unwrap_err();
+        assert!(
+            matches!(err, ReserveError::Invalid("empty interval")),
+            "{err}"
+        );
+        // An advance reservation pinned to the end of time has no room either.
+        let err = g
+            .reserve(
+                net,
+                net_request(src, dst, 1_000_000),
+                StartSpec::At(SimTime::MAX),
+                None,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, ReserveError::Invalid("empty interval")),
+            "{err}"
+        );
+
+        // One empty item refuses the whole co-reservation; its well-formed
+        // mate must not be left holding a slot.
+        let cpu = Request::Cpu(CpuRequest {
+            host: src,
+            proc,
+            fraction: 0.5,
+        });
+        let err = g
+            .co_reserve(
+                net,
+                vec![
+                    (cpu, StartSpec::Now, None),
+                    (net_request(src, dst, 1_000_000), StartSpec::Now, zero),
+                ],
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, ReserveError::Invalid("empty interval")),
+            "{err}"
+        );
+        assert_eq!(g.cpu_tables().map(|(_, t)| t.len()).sum::<usize>(), 0);
+        for (_, t) in g.slot_tables() {
+            assert!(t.is_empty());
+        }
+
+        let count = |net: &mpichgq_netsim::Net, name: &str| net.obs.metrics.counter_value(name);
+        assert_eq!(count(net, "gara.rejects.invalid"), Some(3));
+        assert_eq!(count(net, "gara.reservations_rejected"), Some(3));
+        // Counters are interned on first bump: nothing was granted, so the
+        // grant counter does not exist yet.
+        assert_eq!(count(net, "gara.reservations_granted"), None);
+        g.reserve(net, net_request(src, dst, 1_000_000), StartSpec::Now, None)
+            .unwrap();
+        assert_eq!(count(net, "gara.reservations_granted"), Some(1));
+    });
+}

@@ -463,3 +463,351 @@ proptest! {
         }
     }
 }
+
+/// `compact()` at scale returns exactly the `(absorbed, survivor)`
+/// sequence of the original quadratic sweep. 2 000 four-segment chains
+/// and 2 000 single windows over 250 tenants: same-tenant windows that
+/// start inside a chain sort between its segments and block the merge,
+/// and one chain in eight changes amount half way, so the pin covers the
+/// blocked and the broken cases as well as the clean folds. Length and
+/// hash were recorded from the `order.remove(i + 1)` sweep before it was
+/// replaced.
+#[test]
+fn compact_sequence_at_scale_is_pinned() {
+    const HORIZON: u64 = 86_400_000_000_000;
+    const PINNED_MERGES: usize = 5_535;
+    const PINNED_SEQUENCE_HASH: u64 = 0xaf63_fb9a_ffd4_3a81;
+    let mut rng = mpichgq_sim::SimRng::new(0x0510_77AB);
+    let mut st = SlotTable::new(u64::MAX / 4);
+    for i in 0..4_000u64 {
+        let tenant = rng.below(250);
+        let start = rng.below(HORIZON);
+        let amount = rng.range(1, 1_000);
+        if i % 2 == 0 {
+            let seg = rng.range(1_000_000, HORIZON / 400);
+            for k in 0..4 {
+                let a = if i % 16 == 0 && k >= 2 {
+                    amount + 1
+                } else {
+                    amount
+                };
+                let s = SimTime::from_nanos(start + k * seg);
+                let e = SimTime::from_nanos(start + (k + 1) * seg);
+                st.try_insert_tenant(s, e, a, tenant).unwrap();
+            }
+        } else {
+            let len = rng.range(1_000_000, HORIZON / 100);
+            let (s, e) = (SimTime::from_nanos(start), SimTime::from_nanos(start + len));
+            st.try_insert_tenant(s, e, amount, tenant).unwrap();
+        }
+    }
+    assert_eq!(st.len(), 10_000);
+    let before = st.boundary_count();
+    let peak = st.max_peak();
+    let merged = st.compact();
+    assert_eq!(merged.len(), PINNED_MERGES);
+    let bytes: Vec<u8> = merged
+        .iter()
+        .flat_map(|&(absorbed, survivor)| [absorbed.0, survivor.0])
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    assert_eq!(mpichgq_sim::fnv1a(&bytes), PINNED_SEQUENCE_HASH);
+    assert_eq!(st.len(), 10_000 - PINNED_MERGES);
+    assert_eq!(before - st.boundary_count(), PINNED_MERGES);
+    assert_eq!(st.max_peak(), peak, "compaction changed the load profile");
+    assert!(st.compact().is_empty(), "a second pass finds nothing");
+}
+
+/// Reference for the production-fan-out case below. [`NaiveTable`] pays a
+/// full slot scan per boundary per query, which 5 000 standing slots make
+/// unaffordable; this one keeps the boundary deltas in an ordered map and
+/// answers every query with one linear pass over it.
+#[derive(Debug, Default)]
+struct FlatTable {
+    capacity: u64,
+    next_id: u64,
+    // id -> (start, end, amount, tenant)
+    slots: std::collections::BTreeMap<u64, (SimTime, SimTime, u64, u64)>,
+    // instant -> (net load change, endpoints located there)
+    edges: std::collections::BTreeMap<SimTime, (i128, u32)>,
+}
+
+impl FlatTable {
+    fn edge(&mut self, at: SimTime, delta: i128, refs: i32) {
+        let e = self.edges.entry(at).or_insert((0, 0));
+        e.0 += delta;
+        e.1 = (e.1 as i32 + refs) as u32;
+        if e.1 == 0 {
+            assert_eq!(e.0, 0);
+            self.edges.remove(&at);
+        }
+    }
+
+    fn load_at(&self, t: SimTime) -> u64 {
+        self.edges.range(..=t).map(|(_, e)| e.0).sum::<i128>() as u64
+    }
+
+    fn peak_in(&self, start: SimTime, end: SimTime) -> u64 {
+        let mut load = self.load_at(start) as i128;
+        let mut peak = load;
+        for (&at, e) in self.edges.range(start..end) {
+            if at > start {
+                load += e.0;
+                peak = peak.max(load);
+            }
+        }
+        peak as u64
+    }
+
+    fn max_peak(&self) -> u64 {
+        let mut load = 0i128;
+        let loads = self.edges.values().map(|e| {
+            load += e.0;
+            load
+        });
+        loads.max().unwrap_or(0).max(0) as u64
+    }
+
+    fn insert_unchecked(&mut self, start: SimTime, end: SimTime, amount: u64, tenant: u64) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.edge(start, amount as i128, 1);
+        self.edge(end, -(amount as i128), 1);
+        self.slots.insert(id, (start, end, amount, tenant));
+        id
+    }
+
+    fn try_insert_tenant(
+        &mut self,
+        start: SimTime,
+        end: SimTime,
+        amount: u64,
+        tenant: u64,
+    ) -> Result<u64, Rejected> {
+        let peak = self.peak_in(start, end);
+        if peak.saturating_add(amount) > self.capacity {
+            return Err(Rejected {
+                requested: amount,
+                available: self.capacity.saturating_sub(peak),
+                reason: RejectReason::OverCapacity,
+            });
+        }
+        Ok(self.insert_unchecked(start, end, amount, tenant))
+    }
+
+    fn try_insert_batch(
+        &mut self,
+        items: &[(SimTime, SimTime, u64)],
+    ) -> Result<Vec<u64>, Rejected> {
+        let ids: Vec<u64> = items
+            .iter()
+            .map(|&(s, e, a)| self.insert_unchecked(s, e, a, 0))
+            .collect();
+        for &(s, e, amount) in items {
+            let peak = self.peak_in(s, e);
+            if peak > self.capacity {
+                for id in ids {
+                    self.remove(id);
+                }
+                return Err(Rejected {
+                    requested: amount,
+                    available: self.capacity.saturating_sub(peak.saturating_sub(amount)),
+                    reason: RejectReason::OverCapacity,
+                });
+            }
+        }
+        Ok(ids)
+    }
+
+    fn remove(&mut self, id: u64) -> bool {
+        let Some((start, end, amount, _)) = self.slots.remove(&id) else {
+            return false;
+        };
+        self.edge(start, -(amount as i128), -1);
+        self.edge(end, amount as i128, -1);
+        true
+    }
+
+    fn try_resize(&mut self, id: u64, new_amount: u64) -> Result<(), Rejected> {
+        let (start, end, old, tenant) = self.slots[&id];
+        // Lift the slot out, ask, put either amount back.
+        self.edge(start, -(old as i128), 0);
+        self.edge(end, old as i128, 0);
+        let peak_others = self.peak_in(start, end);
+        let refused = peak_others.saturating_add(new_amount) > self.capacity;
+        let now = if refused { old } else { new_amount };
+        self.edge(start, now as i128, 0);
+        self.edge(end, -(now as i128), 0);
+        self.slots.insert(id, (start, end, now, tenant));
+        if refused {
+            return Err(Rejected {
+                requested: new_amount,
+                available: self.capacity.saturating_sub(peak_others),
+                reason: RejectReason::OverCapacity,
+            });
+        }
+        Ok(())
+    }
+
+    /// The documented sweep, written against a sorted list: fold each
+    /// slot into the run's survivor while it abuts it, else start a run.
+    fn compact(&mut self) -> Vec<(u64, u64)> {
+        let mut order: Vec<(u64, u64, SimTime, SimTime, u64)> = self
+            .slots
+            .iter()
+            .map(|(&id, &(s, e, a, t))| (t, a, s, e, id))
+            .collect();
+        order.sort_by_key(|&(t, _, s, e, id)| (t, s, e, id));
+        let mut merged = Vec::new();
+        let mut run: Option<(u64, u64, SimTime, u64)> = None; // tenant, amount, end, survivor
+        for (t, a, s, e, id) in order {
+            match run {
+                Some((rt, ra, rend, surv)) if (rt, ra, rend) == (t, a, s) => {
+                    self.edge(s, 0, -2);
+                    self.slots.remove(&id);
+                    self.slots.get_mut(&surv).unwrap().1 = e;
+                    merged.push((id, surv));
+                    run = Some((t, a, e, surv));
+                }
+                _ => run = Some((t, a, e, id)),
+            }
+        }
+        merged
+    }
+}
+
+/// The case the 1..80-op sequences above never reach: at the production
+/// fan-out, a table three levels deep (5 000+ standing slots on ~10 000
+/// distinct boundaries, so leaves and first-level inner nodes have both
+/// split many times), churned with capacity binding — resizes, batches
+/// and compaction interleaved — then drained until the tree is gone.
+#[test]
+fn production_fan_out_tree_matches_flat_model() {
+    const HORIZON: u64 = 86_400_000_000_000;
+    let ns = SimTime::from_nanos;
+    let mut rng = mpichgq_sim::SimRng::new(0x00FA_7B7E);
+    let mut st = SlotTable::new(u64::MAX / 4);
+    let mut fl = FlatTable {
+        capacity: u64::MAX / 4,
+        ..FlatTable::default()
+    };
+    let mut held: Vec<u64> = Vec::new();
+    let window = |rng: &mut mpichgq_sim::SimRng| {
+        let start = rng.below(HORIZON);
+        (ns(start), ns(start + rng.range(1_000_000, HORIZON / 50)))
+    };
+    let insert = |st: &mut SlotTable,
+                  fl: &mut FlatTable,
+                  held: &mut Vec<u64>,
+                  (s, e): (SimTime, SimTime),
+                  amount: u64,
+                  tenant: u64| {
+        let got = st.try_insert_tenant(s, e, amount, tenant);
+        let want = fl.try_insert_tenant(s, e, amount, tenant);
+        assert_eq!(got, want.map(SlotId), "insert diverged");
+        held.extend(want.ok());
+        want.is_ok()
+    };
+
+    // Standing population: mostly scattered windows, one in five renewed
+    // once from its end (a foldable pair sharing one boundary).
+    while held.len() < 5_200 {
+        let (s, e) = window(&mut rng);
+        let (amount, tenant) = (rng.range(1, 1_000), rng.below(40));
+        insert(&mut st, &mut fl, &mut held, (s, e), amount, tenant);
+        if rng.chance(0.2) {
+            let e2 = ns(e.as_nanos() + rng.range(1_000_000, HORIZON / 50));
+            insert(&mut st, &mut fl, &mut held, (e, e2), amount, tenant);
+        }
+    }
+    assert!(
+        st.boundary_count() > 9_000,
+        "boundaries were meant to be distinct"
+    );
+    assert_eq!(st.boundary_count(), fl.edges.len());
+
+    // Make capacity bind: lowered under the standing peak, so part of the
+    // day is overcommitted (refusals there report 0 available) and the
+    // rest has little headroom.
+    let cap = st.max_peak() / 5 * 4;
+    st.set_capacity(cap);
+    fl.capacity = cap;
+    assert_eq!(st.max_overcommit(), fl.max_peak() - cap);
+    let (mut refused, mut folded) = (0, 0);
+    for op in 0..3_000u32 {
+        match op % 8 {
+            0..=2 => {
+                let w = window(&mut rng);
+                let (amount, tenant) = (rng.range(1, 400), rng.below(40));
+                if !insert(&mut st, &mut fl, &mut held, w, amount, tenant) {
+                    refused += 1;
+                }
+            }
+            3 | 4 => {
+                let id = held.swap_remove(rng.below(held.len() as u64) as usize);
+                assert!(st.remove(SlotId(id)));
+                assert!(fl.remove(id));
+            }
+            5 | 6 => {
+                let id = held[rng.below(held.len() as u64) as usize];
+                let amount = rng.range(1, 1_200);
+                let want = fl.try_resize(id, amount);
+                assert_eq!(st.try_resize(SlotId(id), amount), want, "resize diverged");
+                refused += want.is_err() as u32;
+            }
+            _ if op % 500 == 7 => {
+                let want = fl.compact();
+                let got: Vec<(u64, u64)> = st.compact().iter().map(|&(a, s)| (a.0, s.0)).collect();
+                assert_eq!(got, want, "compaction diverged");
+                folded += want.len();
+                held.retain(|id| fl.slots.contains_key(id));
+            }
+            _ => {
+                let items: Vec<(SimTime, SimTime, u64)> = (0..4)
+                    .map(|_| {
+                        let (s, e) = window(&mut rng);
+                        (s, e, rng.range(1, 150))
+                    })
+                    .collect();
+                let want = fl.try_insert_batch(&items);
+                let got = st.try_insert_batch(&items);
+                assert_eq!(
+                    got,
+                    want.clone()
+                        .map(|ids| ids.into_iter().map(SlotId).collect())
+                );
+                refused += want.is_err() as u32;
+                held.extend(want.unwrap_or_default());
+            }
+        }
+        assert_eq!(st.len(), fl.slots.len());
+        assert_eq!(st.boundary_count(), fl.edges.len());
+        assert_eq!(st.max_peak(), fl.max_peak());
+        let (s, e) = window(&mut rng);
+        assert_eq!(st.load_at(s), fl.load_at(s));
+        assert_eq!(st.available(s, e), cap.saturating_sub(fl.peak_in(s, e)));
+    }
+    assert!(refused > 300, "capacity never bound ({refused} refusals)");
+    assert!(
+        folded > 200,
+        "compaction had nothing to fold ({folded} merges)"
+    );
+
+    // Drain: every node must be handed back.
+    while let Some(id) = held.pop() {
+        assert!(st.remove(SlotId(id)));
+        assert!(fl.remove(id));
+        if held.len().is_multiple_of(256) {
+            assert_eq!(st.max_peak(), fl.max_peak());
+            assert_eq!(st.boundary_count(), fl.edges.len());
+        }
+    }
+    assert_eq!(st.boundary_count(), 0);
+    assert!(st.is_empty());
+    assert_eq!(st.max_peak(), 0);
+    assert_eq!(st.available(ns(0), ns(HORIZON)), cap);
+    // And the emptied table is a working table.
+    let id = st.try_insert(ns(5), ns(10), cap).unwrap();
+    assert_eq!(st.try_insert(ns(9), ns(20), 1).unwrap_err().available, 0);
+    assert!(st.remove(id));
+}
