@@ -30,7 +30,7 @@
 
 use crate::qos::QosOutcome;
 use mpichgq_gara::{Gara, NetworkRequest, Request, ResvId, StartSpec, Status};
-use mpichgq_netsim::{Net, NodeId, TimelineSource};
+use mpichgq_netsim::{MetricSink, Net, NodeId, TimelineSource};
 use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::{control_token, Controller, ControllerId, Sim, Stack};
 use std::cell::RefCell;
@@ -123,7 +123,7 @@ struct AdaptProbe {
 }
 
 impl TimelineSource for AdaptProbe {
-    fn timeline_sample(&mut self, net: &mut Net, _at: SimTime) {
+    fn timeline_sample(&self, _at: SimTime, sink: &mut dyn MetricSink) {
         for (i, f) in self.flows.iter().enumerate() {
             let inner = f.borrow();
             let (state, rate) = match inner.state {
@@ -133,8 +133,8 @@ impl TimelineSource for AdaptProbe {
                 AdaptState::Renegotiated { rate_bps, .. } => (3.0, rate_bps),
                 AdaptState::Degraded => (4.0, 0),
             };
-            net.timeline_record_gauge(&format!("agent.flow{i:02}.state"), state);
-            net.timeline_record_gauge(&format!("agent.flow{i:02}.rate_bps"), rate as f64);
+            sink.gauge(&format!("agent.flow{i:02}.state"), state);
+            sink.gauge(&format!("agent.flow{i:02}.rate_bps"), rate as f64);
         }
     }
 }

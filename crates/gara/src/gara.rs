@@ -18,8 +18,8 @@
 use crate::slot_table::{RejectReason, Rejected, SlotId, SlotTable};
 use mpichgq_dsrt::ProcId;
 use mpichgq_netsim::{
-    depth_for, ChanId, CounterId, DepthRule, Dscp, FlowSpec, Net, NodeId, NodeKind, PolicingAction,
-    Proto, TimelineSource, TokenBucket,
+    depth_for, ChanId, CounterId, DepthRule, Dscp, FlowSpec, MetricSink, Net, NodeId, NodeKind,
+    PolicingAction, Proto, TimelineSource, TokenBucket,
 };
 use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::{control_token, Controller, ControllerId, Stack};
@@ -1215,7 +1215,7 @@ impl TimelineSource for Gara {
     /// EF load currently admitted on managed links. Reservation-rate
     /// series (grants, rejects) come for free from the live `gara.*`
     /// registry counters the sampler sweeps.
-    fn timeline_sample(&mut self, net: &mut Net, at: SimTime) {
+    fn timeline_sample(&self, at: SimTime, sink: &mut dyn MetricSink) {
         let standing: usize = self
             .links
             .values()
@@ -1223,10 +1223,10 @@ impl TimelineSource for Gara {
             .chain(self.storage.values())
             .map(SlotTable::len)
             .sum();
-        net.timeline_record_gauge("gara.slots.standing", standing as f64);
-        net.timeline_record_gauge("gara.deadlines.pending", self.deadlines.len() as f64);
+        sink.gauge("gara.slots.standing", standing as f64);
+        sink.gauge("gara.deadlines.pending", self.deadlines.len() as f64);
         let reserved: u64 = self.links.values().map(|t| t.load_at(at)).sum();
-        net.timeline_record_gauge("gara.links.reserved_bps", reserved as f64);
+        sink.gauge("gara.links.reserved_bps", reserved as f64);
     }
 }
 

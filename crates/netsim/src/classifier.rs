@@ -207,11 +207,6 @@ impl Classifier {
         self.rules.iter()
     }
 
-    /// Mutable rule access for snapshot-time token-bucket level reads.
-    pub(crate) fn rules_mut(&mut self) -> impl Iterator<Item = &mut Rule> {
-        self.rules.iter_mut()
-    }
-
     pub fn len(&self) -> usize {
         self.rules.len()
     }

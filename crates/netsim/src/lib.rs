@@ -38,9 +38,10 @@ pub use classifier::{Classifier, FlowSpec, PolicingAction, Verdict};
 pub use faults::{FaultAction, FaultPlan, FaultStats};
 pub use lifecycle::{FlowRec, PacketTracer, Span, SpanKind};
 pub use link::{Chan, ChanId, Framing, LinkCfg};
-/// The handle [`Net::obs`]'s registry hands out, for layers that intern
-/// their counters without depending on the obs crate.
-pub use mpichgq_obs::CounterId;
+/// The handle [`Net::obs`]'s registry hands out and the sink timeline
+/// probes write to, for layers that use them without depending on the obs
+/// crate.
+pub use mpichgq_obs::{CounterId, MetricSink};
 pub use net::{
     ChanAudit, DropStats, Net, NetAudit, NetHandler, Node, NodeKind, TimelineSource, TopoBuilder,
 };

@@ -400,8 +400,10 @@ impl PacketTracer {
         }
     }
 
-    /// Publish per-flow and per-class histograms plus SLO counters into
-    /// the registry (called from `Net::publish_metrics`).
+    /// Publish what only a snapshot carries — per-flow and per-class
+    /// histograms and the span-log overflow count — into the registry
+    /// (called from `Net::publish_metrics`; `slo.misses` is part of the
+    /// network's metric walk, so the sampler records it too).
     pub(crate) fn publish(&self, m: &mut Registry) {
         m.record_hist("phb.ef.queue_wait_ns", &self.ef_wait);
         m.record_hist("phb.af.queue_wait_ns", &self.af_wait);
@@ -410,7 +412,6 @@ impl PacketTracer {
             m.record_hist(&format!("flow.{}.delay_ns", f.name), &f.delay);
             m.record_hist(&format!("flow.{}.jitter_ns", f.name), &f.jitter);
         }
-        m.record_total("slo.misses", self.total_misses);
         m.record_total("trace.spans_dropped", self.spans_dropped);
     }
 

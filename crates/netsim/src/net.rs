@@ -18,7 +18,7 @@ use crate::queue::{Enqueue, Queue, QueueCfg, QueueStats};
 use crate::shaper::{ShapeOutcome, Shaper};
 use crate::tokenbucket::TokenBucket;
 use mpichgq_dsrt::{AdmissionError, CompleteOutcome, Cpu, ProcId, Update, WorkId};
-use mpichgq_obs::{CounterId, JsonWriter, Obs, Timeline};
+use mpichgq_obs::{CounterId, JsonWriter, MetricSink, Obs, Tick, Timeline};
 use mpichgq_sim::{fnv1a, Engine, Recorder, SchedulerKind, SimDelta, SimRng, SimTime};
 use std::collections::VecDeque;
 
@@ -98,12 +98,12 @@ pub trait NetHandler {
     fn control(&mut self, net: &mut Net, token: u64);
     /// A timeline sampling tick at `at` (see [`Net::enable_timeline`]).
     /// Called after the network's own samples for that tick; the handler
-    /// records upper-layer series via [`Net::timeline_record_counter`] /
-    /// [`Net::timeline_record_gauge`]. Must be read-only with respect to
-    /// simulated state — recording series is the only permitted effect —
-    /// so that sampling never perturbs the event stream. Default: no-op.
-    fn timeline_sample(&mut self, net: &mut Net, at: SimTime) {
-        let _ = (net, at);
+    /// writes its upper-layer series to `sink`, each stamped `at`. The
+    /// network is shared, not mutable: a probe can read it but cannot
+    /// schedule, send or refill anything, so sampling never perturbs the
+    /// event stream. Default: no-op.
+    fn timeline_sample(&mut self, net: &Net, at: SimTime, sink: &mut dyn MetricSink) {
+        let _ = (net, at, sink);
     }
     /// A `HostCrash` fault took `host` down. The network has already
     /// silenced the host (egress purged, tx/rx gated); the handler kills
@@ -122,11 +122,11 @@ pub trait NetHandler {
 
 /// A service that contributes series to the sampling timeline. Upper
 /// layers (the TCP stack's service registry, in practice) route
-/// [`NetHandler::timeline_sample`] ticks to every registered source. The
-/// same read-only contract applies: record series, touch nothing else.
+/// [`NetHandler::timeline_sample`] ticks to every registered source,
+/// which reads its own state and writes to the tick's sink.
 pub trait TimelineSource {
-    /// Record this source's series for the tick at `at`.
-    fn timeline_sample(&mut self, net: &mut Net, at: SimTime);
+    /// Write this source's series for the tick at `at` to `sink`.
+    fn timeline_sample(&self, at: SimTime, sink: &mut dyn MetricSink);
 }
 
 /// Global drop accounting, by cause.
@@ -296,6 +296,14 @@ impl NetCounters {
     }
 }
 
+/// A counter of machinery that may never have run (AF, AQM): no key until
+/// it did, so snapshots of runs that predate it stay byte-identical.
+fn gated_counter<S: MetricSink>(sink: &mut S, name: std::fmt::Arguments<'_>, total: u64) {
+    if total > 0 {
+        sink.counter(&name.to_string(), total);
+    }
+}
+
 /// One cross-shard packet handoff (see [`crate::shard`]): produced by the
 /// sender-owning shard in `try_start_tx`, exchanged at the next safe-time
 /// barrier, and drained onto the channel's wire FIFO in the destination
@@ -387,9 +395,6 @@ struct TimelineCtx {
     next_ns: u64,
     /// Last instant actually sampled (grid boundary or finalize).
     last_ns: Option<u64>,
-    /// Set while a sample tick is in progress; the timestamp
-    /// [`Net::timeline_record_counter`] stamps probe samples with.
-    cur_ns: Option<u64>,
     fast: BurnEdge,
     slow: BurnEdge,
 }
@@ -548,22 +553,16 @@ impl Net {
         };
         sc.windows += 1;
         sc.windows_skipped += skipped;
-        let Some(ctx) = self.timeline.as_deref_mut() else {
+        let shard = sc.shard;
+        let Some(mut ctx) = self.timeline.take() else {
             return;
         };
-        let p = format!("shard{:02}", sc.shard);
-        let tl = &mut ctx.tl;
-        tl.push_counter(&format!("{p}.windows"), at_ns, sc.windows);
-        tl.push_counter(&format!("{p}.windows_skipped"), at_ns, sc.windows_skipped);
-        tl.push_counter(&format!("{p}.events"), at_ns, self.engine.processed());
-        tl.push_counter(&format!("{p}.cross_out"), at_ns, sc.next_seq);
-        tl.push_counter(&format!("{p}.cross_in"), at_ns, sc.cross_in);
-        tl.push_gauge(&format!("{p}.inbox_depth"), at_ns, injected as f64);
-        tl.push_gauge(
-            &format!("{p}.pending_events"),
-            at_ns,
-            self.engine.len() as f64,
-        );
+        let mut tick = ctx.tl.tick(at_ns);
+        self.walk_shard(&mut tick);
+        let p = format!("shard{shard:02}");
+        tick.gauge(&format!("{p}.inbox_depth"), injected as f64);
+        tick.gauge(&format!("{p}.pending_events"), self.engine.len() as f64);
+        self.timeline = Some(ctx);
     }
 
     /// Earliest pending event time, if any — drives the shard engine's
@@ -1053,169 +1052,190 @@ impl Net {
     // Observability
     // ------------------------------------------------------------------
 
-    /// Publish every component-local statistic into the shared registry:
-    /// engine totals, drop causes, per-interface queue counters and
-    /// high-water marks, per-rule policer counters and token-bucket levels,
-    /// and per-shaper pacing state. Live counters (packets sent/delivered,
-    /// anything other layers incremented) are already there; this makes the
-    /// registry a complete picture of the run at the moment of the call.
-    pub fn publish_metrics(&mut self) {
-        let now = self.now();
-        let txdone_elided = self.txdone_elided();
-        let m = &mut self.obs.metrics;
-        m.record_total("engine.events_processed", self.engine.processed());
-        m.set_gauge("engine.pending_events", self.engine.len() as f64);
-        m.record_total("engine.events_elided.txdone", txdone_elided);
-        m.record_total("engine.events_elided.timer", self.timers_elided);
-        if let Some(cs) = self.engine.calendar_stats() {
-            m.record_total("engine.calendar.rebuilds", cs.rebuilds);
-            m.record_total("engine.calendar.fallbacks", cs.fallbacks);
-            m.record_total("engine.calendar.scan_steps", cs.scan_steps);
-            m.record_total("engine.calendar.slow_pushes", cs.slow_pushes);
-        }
-        m.record_total("net.drops.policed", self.drops.policed);
-        m.record_total("net.drops.queue_full", self.drops.queue_full);
-        m.record_total("net.drops.misrouted", self.drops.misrouted);
-        if let Some(f) = &self.faults {
-            m.record_total("faults.drops.link_down", f.stats.drops_link_down);
-            m.record_total("faults.drops.loss", f.stats.drops_loss);
-            m.record_total("faults.drops.corrupt", f.stats.drops_corrupt);
-            m.record_total("faults.link_downs", f.stats.link_downs);
-            m.record_total("faults.link_ups", f.stats.link_ups);
-            // Host-fault keys appear only when a crash actually happened,
-            // so legacy snapshots stay byte-identical.
-            if f.stats.host_crashes + f.stats.host_restarts > 0 {
-                m.record_total("faults.drops.host_down", f.stats.drops_host_down);
-                m.record_total("faults.host_crashes", f.stats.host_crashes);
-                m.record_total("faults.host_restarts", f.stats.host_restarts);
-            }
-        }
-
-        let mut early = [0u64; 3]; // qdisc.* aggregates: [ef, af, be]
-        let mut sched_violations = 0u64;
-        for (i, q) in self.queues.iter().enumerate() {
+    /// The one idle-interface gate: every interface that ever enqueued or
+    /// dropped a packet, with its queue statistics. Idle interfaces appear
+    /// in no read-out, which keeps snapshots readable.
+    fn active_ifaces(&self) -> impl Iterator<Item = (usize, &Queue, QueueStats)> {
+        self.queues.iter().enumerate().filter_map(|(i, q)| {
             let st = q.stats();
-            early[0] += st.early_ef;
-            early[1] += st.early_af.iter().sum::<u64>();
-            early[2] += st.early_be;
-            sched_violations += st.sched_violations;
-            if st.enq_be
+            let seen = st.enq_be
                 + st.enq_ef
                 + st.enq_af
                 + st.drop_be
                 + st.drop_ef
                 + st.drop_af
-                + st.early_total()
-                == 0
-            {
-                continue; // idle interface: keep snapshots readable
+                + st.early_total();
+            (seen > 0).then_some((i, q, st))
+        })
+    }
+
+    /// The metric catalog below the transport layer, stated once: engine
+    /// totals, drop causes, fault counters, per-interface queue counters
+    /// and high-water marks, per-rule policer counters and token-bucket
+    /// levels, per-shaper pacing state, SLO misses. [`Net::publish_metrics`]
+    /// walks it into the registry and the sampler walks it into each tick,
+    /// so the two agree by construction. `&self` and a sink that only
+    /// takes values: reading cannot move what is read.
+    fn walk_metrics<S: MetricSink>(&self, at: SimTime, sink: &mut S) {
+        sink.counter("engine.events_processed", self.engine.processed());
+        sink.gauge("engine.pending_events", self.engine.len() as f64);
+        sink.counter("engine.events_elided.txdone", self.txdone_elided());
+        sink.counter("engine.events_elided.timer", self.timers_elided);
+        if let Some(cs) = self.engine.calendar_stats() {
+            sink.counter("engine.calendar.rebuilds", cs.rebuilds);
+            sink.counter("engine.calendar.fallbacks", cs.fallbacks);
+            sink.counter("engine.calendar.scan_steps", cs.scan_steps);
+            sink.counter("engine.calendar.slow_pushes", cs.slow_pushes);
+        }
+        sink.counter("net.drops.policed", self.drops.policed);
+        sink.counter("net.drops.queue_full", self.drops.queue_full);
+        sink.counter("net.drops.misrouted", self.drops.misrouted);
+        gated_counter(
+            sink,
+            format_args!("net.drops.red_early"),
+            self.drops.red_early,
+        );
+        if let Some(f) = &self.faults {
+            sink.counter("faults.drops.link_down", f.stats.drops_link_down);
+            sink.counter("faults.drops.loss", f.stats.drops_loss);
+            sink.counter("faults.drops.corrupt", f.stats.drops_corrupt);
+            sink.counter("faults.link_downs", f.stats.link_downs);
+            sink.counter("faults.link_ups", f.stats.link_ups);
+            // Host-fault keys appear only once a crash actually happened,
+            // so legacy snapshots stay byte-identical.
+            if f.stats.host_crashes + f.stats.host_restarts > 0 {
+                sink.counter("faults.drops.host_down", f.stats.drops_host_down);
+                sink.counter("faults.host_crashes", f.stats.host_crashes);
+                sink.counter("faults.host_restarts", f.stats.host_restarts);
             }
+        }
+
+        let mut early = [0u64; 3]; // qdisc.* aggregates: [ef, af, be]
+        let mut sched_violations = 0u64;
+        for (i, q, st) in self.active_ifaces() {
+            early[0] += st.early_ef;
+            early[1] += st.early_af.iter().sum::<u64>();
+            early[2] += st.early_be;
+            sched_violations += st.sched_violations;
             let c = &self.chans[i];
             let p = format!("iface{i:03}");
-            m.record_total(&format!("{p}.enq_ef"), st.enq_ef);
-            m.record_total(&format!("{p}.enq_be"), st.enq_be);
-            m.record_total(&format!("{p}.drop_ef"), st.drop_ef);
-            m.record_total(&format!("{p}.drop_be"), st.drop_be);
-            m.record_total(&format!("{p}.dequeued"), st.dequeued);
-            m.record_total(&format!("{p}.bytes_dequeued"), st.bytes_dequeued);
-            m.record_total(&format!("{p}.tx_packets"), c.tx_packets);
-            m.record_total(&format!("{p}.tx_bytes_wire"), c.tx_bytes_wire);
-            m.record_total(&format!("{p}.rx_packets"), c.rx_packets);
-            m.record_total(&format!("{p}.prio_inversions"), st.prio_inversions);
-            m.set_gauge(&format!("{p}.hw_ef_bytes"), st.hw_ef_bytes as f64);
-            m.set_gauge(&format!("{p}.hw_be_bytes"), st.hw_be_bytes as f64);
-            m.set_gauge(&format!("{p}.backlog_bytes"), q.backlog_bytes() as f64);
-            m.set_gauge(&format!("{p}.backlog_pkts"), q.len() as f64);
-            // AF- and AQM-era keys appear only when that machinery actually
-            // ran, so legacy snapshots stay byte-identical.
-            if st.enq_af > 0 {
-                m.record_total(&format!("{p}.enq_af"), st.enq_af);
-            }
-            if st.drop_af > 0 {
-                m.record_total(&format!("{p}.drop_af"), st.drop_af);
-            }
+            sink.counter(&format!("{p}.enq_ef"), st.enq_ef);
+            sink.counter(&format!("{p}.enq_be"), st.enq_be);
+            sink.counter(&format!("{p}.drop_ef"), st.drop_ef);
+            sink.counter(&format!("{p}.drop_be"), st.drop_be);
+            sink.counter(&format!("{p}.dequeued"), st.dequeued);
+            sink.counter(&format!("{p}.bytes_dequeued"), st.bytes_dequeued);
+            sink.counter(&format!("{p}.tx_packets"), c.tx_packets);
+            sink.counter(&format!("{p}.tx_bytes_wire"), c.tx_bytes_wire);
+            sink.counter(&format!("{p}.rx_packets"), c.rx_packets);
+            sink.counter(&format!("{p}.prio_inversions"), st.prio_inversions);
+            sink.gauge(&format!("{p}.hw_ef_bytes"), st.hw_ef_bytes as f64);
+            sink.gauge(&format!("{p}.hw_be_bytes"), st.hw_be_bytes as f64);
+            sink.gauge(&format!("{p}.backlog_bytes"), q.backlog_bytes() as f64);
+            sink.gauge(&format!("{p}.backlog_pkts"), q.len() as f64);
+            gated_counter(sink, format_args!("{p}.enq_af"), st.enq_af);
+            gated_counter(sink, format_args!("{p}.drop_af"), st.drop_af);
             if st.hw_af_bytes > 0 {
-                m.set_gauge(&format!("{p}.hw_af_bytes"), st.hw_af_bytes as f64);
+                sink.gauge(&format!("{p}.hw_af_bytes"), st.hw_af_bytes as f64);
             }
-            if st.early_ef > 0 {
-                m.record_total(&format!("{p}.early_ef"), st.early_ef);
-            }
-            if st.early_be > 0 {
-                m.record_total(&format!("{p}.early_be"), st.early_be);
-            }
+            gated_counter(sink, format_args!("{p}.early_ef"), st.early_ef);
+            gated_counter(sink, format_args!("{p}.early_be"), st.early_be);
             for (prec, &n) in st.early_af.iter().enumerate() {
-                if n > 0 {
-                    m.record_total(&format!("{p}.early_af{prec}"), n);
-                }
+                gated_counter(sink, format_args!("{p}.early_af{prec}"), n);
             }
-            if st.sched_violations > 0 {
-                m.record_total(&format!("{p}.sched_violations"), st.sched_violations);
-            }
+            gated_counter(
+                sink,
+                format_args!("{p}.sched_violations"),
+                st.sched_violations,
+            );
         }
-        if self.drops.red_early > 0 {
-            m.record_total("net.drops.red_early", self.drops.red_early);
-        }
-        if early[0] > 0 {
-            m.record_total("qdisc.early_drops.ef", early[0]);
-        }
-        if early[1] > 0 {
-            m.record_total("qdisc.early_drops.af", early[1]);
-        }
-        if early[2] > 0 {
-            m.record_total("qdisc.early_drops.be", early[2]);
-        }
-        if sched_violations > 0 {
-            m.record_total("qdisc.sched_violations", sched_violations);
-        }
+        gated_counter(sink, format_args!("qdisc.early_drops.ef"), early[0]);
+        gated_counter(sink, format_args!("qdisc.early_drops.af"), early[1]);
+        gated_counter(sink, format_args!("qdisc.early_drops.be"), early[2]);
+        gated_counter(
+            sink,
+            format_args!("qdisc.sched_violations"),
+            sched_violations,
+        );
 
-        for (n, node) in self.nodes.iter_mut().enumerate() {
+        // A token bucket's fill projected to `at`, never committed: a
+        // refill split in two float steps is not bit-identical to one, so a
+        // reader that refilled would move later conformance decisions.
+        let bucket_level = |sink: &mut S, p: &str, tb: &TokenBucket| {
+            sink.gauge(&format!("{p}.bucket_level_bytes"), tb.peek_available(at));
+        };
+        let shard = self.shard.as_deref();
+        for (n, node) in self.nodes.iter().enumerate() {
+            // Node-local series come from the copy that executes the node:
+            // a foreign copy's rules and shapers sit idle at their initial
+            // state, and a merge would add those levels in.
+            if shard.is_some_and(|sc| sc.shard_of[n] != sc.shard) {
+                continue;
+            }
             let cs = node.classifier.stats();
             if cs.marked_ef + cs.demoted + cs.marked_af + cs.remarked > 0 {
-                m.record_total(&format!("node{n:03}.marked_ef"), cs.marked_ef);
-                m.record_total(&format!("node{n:03}.demoted"), cs.demoted);
-                if cs.marked_af > 0 {
-                    m.record_total(&format!("node{n:03}.marked_af"), cs.marked_af);
-                }
-                if cs.remarked > 0 {
-                    m.record_total(&format!("node{n:03}.remarked"), cs.remarked);
-                }
+                let p = format!("node{n:03}");
+                sink.counter(&format!("{p}.marked_ef"), cs.marked_ef);
+                sink.counter(&format!("{p}.demoted"), cs.demoted);
+                gated_counter(sink, format_args!("{p}.marked_af"), cs.marked_af);
+                gated_counter(sink, format_args!("{p}.remarked"), cs.remarked);
             }
-            for r in node.classifier.rules_mut() {
+            for r in node.classifier.rules() {
                 let p = format!("node{n:03}.rule{:03}", r.id);
-                m.record_total(&format!("{p}.conformant_pkts"), r.stats.conformant_pkts);
-                m.record_total(&format!("{p}.conformant_bytes"), r.stats.conformant_bytes);
-                m.record_total(&format!("{p}.policed_pkts"), r.stats.policed_pkts);
-                m.record_total(&format!("{p}.policed_bytes"), r.stats.policed_bytes);
-                if let Some(tb) = &mut r.policer {
-                    m.set_gauge(&format!("{p}.bucket_level_bytes"), tb.available(now));
+                sink.counter(&format!("{p}.conformant_pkts"), r.stats.conformant_pkts);
+                sink.counter(&format!("{p}.conformant_bytes"), r.stats.conformant_bytes);
+                sink.counter(&format!("{p}.policed_pkts"), r.stats.policed_pkts);
+                sink.counter(&format!("{p}.policed_bytes"), r.stats.policed_bytes);
+                if let Some(tb) = &r.policer {
+                    bucket_level(sink, &p, tb);
                 }
             }
-            for s in &mut node.shapers {
+            for s in &node.shapers {
                 let p = format!("node{n:03}.shaper{:03}", s.id);
-                m.record_total(&format!("{p}.passed"), s.stats.passed);
-                m.record_total(&format!("{p}.delayed"), s.stats.delayed);
-                m.set_gauge(&format!("{p}.backlog_bytes"), s.backlog_bytes() as f64);
-                m.set_gauge(&format!("{p}.backlog_pkts"), s.queue.len() as f64);
-                m.set_gauge(
-                    &format!("{p}.max_backlog_bytes"),
-                    s.stats.max_backlog_bytes as f64,
-                );
-                m.set_gauge(&format!("{p}.bucket_level_bytes"), s.bucket.available(now));
+                sink.counter(&format!("{p}.passed"), s.stats.passed);
+                sink.counter(&format!("{p}.delayed"), s.stats.delayed);
+                sink.gauge(&format!("{p}.backlog_bytes"), s.backlog_bytes() as f64);
+                sink.gauge(&format!("{p}.backlog_pkts"), s.queue.len() as f64);
+                let max_backlog = s.stats.max_backlog_bytes as f64;
+                sink.gauge(&format!("{p}.max_backlog_bytes"), max_backlog);
+                bucket_level(sink, &p, &s.bucket);
             }
-        }
-
-        if let Some(sc) = self.shard.as_deref() {
-            let p = format!("shard{:02}", sc.shard);
-            m.record_total(&format!("{p}.windows"), sc.windows);
-            m.record_total(&format!("{p}.windows_skipped"), sc.windows_skipped);
-            m.record_total(&format!("{p}.events"), self.engine.processed());
-            m.record_total(&format!("{p}.cross_out"), sc.next_seq);
-            m.record_total(&format!("{p}.cross_in"), sc.cross_in);
         }
 
         if let Some(t) = &self.lifecycle {
-            t.publish(m);
+            sink.counter("slo.misses", t.total_misses());
         }
+    }
+
+    /// The parallel-engine self-profiling totals of this shard copy
+    /// (nothing for a monolithic world).
+    fn walk_shard<S: MetricSink>(&self, sink: &mut S) {
+        let Some(sc) = self.shard.as_deref() else {
+            return;
+        };
+        let p = format!("shard{:02}", sc.shard);
+        sink.counter(&format!("{p}.windows"), sc.windows);
+        sink.counter(&format!("{p}.windows_skipped"), sc.windows_skipped);
+        sink.counter(&format!("{p}.events"), self.engine.processed());
+        sink.counter(&format!("{p}.cross_out"), sc.next_seq);
+        sink.counter(&format!("{p}.cross_in"), sc.cross_in);
+    }
+
+    /// Publish every component-local statistic into the shared registry:
+    /// the metric walk (`walk_metrics`, the one the sampler also takes),
+    /// then what only a snapshot carries — the shard totals and the
+    /// lifecycle tracer's histograms. Live counters (packets sent/delivered,
+    /// anything other layers incremented) are already there; this makes the
+    /// registry a complete picture of the run at the moment of the call.
+    pub fn publish_metrics(&mut self) {
+        // The walk borrows all of `self`; it never reads the registry.
+        let mut m = std::mem::take(&mut self.obs.metrics);
+        self.walk_metrics(self.now(), &mut m);
+        self.walk_shard(&mut m);
+        if let Some(t) = &self.lifecycle {
+            t.publish(&mut m);
+        }
+        self.obs.metrics = m;
     }
 
     /// [`Net::publish_metrics`] followed by a full JSON snapshot — what the
@@ -1261,7 +1281,6 @@ impl Net {
             interval_ns: i,
             next_ns,
             last_ns: None,
-            cur_ns: None,
             fast: BurnEdge::default(),
             slow: BurnEdge::default(),
         }));
@@ -1288,38 +1307,14 @@ impl Net {
         self.timeline.as_deref().map(|c| c.tl.to_json())
     }
 
-    /// Push one cumulative-counter sample from inside a sample tick —
-    /// the API [`TimelineSource`] probes and [`NetHandler::timeline_sample`]
-    /// implementations record through. Outside a tick (or with sampling
-    /// off) this is a no-op, so probes can call it unconditionally.
-    pub fn timeline_record_counter(&mut self, name: &str, v: u64) {
-        if let Some(ctx) = self.timeline.as_deref_mut() {
-            if let Some(t) = ctx.cur_ns {
-                ctx.tl.push_counter(name, t, v);
-            }
-        }
-    }
-
-    /// Gauge twin of [`Net::timeline_record_counter`].
-    pub fn timeline_record_gauge(&mut self, name: &str, v: f64) {
-        if let Some(ctx) = self.timeline.as_deref_mut() {
-            if let Some(t) = ctx.cur_ns {
-                ctx.tl.push_gauge(name, t, v);
-            }
-        }
-    }
-
     /// Take one final sample at `at` unless the grid already sampled that
     /// exact instant — so every series ends precisely at the end of the
     /// run regardless of grid alignment. Call once, after the final
     /// [`Net::run_until`].
     pub fn timeline_finalize<H: NetHandler>(&mut self, h: &mut H, at: SimTime) {
         let at_ns = at.as_nanos();
-        let due = match self.timeline.as_deref() {
-            Some(c) => c.last_ns != Some(at_ns),
-            None => false,
-        };
-        if due {
+        let sampled = self.timeline.as_deref().map(|c| c.last_ns);
+        if sampled.is_some_and(|last| last != Some(at_ns)) {
             self.timeline_sample_tick(h, at_ns);
         }
     }
@@ -1328,12 +1323,14 @@ impl Net {
     /// core netsim series, then registry sweep, then handler probes, then
     /// the SLO burn-rate windows.
     fn timeline_sample_tick<H: NetHandler>(&mut self, h: &mut H, at_ns: u64) {
+        // Out of `self` for the tick: the walk and the probes read all of
+        // `&self` while they write the timeline.
         let Some(mut ctx) = self.timeline.take() else {
             return;
         };
-        ctx.cur_ns = Some(at_ns);
         ctx.last_ns = Some(at_ns);
-        self.sample_core(&mut ctx.tl, at_ns);
+        let at = SimTime::from_nanos(at_ns);
+        self.sample_core(at, &mut ctx.tl.tick(at_ns));
         // Live counters and gauges (anything other layers increment in
         // place) are always current in the registry; sweeping them after
         // the explicit pushes means explicitly sampled series are already
@@ -1344,208 +1341,23 @@ impl Net {
         for (name, v) in self.obs.metrics.gauges() {
             ctx.tl.sweep_gauge(name, at_ns, v);
         }
+        h.timeline_sample(self, at, &mut ctx.tl.tick(at_ns));
+        self.timeline_burn_tick(&mut ctx, at);
         self.timeline = Some(ctx);
-        h.timeline_sample(self, SimTime::from_nanos(at_ns));
-        self.timeline_burn_tick(at_ns);
-        if let Some(ctx) = self.timeline.as_deref_mut() {
-            ctx.cur_ns = None;
-        }
     }
 
-    /// Sample every component-local statistic [`Net::publish_metrics`]
-    /// publishes, with identical names and identical activity gating — so
-    /// the final sample of each cumulative series equals the end-of-run
-    /// registry counter (the `timeline_consistency` invariant). The one
-    /// deliberate read-path difference: token-bucket levels use
-    /// [`TokenBucket::peek_available`], because the mutating refill is not
-    /// bit-idempotent under splitting and would perturb later conformance
-    /// decisions.
-    fn sample_core(&mut self, tl: &mut Timeline, at_ns: u64) {
-        let at = SimTime::from_nanos(at_ns);
-        tl.push_counter("engine.events_processed", at_ns, self.engine.processed());
-        tl.push_gauge("engine.pending_events", at_ns, self.engine.len() as f64);
-        tl.push_counter("engine.events_elided.txdone", at_ns, self.txdone_elided());
-        tl.push_counter("engine.events_elided.timer", at_ns, self.timers_elided);
-        if let Some(cs) = self.engine.calendar_stats() {
-            tl.push_counter("engine.calendar.rebuilds", at_ns, cs.rebuilds);
-            tl.push_counter("engine.calendar.fallbacks", at_ns, cs.fallbacks);
-            tl.push_counter("engine.calendar.scan_steps", at_ns, cs.scan_steps);
-            tl.push_counter("engine.calendar.slow_pushes", at_ns, cs.slow_pushes);
-        }
-        tl.push_counter("net.drops.policed", at_ns, self.drops.policed);
-        tl.push_counter("net.drops.queue_full", at_ns, self.drops.queue_full);
-        tl.push_counter("net.drops.misrouted", at_ns, self.drops.misrouted);
-        if self.drops.red_early > 0 {
-            tl.push_counter("net.drops.red_early", at_ns, self.drops.red_early);
-        }
-        if let Some(f) = &self.faults {
-            tl.push_counter("faults.drops.link_down", at_ns, f.stats.drops_link_down);
-            tl.push_counter("faults.drops.loss", at_ns, f.stats.drops_loss);
-            tl.push_counter("faults.drops.corrupt", at_ns, f.stats.drops_corrupt);
-            tl.push_counter("faults.link_downs", at_ns, f.stats.link_downs);
-            tl.push_counter("faults.link_ups", at_ns, f.stats.link_ups);
-            // Same activity gate as publish_metrics (timeline_consistency).
-            if f.stats.host_crashes + f.stats.host_restarts > 0 {
-                tl.push_counter("faults.drops.host_down", at_ns, f.stats.drops_host_down);
-                tl.push_counter("faults.host_crashes", at_ns, f.stats.host_crashes);
-                tl.push_counter("faults.host_restarts", at_ns, f.stats.host_restarts);
-            }
-        }
-
-        let mut early = [0u64; 3];
-        let mut sched_violations = 0u64;
-        for (i, q) in self.queues.iter().enumerate() {
-            let st = q.stats();
-            early[0] += st.early_ef;
-            early[1] += st.early_af.iter().sum::<u64>();
-            early[2] += st.early_be;
-            sched_violations += st.sched_violations;
-            if st.enq_be
-                + st.enq_ef
-                + st.enq_af
-                + st.drop_be
-                + st.drop_ef
-                + st.drop_af
-                + st.early_total()
-                == 0
-            {
-                continue; // same idle-interface gate as publish_metrics
-            }
-            let c = &self.chans[i];
-            let p = format!("iface{i:03}");
-            tl.push_counter(&format!("{p}.enq_ef"), at_ns, st.enq_ef);
-            tl.push_counter(&format!("{p}.enq_be"), at_ns, st.enq_be);
-            tl.push_counter(&format!("{p}.drop_ef"), at_ns, st.drop_ef);
-            tl.push_counter(&format!("{p}.drop_be"), at_ns, st.drop_be);
-            tl.push_counter(&format!("{p}.dequeued"), at_ns, st.dequeued);
-            tl.push_counter(&format!("{p}.bytes_dequeued"), at_ns, st.bytes_dequeued);
-            tl.push_counter(&format!("{p}.tx_packets"), at_ns, c.tx_packets);
-            tl.push_counter(&format!("{p}.tx_bytes_wire"), at_ns, c.tx_bytes_wire);
-            tl.push_counter(&format!("{p}.rx_packets"), at_ns, c.rx_packets);
-            tl.push_counter(&format!("{p}.prio_inversions"), at_ns, st.prio_inversions);
-            tl.push_gauge(&format!("{p}.hw_ef_bytes"), at_ns, st.hw_ef_bytes as f64);
-            tl.push_gauge(&format!("{p}.hw_be_bytes"), at_ns, st.hw_be_bytes as f64);
-            tl.push_gauge(
-                &format!("{p}.backlog_bytes"),
-                at_ns,
-                q.backlog_bytes() as f64,
-            );
-            tl.push_gauge(&format!("{p}.backlog_pkts"), at_ns, q.len() as f64);
-            // Per-class occupancy is timeline-only: instantaneous queue
-            // composition is exactly what a fixed-interval series is for,
-            // while a point-in-time registry gauge of it would be noise.
-            let cb = q.class_backlog_bytes();
-            tl.push_gauge(&format!("{p}.backlog_ef_bytes"), at_ns, cb[0] as f64);
-            tl.push_gauge(&format!("{p}.backlog_af_bytes"), at_ns, cb[1] as f64);
-            tl.push_gauge(&format!("{p}.backlog_be_bytes"), at_ns, cb[2] as f64);
-            if st.enq_af > 0 {
-                tl.push_counter(&format!("{p}.enq_af"), at_ns, st.enq_af);
-            }
-            if st.drop_af > 0 {
-                tl.push_counter(&format!("{p}.drop_af"), at_ns, st.drop_af);
-            }
-            if st.hw_af_bytes > 0 {
-                tl.push_gauge(&format!("{p}.hw_af_bytes"), at_ns, st.hw_af_bytes as f64);
-            }
-            if st.early_ef > 0 {
-                tl.push_counter(&format!("{p}.early_ef"), at_ns, st.early_ef);
-            }
-            if st.early_be > 0 {
-                tl.push_counter(&format!("{p}.early_be"), at_ns, st.early_be);
-            }
-            for (prec, &n) in st.early_af.iter().enumerate() {
-                if n > 0 {
-                    tl.push_counter(&format!("{p}.early_af{prec}"), at_ns, n);
-                }
-            }
-            if st.sched_violations > 0 {
-                tl.push_counter(&format!("{p}.sched_violations"), at_ns, st.sched_violations);
-            }
-        }
-        if early[0] > 0 {
-            tl.push_counter("qdisc.early_drops.ef", at_ns, early[0]);
-        }
-        if early[1] > 0 {
-            tl.push_counter("qdisc.early_drops.af", at_ns, early[1]);
-        }
-        if early[2] > 0 {
-            tl.push_counter("qdisc.early_drops.be", at_ns, early[2]);
-        }
-        if sched_violations > 0 {
-            tl.push_counter("qdisc.sched_violations", at_ns, sched_violations);
-        }
-
-        // A sharded copy samples only the nodes it executes: foreign
-        // copies hold zeroed classifier/shaper state, and their gauges
-        // must not appear k-fold in the per-shard timelines a merge sums.
-        let shard = self
-            .shard
-            .as_deref()
-            .map(|sc| (sc.shard, sc.shard_of.clone()));
-        for (n, node) in self.nodes.iter().enumerate() {
-            if let Some((s, map)) = &shard {
-                if map[n] != *s {
-                    continue;
-                }
-            }
-            let cs = node.classifier.stats();
-            if cs.marked_ef + cs.demoted + cs.marked_af + cs.remarked > 0 {
-                tl.push_counter(&format!("node{n:03}.marked_ef"), at_ns, cs.marked_ef);
-                tl.push_counter(&format!("node{n:03}.demoted"), at_ns, cs.demoted);
-                if cs.marked_af > 0 {
-                    tl.push_counter(&format!("node{n:03}.marked_af"), at_ns, cs.marked_af);
-                }
-                if cs.remarked > 0 {
-                    tl.push_counter(&format!("node{n:03}.remarked"), at_ns, cs.remarked);
-                }
-            }
-            for r in node.classifier.rules() {
-                let p = format!("node{n:03}.rule{:03}", r.id);
-                tl.push_counter(
-                    &format!("{p}.conformant_pkts"),
-                    at_ns,
-                    r.stats.conformant_pkts,
-                );
-                tl.push_counter(
-                    &format!("{p}.conformant_bytes"),
-                    at_ns,
-                    r.stats.conformant_bytes,
-                );
-                tl.push_counter(&format!("{p}.policed_pkts"), at_ns, r.stats.policed_pkts);
-                tl.push_counter(&format!("{p}.policed_bytes"), at_ns, r.stats.policed_bytes);
-                if let Some(tb) = &r.policer {
-                    tl.push_gauge(
-                        &format!("{p}.bucket_level_bytes"),
-                        at_ns,
-                        tb.peek_available(at),
-                    );
-                }
-            }
-            for s in &node.shapers {
-                let p = format!("node{n:03}.shaper{:03}", s.id);
-                tl.push_counter(&format!("{p}.passed"), at_ns, s.stats.passed);
-                tl.push_counter(&format!("{p}.delayed"), at_ns, s.stats.delayed);
-                tl.push_gauge(
-                    &format!("{p}.backlog_bytes"),
-                    at_ns,
-                    s.backlog_bytes() as f64,
-                );
-                tl.push_gauge(&format!("{p}.backlog_pkts"), at_ns, s.queue.len() as f64);
-                tl.push_gauge(
-                    &format!("{p}.max_backlog_bytes"),
-                    at_ns,
-                    s.stats.max_backlog_bytes as f64,
-                );
-                tl.push_gauge(
-                    &format!("{p}.bucket_level_bytes"),
-                    at_ns,
-                    s.bucket.peek_available(at),
-                );
-            }
-        }
-
-        if let Some(t) = &self.lifecycle {
-            tl.push_counter("slo.misses", at_ns, t.total_misses());
+    /// One tick of the network's own series: [`Net::walk_metrics`], then
+    /// what only a time series carries — per-class queue occupancy.
+    /// Instantaneous queue composition is exactly what a fixed-interval
+    /// series is for, while a point-in-time registry gauge of it would be
+    /// noise.
+    fn sample_core(&self, at: SimTime, tick: &mut Tick<'_>) {
+        self.walk_metrics(at, tick);
+        for (i, q, _) in self.active_ifaces() {
+            let (p, cb) = (format!("iface{i:03}"), q.class_backlog_bytes());
+            tick.gauge(&format!("{p}.backlog_ef_bytes"), cb[0] as f64);
+            tick.gauge(&format!("{p}.backlog_af_bytes"), cb[1] as f64);
+            tick.gauge(&format!("{p}.backlog_be_bytes"), cb[2] as f64);
         }
     }
 
@@ -1555,28 +1367,20 @@ impl Net {
     /// budget ([`BURN_BUDGET`]); the fast window reacts in
     /// [`BURN_FAST_TICKS`] intervals, the slow window smooths over
     /// [`BURN_SLOW_TICKS`].
-    fn timeline_burn_tick(&mut self, at_ns: u64) {
+    fn timeline_burn_tick(&mut self, ctx: &mut TimelineCtx, at: SimTime) {
         if self.lifecycle.is_none() {
             return;
         }
-        let Some(mut ctx) = self.timeline.take() else {
-            return;
-        };
+        let at_ns = at.as_nanos();
         let fast = burn_over(&ctx.tl, at_ns, ctx.interval_ns * BURN_FAST_TICKS);
         let slow = burn_over(&ctx.tl, at_ns, ctx.interval_ns * BURN_SLOW_TICKS);
         ctx.tl.push_gauge("slo.burn.fast", at_ns, fast);
         ctx.tl.push_gauge("slo.burn.slow", at_ns, slow);
-        let fe = ctx.fast.update(fast);
-        let se = ctx.slow.update(slow);
-        self.timeline = Some(ctx);
-        let at = SimTime::from_nanos(at_ns);
-        if let Some(entered) = fe {
-            let kind = if entered { "slo.burn" } else { "slo.burn.ok" };
-            self.obs.trace.record(at, kind, 1, (fast * 1000.0) as i64);
-        }
-        if let Some(entered) = se {
-            let kind = if entered { "slo.burn" } else { "slo.burn.ok" };
-            self.obs.trace.record(at, kind, 2, (slow * 1000.0) as i64);
+        for (edge, burn, key) in [(&mut ctx.fast, fast, 1), (&mut ctx.slow, slow, 2)] {
+            if let Some(entered) = edge.update(burn) {
+                let kind = if entered { "slo.burn" } else { "slo.burn.ok" };
+                self.obs.trace.record(at, kind, key, (burn * 1000.0) as i64);
+            }
         }
     }
 
@@ -1584,8 +1388,9 @@ impl Net {
     /// battery's raw material). Valid at *any* instant, not just after a
     /// drain: every packet ever injected by [`Net::send_ip`] is, right now,
     /// exactly one of delivered / dropped-for-a-named-cause / waiting in a
-    /// shaper or interface queue / serialized onto a wire.
-    pub fn audit(&mut self) -> NetAudit {
+    /// shaper or interface queue / serialized onto a wire. Read-only: an
+    /// audited run and an unaudited one stay bit-identical.
+    pub fn audit(&self) -> NetAudit {
         let now = self.now();
         let mut chans = Vec::with_capacity(self.chans.len());
         let mut queued_pkts = 0u64;
@@ -1614,22 +1419,18 @@ impl Net {
         }
         let mut shaper_pkts = 0u64;
         let mut bucket_violations = 0u64;
-        const EPS: f64 = 1e-6;
-        for node in &mut self.nodes {
-            for r in node.classifier.rules_mut() {
-                if let Some(tb) = &mut r.policer {
-                    let level = tb.available(now);
-                    if !(-EPS..=tb.depth_bytes() as f64 + EPS).contains(&level) {
-                        bucket_violations += 1;
-                    }
-                }
+        let mut check = |tb: &TokenBucket| {
+            const EPS: f64 = 1e-6;
+            if !(-EPS..=tb.depth_bytes() as f64 + EPS).contains(&tb.peek_available(now)) {
+                bucket_violations += 1;
             }
-            for s in &mut node.shapers {
+        };
+        for node in &self.nodes {
+            let policers = node.classifier.rules().filter_map(|r| r.policer.as_ref());
+            policers.for_each(&mut check);
+            for s in &node.shapers {
                 shaper_pkts += s.queue.len() as u64;
-                let level = s.bucket.available(now);
-                if !(-EPS..=s.bucket.depth_bytes() as f64 + EPS).contains(&level) {
-                    bucket_violations += 1;
-                }
+                check(&s.bucket);
             }
         }
         let fault_drops = self

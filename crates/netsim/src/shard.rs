@@ -526,6 +526,76 @@ mod tests {
         }
     }
 
+    /// A node-local gauge survives the per-shard registry merge: only the
+    /// copy that executes `r0` publishes its policer, so the merged bucket
+    /// level is the monolithic one — not that plus the idle, full bucket
+    /// of the foreign copy, which `Registry::merge_from` would add in.
+    #[test]
+    fn merged_shard_registries_report_a_node_local_gauge_once() {
+        use crate::classifier::{FlowSpec, PolicingAction};
+        use crate::packet::{Dscp, Proto};
+        let limit = SimTime::from_millis(250);
+        let topo = two_island_topo(SimDelta::from_millis(5));
+        let part = Partition::by_min_delay(&topo, SimDelta::from_millis(1)).unwrap();
+        // h0's 4.3 Mb/s stream against a 1 Mb/s policer on r0 (node 1).
+        let police_r0 = |net: &mut Net| {
+            net.node_mut(NodeId(1)).classifier.install(
+                FlowSpec::host_pair(NodeId(0), NodeId(2), Proto::Udp),
+                Dscp::Ef,
+                Some(crate::TokenBucket::new(1_000_000, 20_000)),
+                PolicingAction::Drop,
+            );
+        };
+
+        let mut mono = two_island_topo(SimDelta::from_millis(5)).build();
+        police_r0(&mut mono);
+        mono.set_host_timer(NodeId(0), SimTime::from_nanos(0), 2);
+        mono.set_host_timer(NodeId(2), SimTime::from_nanos(0), 0);
+        mono.run_until(&mut Count { got: 0 }, limit);
+        mono.publish_metrics();
+
+        let shards = run_partitioned(
+            &part,
+            2,
+            limit,
+            |shard| {
+                let (mut net, h) = build_cross_traffic(shard, &part);
+                police_r0(&mut net);
+                (net, h)
+            },
+            |_, mut net, _| {
+                net.publish_metrics();
+                std::mem::take(&mut net.obs.metrics)
+            },
+        );
+        let mut merged = mpichgq_obs::Registry::default();
+        for r in &shards {
+            merged.merge_from(r);
+        }
+
+        let policed = mono
+            .obs
+            .metrics
+            .counter_value("node001.rule000.policed_pkts");
+        assert!(policed > Some(0), "the policer never bit: {policed:?}");
+        assert_eq!(
+            merged.counter_value("node001.rule000.policed_pkts"),
+            policed
+        );
+        let level = mono
+            .obs
+            .metrics
+            .gauge_value("node001.rule000.bucket_level_bytes");
+        assert!(
+            level.is_some_and(|l| l < 20_000.0),
+            "bucket idle: {level:?}"
+        );
+        assert_eq!(
+            merged.gauge_value("node001.rule000.bucket_level_bytes"),
+            level
+        );
+    }
+
     /// `run_windowed` with any window width is bit-identical to a plain
     /// `run_until` on the same world.
     #[test]

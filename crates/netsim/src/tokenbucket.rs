@@ -79,17 +79,10 @@ impl TokenBucket {
         }
     }
 
-    /// Current token count in bytes (after refilling to `now`).
-    #[inline]
-    pub fn available(&mut self, now: SimTime) -> f64 {
-        self.refill(now);
-        self.tokens
-    }
-
-    /// What [`TokenBucket::available`] would return at `now`, without
-    /// committing the refill. The timeline sampler uses this: a lazy
-    /// refill in two float steps is not bit-identical to one step, so a
-    /// mid-run mutating read would perturb later conformance decisions —
+    /// Token count in bytes at `now`, without committing the refill: the
+    /// only level read there is, for snapshots, samplers and audits. A
+    /// lazy refill in two float steps is not bit-identical to one step, so
+    /// a reader that refilled would perturb later conformance decisions —
     /// a read-only projection cannot.
     #[inline]
     pub fn peek_available(&self, now: SimTime) -> f64 {
@@ -173,7 +166,7 @@ mod tests {
         let mut tb = TokenBucket::new(8_000, 500);
         assert!(tb.try_consume(t(0), 500));
         // 10 seconds would refill 10_000 bytes; capped at 500.
-        assert!((tb.available(t(10_000)) - 500.0).abs() < 1e-6);
+        assert!((tb.peek_available(t(10_000)) - 500.0).abs() < 1e-6);
     }
 
     #[test]
@@ -232,7 +225,7 @@ mod tests {
     fn reconfigure_clamps_tokens() {
         let mut tb = TokenBucket::new(8_000, 1_000);
         tb.reconfigure(t(0), 16_000, 200);
-        assert!(tb.available(t(0)) <= 200.0);
+        assert!(tb.peek_available(t(0)) <= 200.0);
         assert_eq!(tb.rate_bps(), 16_000);
     }
 
@@ -247,10 +240,10 @@ mod tests {
         let mut tb = TokenBucket::new(8_000, 500);
         assert!(tb.try_consume(t(0), 200));
         tb.reconfigure(t(100), 0, 500);
-        let residual = tb.available(t(100));
+        let residual = tb.peek_available(t(100));
         assert!(tb.try_consume(t(100), residual as u32));
         // Hours later, still empty.
-        assert!((tb.available(t(10_000_000))).abs() < 1e-6);
+        assert!((tb.peek_available(t(10_000_000))).abs() < 1e-6);
         assert!(!tb.try_consume(t(10_000_000), 1));
         assert_eq!(tb.rate_bps(), 0);
     }
@@ -276,7 +269,7 @@ mod tests {
         assert!(tb.try_consume(t(0), 500));
         // 60 s outage would nominally refill 60_000 bytes.
         let gap_end = t(60_000);
-        assert!((tb.available(gap_end) - 500.0).abs() < 1e-6);
+        assert!((tb.peek_available(gap_end) - 500.0).abs() < 1e-6);
         assert!(tb.try_consume(gap_end, 500));
         assert!(!tb.try_consume(gap_end, 1));
         // And the refill clock restarts from the gap's end, not its start.
@@ -293,7 +286,7 @@ mod tests {
         // the failed attempt leaves the level untouched.
         let mut tb2 = TokenBucket::new(8_000, 1_500);
         assert!(!tb2.try_consume(t(0), 1_501));
-        assert!((tb2.available(t(0)) - 1_500.0).abs() < 1e-6);
+        assert!((tb2.peek_available(t(0)) - 1_500.0).abs() < 1e-6);
         assert!(tb2.try_consume(t(0), 1_500));
     }
 }

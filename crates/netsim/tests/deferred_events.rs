@@ -285,7 +285,7 @@ fn cross_shard_wire_fifo_is_conserved_across_the_two_copies() {
             }
             (net, Ticker)
         },
-        |_, mut net, _| net.audit().chans,
+        |_, net, _| net.audit().chans,
     );
     // Rows of one channel in the two copies: a cross-shard channel is
     // transmitted in one and received in the other.

@@ -31,8 +31,8 @@ mod trace;
 
 pub use hist::{bucket_index, bucket_low, Histogram, NUM_BUCKETS};
 pub use json::{parse, JsonValue, JsonWriter};
-pub use metrics::{CounterId, GaugeId, HistId, Registry};
-pub use timeseries::{SeriesKind, Timeline};
+pub use metrics::{CounterId, GaugeId, HistId, MetricSink, Registry};
+pub use timeseries::{SeriesKind, Tick, Timeline};
 pub use trace::{FlightRecorder, TraceEvent};
 
 use mpichgq_sim::SimTime;

@@ -28,6 +28,18 @@ struct Gauge {
     touched: bool,
 }
 
+/// Where a metric walk writes what it reads. A component states each of
+/// its series once, against this trait, and the same walk fills an
+/// end-of-run snapshot ([`Registry`]) or one instant of a time series
+/// ([`Tick`](crate::Tick)). A sink only ever receives values, so a walk
+/// over `&self` state cannot change what it measures.
+pub trait MetricSink {
+    /// A cumulative monotone total under `name`.
+    fn counter(&mut self, name: &str, total: u64);
+    /// An instantaneous level under `name`.
+    fn gauge(&mut self, name: &str, v: f64);
+}
+
 /// Named counters and gauges for one simulation run.
 #[derive(Debug, Default)]
 pub struct Registry {
@@ -40,6 +52,15 @@ pub struct Registry {
     hist_names: Vec<String>,
     hists: Vec<Histogram>,
     hist_ids: FxHashMap<String, u32>,
+}
+
+impl MetricSink for Registry {
+    fn counter(&mut self, name: &str, total: u64) {
+        self.record_total(name, total);
+    }
+    fn gauge(&mut self, name: &str, v: f64) {
+        self.set_gauge(name, v);
+    }
 }
 
 impl Registry {

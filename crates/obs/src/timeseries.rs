@@ -18,6 +18,7 @@
 //! what makes 1-thread and N-thread runs byte-identical.
 
 use crate::json::JsonWriter;
+use crate::metrics::MetricSink;
 use mpichgq_sim::FxHashMap;
 
 /// What a series measures: a cumulative monotone count or a level.
@@ -64,6 +65,23 @@ pub struct Timeline {
     ids: FxHashMap<String, u32>,
 }
 
+/// One sampling instant of a [`Timeline`] ([`Timeline::tick`]): the
+/// [`MetricSink`] that appends whatever it is handed as that instant's
+/// sample of the named series.
+pub struct Tick<'a> {
+    tl: &'a mut Timeline,
+    t_ns: u64,
+}
+
+impl MetricSink for Tick<'_> {
+    fn counter(&mut self, name: &str, total: u64) {
+        self.tl.push_counter(name, self.t_ns, total);
+    }
+    fn gauge(&mut self, name: &str, v: f64) {
+        self.tl.push_gauge(name, self.t_ns, v);
+    }
+}
+
 impl Timeline {
     /// An empty timeline sampling every `interval_ns` nanoseconds.
     pub fn new(interval_ns: u64) -> Timeline {
@@ -82,6 +100,15 @@ impl Timeline {
     /// Number of named series recorded so far.
     pub fn series_count(&self) -> usize {
         self.series.len()
+    }
+
+    /// The sink for the sample at `t_ns`: every series written through it
+    /// gets one sample stamped `t_ns`, under the rules of
+    /// [`Timeline::push_counter`] / [`Timeline::push_gauge`] (the series
+    /// becomes sampler-owned; its time must advance, a counter must not
+    /// regress).
+    pub fn tick(&mut self, t_ns: u64) -> Tick<'_> {
+        Tick { tl: self, t_ns }
     }
 
     fn series_mut(&mut self, name: &str, kind: SeriesKind, live: bool) -> &mut Series {
@@ -420,6 +447,19 @@ mod tests {
         t.sweep_counter("swept", 1_000, 1);
         t.sweep_counter("swept", 1_000, 9); // same tick: ignored
         assert_eq!(t.last_counter("swept"), Some(1));
+    }
+
+    #[test]
+    fn tick_stamps_every_series_it_is_handed() {
+        let mut t = tl();
+        let mut tick = t.tick(1_000);
+        tick.counter("c", 3);
+        tick.gauge("g", 1.5);
+        t.tick(2_000).counter("c", 4);
+        assert_eq!(t.counter("c"), Some((&[1_000, 2_000][..], &[3, 4][..])));
+        assert_eq!(t.gauge("g"), Some((&[1_000][..], &[1.5][..])));
+        t.sweep_counter("c", 3_000, 9); // a ticked series is sampler-owned
+        assert_eq!(t.last_counter("c"), Some(4));
     }
 
     #[test]

@@ -112,12 +112,14 @@ pub fn audit_metrics_json(s: &str) -> Result<Vec<Violation>, String> {
     // The global identity, from published counters + gauges alone.
     let sent = counter(counters, "net.pkts.sent");
     let delivered = counter(counters, "net.pkts.delivered");
-    let drops = counter(counters, "net.drops.policed")
-        + counter(counters, "net.drops.queue_full")
-        + counter(counters, "net.drops.misrouted")
-        + counter(counters, "faults.drops.link_down")
-        + counter(counters, "faults.drops.loss")
-        + counter(counters, "faults.drops.corrupt");
+    // Every published drop cause is a ledger column, whatever its name —
+    // except `red_early`, the informational sub-count of `queue_full`.
+    let drops: u64 = members
+        .iter()
+        .filter(|(name, _)| name.starts_with("net.drops.") || name.starts_with("faults.drops."))
+        .filter(|(name, _)| name != "net.drops.red_early")
+        .filter_map(|(_, v)| v.as_u64())
+        .sum();
     let accounted = delivered + drops + queued + shaper + wire;
     if sent != accounted {
         out.push(Violation {

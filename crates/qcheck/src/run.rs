@@ -292,11 +292,14 @@ fn check_final(sim: &mut Sim, jobs: &[mpichgq_mpi::JobHandle], out: &mut Vec<Vio
 /// The `timeline_consistency` invariant slice: take the run's final
 /// sample, publish the registry, and require the last sample of every
 /// cumulative series to equal the end-of-run counter of the same name.
+/// The network's own series cannot disagree — the registry and the
+/// sampler are fed by one walk (`Net::walk_metrics`) — so what this
+/// guards is the rest of a tick: the registry sweep that carries the
+/// live tcp/mpi/gara/agent counters (a stale or skipped sweep, a name a
+/// sampler took over and stopped feeding) and any counter a handler
+/// probe writes.
 /// Timestamp monotonicity is enforced at push time (`Timeline` asserts
-/// strictly increasing sample times), so value agreement here closes the
-/// loop on the in-run sampler: a stale sweep, a missed explicit push, or
-/// a gating mismatch between `publish_metrics` and the sampler all
-/// surface as a named violation on ordinary fuzz seeds.
+/// strictly increasing sample times).
 fn check_timeline(sim: &mut Sim, out: &mut Vec<Violation>) {
     if !sim.net.timeline_enabled() {
         return;

@@ -11,7 +11,8 @@
 use crate::conn::{CcKind, Connection, Out, SegFlags, SegIn, SegOut, State, TcpCfg};
 use mpichgq_dsrt::ProcId;
 use mpichgq_netsim::{
-    FlowSpec, Net, NetHandler, NodeId, Packet, Proto, TcpFlags, TcpHeader, TimelineSource, L4,
+    FlowSpec, MetricSink, Net, NetHandler, NodeId, Packet, Proto, TcpFlags, TcpHeader,
+    TimelineSource, L4,
 };
 use mpichgq_sim::FxHashMap;
 use mpichgq_sim::{SimDelta, SimTime};
@@ -152,15 +153,15 @@ fn decode_token(token: u64) -> (u64, u32, u32) {
 
 /// Monomorphized sample-tick trampoline for one sampled service type:
 /// recovers `T` from the type-erased service box and forwards the tick.
-fn probe_thunk<T: Any + TimelineSource>(b: &mut dyn Any, net: &mut Net, at: SimTime) {
-    if let Some(t) = b.downcast_mut::<T>() {
-        t.timeline_sample(net, at);
+fn probe_thunk<T: Any + TimelineSource>(b: &dyn Any, at: SimTime, sink: &mut dyn MetricSink) {
+    if let Some(t) = b.downcast_ref::<T>() {
+        t.timeline_sample(at, sink);
     }
 }
 
-/// A type-erased timeline probe: downcasts its service and lets it push
+/// A type-erased timeline probe: downcasts its service and lets it write
 /// samples ([`Stack::insert_sampled_service`]).
-type ProbeFn = fn(&mut dyn Any, &mut Net, SimTime);
+type ProbeFn = fn(&dyn Any, SimTime, &mut dyn MetricSink);
 
 /// The transport + application layer for the whole simulation.
 pub struct Stack {
@@ -641,10 +642,10 @@ impl NetHandler for Stack {
         }
     }
 
-    fn timeline_sample(&mut self, net: &mut Net, at: SimTime) {
+    fn timeline_sample(&mut self, _net: &Net, at: SimTime, sink: &mut dyn MetricSink) {
         for (tid, probe) in &self.probes {
-            if let Some(b) = self.services.get_mut(tid) {
-                probe(b.as_mut(), net, at);
+            if let Some(b) = self.services.get(tid) {
+                probe(b.as_ref(), at, sink);
             }
         }
     }

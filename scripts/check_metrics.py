@@ -27,8 +27,11 @@ qcheck summary schema instead (DESIGN.md §12). Files whose top level
 carries "timeline" are validated against the fixed-interval time-series
 schema (DESIGN.md §16): delta-encoded timestamps with strictly positive
 gaps, counter columns non-negative, gauge columns one value per sample.
-Experiments marked with "timeline" in REQUIRED_BY_EXPERIMENT must also
-ship a sibling timeline.json next to their metrics.json.
+A timeline.json found next to a metrics.json must also agree with it:
+every registry counter has a series (all but the snapshot-only
+`trace.spans_dropped`) and each such series ends at the counter's value.
+Experiments marked with "timeline" in REQUIRED_BY_EXPERIMENT must ship
+that sibling.
 
 All problems in a file are collected and reported together — a missing
 section or key never aborts the remaining checks, so one run lists
@@ -415,10 +418,15 @@ def check_timeline_doc(doc, errors):
                 errors.append(f"series {name!r}: non-numeric gauge value")
 
 
-def check_sibling_timeline(path, errors):
-    """Experiments flagged "timeline" commit a timeline.json next to
-    their metrics.json; require it and validate its schema in place."""
+def check_sibling_timeline(path, metrics, errors, required):
+    """A timeline.json next to a metrics.json is validated in place:
+    its schema, and its agreement with the snapshot — the sampler and the
+    registry are fed by one walk, so every registry counter is a series
+    ending at the counter's value (all but the snapshot-only
+    `trace.spans_dropped`). Experiments flagged "timeline" must ship one."""
     sibling = os.path.join(os.path.dirname(os.path.abspath(path)), "timeline.json")
+    if not required and not os.path.exists(sibling):
+        return
     try:
         with open(sibling) as f:
             doc = json.load(f)
@@ -427,6 +435,20 @@ def check_sibling_timeline(path, errors):
         return
     sub = []
     check_timeline_doc(doc, sub)
+    if not sub:
+        series = doc["series"]
+        for name, total in metrics.get("counters", {}).items():
+            s = series.get(name)
+            if s is None:
+                if name != "trace.spans_dropped":
+                    sub.append(f"registry counter {name!r} has no series")
+            elif s["kind"] == "counter":
+                last = s["v0"] + sum(s["dv"])
+                if last != total:
+                    sub.append(
+                        f"series {name!r} ends at {last}, "
+                        f"the registry counter says {total}"
+                    )
     errors.extend(f"timeline.json: {e}" for e in sub)
 
 
@@ -457,8 +479,7 @@ def check(path):
     check_histograms(doc, errors, traced, extra.get("ef_traffic", False),
                      extra.get("hists", []), exp)
     check_slo(doc, errors, traced)
-    if extra.get("timeline", False):
-        check_sibling_timeline(path, errors)
+    check_sibling_timeline(path, doc, errors, extra.get("timeline", False))
     return errors, doc
 
 

@@ -11,7 +11,10 @@
 use mpichgq::qcheck::{
     audit_metrics_json, parse_repro, replay, repro_json, run_spec, shrink, Inject, ScenarioSpec,
 };
-use mpichgq_bench::{chaos_run, fig1_tcp_sawtooth_run, fig7_seq_trace_run, ChaosCfg, Fig1Cfg};
+use mpichgq_bench::{
+    chaos_ranks_run, chaos_run, fig1_tcp_sawtooth_run, fig7_seq_trace_run, ChaosCfg, ChaosRanksCfg,
+    Fig1Cfg,
+};
 use mpichgq_sim::SimTime;
 
 fn fig1_cfg() -> Fig1Cfg {
@@ -40,6 +43,30 @@ fn chaos_snapshot_satisfies_the_conservation_battery() {
     let (_, m, _) = chaos_run(ChaosCfg::fast(), 2048);
     let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
     assert!(viols.is_empty(), "chaos snapshot violations: {viols:?}");
+}
+
+#[test]
+fn chaos_ranks_snapshot_satisfies_the_conservation_battery() {
+    let (m, _) = chaos_ranks_run(ChaosRanksCfg::fast(), 2048);
+    let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
+    assert!(
+        viols.is_empty(),
+        "chaos_ranks snapshot violations: {viols:?}"
+    );
+}
+
+/// The same audit, after the fact, on the full-resolution snapshot the
+/// repo ships — whose crashes (unlike the fast schedule's) purge packets
+/// into `faults.drops.host_down`, the cause a hand-kept list once missed.
+#[test]
+fn committed_chaos_ranks_snapshot_satisfies_the_conservation_battery() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/results/chaos_ranks/metrics.json"
+    );
+    let doc = std::fs::read_to_string(path).expect("committed snapshot is readable");
+    let viols = audit_metrics_json(&doc).expect("snapshot parses");
+    assert!(viols.is_empty(), "committed snapshot violations: {viols:?}");
 }
 
 /// The pinned fuzz corpus: these seeds ran clean when the suite was
