@@ -466,8 +466,14 @@ impl PacketTracer {
         w.key("traceEvents");
         w.begin_array();
         // Process-name metadata first: channels, then flows.
+        let mut used = vec![false; chans.len()];
+        for s in &self.spans {
+            if let Some(u) = used.get_mut(s.chan as usize) {
+                *u = true; // `NO_CHAN` falls outside
+            }
+        }
         for (i, c) in chans.iter().enumerate() {
-            if self.spans.iter().all(|s| s.chan != i as u32) {
+            if !used[i] {
                 continue; // idle channel: keep the trace small
             }
             write_process_name(
@@ -686,5 +692,59 @@ mod tests {
         }
         assert_eq!(t.spans().len(), 2);
         assert_eq!(t.spans_dropped(), 3);
+    }
+
+    #[test]
+    fn chrome_trace_names_only_channels_that_carry_spans() {
+        // h0 -- r -- h1: four channels; the packet crosses 0 (h0->r) and
+        // 2 (r->h1), the reverse directions stay idle and unnamed.
+        let cfg = crate::link::LinkCfg::fast_ethernet(mpichgq_sim::SimDelta::from_millis(1));
+        let chans: Vec<Chan> = [(0, 1), (1, 0), (1, 2), (2, 1)]
+            .into_iter()
+            .map(|(from, to)| Chan {
+                from: NodeId(from),
+                to: NodeId(to),
+                cfg,
+                edge_ingress: false,
+                tx_packets: 0,
+                tx_bytes_wire: 0,
+                rx_packets: 0,
+                purged: 0,
+            })
+            .collect();
+        let names = ["h0", "r", "h1"].map(String::from);
+        let mut t = PacketTracer::new(64);
+        let mut fr = FlightRecorder::default();
+        let p = probe(1000);
+        t.on_send(p.born, &p);
+        t.on_tx_start(SimTime::from_millis(1), &p, ChanId(0), 8_000, 1_000_000);
+        t.on_tx_start(SimTime::from_millis(3), &p, ChanId(2), 8_000, 1_000_000);
+        t.on_delivered(SimTime::from_millis(5), &p, &mut fr);
+        let mut w = JsonWriter::new();
+        t.write_chrome_trace(&mut w, &chans, &names);
+        let doc = mpichgq_obs::parse(&w.finish()).expect("trace parses");
+        let processes: Vec<(u64, String)> = doc
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("traceEvents array")
+            .iter()
+            .filter(|e| e.get("name").and_then(|n| n.as_str()) == Some("process_name"))
+            .map(|e| {
+                let name = e.get("args").and_then(|a| a.get("name"));
+                (
+                    e.get("pid").and_then(|p| p.as_u64()).expect("pid"),
+                    name.and_then(|n| n.as_str()).expect("name").to_owned(),
+                )
+            })
+            .collect();
+        let flow = format!("flow {}", t.flows()[0].name);
+        assert_eq!(
+            processes,
+            [
+                (1, "chan0 h0->r".to_owned()),
+                (3, "chan2 r->h1".to_owned()),
+                (5, flow),
+            ]
+        );
     }
 }

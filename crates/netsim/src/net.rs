@@ -246,9 +246,9 @@ impl NetAudit {
 
 /// Hop-count shortest-path next hops, flattened to one contiguous
 /// row-major table: `next_hop[from * n + to]` is the outgoing channel
-/// index, or [`RouteTable::NONE`]. One multiply-add and one load per
-/// per-packet route lookup, no pointer chasing, no `Option` overhead in
-/// the stored representation.
+/// index, or [`RouteTable::NONE`]. One range compare, one multiply-add and
+/// one load per per-packet route lookup, no pointer chasing, no `Option`
+/// overhead in the stored representation.
 pub(crate) struct RouteTable {
     n: usize,
     next_hop: Vec<u32>,
@@ -271,12 +271,12 @@ impl RouteTable {
 
     #[inline]
     fn get(&self, from: NodeId, to: NodeId) -> Option<ChanId> {
-        let raw = self.next_hop[from.0 as usize * self.n + to.0 as usize];
-        if raw == Self::NONE {
-            None
-        } else {
-            Some(ChanId(raw))
+        let (from, to) = (from.0 as usize, to.0 as usize);
+        if from.max(to) >= self.n {
+            return None; // a bad `to` would otherwise alias into the next row
         }
+        let raw = self.next_hop[from * self.n + to];
+        (raw != Self::NONE).then_some(ChanId(raw))
     }
 }
 
@@ -2122,27 +2122,55 @@ impl TopoBuilder {
             .map(|c| (c.from.0 as usize, c.to.0 as usize, c.cfg.delay))
     }
 
-    /// Compute hop-count shortest-path routes and freeze the topology.
+    /// Compute hop-count shortest-path routes and freeze the topology: one
+    /// reverse BFS per destination, O(n·(n+E)). A node's next hop is its
+    /// first discovery, and a popped node's incoming channels are visited in
+    /// ascending channel index — that tie-break is a contract (DESIGN.md §7).
     pub fn build(self) -> Net {
         let n = self.nodes.len();
+        // Counting sort of channel indices by `to`: node v's incoming
+        // channels are `incoming[start[v]..start[v + 1]]`, ascending.
+        let mut start = vec![0usize; n + 1];
+        for c in &self.chans {
+            start[c.to.0 as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut incoming = vec![u32::MAX; self.chans.len()];
+        for (ci, c) in self.chans.iter().enumerate() {
+            let slot = &mut next[c.to.0 as usize];
+            incoming[*slot] = ci as u32;
+            *slot += 1;
+        }
+        debug_assert!(
+            {
+                let mut seen = vec![false; incoming.len()];
+                incoming
+                    .iter()
+                    .all(|&ci| !std::mem::replace(&mut seen[ci as usize], true))
+            },
+            "a channel is missing from the incoming index, so from routing"
+        );
         let mut routes = RouteTable::new(n);
-        // BFS from every destination, walking reverse edges.
+        let mut dist = vec![u32::MAX; n];
+        let mut frontier: Vec<u32> = Vec::with_capacity(n);
         for dst in 0..n {
-            let mut dist = vec![u32::MAX; n];
+            dist.fill(u32::MAX);
             dist[dst] = 0;
-            let mut frontier = std::collections::VecDeque::new();
-            frontier.push_back(dst);
-            while let Some(cur) = frontier.pop_front() {
-                // All channels arriving at `cur` come from predecessors.
-                for (ci, c) in self.chans.iter().enumerate() {
-                    if c.to.0 as usize != cur {
-                        continue;
-                    }
-                    let pred = c.from.0 as usize;
+            frontier.clear();
+            frontier.push(dst as u32);
+            let mut head = 0;
+            while let Some(&cur) = frontier.get(head) {
+                head += 1;
+                let cur = cur as usize;
+                for &ci in &incoming[start[cur]..start[cur + 1]] {
+                    let pred = self.chans[ci as usize].from.0 as usize;
                     if dist[pred] == u32::MAX {
                         dist[pred] = dist[cur] + 1;
-                        routes.set(pred, dst, ChanId(ci as u32));
-                        frontier.push_back(pred);
+                        routes.set(pred, dst, ChanId(ci));
+                        frontier.push(pred as u32);
                     }
                 }
             }
@@ -2268,6 +2296,30 @@ mod tests {
         assert!(h.got.is_empty());
         assert_eq!(net.drops.misrouted, 1);
         assert!(net.path_delay(h1, h3).is_none());
+    }
+
+    #[test]
+    fn out_of_range_node_ids_have_no_route() {
+        // h1 -- r -- h2: n = 3. Before the range check `route(h1, NodeId(3))`
+        // read row 1, column 0 — the r→h1 channel — and a bad `from` panicked.
+        let (mut net, h1, h2) = line_topology();
+        let n = net.node_count() as u32;
+        for bad in [NodeId(n), NodeId(n + 1), NodeId(u32::MAX)] {
+            for good in [h1, NodeId(1), h2] {
+                assert_eq!(net.route(good, bad), None, "{good:?} -> {bad:?}");
+                assert_eq!(net.route(bad, good), None, "{bad:?} -> {good:?}");
+                assert!(net.path_delay(good, bad).is_none());
+                assert!(net.path_delay(bad, good).is_none());
+                assert!(net.path_chans(good, bad).is_none());
+                assert!(net.path_chans(bad, good).is_none());
+            }
+        }
+        let mut h = Collect::new();
+        net.send_ip(udp(h1, NodeId(n + 1), 100));
+        net.run_to_quiescence(&mut h);
+        assert!(h.got.is_empty());
+        assert_eq!(net.drops.misrouted, 1);
+        assert!(net.audit().conserved());
     }
 
     #[test]

@@ -111,6 +111,11 @@ impl SimDelta {
     #[inline]
     pub fn transmission(bytes: u64, bits_per_sec: u64) -> SimDelta {
         assert!(bits_per_sec > 0, "zero bandwidth");
+        // Every packet fits the u64 path (it overflows only past 2.3 GB);
+        // the u128 division is a library call, the u64 one an instruction.
+        if let Some(bit_ns) = bytes.checked_mul(8 * NANOS_PER_SEC) {
+            return SimDelta(bit_ns.div_ceil(bits_per_sec));
+        }
         let bits = bytes as u128 * 8;
         let ns = (bits * NANOS_PER_SEC as u128).div_ceil(bits_per_sec as u128);
         SimDelta(ns as u64)
@@ -229,6 +234,41 @@ mod tests {
         assert_eq!(SimDelta::transmission(1, 1_000_000_000).as_nanos(), 8);
         // 1 byte at 3 Gb/s = 2.67 ns -> 3 ns.
         assert_eq!(SimDelta::transmission(1, 3_000_000_000).as_nanos(), 3);
+    }
+
+    #[test]
+    fn transmission_u64_path_matches_u128_formula() {
+        // Both sides of the `bytes * 8e9` overflow boundary (2 305 843 009).
+        let sizes = [
+            1,
+            40,
+            53,
+            1_500,
+            65_535,
+            1 << 31,
+            2_305_843_008,
+            2_305_843_009,
+            2_305_843_010,
+            u64::MAX / 8,
+        ];
+        let rates = [
+            1,
+            12_000,
+            155_520_000,
+            622_080_000,
+            10_000_000_000,
+            u64::MAX,
+        ];
+        for bytes in sizes {
+            for bps in rates {
+                let wide = (bytes as u128 * 8 * NANOS_PER_SEC as u128).div_ceil(bps as u128);
+                assert_eq!(
+                    SimDelta::transmission(bytes, bps).as_nanos(),
+                    wide as u64,
+                    "{bytes} B at {bps} b/s"
+                );
+            }
+        }
     }
 
     #[test]
