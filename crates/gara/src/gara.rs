@@ -21,10 +21,10 @@ use mpichgq_netsim::{
     depth_for, ChanId, CounterId, DepthRule, Dscp, FlowSpec, MetricSink, Net, NodeId, NodeKind,
     PolicingAction, Proto, TimelineSource, TokenBucket,
 };
-use mpichgq_sim::{SimDelta, SimTime};
+use mpichgq_sim::{FxHashMap, SimDelta, SimTime};
 use mpichgq_tcp::{control_token, Controller, ControllerId, Stack};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Reservation handle ("an opaque object ... that allows the calling
 /// program to modify, cancel, and monitor the reservation", §4.2).
@@ -250,14 +250,14 @@ const CPU_CAPACITY: u64 = (mpichgq_dsrt::MAX_RESERVABLE * CPU_UNITS) as u64;
 
 /// The GARA system (one per simulation; installed as a `Stack` service).
 pub struct Gara {
-    resvs: HashMap<u64, Resv>,
+    resvs: FxHashMap<u64, Resv>,
     next_id: u64,
     /// Managed (bandwidth-brokered) channels: EF slot tables in bits/s.
-    links: HashMap<ChanId, SlotTable>,
+    links: FxHashMap<ChanId, SlotTable>,
     /// Per-host CPU slot tables in milli-fraction units.
-    cpus: HashMap<NodeId, SlotTable>,
+    cpus: FxHashMap<NodeId, SlotTable>,
     /// Storage servers: bandwidth tables in bytes/s.
-    storage: HashMap<String, SlotTable>,
+    storage: FxHashMap<String, SlotTable>,
     events: Vec<(ResvId, Status)>,
     /// Min-heap of `(deadline, reservation)` — every pending activation
     /// and finite active expiry, possibly stale (cancelled/revoked
@@ -280,11 +280,11 @@ pub struct Gara {
 impl Gara {
     pub fn new() -> Gara {
         Gara {
-            resvs: HashMap::new(),
+            resvs: FxHashMap::default(),
             next_id: 0,
-            links: HashMap::new(),
-            cpus: HashMap::new(),
-            storage: HashMap::new(),
+            links: FxHashMap::default(),
+            cpus: FxHashMap::default(),
+            storage: FxHashMap::default(),
             events: Vec::new(),
             deadlines: BinaryHeap::new(),
             listeners: Vec::new(),

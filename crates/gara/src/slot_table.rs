@@ -42,8 +42,7 @@
 //! that are repeatedly extended do not grow the boundary set without
 //! bound.
 
-use mpichgq_sim::SimTime;
-use std::collections::HashMap;
+use mpichgq_sim::{FxHashMap, SimTime};
 
 /// Identifies an allocation within one table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -278,7 +277,7 @@ enum Up {
 #[derive(Debug, Clone)]
 pub struct SlotTable {
     capacity: u64,
-    slots: HashMap<u64, Slot>,
+    slots: FxHashMap<u64, Slot>,
     next_id: u64,
     leaves: Arena<Leaf>,
     inners: Arena<Inner>,
@@ -297,7 +296,7 @@ impl SlotTable {
     pub fn new(capacity: u64) -> Self {
         SlotTable {
             capacity,
-            slots: HashMap::new(),
+            slots: FxHashMap::default(),
             next_id: 0,
             leaves: Arena::NEW,
             inners: Arena::NEW,

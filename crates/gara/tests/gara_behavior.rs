@@ -6,7 +6,7 @@ use mpichgq_gara::{
     install, CpuRequest, Gara, NetworkRequest, Request, ReserveError, StartSpec, Status,
     StorageRequest,
 };
-use mpichgq_netsim::{topology::Dumbbell, DepthRule, NodeId, PolicingAction, Proto};
+use mpichgq_netsim::{topology::Dumbbell, ChanId, DepthRule, NodeId, PolicingAction, Proto};
 use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::{App, Ctx, Sim, SockId};
 use std::cell::RefCell;
@@ -719,4 +719,24 @@ fn empty_interval_is_refused_not_a_panic() {
             .unwrap();
         assert_eq!(count(net, "gara.reservations_granted"), Some(1));
     });
+}
+
+#[test]
+fn identical_brokers_list_their_links_in_the_same_order() {
+    // `slot_tables()` exposes the link map's iteration order. Under std's
+    // per-instance `RandomState` two maps holding the same 12 keys almost
+    // never agree on it (this failed on every run before the maps moved to
+    // the deterministic FxHash), so one process could not replay itself.
+    let build = || {
+        let mut g = Gara::new();
+        for i in 0..12u32 {
+            g.manage_chan(ChanId(i * 7 % 12), 1_000_000 * (i as u64 + 1));
+        }
+        g.set_chan_capacity(ChanId(3), 5);
+        g
+    };
+    let order = |g: &Gara| g.slot_tables().map(|(c, _)| c).collect::<Vec<_>>();
+    let (a, b) = (build(), build());
+    assert_eq!(order(&a).len(), 12);
+    assert_eq!(order(&a), order(&b));
 }

@@ -41,7 +41,7 @@ pub use link::{Chan, ChanId, Framing, LinkCfg};
 /// The handle [`Net::obs`]'s registry hands out and the sink timeline
 /// probes write to, for layers that use them without depending on the obs
 /// crate.
-pub use mpichgq_obs::{CounterId, MetricSink};
+pub use mpichgq_obs::{CounterId, MetricSink, Scope};
 pub use net::{
     ChanAudit, DropStats, Net, NetAudit, NetHandler, Node, NodeKind, TimelineSource, TopoBuilder,
 };

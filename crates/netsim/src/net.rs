@@ -18,7 +18,7 @@ use crate::queue::{Enqueue, Queue, QueueCfg, QueueStats};
 use crate::shaper::{ShapeOutcome, Shaper};
 use crate::tokenbucket::TokenBucket;
 use mpichgq_dsrt::{AdmissionError, CompleteOutcome, Cpu, ProcId, Update, WorkId};
-use mpichgq_obs::{CounterId, JsonWriter, MetricSink, Obs, Tick, Timeline};
+use mpichgq_obs::{CounterId, JsonWriter, MetricSink, Obs, Scope, Tick, Timeline};
 use mpichgq_sim::{fnv1a, Engine, Recorder, SchedulerKind, SimDelta, SimRng, SimTime};
 use std::collections::VecDeque;
 
@@ -296,11 +296,21 @@ impl NetCounters {
     }
 }
 
+/// `iface*.early_af{precedence}`, one leaf per AF drop precedence.
+const EARLY_AF: [&str; 3] = ["early_af0", "early_af1", "early_af2"];
+
 /// A counter of machinery that may never have run (AF, AQM): no key until
 /// it did, so snapshots of runs that predate it stay byte-identical.
-fn gated_counter<S: MetricSink>(sink: &mut S, name: std::fmt::Arguments<'_>, total: u64) {
+fn gated_counter<S: MetricSink>(sink: &mut S, name: &str, total: u64) {
     if total > 0 {
-        sink.counter(&name.to_string(), total);
+        sink.counter(name, total);
+    }
+}
+
+/// [`gated_counter`] for a series of an indexed scope.
+fn gated_counter_in<S: MetricSink>(sink: &mut S, scope: Scope, leaf: &'static str, total: u64) {
+    if total > 0 {
+        sink.counter_in(scope, leaf, total);
     }
 }
 
@@ -679,6 +689,7 @@ impl Net {
     /// serialization) — what the QoS agent uses for `bandwidth × delay`
     /// bucket sizing.
     pub fn path_delay(&self, a: NodeId, b: NodeId) -> Option<mpichgq_sim::SimDelta> {
+        self.nodes.get(a.0.max(b.0) as usize)?; // no such node (`a == b` asks no route)
         let mut cur = a;
         let mut total = mpichgq_sim::SimDelta::ZERO;
         let mut hops = 0;
@@ -697,6 +708,7 @@ impl Net {
 
     /// The ordered list of channels a packet from `a` to `b` traverses.
     pub fn path_chans(&self, a: NodeId, b: NodeId) -> Option<Vec<ChanId>> {
+        self.nodes.get(a.0.max(b.0) as usize)?; // as in `path_delay`
         let mut cur = a;
         let mut out = Vec::new();
         while cur != b {
@@ -1090,11 +1102,7 @@ impl Net {
         sink.counter("net.drops.policed", self.drops.policed);
         sink.counter("net.drops.queue_full", self.drops.queue_full);
         sink.counter("net.drops.misrouted", self.drops.misrouted);
-        gated_counter(
-            sink,
-            format_args!("net.drops.red_early"),
-            self.drops.red_early,
-        );
+        gated_counter(sink, "net.drops.red_early", self.drops.red_early);
         if let Some(f) = &self.faults {
             sink.counter("faults.drops.link_down", f.stats.drops_link_down);
             sink.counter("faults.drops.loss", f.stats.drops_loss);
@@ -1118,51 +1126,43 @@ impl Net {
             early[2] += st.early_be;
             sched_violations += st.sched_violations;
             let c = &self.chans[i];
-            let p = format!("iface{i:03}");
-            sink.counter(&format!("{p}.enq_ef"), st.enq_ef);
-            sink.counter(&format!("{p}.enq_be"), st.enq_be);
-            sink.counter(&format!("{p}.drop_ef"), st.drop_ef);
-            sink.counter(&format!("{p}.drop_be"), st.drop_be);
-            sink.counter(&format!("{p}.dequeued"), st.dequeued);
-            sink.counter(&format!("{p}.bytes_dequeued"), st.bytes_dequeued);
-            sink.counter(&format!("{p}.tx_packets"), c.tx_packets);
-            sink.counter(&format!("{p}.tx_bytes_wire"), c.tx_bytes_wire);
-            sink.counter(&format!("{p}.rx_packets"), c.rx_packets);
-            sink.counter(&format!("{p}.prio_inversions"), st.prio_inversions);
-            sink.gauge(&format!("{p}.hw_ef_bytes"), st.hw_ef_bytes as f64);
-            sink.gauge(&format!("{p}.hw_be_bytes"), st.hw_be_bytes as f64);
-            sink.gauge(&format!("{p}.backlog_bytes"), q.backlog_bytes() as f64);
-            sink.gauge(&format!("{p}.backlog_pkts"), q.len() as f64);
-            gated_counter(sink, format_args!("{p}.enq_af"), st.enq_af);
-            gated_counter(sink, format_args!("{p}.drop_af"), st.drop_af);
+            let p = Scope::new("iface", i as u64);
+            sink.counter_in(p, "enq_ef", st.enq_ef);
+            sink.counter_in(p, "enq_be", st.enq_be);
+            sink.counter_in(p, "drop_ef", st.drop_ef);
+            sink.counter_in(p, "drop_be", st.drop_be);
+            sink.counter_in(p, "dequeued", st.dequeued);
+            sink.counter_in(p, "bytes_dequeued", st.bytes_dequeued);
+            sink.counter_in(p, "tx_packets", c.tx_packets);
+            sink.counter_in(p, "tx_bytes_wire", c.tx_bytes_wire);
+            sink.counter_in(p, "rx_packets", c.rx_packets);
+            sink.counter_in(p, "prio_inversions", st.prio_inversions);
+            sink.gauge_in(p, "hw_ef_bytes", st.hw_ef_bytes as f64);
+            sink.gauge_in(p, "hw_be_bytes", st.hw_be_bytes as f64);
+            sink.gauge_in(p, "backlog_bytes", q.backlog_bytes() as f64);
+            sink.gauge_in(p, "backlog_pkts", q.len() as f64);
+            gated_counter_in(sink, p, "enq_af", st.enq_af);
+            gated_counter_in(sink, p, "drop_af", st.drop_af);
             if st.hw_af_bytes > 0 {
-                sink.gauge(&format!("{p}.hw_af_bytes"), st.hw_af_bytes as f64);
+                sink.gauge_in(p, "hw_af_bytes", st.hw_af_bytes as f64);
             }
-            gated_counter(sink, format_args!("{p}.early_ef"), st.early_ef);
-            gated_counter(sink, format_args!("{p}.early_be"), st.early_be);
-            for (prec, &n) in st.early_af.iter().enumerate() {
-                gated_counter(sink, format_args!("{p}.early_af{prec}"), n);
+            gated_counter_in(sink, p, "early_ef", st.early_ef);
+            gated_counter_in(sink, p, "early_be", st.early_be);
+            for (leaf, &n) in EARLY_AF.iter().zip(&st.early_af) {
+                gated_counter_in(sink, p, leaf, n);
             }
-            gated_counter(
-                sink,
-                format_args!("{p}.sched_violations"),
-                st.sched_violations,
-            );
+            gated_counter_in(sink, p, "sched_violations", st.sched_violations);
         }
-        gated_counter(sink, format_args!("qdisc.early_drops.ef"), early[0]);
-        gated_counter(sink, format_args!("qdisc.early_drops.af"), early[1]);
-        gated_counter(sink, format_args!("qdisc.early_drops.be"), early[2]);
-        gated_counter(
-            sink,
-            format_args!("qdisc.sched_violations"),
-            sched_violations,
-        );
+        gated_counter(sink, "qdisc.early_drops.ef", early[0]);
+        gated_counter(sink, "qdisc.early_drops.af", early[1]);
+        gated_counter(sink, "qdisc.early_drops.be", early[2]);
+        gated_counter(sink, "qdisc.sched_violations", sched_violations);
 
         // A token bucket's fill projected to `at`, never committed: a
         // refill split in two float steps is not bit-identical to one, so a
         // reader that refilled would move later conformance decisions.
-        let bucket_level = |sink: &mut S, p: &str, tb: &TokenBucket| {
-            sink.gauge(&format!("{p}.bucket_level_bytes"), tb.peek_available(at));
+        let bucket_level = |sink: &mut S, p: Scope, tb: &TokenBucket| {
+            sink.gauge_in(p, "bucket_level_bytes", tb.peek_available(at));
         };
         let shard = self.shard.as_deref();
         for (n, node) in self.nodes.iter().enumerate() {
@@ -1172,33 +1172,33 @@ impl Net {
             if shard.is_some_and(|sc| sc.shard_of[n] != sc.shard) {
                 continue;
             }
+            let node_scope = Scope::new("node", n as u64);
             let cs = node.classifier.stats();
             if cs.marked_ef + cs.demoted + cs.marked_af + cs.remarked > 0 {
-                let p = format!("node{n:03}");
-                sink.counter(&format!("{p}.marked_ef"), cs.marked_ef);
-                sink.counter(&format!("{p}.demoted"), cs.demoted);
-                gated_counter(sink, format_args!("{p}.marked_af"), cs.marked_af);
-                gated_counter(sink, format_args!("{p}.remarked"), cs.remarked);
+                sink.counter_in(node_scope, "marked_ef", cs.marked_ef);
+                sink.counter_in(node_scope, "demoted", cs.demoted);
+                gated_counter_in(sink, node_scope, "marked_af", cs.marked_af);
+                gated_counter_in(sink, node_scope, "remarked", cs.remarked);
             }
             for r in node.classifier.rules() {
-                let p = format!("node{n:03}.rule{:03}", r.id);
-                sink.counter(&format!("{p}.conformant_pkts"), r.stats.conformant_pkts);
-                sink.counter(&format!("{p}.conformant_bytes"), r.stats.conformant_bytes);
-                sink.counter(&format!("{p}.policed_pkts"), r.stats.policed_pkts);
-                sink.counter(&format!("{p}.policed_bytes"), r.stats.policed_bytes);
+                let p = node_scope.sub("rule", r.id);
+                sink.counter_in(p, "conformant_pkts", r.stats.conformant_pkts);
+                sink.counter_in(p, "conformant_bytes", r.stats.conformant_bytes);
+                sink.counter_in(p, "policed_pkts", r.stats.policed_pkts);
+                sink.counter_in(p, "policed_bytes", r.stats.policed_bytes);
                 if let Some(tb) = &r.policer {
-                    bucket_level(sink, &p, tb);
+                    bucket_level(sink, p, tb);
                 }
             }
             for s in &node.shapers {
-                let p = format!("node{n:03}.shaper{:03}", s.id);
-                sink.counter(&format!("{p}.passed"), s.stats.passed);
-                sink.counter(&format!("{p}.delayed"), s.stats.delayed);
-                sink.gauge(&format!("{p}.backlog_bytes"), s.backlog_bytes() as f64);
-                sink.gauge(&format!("{p}.backlog_pkts"), s.queue.len() as f64);
+                let p = node_scope.sub("shaper", s.id);
+                sink.counter_in(p, "passed", s.stats.passed);
+                sink.counter_in(p, "delayed", s.stats.delayed);
+                sink.gauge_in(p, "backlog_bytes", s.backlog_bytes() as f64);
+                sink.gauge_in(p, "backlog_pkts", s.queue.len() as f64);
                 let max_backlog = s.stats.max_backlog_bytes as f64;
-                sink.gauge(&format!("{p}.max_backlog_bytes"), max_backlog);
-                bucket_level(sink, &p, &s.bucket);
+                sink.gauge_in(p, "max_backlog_bytes", max_backlog);
+                bucket_level(sink, p, &s.bucket);
             }
         }
 
@@ -1354,10 +1354,10 @@ impl Net {
     fn sample_core(&self, at: SimTime, tick: &mut Tick<'_>) {
         self.walk_metrics(at, tick);
         for (i, q, _) in self.active_ifaces() {
-            let (p, cb) = (format!("iface{i:03}"), q.class_backlog_bytes());
-            tick.gauge(&format!("{p}.backlog_ef_bytes"), cb[0] as f64);
-            tick.gauge(&format!("{p}.backlog_af_bytes"), cb[1] as f64);
-            tick.gauge(&format!("{p}.backlog_be_bytes"), cb[2] as f64);
+            let (p, cb) = (Scope::new("iface", i as u64), q.class_backlog_bytes());
+            tick.gauge_in(p, "backlog_ef_bytes", cb[0] as f64);
+            tick.gauge_in(p, "backlog_af_bytes", cb[1] as f64);
+            tick.gauge_in(p, "backlog_be_bytes", cb[2] as f64);
         }
     }
 
@@ -2313,7 +2313,13 @@ mod tests {
                 assert!(net.path_chans(good, bad).is_none());
                 assert!(net.path_chans(bad, good).is_none());
             }
+            // A node that does not exist is no distance from itself either
+            // (the walk below the range check never runs when `a == b`).
+            assert!(net.path_delay(bad, bad).is_none(), "{bad:?}");
+            assert!(net.path_chans(bad, bad).is_none(), "{bad:?}");
         }
+        assert_eq!(net.path_delay(h1, h1), Some(SimDelta::ZERO));
+        assert_eq!(net.path_chans(h1, h1), Some(vec![]));
         let mut h = Collect::new();
         net.send_ip(udp(h1, NodeId(n + 1), 100));
         net.run_to_quiescence(&mut h);

@@ -31,7 +31,7 @@ mod trace;
 
 pub use hist::{bucket_index, bucket_low, Histogram, NUM_BUCKETS};
 pub use json::{parse, JsonValue, JsonWriter};
-pub use metrics::{CounterId, GaugeId, HistId, MetricSink, Registry};
+pub use metrics::{CounterId, GaugeId, HistId, MetricSink, Registry, Scope};
 pub use timeseries::{SeriesKind, Tick, Timeline};
 pub use trace::{FlightRecorder, TraceEvent};
 

@@ -38,6 +38,48 @@ pub trait MetricSink {
     fn counter(&mut self, name: &str, total: u64);
     /// An instantaneous level under `name`.
     fn gauge(&mut self, name: &str, v: f64);
+    /// [`MetricSink::counter`] under the name `"{scope}.{leaf}"`, in parts
+    /// so that a sink can find the series without building the name.
+    fn counter_in(&mut self, scope: Scope, leaf: &'static str, total: u64) {
+        self.counter(&format!("{scope}.{leaf}"), total);
+    }
+    /// [`MetricSink::gauge`] under the name `"{scope}.{leaf}"`.
+    fn gauge_in(&mut self, scope: Scope, leaf: &'static str, v: f64) {
+        self.gauge(&format!("{scope}.{leaf}"), v);
+    }
+}
+
+/// The indexed prefix of a series name, which is what its `Display` prints:
+/// `iface007`, with a `sub` `node003.rule002` (`{:03}`: wider indices in full).
+#[derive(Debug, Clone, Copy)]
+pub struct Scope {
+    pub kind: &'static str,
+    pub index: u64,
+    pub sub: Option<(&'static str, u64)>,
+}
+
+impl Scope {
+    /// `{kind}{index:03}`.
+    pub const fn new(kind: &'static str, index: u64) -> Scope {
+        let sub = None;
+        Scope { kind, index, sub }
+    }
+
+    /// This scope with `.{kind}{index:03}` below it.
+    pub const fn sub(mut self, kind: &'static str, index: u64) -> Scope {
+        self.sub = Some((kind, index));
+        self
+    }
+}
+
+impl std::fmt::Display for Scope {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}{:03}", self.kind, self.index)?;
+        match self.sub {
+            Some((kind, index)) => write!(f, ".{kind}{index:03}"),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Named counters and gauges for one simulation run.

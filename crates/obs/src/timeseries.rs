@@ -18,8 +18,9 @@
 //! what makes 1-thread and N-thread runs byte-identical.
 
 use crate::json::JsonWriter;
-use crate::metrics::MetricSink;
+use crate::metrics::{MetricSink, Scope};
 use mpichgq_sim::FxHashMap;
+use std::hash::{Hash, Hasher};
 
 /// What a series measures: a cumulative monotone count or a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +64,42 @@ pub struct Timeline {
     names: Vec<String>,
     series: Vec<Series>,
     ids: FxHashMap<String, u32>,
+    /// Series a [`Tick`] was handed in parts, found again without a name.
+    by_parts: FxHashMap<Parts, u32>,
+}
+
+/// A [`Scope`] and leaf by identity. `'static` text never changes, so equal
+/// address and length is equal text, and a key of integers hashes in a few
+/// multiplies where the name would be formatted and hashed byte by byte.
+/// Equal text at two addresses is two keys, resolved by name to one series.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Parts {
+    kind: (usize, usize),
+    index: u64,
+    sub: Option<((usize, usize), u64)>,
+    leaf: (usize, usize),
+}
+
+impl Parts {
+    fn new(scope: Scope, leaf: &'static str) -> Parts {
+        let ident = |s: &'static str| (s.as_ptr() as usize, s.len());
+        Parts {
+            kind: ident(scope.kind),
+            index: scope.index,
+            sub: scope.sub.map(|(kind, index)| (ident(kind), index)),
+            leaf: ident(leaf),
+        }
+    }
+}
+
+impl Hash for Parts {
+    /// Addresses and indices spread the keys; `eq` compares the rest too.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_usize(self.kind.0);
+        h.write_u64(self.index);
+        h.write_u64(self.sub.map_or(u64::MAX, |(_, index)| index));
+        h.write_usize(self.leaf.0);
+    }
 }
 
 /// One sampling instant of a [`Timeline`] ([`Timeline::tick`]): the
@@ -79,6 +116,14 @@ impl MetricSink for Tick<'_> {
     }
     fn gauge(&mut self, name: &str, v: f64) {
         self.tl.push_gauge(name, self.t_ns, v);
+    }
+    fn counter_in(&mut self, scope: Scope, leaf: &'static str, total: u64) {
+        let idx = self.tl.index_in(scope, leaf, SeriesKind::Counter);
+        self.tl.push_counter_at(idx, self.t_ns, total);
+    }
+    fn gauge_in(&mut self, scope: Scope, leaf: &'static str, v: f64) {
+        let idx = self.tl.index_in(scope, leaf, SeriesKind::Gauge);
+        self.tl.push_gauge_at(idx, self.t_ns, v);
     }
 }
 
@@ -111,8 +156,9 @@ impl Timeline {
         Tick { tl: self, t_ns }
     }
 
-    fn series_mut(&mut self, name: &str, kind: SeriesKind, live: bool) -> &mut Series {
-        let idx = match self.ids.get(name) {
+    /// The index of series `name`, registered on first sight.
+    fn index_of(&mut self, name: &str, kind: SeriesKind, live: bool) -> usize {
+        match self.ids.get(name) {
             Some(&i) => i as usize,
             None => {
                 let i = self.series.len() as u32;
@@ -121,13 +167,33 @@ impl Timeline {
                 self.series.push(Series::new(kind, live));
                 i as usize
             }
-        };
-        let s = &mut self.series[idx];
+        }
+    }
+
+    /// [`Timeline::index_of`] by identity; on first sight, by the built name.
+    fn index_in(&mut self, scope: Scope, leaf: &'static str, kind: SeriesKind) -> usize {
+        let key = Parts::new(scope, leaf);
+        if let Some(&i) = self.by_parts.get(&key) {
+            return i as usize;
+        }
+        let idx = self.index_of(&format!("{scope}.{leaf}"), kind, true);
+        self.by_parts.insert(key, idx as u32);
+        idx
+    }
+
+    /// Series `idx` and its name; panics unless it is of `kind`.
+    fn series_at(&mut self, idx: usize, kind: SeriesKind) -> (&mut Series, &str) {
+        let (s, name) = (&mut self.series[idx], self.names[idx].as_str());
         assert_eq!(
             s.kind, kind,
             "series {name} already registered with the other kind"
         );
-        s
+        (s, name)
+    }
+
+    fn series_mut(&mut self, name: &str, kind: SeriesKind, live: bool) -> &mut Series {
+        let idx = self.index_of(name, kind, live);
+        self.series_at(idx, kind).0
     }
 
     fn push_at(s: &mut Series, name: &str, t_ns: u64) {
@@ -144,7 +210,12 @@ impl Timeline {
     /// live (the registry sweep will skip it from now on). Panics if the
     /// timestamp does not advance or the value regresses.
     pub fn push_counter(&mut self, name: &str, t_ns: u64, v: u64) {
-        let s = self.series_mut(name, SeriesKind::Counter, true);
+        let idx = self.index_of(name, SeriesKind::Counter, true);
+        self.push_counter_at(idx, t_ns, v);
+    }
+
+    fn push_counter_at(&mut self, idx: usize, t_ns: u64, v: u64) {
+        let (s, name) = self.series_at(idx, SeriesKind::Counter);
         s.live = true;
         if let Some(&prev) = s.u.last() {
             assert!(v >= prev, "counter series {name} regressed: {prev} -> {v}");
@@ -156,7 +227,12 @@ impl Timeline {
     /// Record a gauge sample from a dedicated sampler (marks the series
     /// live). Panics if the timestamp does not advance.
     pub fn push_gauge(&mut self, name: &str, t_ns: u64, v: f64) {
-        let s = self.series_mut(name, SeriesKind::Gauge, true);
+        let idx = self.index_of(name, SeriesKind::Gauge, true);
+        self.push_gauge_at(idx, t_ns, v);
+    }
+
+    fn push_gauge_at(&mut self, idx: usize, t_ns: u64, v: f64) {
+        let (s, name) = self.series_at(idx, SeriesKind::Gauge);
         s.live = true;
         Self::push_at(s, name, t_ns);
         s.f.push(v);
@@ -460,6 +536,81 @@ mod tests {
         assert_eq!(t.gauge("g"), Some((&[1_000][..], &[1.5][..])));
         t.sweep_counter("c", 3_000, 9); // a ticked series is sampler-owned
         assert_eq!(t.last_counter("c"), Some(4));
+    }
+
+    const IFACE7: Scope = Scope::new("iface", 7);
+
+    #[test]
+    fn scoped_and_named_pushes_share_one_series() {
+        let (mut parts, mut named) = (tl(), tl());
+        for i in 1..=6u64 {
+            let (mut p, mut n) = (parts.tick(i * 1_000), named.tick(i * 1_000));
+            if i % 2 == 0 {
+                p.counter_in(IFACE7, "enq_ef", i);
+                p.gauge_in(IFACE7.sub("rule", 2), "level", i as f64);
+            } else {
+                p.counter(&format!("{IFACE7}.enq_ef"), i);
+                p.gauge("iface007.rule002.level", i as f64);
+            }
+            n.counter("iface007.enq_ef", i);
+            n.gauge("iface007.rule002.level", i as f64);
+        }
+        assert_eq!(parts.series_count(), 2);
+        assert_eq!(parts.to_json(), named.to_json());
+        // Equal text at another address is one more key, not one more series.
+        let leaf: &'static str = String::from("enq_ef").leak();
+        parts.tick(7_000).counter_in(IFACE7, leaf, 7);
+        assert_eq!(parts.series_count(), 2);
+        assert_eq!(parts.last_counter("iface007.enq_ef"), Some(7));
+    }
+
+    #[test]
+    fn scoped_push_takes_over_a_swept_series() {
+        let mut t = tl();
+        t.sweep_counter("iface007.enq_ef", 1_000, 1);
+        t.tick(2_000).counter_in(IFACE7, "enq_ef", 2);
+        t.sweep_counter("iface007.enq_ef", 3_000, 0); // stale copy: ignored
+        assert_eq!(
+            t.counter("iface007.enq_ef"),
+            Some((&[1_000, 2_000][..], &[1, 2][..]))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered with the other kind")]
+    fn scoped_gauge_on_a_counter_name_panics() {
+        let mut t = tl();
+        t.tick(1_000).counter_in(IFACE7, "enq_ef", 1);
+        t.tick(2_000).gauge_in(IFACE7, "enq_ef", 1.0);
+    }
+
+    #[test]
+    fn merged_timeline_accepts_scoped_pushes() {
+        let mut shard = tl();
+        shard.tick(1_000).counter_in(IFACE7, "enq_ef", 3);
+        let mut m = tl();
+        m.merge_from(&shard);
+        m.merge_from(&shard);
+        m.tick(2_000).counter_in(IFACE7, "enq_ef", 9);
+        assert_eq!(
+            m.counter("iface007.enq_ef"),
+            Some((&[1_000, 2_000][..], &[6, 9][..]))
+        );
+    }
+
+    #[test]
+    fn scope_displays_the_formatted_prefixes() {
+        for i in [0u64, 7, 999, 1000] {
+            let s = Scope::new("iface", i);
+            assert_eq!(s.to_string(), format!("iface{i:03}"));
+            assert_eq!(
+                s.sub("rule", i).to_string(),
+                format!("iface{i:03}.rule{i:03}")
+            );
+        }
+        let node = Scope::new("node", 3);
+        assert_eq!(node.sub("rule", 2).to_string(), "node003.rule002");
+        assert_eq!(node.sub("shaper", 0).to_string(), "node003.shaper000");
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! backoff and Karn's algorithm, receiver flow control with zero-window
 //! probing.
 //!
-//! The connection is *sans-io*: every input returns a list of [`Out`]
+//! The connection is *sans-io*: every input yields a list of [`Out`]
 //! actions (segments to emit, timers to arm, application wake-ups) that the
 //! socket layer in [`crate::stack`] applies to the simulated network. This
-//! keeps the protocol logic independently testable.
+//! keeps the protocol logic independently testable. Each input comes in two
+//! forms: `*_into` appends to a buffer the caller owns and reuses, and the
+//! plain name wraps it to return a fresh `Vec`.
 //!
 //! Simulator simplifications, documented here once: sequence numbers are
 //! 64-bit (no wraparound), there is no SACK (Reno-era stacks), no Nagle
@@ -438,6 +440,12 @@ impl Connection {
     /// Accept up to `len` bytes from the application. Returns bytes
     /// accepted (bounded by send-buffer space) plus actions.
     pub fn write(&mut self, len: u64, now: SimTime) -> (u64, Vec<Out>) {
+        let mut outs = Vec::new();
+        (self.write_into(len, now, &mut outs), outs)
+    }
+
+    /// [`Connection::write`], appending the actions to `outs`.
+    pub fn write_into(&mut self, len: u64, now: SimTime, outs: &mut Vec<Out>) -> u64 {
         assert!(
             matches!(self.state, State::Established | State::CloseWait),
             "write in state {:?}",
@@ -449,27 +457,31 @@ impl Connection {
         if accepted < len {
             self.want_write = true;
         }
-        let mut outs = Vec::new();
-        self.send_data(now, &mut outs);
+        self.send_data(now, outs);
         self.audit();
-        (accepted, outs)
+        accepted
     }
 
     /// Consume up to `len` bytes of in-order received data.
     pub fn read(&mut self, len: u64) -> (u64, Vec<Out>) {
+        let mut outs = Vec::new();
+        (self.read_into(len, &mut outs), outs)
+    }
+
+    /// [`Connection::read`], appending the actions to `outs`.
+    pub fn read_into(&mut self, len: u64, outs: &mut Vec<Out>) -> u64 {
         let n = len.min(self.readable_bytes());
         let old_wnd = self.advertised_wnd;
         self.delivered += n;
         let new_wnd = self.recv_window();
-        let mut outs = Vec::new();
         // Send a window update if the window was closed (or nearly) and has
         // now opened by at least one MSS — otherwise the sender could stall.
         if n > 0 && (old_wnd as u64) < self.cfg.mss as u64 && new_wnd as u64 >= self.cfg.mss as u64
         {
-            self.emit_ack(&mut outs);
+            self.emit_ack(outs);
         }
         self.audit();
-        (n, outs)
+        n
     }
 
     /// Close the sending direction (queues a FIN after pending data).
@@ -488,17 +500,22 @@ impl Connection {
     // ------------------------------------------------------------------
 
     pub fn on_segment(&mut self, seg: &SegIn, now: SimTime) -> Vec<Out> {
-        let outs = self.on_segment_inner(seg, now);
-        self.audit();
+        let mut outs = Vec::new();
+        self.on_segment_into(seg, now, &mut outs);
         outs
     }
 
-    fn on_segment_inner(&mut self, seg: &SegIn, now: SimTime) -> Vec<Out> {
-        let mut outs = Vec::new();
+    /// [`Connection::on_segment`], appending the actions to `outs`.
+    pub fn on_segment_into(&mut self, seg: &SegIn, now: SimTime, outs: &mut Vec<Out>) {
+        self.on_segment_inner(seg, now, outs);
+        self.audit();
+    }
+
+    fn on_segment_inner(&mut self, seg: &SegIn, now: SimTime, outs: &mut Vec<Out>) {
         if seg.flags.rst {
             self.state = State::Closed;
             outs.push(Out::Closed);
-            return outs;
+            return;
         }
         match self.state {
             State::SynSent => {
@@ -509,11 +526,10 @@ impl Connection {
                     self.snd_wnd = seg.wnd as u64;
                     self.state = State::Established;
                     self.cancel_timer();
-                    self.emit_ack(&mut outs);
+                    self.emit_ack(outs);
                     outs.push(Out::Connected);
-                    self.send_data(now, &mut outs);
+                    self.send_data(now, outs);
                 }
-                outs
             }
             State::SynRcvd => {
                 if seg.flags.ack && seg.ack >= 1 {
@@ -524,16 +540,14 @@ impl Connection {
                     outs.push(Out::Accepted);
                     // The handshake-completing ACK may carry data.
                     if seg.len > 0 || seg.flags.fin {
-                        self.process_established(seg, now, &mut outs);
+                        self.process_established(seg, now, outs);
                     }
                 }
-                outs
             }
             State::Established | State::FinWait | State::CloseWait => {
-                self.process_established(seg, now, &mut outs);
-                outs
+                self.process_established(seg, now, outs);
             }
-            State::Closed => outs,
+            State::Closed => {}
         }
     }
 
@@ -1023,29 +1037,34 @@ impl Connection {
     /// A timer fired: the retransmission timer (even generations) or the
     /// delayed-ACK timer (odd generations).
     pub fn on_timer(&mut self, gen: u64, now: SimTime) -> Vec<Out> {
-        let outs = self.on_timer_inner(gen, now);
-        self.audit();
+        let mut outs = Vec::new();
+        self.on_timer_into(gen, now, &mut outs);
         outs
     }
 
-    fn on_timer_inner(&mut self, gen: u64, now: SimTime) -> Vec<Out> {
-        let mut outs = Vec::new();
+    /// [`Connection::on_timer`], appending the actions to `outs`.
+    pub fn on_timer_into(&mut self, gen: u64, now: SimTime, outs: &mut Vec<Out>) {
+        self.on_timer_inner(gen, now, outs);
+        self.audit();
+    }
+
+    fn on_timer_inner(&mut self, gen: u64, now: SimTime, outs: &mut Vec<Out>) {
         if gen % 2 == 1 {
             if gen == self.delack_gen && self.delack_pending && self.state != State::Closed {
-                self.emit_ack(&mut outs);
+                self.emit_ack(outs);
             }
-            return outs;
+            return;
         }
         if gen != self.timer_gen || !self.timer_armed || self.state == State::Closed {
-            return outs;
+            return;
         }
         self.timer_armed = false;
         if self.state == State::SynSent || self.state == State::SynRcvd {
             // Handshake retransmission.
-            self.retransmit_head(now, &mut outs);
+            self.retransmit_head(now, outs);
             self.rto = (self.rto * 2).min(self.cfg.rto_max);
-            self.arm_timer(now, &mut outs);
-            return outs;
+            self.arm_timer(now, outs);
+            return;
         }
         let unacked = self.flight() > 0;
         if unacked {
@@ -1070,14 +1089,14 @@ impl Connection {
             }
             self.note_retransmit(); // Karn
             self.stats.rtx_segs += 1;
-            self.send_data(now, &mut outs);
+            self.send_data(now, outs);
             self.rto = (self.rto * 2).min(self.cfg.rto_max);
             outs.push(Out::Cc {
                 kind: CcKind::Rto,
                 cwnd_bytes: self.cwnd as u64,
                 rto: self.rto,
             });
-            self.arm_timer(now, &mut outs);
+            self.arm_timer(now, outs);
         } else if self.snd_wnd == 0 && self.written > self.snd_nxt {
             // Persist: probe the zero window with one byte.
             let seq = self.snd_nxt;
@@ -1097,8 +1116,7 @@ impl Connection {
             self.stats.segs_sent += 1;
             self.stats.bytes_sent += 1;
             self.rto = (self.rto * 2).min(self.cfg.rto_max);
-            self.arm_timer(now, &mut outs);
+            self.arm_timer(now, outs);
         }
-        outs
     }
 }

@@ -191,6 +191,11 @@ pub struct Stack {
     /// `on_peer_failed` broadcast (e.g. a QoS agent releasing the dead
     /// host's reservations).
     crash_hooks: Vec<RespawnHook>,
+    /// Emptied output buffers for [`Stack::drive`]. A list, not one scratch
+    /// vector: applying outputs wakes applications, whose `Ctx` calls drive
+    /// inputs of their own while the outer buffer is still draining. It is
+    /// as long as that nesting was ever deep.
+    spare_outs: Vec<Vec<Out>>,
 }
 
 /// A host-restart hook: `(net, stack, host)` — free to spawn apps, open
@@ -217,6 +222,7 @@ impl Stack {
             controllers: Vec::new(),
             respawn_hooks: Vec::new(),
             crash_hooks: Vec::new(),
+            spare_outs: Vec::new(),
         }
     }
 
@@ -367,9 +373,28 @@ impl Stack {
         self.apps[app.0 as usize].app = Some(a);
     }
 
-    /// Apply a batch of connection outputs for `sock`.
-    fn apply_outs(&mut self, net: &mut Net, sock: SockId, outs: Vec<Out>) {
-        for out in outs {
+    /// Feed `sock`'s connection one input: `f` appends the connection's
+    /// outputs to an emptied buffer off the free list, they are applied,
+    /// and the buffer goes back. `None` if `sock` is not a TCP socket.
+    fn drive<R>(
+        &mut self,
+        net: &mut Net,
+        sock: SockId,
+        f: impl FnOnce(&mut Connection, &mut Vec<Out>) -> R,
+    ) -> Option<R> {
+        let SockKind::Tcp(c) = &mut self.socks[sock.0 as usize].kind else {
+            return None;
+        };
+        let mut outs = self.spare_outs.pop().unwrap_or_default();
+        let r = f(c, &mut outs);
+        self.apply_outs(net, sock, &mut outs);
+        self.spare_outs.push(outs);
+        Some(r)
+    }
+
+    /// Apply (and drain) a batch of connection outputs for `sock`.
+    fn apply_outs(&mut self, net: &mut Net, sock: SockId, outs: &mut Vec<Out>) {
+        for out in outs.drain(..) {
             match out {
                 Out::Seg(seg) => self.emit_segment(net, sock, seg),
                 Out::ArmTimer { at, gen } => self.arm_tcp_timer(net, sock, at, gen),
@@ -520,11 +545,7 @@ impl Stack {
         };
         if let Some(&sock) = self.conns.get(&key) {
             let now = net.now();
-            let outs = match &mut self.socks[sock.0 as usize].kind {
-                SockKind::Tcp(c) => c.on_segment(&seg, now),
-                _ => Vec::new(),
-            };
-            self.apply_outs(net, sock, outs);
+            self.drive(net, sock, |c, outs| c.on_segment_into(&seg, now, outs));
             return;
         }
         // No connection: a SYN for a listening port performs a passive open.
@@ -537,7 +558,7 @@ impl Stack {
                     _ => unreachable!("listener map points at non-listener"),
                 };
                 let now = net.now();
-                let (conn, outs) = Connection::accept(cfg, &seg, now);
+                let (conn, mut outs) = Connection::accept(cfg, &seg, now);
                 let sock = SockId(self.socks.len() as u32);
                 self.socks.push(Sock {
                     host,
@@ -567,7 +588,7 @@ impl Stack {
                     self.socks[client.0 as usize].peer_sock = Some(sock);
                     self.socks[sock.0 as usize].peer_sock = Some(client);
                 }
-                self.apply_outs(net, sock, outs);
+                self.apply_outs(net, sock, &mut outs);
             }
             // No listener: silently drop (a real stack would RST).
         }
@@ -604,11 +625,7 @@ impl NetHandler for Stack {
                     return;
                 };
                 let now = net.now();
-                let outs = match &mut self.socks[sock.0 as usize].kind {
-                    SockKind::Tcp(c) => c.on_timer(gen, now),
-                    _ => Vec::new(),
-                };
-                self.apply_outs(net, sock, outs);
+                self.drive(net, sock, |c, outs| c.on_timer_into(gen, now, outs));
             }
             KIND_APP => {
                 let app = AppId(index);
@@ -748,7 +765,7 @@ impl Ctx<'_> {
         assert_ne!(self.host, dst, "loopback connections are not modeled");
         let lport = self.stack.alloc_port(self.host);
         let now = self.net.now();
-        let (conn, outs) = Connection::connect(cfg, now);
+        let (conn, mut outs) = Connection::connect(cfg, now);
         let sock = SockId(self.stack.socks.len() as u32);
         self.stack.socks.push(Sock {
             host: self.host,
@@ -770,7 +787,7 @@ impl Ctx<'_> {
         self.stack
             .conns
             .insert((self.host, lport, dst, dport), sock);
-        self.stack.apply_outs(self.net, sock, outs);
+        self.stack.apply_outs(self.net, sock, &mut outs);
         sock
     }
 
@@ -808,12 +825,9 @@ impl Ctx<'_> {
         }
         assert_eq!(s.mode, DataMode::Counted, "send() on a Bytes-mode socket");
         let now = self.net.now();
-        let (accepted, outs) = match &mut s.kind {
-            SockKind::Tcp(c) => c.write(len, now),
-            _ => panic!("send on non-TCP socket"),
-        };
-        self.stack.apply_outs(self.net, sock, outs);
-        accepted
+        self.stack
+            .drive(self.net, sock, |c, outs| c.write_into(len, now, outs))
+            .expect("send on non-TCP socket")
     }
 
     /// Write real bytes; returns how many were accepted.
@@ -827,14 +841,15 @@ impl Ctx<'_> {
             DataMode::Bytes,
             "send_bytes() on a Counted-mode socket"
         );
-        let now = self.net.now();
-        let (accepted, outs) = match &mut s.kind {
-            SockKind::Tcp(c) => c.write(bytes.len() as u64, now),
-            _ => panic!("send on non-TCP socket"),
-        };
-        s.tx.data.extend(&bytes[..accepted as usize]);
-        self.stack.apply_outs(self.net, sock, outs);
-        accepted as usize
+        let (now, len) = (self.net.now(), bytes.len() as u64);
+        let accepted = self
+            .stack
+            .drive(self.net, sock, |c, outs| c.write_into(len, now, outs))
+            .expect("send on non-TCP socket") as usize;
+        // Segments carry sequence numbers; the bytes wait for `recv_bytes`.
+        let s = &mut self.stack.socks[sock.0 as usize];
+        s.tx.data.extend(&bytes[..accepted]);
+        accepted
     }
 
     /// Read up to `max` counted bytes.
@@ -844,12 +859,9 @@ impl Ctx<'_> {
             return 0;
         }
         assert_eq!(s.mode, DataMode::Counted, "recv() on a Bytes-mode socket");
-        let (n, outs) = match &mut s.kind {
-            SockKind::Tcp(c) => c.read(max),
-            _ => panic!("recv on non-TCP socket"),
-        };
-        self.stack.apply_outs(self.net, sock, outs);
-        n
+        self.stack
+            .drive(self.net, sock, |c, outs| c.read_into(max, outs))
+            .expect("recv on non-TCP socket")
     }
 
     /// Read up to `max` real bytes.
@@ -863,18 +875,17 @@ impl Ctx<'_> {
             DataMode::Bytes,
             "recv_bytes() on a Counted-mode socket"
         );
-        let (n, outs) = match &mut s.kind {
-            SockKind::Tcp(c) => c.read(max),
-            _ => panic!("recv on non-TCP socket"),
-        };
         let peer = s.peer_sock.expect("bytes-mode socket without linked peer");
+        let n = self
+            .stack
+            .drive(self.net, sock, |c, outs| c.read_into(max, outs))
+            .expect("recv on non-TCP socket");
         let ps = &mut self.stack.socks[peer.0 as usize];
         let mut out = Vec::with_capacity(n as usize);
         for _ in 0..n {
             out.push(ps.tx.data.pop_front().expect("stream byte store underrun"));
         }
         ps.tx.start += n;
-        self.stack.apply_outs(self.net, sock, outs);
         out
     }
 
@@ -908,11 +919,11 @@ impl Ctx<'_> {
             return;
         }
         let now = self.net.now();
-        let outs = match &mut self.stack.socks[sock.0 as usize].kind {
+        let mut outs = match &mut self.stack.socks[sock.0 as usize].kind {
             SockKind::Tcp(c) => c.close(now),
             _ => Vec::new(),
         };
-        self.stack.apply_outs(self.net, sock, outs);
+        self.stack.apply_outs(self.net, sock, &mut outs);
     }
 
     /// Record this socket's data-segment sequence numbers into the given

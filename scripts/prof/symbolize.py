@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Flat self-time profile from a scripts/prof/sampler.c dump.
+"""Flat profiles from the scripts/prof preloads' dumps.
 
-usage: symbolize.py SAMPLES
+usage: symbolize.py SAMPLES            (a sampler.c dump: where CPU time goes)
+       symbolize.py --allocs STACKS    (a mallocs.c dump: who calls malloc)
 
 The profiled binary is the first file in the dump's memory map. Every
 sampled address inside it is rebased and resolved with `addr2line -f -C -i`
-(the release profile carries line tables), then self time is printed three
-ways, top 30 each: by outermost symbol (the function that was actually
-called), by innermost inlined function, and by file:line. Samples in other
-mappings (libc, vdso) are charged to the mapping's name.
+(the release profile carries line tables). Self time is printed three ways,
+top 30 each: by outermost symbol (the function that was actually called),
+by innermost inlined function, and by file:line; samples in other mappings
+(libc, vdso) are charged to the mapping's name. With `--allocs` each kept
+call stack is charged to its allocation site — the first function on it
+outside the allocator and the containers that call it (`alloc::`, `core::`,
+`std::`, `hashbrown::`, the benchmark's counting allocator) — and printed as
+the top 30 sites and the top 30 site-plus-three-callers contexts.
 """
 import collections
 import os
@@ -18,16 +23,18 @@ import sys
 
 
 def load(path):
-    maps, samples = [], []
+    """The memory map, the marker line, one list of addresses per later line."""
+    maps, marker, samples = [], "", []
     with open(path) as f:
         for line in f:
-            if line.startswith("--samples--"):
-                samples = [int(x, 16) for x in f]
+            if line.startswith("--"):
+                marker = line.strip()
+                samples = [[int(x, 16) for x in row.split()] for row in f]
                 break
             span, _perms, offset, _dev, _inode, *name = line.split()
             lo, hi = (int(x, 16) for x in span.split("-"))
             maps.append((lo, hi, int(offset, 16), name[0] if name else "[anon]"))
-    return maps, samples
+    return maps, marker, samples
 
 
 def resolve(binary, addrs):
@@ -47,20 +54,51 @@ def resolve(binary, addrs):
 
 
 def table(title, counts, total):
-    print(f"\n== self time by {title} ==")
+    print(f"\n== {title} ==")
     for name, n in counts.most_common(30):
         print(f"{100 * n / total:6.2f}%  {n:7d}  {name}")
 
 
+PLUMBING = re.compile(
+    r"^<?&?(mut )?(alloc|core|std|hashbrown)::|^(__rustc::)?__r(ust|g|dl)_|benchmark::alloc::")
+
+
+def alloc_sites(binary, base, maps, summary, stacks):
+    """Charge each stack to its first function that is not allocator plumbing.
+
+    A stack is walked by return address, each one named by the symbol it
+    lies in (so plumbing inlined into a caller already carries the caller's
+    name, and what stays out of line is recognised by its path).
+    """
+    own = [m for m in maps if m[3] == binary]
+    # A return address: one byte back lands inside the call instruction.
+    rebased = [[a - 1 - base for a in st if any(lo <= a < hi for lo, hi, *_ in own)]
+               for st in stacks]
+    frames = resolve(binary, sorted({a for st in rebased for a in st}))
+    sites, contexts = collections.Counter(), collections.Counter()
+    print(f"{len(stacks)} stacks of {summary.removeprefix('--allocs-- ')} in {binary}")
+    for st in rebased:
+        names = [frames[a][0][0] for a in st if frames.get(a)]
+        names = [fn for fn in names if not PLUMBING.search(fn)] or ["[no frame in the binary]"]
+        sites[names[0]] += 1
+        contexts[" < ".join(names[:4])] += 1
+    table("allocation calls by site", sites, len(stacks))
+    table("allocation calls by site < its three callers", contexts, len(stacks))
+
+
 def main():
-    if len(sys.argv) != 2:
+    allocs = sys.argv[1:2] == ["--allocs"]
+    if len(sys.argv) != 2 + allocs:
         sys.exit(__doc__)
-    maps, samples = load(sys.argv[1])
+    maps, marker, samples = load(sys.argv[-1])
     if not samples:
         sys.exit("no samples: did the run use any CPU time with PROF_OUT set?")
     binary = next(name for *_, name in maps if name.startswith("/"))
     base = min(lo - off for lo, _hi, off, name in maps if name == binary)
+    if allocs:
+        return alloc_sites(binary, base, maps, marker, samples)
 
+    samples = [row[0] for row in samples]
     outer, inner, lines = (collections.Counter() for _ in range(3))
     inside = []
     for addr, n in collections.Counter(samples).items():
@@ -80,9 +118,9 @@ def main():
 
     total = len(samples)
     print(f"{total} samples at 250 Hz = {total / 250:.2f} s of CPU in {binary}")
-    table("outermost symbol", outer, total)
-    table("innermost inlined function", inner, total)
-    table("file:line", lines, total)
+    table("self time by outermost symbol", outer, total)
+    table("self time by innermost inlined function", inner, total)
+    table("self time by file:line", lines, total)
 
 
 if __name__ == "__main__":
