@@ -181,7 +181,6 @@ struct Resv {
     req: Request,
     start: SimTime,
     end: SimTime,
-    status: Status,
     slots: Vec<SlotRef>,
     enforcement: Enforcement,
 }
@@ -248,23 +247,35 @@ const CPU_UNITS: f64 = 1000.0;
 /// DSRT's admission ceiling, in milli-fraction units.
 const CPU_CAPACITY: u64 = (mpichgq_dsrt::MAX_RESERVABLE * CPU_UNITS) as u64;
 
+/// Stale deadline-heap entries tolerated on top of twice the live records
+/// before [`Gara::retire`] rebuilds the heap from its live entries. A live
+/// record owns at most one live entry, so a rebuild at least halves the
+/// heap and is paid for by the retirements that staled the rest; the slack
+/// keeps a small broker (every committed experiment) from ever rebuilding.
+const DEADLINE_SLACK: usize = 1024;
+
 /// The GARA system (one per simulation; installed as a `Stack` service).
 pub struct Gara {
+    /// Live (`Pending` / `Active`) reservations only: a terminal transition
+    /// drops the record ([`Gara::retire`]), so broker state follows load,
+    /// not run length.
     resvs: FxHashMap<u64, Resv>,
-    next_id: u64,
+    /// Status of every id ever issued, indexed by id: one byte is all that
+    /// outlives a finished reservation, and why [`Gara::status`] still
+    /// answers for it. An id is in `resvs` iff its status here is live.
+    statuses: Vec<Status>,
     /// Managed (bandwidth-brokered) channels: EF slot tables in bits/s.
     links: FxHashMap<ChanId, SlotTable>,
     /// Per-host CPU slot tables in milli-fraction units.
     cpus: FxHashMap<NodeId, SlotTable>,
     /// Storage servers: bandwidth tables in bytes/s.
     storage: FxHashMap<String, SlotTable>,
-    events: Vec<(ResvId, Status)>,
     /// Min-heap of `(deadline, reservation)` — every pending activation
     /// and finite active expiry, possibly stale (cancelled/revoked
     /// reservations leave their entries behind; they are skipped lazily
-    /// against the live record). Keeps [`Gara::advance`] and timer
-    /// re-arming O(log n) instead of a scan over every reservation ever
-    /// made — at control-plane scale the scan is quadratic.
+    /// against the live record, and dropped in bulk past
+    /// [`DEADLINE_SLACK`]). Keeps [`Gara::advance`] and timer re-arming
+    /// O(log n) instead of a scan over every live reservation.
     deadlines: BinaryHeap<Reverse<(SimTime, u64)>>,
     listeners: Vec<Box<dyn FnMut(ResvId, Status)>>,
     ctl: Option<ControllerId>,
@@ -281,11 +292,10 @@ impl Gara {
     pub fn new() -> Gara {
         Gara {
             resvs: FxHashMap::default(),
-            next_id: 0,
+            statuses: Vec::new(),
             links: FxHashMap::default(),
             cpus: FxHashMap::default(),
             storage: FxHashMap::default(),
-            events: Vec::new(),
             deadlines: BinaryHeap::new(),
             listeners: Vec::new(),
             ctl: None,
@@ -387,46 +397,59 @@ impl Gara {
             self.inject_rejections -= 1;
             self.count_reservation_reject(net, &ReserveError::Injected);
             self.ctrs.injected_rejections.bump(net);
-            net.obs.trace.record(now, "gara.reject", self.next_id, -1);
+            net.obs.trace.record(now, "gara.reject", self.next_id(), -1);
             return Err(ReserveError::Injected);
         }
         let slots = match self.admit(net, &req, start_t, end_t) {
             Ok(s) => s,
             Err(e) => {
                 self.count_reservation_reject(net, &e);
-                net.obs.trace.record(now, "gara.reject", self.next_id, 0);
+                net.obs.trace.record(now, "gara.reject", self.next_id(), 0);
                 return Err(e);
             }
         };
-        let id = self.next_id;
-        self.next_id += 1;
+        Ok(self.grant(net, req, start_t, end_t, slots))
+    }
+
+    /// Record an admitted request and activate it if due: the shared tail
+    /// of [`Gara::reserve`] and [`Gara::co_reserve`].
+    fn grant(
+        &mut self,
+        net: &mut Net,
+        req: Request,
+        start: SimTime,
+        end: SimTime,
+        slots: Vec<SlotRef>,
+    ) -> ResvId {
+        let now = net.now();
+        let id = self.next_id();
+        let granted_amount = match &req {
+            Request::Network(n) => n.rate_bps as i64,
+            Request::Cpu(c) => (c.fraction * 1000.0) as i64,
+            Request::Storage(_) => 0,
+        };
+        self.statuses.push(Status::Pending);
         self.resvs.insert(
             id,
             Resv {
                 req,
-                start: start_t,
-                end: end_t,
-                status: Status::Pending,
+                start,
+                end,
                 slots,
                 enforcement: Enforcement::None,
             },
         );
         let rid = ResvId(id);
         self.ctrs.granted.bump(net);
-        let granted_amount = match &self.resvs[&id].req {
-            Request::Network(n) => n.rate_bps as i64,
-            Request::Cpu(c) => (c.fraction * 1000.0) as i64,
-            Request::Storage(_) => 0,
-        };
         net.obs.trace.record(now, "gara.grant", id, granted_amount);
-        if start_t <= now {
+        if start <= now {
             self.activate(net, rid);
         } else {
-            self.deadlines.push(Reverse((start_t, id)));
+            self.deadlines.push(Reverse((start, id)));
             self.emit(rid, Status::Pending);
         }
         self.arm(net);
-        Ok(rid)
+        rid
     }
 
     /// Atomic co-reservation: every request is admitted or none is
@@ -472,7 +495,7 @@ impl Gara {
             self.inject_rejections -= 1;
             self.count_reservation_reject(net, &ReserveError::Injected);
             self.ctrs.injected_rejections.bump(net);
-            net.obs.trace.record(now, "gara.reject", self.next_id, -1);
+            net.obs.trace.record(now, "gara.reject", self.next_id(), -1);
             return Err(ReserveError::Injected);
         }
         // Phase 1: resolve every request to per-table demands, grouped by
@@ -494,7 +517,7 @@ impl Gara {
                     let Some(path) = net.path_chans(n.src, n.dst) else {
                         let e = ReserveError::NoRoute;
                         self.count_reservation_reject(net, &e);
-                        net.obs.trace.record(now, "gara.reject", self.next_id, 0);
+                        net.obs.trace.record(now, "gara.reject", self.next_id(), 0);
                         return Err(e);
                     };
                     for chan in path {
@@ -522,7 +545,7 @@ impl Gara {
                     if !self.storage.contains_key(&s.server) {
                         let e = ReserveError::UnknownServer(s.server.clone());
                         self.count_reservation_reject(net, &e);
-                        net.obs.trace.record(now, "gara.reject", self.next_id, 0);
+                        net.obs.trace.record(now, "gara.reject", self.next_id(), 0);
                         return Err(e);
                     }
                     push_demand(
@@ -563,7 +586,7 @@ impl Gara {
                     }
                     let e = ReserveError::Admission(rej);
                     self.count_reservation_reject(net, &e);
-                    net.obs.trace.record(now, "gara.reject", self.next_id, 0);
+                    net.obs.trace.record(now, "gara.reject", self.next_id(), 0);
                     return Err(e);
                 }
             }
@@ -574,54 +597,16 @@ impl Gara {
         for ((req, _, _), ((start_t, end_t), slots)) in
             reqs.into_iter().zip(windows.into_iter().zip(slots_per_req))
         {
-            let id = self.next_id;
-            self.next_id += 1;
-            self.resvs.insert(
-                id,
-                Resv {
-                    req,
-                    start: start_t,
-                    end: end_t,
-                    status: Status::Pending,
-                    slots,
-                    enforcement: Enforcement::None,
-                },
-            );
-            let rid = ResvId(id);
-            self.ctrs.granted.bump(net);
-            let granted_amount = match &self.resvs[&id].req {
-                Request::Network(n) => n.rate_bps as i64,
-                Request::Cpu(c) => (c.fraction * 1000.0) as i64,
-                Request::Storage(_) => 0,
-            };
-            net.obs.trace.record(now, "gara.grant", id, granted_amount);
-            if start_t <= now {
-                self.activate(net, rid);
-            } else {
-                self.emit(rid, Status::Pending);
-            }
-            self.arm(net);
-            granted.push(rid);
+            granted.push(self.grant(net, req, start_t, end_t, slots));
         }
         Ok(granted)
     }
 
     /// Cancel a reservation, releasing admission state and enforcement.
     pub fn cancel(&mut self, net: &mut Net, id: ResvId) {
-        let Some(r) = self.resvs.get(&id.0) else {
-            return;
-        };
-        match r.status {
-            Status::Active => {
-                self.ctrs.cancels.bump(net);
-                self.deactivate(net, id, Status::Cancelled);
-            }
-            Status::Pending => {
-                self.ctrs.cancels.bump(net);
-                self.release_slots(id);
-                self.set_status(id, Status::Cancelled);
-            }
-            _ => {}
+        if self.resvs.contains_key(&id.0) {
+            self.ctrs.cancels.bump(net);
+            self.retire(net, id, Status::Cancelled);
         }
     }
 
@@ -631,19 +616,10 @@ impl Gara {
     /// time so the holder can renegotiate. Fault plans and policy
     /// preemption both funnel through here.
     pub fn revoke(&mut self, net: &mut Net, id: ResvId) {
-        let Some(r) = self.resvs.get(&id.0) else {
+        if !self.resvs.contains_key(&id.0) {
             return;
-        };
-        match r.status {
-            Status::Active => {
-                self.deactivate(net, id, Status::Revoked);
-            }
-            Status::Pending => {
-                self.release_slots(id);
-                self.set_status(id, Status::Revoked);
-            }
-            _ => return,
         }
+        self.retire(net, id, Status::Revoked);
         self.ctrs.revocations.bump(net);
         let now = net.now();
         net.obs.trace.record(now, "gara.revoke", id.0, 0);
@@ -691,7 +667,6 @@ impl Gara {
         let r = self
             .resvs
             .get(&id.0)
-            .filter(|r| matches!(r.status, Status::Active | Status::Pending))
             .ok_or(ReserveError::Invalid("no such modifiable reservation"))?;
         let Request::Network(nreq) = &r.req else {
             return Err(ReserveError::Invalid("not a network reservation"));
@@ -773,7 +748,6 @@ impl Gara {
         let r = self
             .resvs
             .get(&id.0)
-            .filter(|r| matches!(r.status, Status::Active | Status::Pending))
             .ok_or(ReserveError::Invalid("no such modifiable reservation"))?;
         let Request::Cpu(creq) = r.req.clone() else {
             return Err(ReserveError::Invalid("not a CPU reservation"));
@@ -791,7 +765,7 @@ impl Gara {
             .ok_or(ReserveError::Invalid("CPU table vanished"))?
             .try_resize(sid, amount)
             .map_err(ReserveError::Admission)?;
-        let active = self.resvs[&id.0].status == Status::Active;
+        let active = self.statuses[id.0 as usize] == Status::Active;
         if let Request::Cpu(c) = &mut self.resvs.get_mut(&id.0).unwrap().req {
             c.fraction = new_fraction;
         }
@@ -807,13 +781,10 @@ impl Gara {
         Ok(())
     }
 
+    /// Current status of any id ever issued (the polling interface);
+    /// `None` for an id this broker never granted.
     pub fn status(&self, id: ResvId) -> Option<Status> {
-        self.resvs.get(&id.0).map(|r| r.status)
-    }
-
-    /// Drain status-change events (the polling interface).
-    pub fn take_events(&mut self) -> Vec<(ResvId, Status)> {
-        std::mem::take(&mut self.events)
+        self.statuses.get(usize::try_from(id.0).ok()?).copied()
     }
 
     /// Register a callback invoked on every status change (the callback
@@ -860,41 +831,41 @@ impl Gara {
         self.ctl = Some(id);
     }
 
+    fn next_id(&self) -> u64 {
+        self.statuses.len() as u64
+    }
+
+    /// When live record `id` next changes state by itself: its start while
+    /// pending, then its end (`SimTime::MAX` for "until cancelled").
+    fn deadline_of(&self, id: u64, r: &Resv) -> SimTime {
+        match self.statuses[id as usize] {
+            Status::Pending => r.start,
+            _ => r.end,
+        }
+    }
+
     /// Earliest pending activation or active expiry.
     ///
-    /// This is the query form (a full scan, O(reservations)); the timer
-    /// path uses the deadline heap instead, which answers the same
+    /// This is the query form (a full scan, O(live reservations)); the
+    /// timer path uses the deadline heap instead, which answers the same
     /// question in O(log n) amortized.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.resvs
-            .values()
-            .filter_map(|r| match r.status {
-                Status::Pending => Some(r.start),
-                Status::Active if r.end != SimTime::MAX => Some(r.end),
-                _ => None,
-            })
-            .min()
+        let live = self.resvs.iter().map(|(&id, r)| self.deadline_of(id, r));
+        live.filter(|&t| t != SimTime::MAX).min()
     }
 
     /// Is a popped/peeked heap entry still the live deadline of its
-    /// reservation? Cancelled, revoked, expired, and already-activated
-    /// records invalidate their old entries; they are discarded here.
+    /// reservation? Retired and already-activated records invalidate their
+    /// old entries; they are discarded here.
     fn deadline_live(&self, t: SimTime, id: u64) -> bool {
-        match self.resvs.get(&id) {
-            Some(r) => match r.status {
-                Status::Pending => r.start == t,
-                Status::Active => r.end == t,
-                _ => false,
-            },
-            None => false,
-        }
+        let r = self.resvs.get(&id);
+        r.is_some_and(|r| self.deadline_of(id, r) == t)
     }
 
     /// Activate/expire everything due at `now` in `(deadline, id)`
     /// order, then re-arm the timer. Each reservation contributes at
     /// most two heap entries over its lifetime (activation, expiry), so
-    /// this is O(log n) per transition regardless of how many finished
-    /// reservations the broker remembers.
+    /// this is O(log n) per transition.
     pub fn advance(&mut self, net: &mut Net) {
         let now = net.now();
         while let Some(&Reverse((t, id))) = self.deadlines.peek() {
@@ -906,12 +877,11 @@ impl Gara {
                 continue; // stale: superseded or already terminal
             }
             let rid = ResvId(id);
-            match self.resvs[&id].status {
+            match self.statuses[id as usize] {
                 // Activation pushes the expiry entry, which this same
                 // loop then drains if it is already due.
                 Status::Pending => self.activate(net, rid),
-                Status::Active => self.deactivate(net, rid, Status::Expired),
-                _ => {}
+                _ => self.retire(net, rid, Status::Expired),
             }
         }
         self.arm(net);
@@ -942,6 +912,7 @@ impl Gara {
             ReserveError::Admission(r) => match r.reason {
                 RejectReason::OverCapacity => &mut c.rej_over_capacity,
                 RejectReason::UnknownSlot => &mut c.rej_unknown_slot,
+                RejectReason::EmptyInterval => &mut c.rej_invalid,
             },
             ReserveError::NoRoute => &mut c.rej_no_route,
             ReserveError::UnknownServer(_) => &mut c.rej_unknown_server,
@@ -984,8 +955,8 @@ impl Gara {
                 }
             }
         }
-        // A zero duration holds nothing, and the slot tables treat an empty
-        // interval as a caller bug (they assert on it).
+        // A zero duration holds nothing (the slot tables would refuse it
+        // too, but only after earlier hops had been admitted).
         if end <= start {
             return Err(ReserveError::Invalid("empty interval"));
         }
@@ -1077,20 +1048,12 @@ impl Gara {
         }
     }
 
-    fn release_slots(&mut self, id: ResvId) {
-        let slots = std::mem::take(&mut self.resvs.get_mut(&id.0).unwrap().slots);
-        for s in &slots {
-            self.release_slot(s);
-        }
-    }
-
     fn activate(&mut self, net: &mut Net, id: ResvId) {
         let r = self.resvs.get_mut(&id.0).unwrap();
         let enforcement = match &r.req {
             Request::Network(n) => {
                 let Some(first_hop) = net.route(n.src, n.dst) else {
-                    self.set_status(id, Status::Failed);
-                    return;
+                    return self.retire(net, id, Status::Failed);
                 };
                 // The edge router is the first router on the path.
                 let router = net.chan(first_hop).to;
@@ -1120,12 +1083,8 @@ impl Gara {
             Request::Cpu(c) => {
                 match net.cpu_set_reservation(c.host, c.proc, Some(c.fraction)) {
                     Ok(()) => Enforcement::Cpu,
-                    Err(_) => {
-                        // Slot-table admission should have prevented this.
-                        self.release_slots(id);
-                        self.set_status(id, Status::Failed);
-                        return;
-                    }
+                    // Slot-table admission should have prevented this.
+                    Err(_) => return self.retire(net, id, Status::Failed),
                 }
             }
             Request::Storage(_) => Enforcement::None, // accounting only
@@ -1141,47 +1100,56 @@ impl Gara {
         self.set_status(id, Status::Active);
     }
 
-    fn deactivate(&mut self, net: &mut Net, id: ResvId, final_status: Status) {
-        let r = self.resvs.get_mut(&id.0).unwrap();
-        let enforcement = std::mem::take(&mut r.enforcement);
-        let cpu_req = match &r.req {
-            Request::Cpu(c) => Some(*c),
-            _ => None,
-        };
-        match enforcement {
-            Enforcement::Net {
-                router,
-                rule,
-                shaper,
-            } => {
-                net.node_mut(router).classifier.remove(rule);
-                if let Some(sid) = shaper {
-                    let src = match &self.resvs[&id.0].req {
-                        Request::Network(n) => n.src,
-                        _ => unreachable!(),
-                    };
-                    net.remove_shaper(src, sid);
-                }
-            }
-            Enforcement::Cpu => {
-                let c = cpu_req.expect("cpu enforcement without cpu request");
+    /// The one terminal transition (`Expired`, `Cancelled`, `Revoked`,
+    /// `Failed`) of live reservation `id`: tear down its enforcement,
+    /// release its slots, record the final status and forget the record.
+    fn retire(&mut self, net: &mut Net, id: ResvId, final_status: Status) {
+        let mut r = self.resvs.remove(&id.0).expect("retire: not live");
+        match (std::mem::take(&mut r.enforcement), &r.req) {
+            (Enforcement::None, _) => {}
+            (Enforcement::Cpu, Request::Cpu(c)) => {
                 let _ = net.cpu_set_reservation(c.host, c.proc, None);
             }
-            Enforcement::None => {}
+            (
+                Enforcement::Net {
+                    router,
+                    rule,
+                    shaper,
+                },
+                Request::Network(n),
+            ) => {
+                net.node_mut(router).classifier.remove(rule);
+                if let Some(sid) = shaper {
+                    net.remove_shaper(n.src, sid);
+                }
+            }
+            _ => unreachable!("enforcement kind follows the request kind"),
         }
-        self.release_slots(id);
-        let now = net.now();
-        net.obs.trace.record(now, "gara.deactivate", id.0, 0);
+        for s in r.slots.drain(..) {
+            self.release_slot(&s);
+        }
+        debug_assert!(
+            r.slots.is_empty() && matches!(r.enforcement, Enforcement::None),
+            "a retired record holds no slots and no enforcement"
+        );
+        if self.statuses[id.0 as usize] == Status::Active {
+            let now = net.now();
+            net.obs.trace.record(now, "gara.deactivate", id.0, 0);
+        }
         self.set_status(id, final_status);
+        if self.deadlines.len() > 2 * self.resvs.len() + DEADLINE_SLACK {
+            let mut heap = std::mem::take(&mut self.deadlines);
+            heap.retain(|&Reverse((t, id))| self.deadline_live(t, id));
+            self.deadlines = heap;
+        }
     }
 
     fn set_status(&mut self, id: ResvId, status: Status) {
-        self.resvs.get_mut(&id.0).unwrap().status = status;
+        self.statuses[id.0 as usize] = status;
         self.emit(id, status);
     }
 
     fn emit(&mut self, id: ResvId, status: Status) {
-        self.events.push((id, status));
         for l in &mut self.listeners {
             l(id, status);
         }

@@ -64,6 +64,8 @@ pub enum RejectReason {
     OverCapacity,
     /// [`SlotTable::try_resize`] named a slot this table does not hold.
     UnknownSlot,
+    /// The interval ends at or before its start: it would hold nothing.
+    EmptyInterval,
 }
 
 /// Admission failure: how much was free at the worst point of the interval.
@@ -80,6 +82,16 @@ pub struct Rejected {
     pub reason: RejectReason,
 }
 
+impl Rejected {
+    fn empty_interval(requested: u64) -> Rejected {
+        Rejected {
+            requested,
+            available: 0,
+            reason: RejectReason::EmptyInterval,
+        }
+    }
+}
+
 impl std::fmt::Display for Rejected {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.reason {
@@ -91,6 +103,11 @@ impl std::fmt::Display for Rejected {
             RejectReason::UnknownSlot => {
                 write!(f, "resize to {} rejected: no such slot", self.requested)
             }
+            RejectReason::EmptyInterval => write!(
+                f,
+                "reservation of {} rejected: empty interval",
+                self.requested
+            ),
         }
     }
 }
@@ -525,6 +542,8 @@ impl SlotTable {
     }
 
     /// Admit `amount` over `[start, end)` or reject without side effects.
+    /// An interval with `start >= end` is refused as
+    /// [`RejectReason::EmptyInterval`].
     pub fn try_insert(
         &mut self,
         start: SimTime,
@@ -543,7 +562,9 @@ impl SlotTable {
         amount: u64,
         tenant: u64,
     ) -> Result<SlotId, Rejected> {
-        assert!(start < end, "empty reservation interval");
+        if start >= end {
+            return Err(Rejected::empty_interval(amount));
+        }
         let peak = self.peak_in(start, end);
         if peak.saturating_add(amount) > self.capacity {
             return Err(Rejected {
@@ -584,7 +605,9 @@ impl SlotTable {
     /// input order) whose interval would exceed capacity is reported.
     /// The reported `available` counts the other items of the batch as
     /// committed load, exactly as a sequential admit-with-rollback loop
-    /// would have seen them.
+    /// would have seen them. An empty item refuses the batch before any
+    /// capacity is looked at ([`RejectReason::EmptyInterval`], the first
+    /// such item in input order).
     pub fn try_insert_batch(
         &mut self,
         items: &[(SimTime, SimTime, u64)],
@@ -598,8 +621,8 @@ impl SlotTable {
         items: &[(SimTime, SimTime, u64)],
         tenant: u64,
     ) -> Result<Vec<SlotId>, Rejected> {
-        for &(start, end, _) in items {
-            assert!(start < end, "empty reservation interval");
+        if let Some(&(_, _, amount)) = items.iter().find(|&&(start, end, _)| start >= end) {
+            return Err(Rejected::empty_interval(amount));
         }
         // Optimistically commit every boundary, then audit each item's
         // interval against the combined load; roll back all on the first
@@ -774,6 +797,44 @@ mod tests {
         // An empty interval reads as the instant itself, in every build.
         assert_eq!(st.available(t(10), t(10)), 0);
         assert_eq!(st.available(t(20), t(20)), 100);
+    }
+
+    #[test]
+    fn empty_interval_is_refused_and_leaves_the_table_unchanged() {
+        let mut st = SlotTable::new(100);
+        st.try_insert(t(0), t(10), 60).unwrap();
+        let unchanged = |st: &SlotTable| {
+            st.check_structure();
+            assert_eq!((st.len(), st.boundary_count(), st.max_peak()), (1, 2, 60));
+            assert_eq!(st.next_id, 1, "a refusal consumes no slot id");
+        };
+        let empty = |requested| Rejected {
+            requested,
+            available: 0,
+            reason: RejectReason::EmptyInterval,
+        };
+        // Single: equal and inverted bounds, fitting or not.
+        assert_eq!(st.try_insert(t(5), t(5), 7), Err(empty(7)));
+        assert_eq!(st.try_insert_tenant(t(9), t(3), 500, 2), Err(empty(500)));
+        unchanged(&st);
+        // Batch, first item empty.
+        let batch = [(t(4), t(4), 1), (t(20), t(30), 2)];
+        assert_eq!(st.try_insert_batch(&batch), Err(empty(1)));
+        unchanged(&st);
+        // Batch, a middle item empty: reported ahead of the over-capacity
+        // item before it and the second empty item after it.
+        let batch = [
+            (t(0), t(10), 41),
+            (t(20), t(30), 2),
+            (t(40), t(35), 3),
+            (t(50), t(50), 4),
+        ];
+        assert_eq!(st.try_insert_batch_tenant(&batch, 9), Err(empty(3)));
+        unchanged(&st);
+        assert_eq!(
+            empty(3).to_string(),
+            "reservation of 3 rejected: empty interval"
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! network and CPUs.
 
 use mpichgq_gara::{
-    install, CpuRequest, Gara, NetworkRequest, Request, ReserveError, StartSpec, Status,
+    install, CpuRequest, Gara, NetworkRequest, Request, ReserveError, ResvId, StartSpec, Status,
     StorageRequest,
 };
 use mpichgq_netsim::{topology::Dumbbell, ChanId, DepthRule, NodeId, PolicingAction, Proto};
@@ -256,6 +256,91 @@ fn advance_reservation_activates_and_expires_on_schedule() {
 }
 
 #[test]
+fn advance_co_reservation_activates_and_expires_on_schedule() {
+    // Regression: `co_reserve` created its pending records without queueing
+    // their start deadlines, so an advance co-reservation stayed `Pending`
+    // for ever (and `examples/advance_coreservation.rs` panicked).
+    let (mut sim, src, dst) = dumbbell_sim();
+    let proc = sim.net.cpu_add_process(src);
+    let window = (
+        StartSpec::At(SimTime::from_secs(5)),
+        Some(SimDelta::from_secs(3)),
+    );
+    let cpu = Request::Cpu(CpuRequest {
+        host: src,
+        proc,
+        fraction: 0.5,
+    });
+    let ids = with_gara(&mut sim, |g, net| {
+        let set = vec![
+            (net_request(src, dst, 1_000_000), window.0, window.1),
+            (cpu, window.0, window.1),
+        ];
+        let ids = g.co_reserve(net, set).unwrap();
+        assert_eq!(g.next_deadline(), Some(SimTime::from_secs(5)));
+        ids
+    });
+    let statuses = |sim: &mut Sim| -> Vec<Option<Status>> {
+        with_gara(sim, |g, _| ids.iter().map(|&i| g.status(i)).collect())
+    };
+    let both = |st| vec![Some(st); 2];
+    assert_eq!(statuses(&mut sim), both(Status::Pending));
+    sim.run_until(SimTime::from_secs(6));
+    assert_eq!(statuses(&mut sim), both(Status::Active));
+    assert_eq!(sim.net.node(NodeId(1)).classifier.len(), 1);
+    sim.run_until(SimTime::from_secs(9));
+    assert_eq!(statuses(&mut sim), both(Status::Expired));
+    assert_eq!(sim.net.node(NodeId(1)).classifier.len(), 0);
+    with_gara(&mut sim, |g, _| assert_eq!(g.next_deadline(), None));
+}
+
+#[test]
+fn failed_activation_retires_the_record_and_releases_its_slots() {
+    let (mut sim, src, _dst) = dumbbell_sim();
+    let (hog, proc) = (sim.net.cpu_add_process(src), sim.net.cpu_add_process(src));
+    // A DSRT reservation made behind the broker's back: GARA's CPU table
+    // admits the request below, the scheduler then refuses to enforce it.
+    sim.net.cpu_set_reservation(src, hog, Some(0.9)).unwrap();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let log2 = log.clone();
+    with_gara(&mut sim, |g, net| {
+        g.subscribe(Box::new(move |id, st| log2.borrow_mut().push((id, st))));
+        let cpu = Request::Cpu(CpuRequest {
+            host: src,
+            proc,
+            fraction: 0.5,
+        });
+        let refused = g.reserve(net, cpu, StartSpec::Now, None).unwrap();
+        // No first hop from a host to itself: the other `Failed` arm.
+        let looped = g
+            .reserve(net, net_request(src, src, 1_000_000), StartSpec::Now, None)
+            .unwrap();
+        assert_eq!(
+            log.take(),
+            vec![(refused, Status::Failed), (looped, Status::Failed)]
+        );
+        // Nothing stays committed on behalf of a failed reservation ...
+        assert_eq!(g.cpu_tables().map(|(_, t)| t.len()).sum::<usize>(), 0);
+        assert!(g.slot_tables().all(|(_, t)| t.is_empty()));
+        assert_eq!(net.node(NodeId(1)).classifier.len(), 0);
+        // ... and its handle is as dead as a cancelled one's.
+        for id in [refused, looped] {
+            assert_eq!(g.status(id), Some(Status::Failed));
+            g.cancel(net, id);
+            g.revoke(net, id);
+            assert_eq!(g.status(id), Some(Status::Failed));
+        }
+        assert!(matches!(
+            g.modify_cpu_fraction(net, refused, 0.1),
+            Err(ReserveError::Invalid("no such modifiable reservation"))
+        ));
+        assert!(log.borrow().is_empty());
+        assert_eq!(net.obs.metrics.counter_value("gara.cancels"), None);
+        assert_eq!(net.obs.metrics.counter_value("gara.revocations"), None);
+    });
+}
+
+#[test]
 fn overlapping_advance_reservations_respect_capacity() {
     let (mut sim, src, dst) = dumbbell_sim();
     with_gara(&mut sim, |g, net| {
@@ -455,22 +540,30 @@ fn status_events_and_callbacks_fire() {
             (id, Status::Expired)
         ]
     );
-    let events = with_gara(&mut sim, |g, _| g.take_events());
-    assert_eq!(events.len(), 3);
+    // The polling interface answers for the finished id, and for no id the
+    // broker never issued (`id` is the only one, so the next is id + 1).
+    with_gara(&mut sim, |g, _| {
+        assert_eq!(g.status(id), Some(Status::Expired));
+        assert_eq!(g.status(ResvId(id.0 + 1 + 7)), None);
+        assert_eq!(g.status(ResvId(u64::MAX)), None);
+    });
 }
 
 #[test]
 fn revoke_tears_down_and_frees_capacity() {
     let (mut sim, src, dst) = dumbbell_sim();
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let log2 = log.clone();
     with_gara(&mut sim, |g, net| {
+        g.subscribe(Box::new(move |id, st| log2.borrow_mut().push((id, st))));
         let id = g
             .reserve(net, net_request(src, dst, 5_000_000), StartSpec::Now, None)
             .unwrap();
         assert_eq!(g.status(id), Some(Status::Active));
-        g.take_events();
+        assert_eq!(log.take(), vec![(id, Status::Active)]);
         g.revoke(net, id);
         assert_eq!(g.status(id), Some(Status::Revoked));
-        assert_eq!(g.take_events(), vec![(id, Status::Revoked)]);
+        assert_eq!(log.take(), vec![(id, Status::Revoked)]);
         // Enforcement gone, capacity back.
         assert_eq!(net.node(NodeId(1)).classifier.len(), 0);
         g.reserve(net, net_request(src, dst, 5_000_000), StartSpec::Now, None)

@@ -14,7 +14,8 @@
 //! counting delivered bytes.
 
 use mpichgq_netsim::NodeId;
-use std::collections::{HashMap, VecDeque};
+use mpichgq_sim::FxHashMap;
+use std::collections::VecDeque;
 
 /// Fixed per-record framing overhead (envelope: context, tag, source, kind,
 /// lengths, request ids) — modeled after MPICH's 32-byte packet header.
@@ -69,7 +70,8 @@ pub struct JobShared {
     /// Rank r listens on `base_port + r`.
     pub base_port: u16,
     /// In-flight record metadata per directed rank pair, in stream order.
-    pub streams: HashMap<(usize, usize), VecDeque<WireMsg>>,
+    /// Only ever probed or `retain`ed, so the map's order reaches nothing.
+    pub streams: FxHashMap<(usize, usize), VecDeque<WireMsg>>,
     /// Which ranks' programs have finished.
     pub finished: Vec<bool>,
     /// Ranks currently failed (host crashed, not yet restarted). The
@@ -95,7 +97,7 @@ impl JobShared {
         JobShared {
             hosts,
             base_port,
-            streams: HashMap::new(),
+            streams: FxHashMap::default(),
             finished: vec![false; n],
             failed: vec![false; n],
             epoch: vec![0; n],

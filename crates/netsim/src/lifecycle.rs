@@ -500,10 +500,10 @@ impl PacketTracer {
             w.key("ph");
             w.string(if s.kind.is_complete() { "X" } else { "i" });
             w.key("ts");
-            w.raw(&us(s.ts_ns));
+            us(w, s.ts_ns);
             if s.kind.is_complete() {
                 w.key("dur");
-                w.raw(&us(s.dur_ns));
+                us(w, s.dur_ns);
             } else {
                 w.key("s");
                 w.string("p"); // process-scoped instant
@@ -582,8 +582,8 @@ fn spec_matches_key(spec: &FlowSpec, key: &FlowKey) -> bool {
 
 /// Nanoseconds as a microsecond decimal with exactly three fraction
 /// digits — a fixed-width, byte-stable JSON number.
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+fn us(w: &mut JsonWriter, ns: u64) {
+    w.raw_fmt(format_args!("{}.{:03}", ns / 1_000, ns % 1_000));
 }
 
 fn write_process_name(w: &mut JsonWriter, pid: u64, name: &str) {

@@ -3,6 +3,8 @@
 //! container already has a member; number formatting uses Rust's shortest
 //! round-trip `Display`, which is deterministic for identical values.
 
+use std::fmt::Write as _;
+
 /// Streaming JSON writer over an owned `String`.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
@@ -66,24 +68,21 @@ impl JsonWriter {
     }
 
     pub fn u64(&mut self, v: u64) {
-        self.pre_value();
-        self.out.push_str(&v.to_string());
+        self.raw_fmt(format_args!("{v}"));
     }
 
     pub fn i64(&mut self, v: i64) {
-        self.pre_value();
-        self.out.push_str(&v.to_string());
+        self.raw_fmt(format_args!("{v}"));
     }
 
     /// Floats print via shortest-round-trip `Display`; non-finite values
     /// (not representable in JSON) become null.
     pub fn f64(&mut self, v: f64) {
-        self.pre_value();
         if v.is_finite() {
-            // Ensure a numeric token that still parses as f64 ("1" is fine).
-            self.out.push_str(&format!("{v}"));
+            // A numeric token that still parses as f64 ("1" is fine).
+            self.raw_fmt(format_args!("{v}"));
         } else {
-            self.out.push_str("null");
+            self.raw("null");
         }
     }
 
@@ -99,21 +98,37 @@ impl JsonWriter {
         self.out.push_str(raw);
     }
 
+    /// [`JsonWriter::raw`] formatted in place: the value is written straight
+    /// into the output instead of into a `String` of its own first.
+    pub fn raw_fmt(&mut self, raw: std::fmt::Arguments<'_>) {
+        self.pre_value();
+        // `fmt::Write` for `String` cannot fail.
+        let _ = self.out.write_fmt(raw);
+    }
+
     fn write_escaped(&mut self, s: &str) {
         self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
+        // Everything escaped is one ASCII byte, so the stretches between
+        // escapes are whole characters and are copied as they stand.
+        let mut clean = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            self.out.push_str(&s[clean..i]);
+            clean = i + 1;
+            match b {
+                b'"' => self.out.push_str("\\\""),
+                b'\\' => self.out.push_str("\\\\"),
+                b'\n' => self.out.push_str("\\n"),
+                b'\r' => self.out.push_str("\\r"),
+                b'\t' => self.out.push_str("\\t"),
+                _ => {
+                    let _ = write!(self.out, "\\u{b:04x}");
                 }
-                c => self.out.push(c),
             }
         }
+        self.out.push_str(&s[clean..]);
         self.out.push('"');
     }
 }
@@ -432,6 +447,62 @@ mod parse_tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("a\"b\n"));
         let arr = v.get("arr").unwrap().as_array().unwrap();
         assert_eq!(arr.len(), 2);
+    }
+
+    #[test]
+    fn in_place_formatting_is_byte_identical_to_the_string_per_value_spelling() {
+        // What the writer emitted while every number went through
+        // `to_string` / `format!` and every character through `push`.
+        fn escaped(s: &str) -> String {
+            let mut out = String::from("\"");
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out + "\""
+        }
+        let floats = [0.0, -0.0, 1e21, 1.5e-7, f64::NAN, f64::INFINITY];
+        let text = "q\"b\\n\nu\u{1}t\tr\r é→𝄞 \u{7f}\u{1f}";
+        let mut w = JsonWriter::new();
+        w.begin_array();
+        let mut want = vec![];
+        for v in [0, 7, u64::MAX] {
+            w.u64(v);
+            want.push(v.to_string());
+        }
+        for v in [0, -1, i64::MIN, i64::MAX] {
+            w.i64(v);
+            want.push(v.to_string());
+        }
+        for v in floats {
+            w.f64(v);
+            want.push(if v.is_finite() {
+                format!("{v}")
+            } else {
+                "null".into()
+            });
+        }
+        for s in [text, "", "plain", "\"", "é"] {
+            w.string(s);
+            want.push(escaped(s));
+        }
+        w.raw_fmt(format_args!("{}.{:03}", 12, 5));
+        want.push("12.005".into());
+        w.end_array();
+        let got = w.finish();
+        assert_eq!(got, format!("[{}]", want.join(",")));
+        // And literally, so the reference cannot drift along with the writer.
+        let numbers = "[0,7,18446744073709551615,0,-1,-9223372036854775808,\
+            9223372036854775807,0,-0,1000000000000000000000,0.00000015,null,null,";
+        assert!(got.starts_with(numbers), "{got}");
+        assert!(got.contains("\"q\\\"b\\\\n\\nu\\u0001t\\tr\\r é→𝄞 \u{7f}\\u001f\",\"\","));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 
 usage: symbolize.py SAMPLES            (a sampler.c dump: where CPU time goes)
        symbolize.py --allocs STACKS    (a mallocs.c dump: who calls malloc)
+       symbolize.py --live SITES       (a mallocs.c $PROF_LIVE dump: who holds the heap)
 
 The profiled binary is the first file in the dump's memory map. Every
 sampled address inside it is rebased and resolved with `addr2line -f -C -i`
@@ -13,7 +14,9 @@ by innermost inlined function, and by file:line; samples in other mappings
 call stack is charged to its allocation site — the first function on it
 outside the allocator and the containers that call it (`alloc::`, `core::`,
 `std::`, `hashbrown::`, the benchmark's counting allocator) — and printed as
-the top 30 sites and the top 30 site-plus-three-callers contexts.
+the top 30 sites and the top 30 site-plus-three-callers contexts. `--live`
+reads rows of sampled bytes + stack, one per stack that held memory when the
+sampled heap was at its high-water mark, and charges the bytes the same way.
 """
 import collections
 import os
@@ -63,40 +66,43 @@ PLUMBING = re.compile(
     r"^<?&?(mut )?(alloc|core|std|hashbrown)::|^(__rustc::)?__r(ust|g|dl)_|benchmark::alloc::")
 
 
-def alloc_sites(binary, base, maps, summary, stacks):
+def alloc_sites(binary, base, maps, summary, stacks, live):
     """Charge each stack to its first function that is not allocator plumbing.
 
     A stack is walked by return address, each one named by the symbol it
     lies in (so plumbing inlined into a caller already carries the caller's
-    name, and what stays out of line is recognised by its path).
+    name, and what stays out of line is recognised by its path). A `live`
+    row leads with the bytes it stands for; any other stack counts once.
     """
+    weights = [st.pop(0) for st in stacks] if live else [1] * len(stacks)
+    what = "bytes live at the high-water mark" if live else "allocation calls"
     own = [m for m in maps if m[3] == binary]
     # A return address: one byte back lands inside the call instruction.
     rebased = [[a - 1 - base for a in st if any(lo <= a < hi for lo, hi, *_ in own)]
                for st in stacks]
     frames = resolve(binary, sorted({a for st in rebased for a in st}))
     sites, contexts = collections.Counter(), collections.Counter()
-    print(f"{len(stacks)} stacks of {summary.removeprefix('--allocs-- ')} in {binary}")
-    for st in rebased:
+    print(f"{len(stacks)} stacks of {summary.split('-- ', 1)[1]} in {binary}")
+    for st, weight in zip(rebased, weights):
         names = [frames[a][0][0] for a in st if frames.get(a)]
         names = [fn for fn in names if not PLUMBING.search(fn)] or ["[no frame in the binary]"]
-        sites[names[0]] += 1
-        contexts[" < ".join(names[:4])] += 1
-    table("allocation calls by site", sites, len(stacks))
-    table("allocation calls by site < its three callers", contexts, len(stacks))
+        sites[names[0]] += weight
+        contexts[" < ".join(names[:4])] += weight
+    table(f"{what} by site", sites, sum(weights))
+    table(f"{what} by site < its three callers", contexts, sum(weights))
 
 
 def main():
-    allocs = sys.argv[1:2] == ["--allocs"]
-    if len(sys.argv) != 2 + allocs:
+    mode = sys.argv[1] if sys.argv[1:2] in (["--allocs"], ["--live"]) else None
+    if len(sys.argv) != 2 + bool(mode):
         sys.exit(__doc__)
     maps, marker, samples = load(sys.argv[-1])
     if not samples:
         sys.exit("no samples: did the run use any CPU time with PROF_OUT set?")
     binary = next(name for *_, name in maps if name.startswith("/"))
     base = min(lo - off for lo, _hi, off, name in maps if name == binary)
-    if allocs:
-        return alloc_sites(binary, base, maps, marker, samples)
+    if mode:
+        return alloc_sites(binary, base, maps, marker, samples, mode == "--live")
 
     samples = [row[0] for row in samples]
     outer, inner, lines = (collections.Counter() for _ in range(3))
