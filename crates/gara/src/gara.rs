@@ -912,7 +912,7 @@ impl Gara {
             ReserveError::Admission(r) => match r.reason {
                 RejectReason::OverCapacity => &mut c.rej_over_capacity,
                 RejectReason::UnknownSlot => &mut c.rej_unknown_slot,
-                RejectReason::EmptyInterval => &mut c.rej_invalid,
+                RejectReason::EmptyInterval | RejectReason::AmountOutOfRange => &mut c.rej_invalid,
             },
             ReserveError::NoRoute => &mut c.rej_no_route,
             ReserveError::UnknownServer(_) => &mut c.rej_unknown_server,

@@ -21,16 +21,25 @@
 //!
 //! * peak load over an interval ([`SlotTable::available`], admission)
 //!   is a range query — prefix sum up to the interval's start plus the
-//!   max prefix of the boundaries strictly inside it — that reads one
-//!   node per level along each bound and scans contiguous entries in it;
-//! * admit / free / resize are boundary updates: one descent, after
-//!   which the nodes on the path re-derive their aggregates. A full node
-//!   splits in half; a node that empties is freed. Nodes never borrow or
-//!   merge, so a drained region stays sparse until it empties;
+//!   max prefix of the boundaries strictly inside it — made in one
+//!   descent: the two bounds share a path from the root, the prefix sum
+//!   is gathered along the start bound's, and every node is read once;
+//! * admit / free / resize move a slot's two boundaries in one descent
+//!   per slot: the ancestors the boundaries share are located and
+//!   re-derive their aggregate once, each leaf is searched once per key.
+//!   A full node splits in half and a node that empties is freed, both
+//!   through the single-boundary update ([`SlotTable::compact`]'s too).
+//!   Nodes never borrow or merge, so a drained region stays sparse until
+//!   it empties;
 //! * the global peak ([`SlotTable::max_peak`]) is the whole tree's
 //!   max-prefix aggregate, kept beside the root, `O(1)`;
 //! * capacity changes ([`SlotTable::set_capacity`]) are `O(1)` — the
 //!   tree stores loads, not headroom.
+//!
+//! Sums are `i64` and exact: the amounts of all live slots together
+//! never pass [`SlotTable::MAX_COMMITTED`] — every entry point that puts
+//! an amount into the tree refuses first — so no load, and no difference
+//! of two loads, leaves the type (the proof is beside `cat`).
 //!
 //! Three levels cover 100k standing slots, where the balanced binary
 //! tree this replaced went ~22 nodes deep with a cache miss at each.
@@ -66,13 +75,18 @@ pub enum RejectReason {
     UnknownSlot,
     /// The interval ends at or before its start: it would hold nothing.
     EmptyInterval,
+    /// The amount fits the capacity but would take the amounts of all
+    /// live slots together past [`SlotTable::MAX_COMMITTED`].
+    AmountOutOfRange,
 }
 
 /// Admission failure: how much was free at the worst point of the interval.
 ///
 /// `available` is reported with saturating arithmetic: if existing slots
 /// already exceed capacity (possible transiently after a capacity-lowering
-/// [`SlotTable::set_capacity`]), it reads 0 rather than wrapping.
+/// [`SlotTable::set_capacity`]), it reads 0 rather than wrapping. For
+/// [`RejectReason::AmountOutOfRange`] it is the largest amount the table's
+/// domain still had room for.
 /// `requested` always carries the amount that was asked for, for
 /// [`RejectReason::UnknownSlot`] refusals as much as capacity ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +102,14 @@ impl Rejected {
             requested,
             available: 0,
             reason: RejectReason::EmptyInterval,
+        }
+    }
+
+    fn out_of_range(requested: u64, room: u64) -> Rejected {
+        Rejected {
+            requested,
+            available: room,
+            reason: RejectReason::AmountOutOfRange,
         }
     }
 }
@@ -107,6 +129,11 @@ impl std::fmt::Display for Rejected {
                 f,
                 "reservation of {} rejected: empty interval",
                 self.requested
+            ),
+            RejectReason::AmountOutOfRange => write!(
+                f,
+                "reservation of {} rejected: the table can account for {} more",
+                self.requested, self.available
             ),
         }
     }
@@ -130,15 +157,37 @@ const NIL: u32 = u32::MAX;
 
 /// `(sum, max_prefix)` of a run of boundary deltas in key order:
 /// `max_prefix` is the largest sum of its first k deltas, k >= 1.
-type Agg = (i128, i128);
+type Agg = (i64, i64);
 
 /// The empty run. Its `max_prefix` stands for minus infinity; halved so
 /// that adding a real sum to it cannot overflow.
-const EMPTY: Agg = (0, i128::MIN / 2);
+const EMPTY: Agg = (0, i64::MIN / 2);
 
 /// Concatenate two runs, `a` first.
+///
+/// Exact in `i64`. Let `T <= MAX_COMMITTED = 2^62 - 1` be the sum of the
+/// amounts of all live slots. The load at an instant is the sum of the
+/// amounts of the slots covering it, so it lies in `[0, T]`. The deltas
+/// of the boundaries in a run of consecutive keys sum to the load after
+/// the run minus the load before it, so the sum of any run — and
+/// `max_prefix`, the sum of one of its prefixes — lies in `[-T, T]`.
+/// Between the two single-boundary updates of a slot that splits or
+/// empties a leaf, the tree holds that slot half applied: an insert's
+/// `+amount` without its end (loads in `[0, T]`, `T` already counting
+/// it), or a remove's `-amount` at the end without its start (loads in
+/// `[-amount, T - amount]`, `T` still counting it); differences stay in
+/// `[-T, T]`. Both sums below add two such values, or one and `EMPTY`'s
+/// `-2^62`: magnitude under `2^63`.
 fn cat(a: Agg, b: Agg) -> Agg {
+    debug_assert!(
+        a.0.checked_add(b.0).is_some() && a.0.checked_add(b.1).is_some(),
+        "boundary sums left the table's domain: {a:?} ++ {b:?}"
+    );
     (a.0 + b.0, a.1.max(a.0 + b.1))
+}
+
+fn sum_of(run: &[Agg]) -> i64 {
+    run.iter().map(|a| a.0).sum()
 }
 
 fn insert_at<T: Copy>(a: &mut [T; B], len: usize, i: usize, v: T) {
@@ -150,6 +199,41 @@ fn remove_at<T: Copy>(a: &mut [T; B], len: usize, i: usize) {
     a.copy_within(i + 1..len, i);
 }
 
+// Node reads per operation, for the unit test that holds a query and a
+// write to one descent each. Compiled out of every other build.
+#[cfg(test)]
+thread_local! {
+    static VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// A descent has arrived at a node.
+#[inline(always)]
+fn visit() {
+    #[cfg(test)]
+    VISITS.with(|v| v.set(v.get() + 1));
+}
+
+/// One boundary update: add `delta` and `refs` endpoint references at
+/// `key`, creating the boundary if absent, dropping it when its last
+/// reference goes away.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    key: SimTime,
+    delta: i64,
+    refs: i32,
+}
+
+/// What [`Leaf::edit`] did.
+enum Edit {
+    /// Applied in place; the leaf's boundary count changed by this much.
+    Done(isize),
+    /// Not applied: the boundary is the leaf's last and would go.
+    Empties,
+    /// Not applied: the leaf is full and the boundary, absent, belongs at
+    /// this position.
+    Full(usize),
+}
+
 /// Up to `B` boundary instants in key order. A boundary carries the net
 /// load change across every slot endpoint at that instant and how many
 /// endpoints reference it (it is dropped when the last endpoint goes
@@ -158,7 +242,7 @@ fn remove_at<T: Copy>(a: &mut [T; B], len: usize, i: usize) {
 struct Leaf {
     len: usize,
     key: [SimTime; B],
-    delta: [i128; B],
+    delta: [i64; B],
     refs: [u32; B],
 }
 
@@ -182,11 +266,43 @@ impl Leaf {
         run
     }
 
-    fn insert(&mut self, i: usize, key: SimTime, delta: i128, refs: u32) {
-        insert_at(&mut self.key, self.len, i, key);
-        insert_at(&mut self.delta, self.len, i, delta);
-        insert_at(&mut self.refs, self.len, i, refs);
+    fn insert(&mut self, i: usize, e: Edge) {
+        insert_at(&mut self.key, self.len, i, e.key);
+        insert_at(&mut self.delta, self.len, i, e.delta);
+        insert_at(&mut self.refs, self.len, i, e.refs as u32);
         self.len += 1;
+    }
+
+    /// Apply `e` unless that would split or empty the leaf.
+    fn edit(&mut self, e: Edge) -> Edit {
+        let pos = self.key[..self.len].partition_point(|&k| k < e.key);
+        if pos < self.len && self.key[pos] == e.key {
+            let refs = self.refs[pos].wrapping_add_signed(e.refs);
+            if refs > 0 {
+                self.delta[pos] += e.delta;
+                self.refs[pos] = refs;
+                return Edit::Done(0);
+            }
+            debug_assert_eq!(
+                self.delta[pos] + e.delta,
+                0,
+                "freed boundary with nonzero delta"
+            );
+            if self.len == 1 {
+                return Edit::Empties;
+            }
+            remove_at(&mut self.key, self.len, pos);
+            remove_at(&mut self.delta, self.len, pos);
+            remove_at(&mut self.refs, self.len, pos);
+            self.len -= 1;
+            return Edit::Done(-1);
+        }
+        debug_assert!(e.refs > 0, "releasing a boundary that was never added");
+        if self.len == B {
+            return Edit::Full(pos);
+        }
+        self.insert(pos, e);
+        Edit::Done(1)
     }
 
     /// Move the upper half of a full leaf into a new one.
@@ -296,6 +412,10 @@ pub struct SlotTable {
     capacity: u64,
     slots: FxHashMap<u64, Slot>,
     next_id: u64,
+    /// Sum of the amounts of all live slots, at most
+    /// [`SlotTable::MAX_COMMITTED`]: what keeps the tree's `i64` sums
+    /// exact.
+    committed: u64,
     leaves: Arena<Leaf>,
     inners: Arena<Inner>,
     /// `NIL` while the table holds no boundary; a leaf while `height` is
@@ -304,24 +424,28 @@ pub struct SlotTable {
     height: u32,
     root_agg: Agg,
     boundaries: usize,
-    /// Scratch for [`SlotTable::apply`]: the `(inner node, child taken)`
-    /// pairs of its descent.
-    path: Vec<(u32, usize)>,
 }
 
 impl SlotTable {
+    /// The most the amounts of all live slots may add up to, `2^62 - 1`.
+    /// The load at any instant is a sum over some of the live slots, so
+    /// this bounds every load the table can hold, whatever its capacity
+    /// and whatever [`SlotTable::restore`] is asked for. An amount that
+    /// would pass it is refused ([`RejectReason::AmountOutOfRange`]).
+    pub const MAX_COMMITTED: u64 = u64::MAX / 4;
+
     pub fn new(capacity: u64) -> Self {
         SlotTable {
             capacity,
             slots: FxHashMap::default(),
             next_id: 0,
+            committed: 0,
             leaves: Arena::NEW,
             inners: Arena::NEW,
             root: NIL,
             height: 0,
             root_agg: EMPTY,
             boundaries: 0,
-            path: Vec::new(),
         }
     }
 
@@ -341,28 +465,15 @@ impl SlotTable {
 
     // -- tree plumbing -------------------------------------------------
 
-    /// Add `delta` (and `refs_delta` endpoint references) at boundary
-    /// `key`, creating the boundary if absent, dropping it when its last
-    /// reference goes away. One descent; the nodes on its path re-derive
+    /// Apply one edge. One descent; the nodes on its path re-derive
     /// their aggregates on the way back up, a full node splits in half
     /// and an emptied one is freed (no borrowing or merging: a sparse
     /// node costs memory, never correctness).
-    fn apply(&mut self, key: SimTime, delta: i128, refs_delta: i32) {
+    fn apply(&mut self, e: Edge) {
         if self.root == NIL {
             self.root = self.leaves.alloc(Leaf::NEW);
         }
-        let mut n = self.root;
-        for _ in 0..self.height {
-            let x = &self.inners.items[n as usize];
-            let i = x.child_for(key);
-            self.path.push((n, i));
-            n = x.child[i];
-        }
-        let mut up = self.apply_leaf(n, key, delta, refs_delta);
-        while let Some((p, i)) = self.path.pop() {
-            up = self.apply_inner(p, i, up);
-        }
-        match up {
+        match self.apply_at(self.height, self.root, e) {
             Up::Kept(a) => self.root_agg = a,
             Up::Emptied => (self.root, self.height, self.root_agg) = (NIL, 0, EMPTY),
             Up::Split(la, sep, right, ra) => {
@@ -376,40 +487,41 @@ impl SlotTable {
         }
     }
 
-    fn apply_leaf(&mut self, n: u32, key: SimTime, delta: i128, refs_delta: i32) -> Up {
+    fn apply_at(&mut self, level: u32, n: u32, e: Edge) -> Up {
+        visit();
+        if level == 0 {
+            return self.apply_leaf(n, e);
+        }
+        let x = &self.inners.items[n as usize];
+        let i = x.child_for(e.key);
+        let up = self.apply_at(level - 1, x.child[i], e);
+        self.apply_inner(n, i, up)
+    }
+
+    fn apply_leaf(&mut self, n: u32, e: Edge) -> Up {
         let l = &mut self.leaves.items[n as usize];
-        let pos = l.key[..l.len].partition_point(|&k| k < key);
-        if pos < l.len && l.key[pos] == key {
-            l.delta[pos] += delta;
-            l.refs[pos] = (l.refs[pos] as i64 + refs_delta as i64) as u32;
-            if l.refs[pos] == 0 {
-                debug_assert_eq!(l.delta[pos], 0, "freed boundary with nonzero delta");
-                remove_at(&mut l.key, l.len, pos);
-                remove_at(&mut l.delta, l.len, pos);
-                remove_at(&mut l.refs, l.len, pos);
-                l.len -= 1;
-                self.boundaries -= 1;
-                if l.len == 0 {
-                    self.leaves.free.push(n);
-                    return Up::Emptied;
-                }
+        match l.edit(e) {
+            Edit::Done(grew) => {
+                self.boundaries = self.boundaries.wrapping_add_signed(grew);
+                Up::Kept(l.agg())
             }
-            return Up::Kept(l.agg());
+            Edit::Empties => {
+                self.boundaries -= 1;
+                self.leaves.free.push(n);
+                Up::Emptied
+            }
+            Edit::Full(pos) => {
+                self.boundaries += 1;
+                let mut r = l.split();
+                if pos <= B / 2 {
+                    l.insert(pos, e);
+                } else {
+                    r.insert(pos - B / 2, e);
+                }
+                let (la, sep, ra) = (l.agg(), r.key[0], r.agg());
+                Up::Split(la, sep, self.leaves.alloc(r), ra)
+            }
         }
-        debug_assert!(refs_delta > 0, "releasing a boundary that was never added");
-        self.boundaries += 1;
-        if l.len < B {
-            l.insert(pos, key, delta, refs_delta as u32);
-            return Up::Kept(l.agg());
-        }
-        let mut r = l.split();
-        if pos <= B / 2 {
-            l.insert(pos, key, delta, refs_delta as u32);
-        } else {
-            r.insert(pos - B / 2, key, delta, refs_delta as u32);
-        }
-        let (la, sep, ra) = (l.agg(), r.key[0], r.agg());
-        Up::Split(la, sep, self.leaves.alloc(r), ra)
     }
 
     /// Fold what child `i` of inner node `p` reported into `p`.
@@ -445,78 +557,203 @@ impl SlotTable {
         Up::Kept(x.agg())
     }
 
+    /// Apply a slot's two edges — `delta` at `start`, `-delta` at `end`,
+    /// `refs` at both — in one descent: a node on both paths is searched
+    /// for both keys on one visit and re-derives its aggregate once, below
+    /// the point where the paths part each goes its own way. An edge that
+    /// would split or empty a
+    /// leaf — one slot in 14 while a table grows from empty, one in 300
+    /// under churn at a standing population — goes through
+    /// [`SlotTable::apply`] instead, after whatever came before it in
+    /// `s`, `e` order: the tree is the one two `apply`s build.
+    fn apply_pair(&mut self, start: SimTime, end: SimTime, delta: i64, refs: i32) {
+        debug_assert!(start < end);
+        let s = Edge {
+            key: start,
+            delta,
+            refs,
+        };
+        let e = Edge {
+            key: end,
+            delta: -delta,
+            refs,
+        };
+        let done = match self.root {
+            NIL => None,
+            root => self.pair(self.height, root, s, e),
+        };
+        match done {
+            Some((a, true)) => self.root_agg = a,
+            Some((_, false)) => self.apply(e),
+            None => {
+                self.apply(s);
+                self.apply(e);
+            }
+        }
+    }
+
+    /// [`Leaf::edit`] with the boundary census kept: whether `e` was
+    /// applied (it is not, and nothing changes, where that would split or
+    /// empty leaf `n`).
+    fn edit_in_place(&mut self, n: u32, e: Edge) -> bool {
+        let Edit::Done(grew) = self.leaves.items[n as usize].edit(e) else {
+            return false;
+        };
+        self.boundaries = self.boundaries.wrapping_add_signed(grew);
+        true
+    }
+
+    /// Apply `s` and `e` below `n`, stopping — nothing half done inside a
+    /// node — at the first that would split or empty a leaf: `None` if
+    /// that is `s`, else `n`'s aggregate now and whether `e` went in too.
+    fn pair(&mut self, level: u32, n: u32, s: Edge, e: Edge) -> Option<(Agg, bool)> {
+        visit();
+        if level == 0 {
+            let ended = self.edit_in_place(n, s).then(|| self.edit_in_place(n, e))?;
+            return Some((self.leaves.items[n as usize].agg(), ended));
+        }
+        let x = &self.inners.items[n as usize];
+        let i = x.child_for(s.key);
+        let j = i + x.sep[i + 1..x.len].partition_point(|&k| k <= e.key);
+        let (ci, cj) = (x.child[i], x.child[j]);
+        let (a, ended) = if i == j {
+            self.pair(level - 1, ci, s, e)?
+        } else {
+            let a = self.single(level - 1, ci, s)?;
+            let b = self.single(level - 1, cj, e);
+            if let Some(b) = b {
+                self.inners.items[n as usize].agg[j] = b;
+            }
+            (a, b.is_some())
+        };
+        let x = &mut self.inners.items[n as usize];
+        x.agg[i] = a;
+        Some((x.agg(), ended))
+    }
+
+    /// Apply one edge below `n` and return `n`'s aggregate, or touch
+    /// nothing and return `None` if it would split or empty the leaf.
+    fn single(&mut self, level: u32, n: u32, e: Edge) -> Option<Agg> {
+        visit();
+        if level == 0 {
+            return self
+                .edit_in_place(n, e)
+                .then(|| self.leaves.items[n as usize].agg());
+        }
+        let x = &self.inners.items[n as usize];
+        let i = x.child_for(e.key);
+        let a = self.single(level - 1, x.child[i], e)?;
+        let x = &mut self.inners.items[n as usize];
+        x.agg[i] = a;
+        Some(x.agg())
+    }
+
     /// Committed load just after every boundary `<= t` has applied —
     /// i.e. the load at instant `t`. One read-only descent.
-    fn prefix_le(&self, t: SimTime) -> i128 {
+    fn prefix_le(&self, t: SimTime) -> i64 {
         if self.root == NIL {
             return 0;
         }
-        let mut acc = 0i128;
+        let mut acc = 0;
         let mut n = self.root;
         for _ in 0..self.height {
+            visit();
             let x = &self.inners.items[n as usize];
             let i = x.child_for(t);
-            acc += x.agg[..i].iter().map(|a| a.0).sum::<i128>();
+            acc += sum_of(&x.agg[..i]);
             n = x.child[i];
         }
+        visit();
         let l = &self.leaves.items[n as usize];
         let hi = l.key[..l.len].partition_point(|&k| k <= t);
-        acc + l.delta[..hi].iter().sum::<i128>()
+        acc + l.delta[..hi].iter().sum::<i64>()
     }
 
     /// Peak committed load over `[start, end)` (all slots), read-only:
     /// the load at `start` plus the best prefix of the boundary deltas
-    /// strictly inside the interval.
+    /// strictly inside the interval, both from one descent. While the two
+    /// bounds lie under the same child there is one path; where they part,
+    /// the children strictly between contribute their stored aggregates
+    /// and each bound is followed down alone. The load at `start` is the
+    /// sum of everything left of its path.
     fn peak_in(&self, start: SimTime, end: SimTime) -> u64 {
+        if start >= end {
+            // An empty interval (a caller's `available(t, t)`) reads as
+            // the instant `start`.
+            return self.load_at(start);
+        }
         if self.root == NIL {
             return 0;
         }
-        let base = self.prefix_le(start);
-        // An empty interval (a caller's `available(t, t)`) reads as the
-        // instant `start`.
-        let inside = if start < end {
-            self.range_agg(self.height, self.root, Some(start), Some(end))
-        } else {
-            EMPTY
+        let (mut level, mut n, mut base) = (self.height, self.root, 0);
+        let inside = loop {
+            visit();
+            if level == 0 {
+                let l = &self.leaves.items[n as usize];
+                let lo = l.key[..l.len].partition_point(|&k| k <= start);
+                let hi = lo + l.key[lo..l.len].partition_point(|&k| k < end);
+                base += l.delta[..lo].iter().sum::<i64>();
+                break l.agg_of(lo, hi);
+            }
+            let x = &self.inners.items[n as usize];
+            let a = x.child_for(start);
+            let b = a + x.sep[a + 1..x.len].partition_point(|&k| k < end);
+            base += sum_of(&x.agg[..a]);
+            if a < b {
+                let mut run = self.above(level - 1, x.child[a], start, &mut base);
+                for &whole in &x.agg[a + 1..b] {
+                    run = cat(run, whole);
+                }
+                break self.below(level - 1, x.child[b], end, run);
+            }
+            (level, n) = (level - 1, x.child[a]);
         };
         let peak = base + inside.1.max(0);
-        debug_assert!(peak >= 0, "negative committed load");
-        peak.max(0) as u64
+        debug_assert!(base >= 0 && peak >= 0, "negative committed load");
+        peak as u64
     }
 
-    /// Aggregate over the keys of subtree `n` (`level` 0 is a leaf) that
-    /// lie above `s` and below `e`, both exclusive, `None` for unbounded.
-    /// Children strictly between the two boundary children contribute
-    /// their stored aggregates; each bound is followed down one path.
-    fn range_agg(&self, level: u32, n: u32, s: Option<SimTime>, e: Option<SimTime>) -> Agg {
-        if level == 0 {
-            let l = &self.leaves.items[n as usize];
-            let keys = &l.key[..l.len];
-            let lo = s.map_or(0, |s| keys.partition_point(|&k| k <= s));
-            let hi = e.map_or(l.len, |e| keys.partition_point(|&k| k < e));
-            return l.agg_of(lo, hi);
-        }
-        let x = &self.inners.items[n as usize];
-        let a = s.map(|s| x.child_for(s));
-        let b = e.map(|e| x.sep[1..x.len].partition_point(|&k| k < e));
-        if let (Some(a), Some(b)) = (a, b) {
-            if a == b {
-                return self.range_agg(level - 1, x.child[a], s, e);
+    /// Aggregate over the keys of subtree `n` (`level` 0 is a leaf) above
+    /// `s`; the deltas at or below `s` are added to `base`.
+    fn above(&self, mut level: u32, mut n: u32, s: SimTime, base: &mut i64) -> Agg {
+        // What the levels passed so far hold right of the path.
+        let mut right = EMPTY;
+        loop {
+            visit();
+            if level == 0 {
+                let l = &self.leaves.items[n as usize];
+                let lo = l.key[..l.len].partition_point(|&k| k <= s);
+                *base += l.delta[..lo].iter().sum::<i64>();
+                return cat(l.agg_of(lo, l.len), right);
             }
+            let x = &self.inners.items[n as usize];
+            let a = x.child_for(s);
+            *base += sum_of(&x.agg[..a]);
+            let here = x.agg[a + 1..x.len]
+                .iter()
+                .fold(EMPTY, |run, &w| cat(run, w));
+            right = cat(here, right);
+            (level, n) = (level - 1, x.child[a]);
         }
-        let mut run = EMPTY;
-        let mut lo = 0;
-        if let Some(a) = a {
-            run = self.range_agg(level - 1, x.child[a], s, None);
-            lo = a + 1;
+    }
+
+    /// `left` followed by the aggregate over the keys of subtree `n` below
+    /// `e`.
+    fn below(&self, mut level: u32, mut n: u32, e: SimTime, mut left: Agg) -> Agg {
+        loop {
+            visit();
+            if level == 0 {
+                let l = &self.leaves.items[n as usize];
+                let hi = l.key[..l.len].partition_point(|&k| k < e);
+                return cat(left, l.agg_of(0, hi));
+            }
+            let x = &self.inners.items[n as usize];
+            let b = x.sep[1..x.len].partition_point(|&k| k < e);
+            for &whole in &x.agg[..b] {
+                left = cat(left, whole);
+            }
+            (level, n) = (level - 1, x.child[b]);
         }
-        for &whole in &x.agg[lo..b.unwrap_or(x.len)] {
-            run = cat(run, whole);
-        }
-        if let Some(b) = b {
-            run = cat(run, self.range_agg(level - 1, x.child[b], None, e));
-        }
-        run
     }
 
     // -- the admission API ---------------------------------------------
@@ -541,9 +778,15 @@ impl SlotTable {
         self.max_peak().saturating_sub(self.capacity)
     }
 
+    /// What [`SlotTable::MAX_COMMITTED`] leaves for further amounts.
+    fn room(&self) -> u64 {
+        Self::MAX_COMMITTED - self.committed
+    }
+
     /// Admit `amount` over `[start, end)` or reject without side effects.
     /// An interval with `start >= end` is refused as
-    /// [`RejectReason::EmptyInterval`].
+    /// [`RejectReason::EmptyInterval`], an amount that fits the capacity
+    /// but not the table's domain as [`RejectReason::AmountOutOfRange`].
     pub fn try_insert(
         &mut self,
         start: SimTime,
@@ -573,10 +816,14 @@ impl SlotTable {
                 reason: RejectReason::OverCapacity,
             });
         }
+        if amount > self.room() {
+            return Err(Rejected::out_of_range(amount, self.room()));
+        }
         Ok(self.insert_unchecked(start, end, amount, tenant))
     }
 
-    /// Insert a slot's boundaries and bookkeeping without admission.
+    /// Insert a slot's boundaries and bookkeeping without admission. The
+    /// caller has checked `amount <= self.room()`.
     fn insert_unchecked(
         &mut self,
         start: SimTime,
@@ -586,8 +833,8 @@ impl SlotTable {
     ) -> SlotId {
         let id = self.next_id;
         self.next_id += 1;
-        self.apply(start, amount as i128, 1);
-        self.apply(end, -(amount as i128), 1);
+        self.committed += amount;
+        self.apply_pair(start, end, amount as i64, 1);
         self.slots.insert(
             id,
             Slot {
@@ -607,7 +854,9 @@ impl SlotTable {
     /// committed load, exactly as a sequential admit-with-rollback loop
     /// would have seen them. An empty item refuses the batch before any
     /// capacity is looked at ([`RejectReason::EmptyInterval`], the first
-    /// such item in input order).
+    /// such item in input order); so does, after that, the first item
+    /// whose amount the table's domain has no room left for
+    /// ([`RejectReason::AmountOutOfRange`]).
     pub fn try_insert_batch(
         &mut self,
         items: &[(SimTime, SimTime, u64)],
@@ -623,6 +872,13 @@ impl SlotTable {
     ) -> Result<Vec<SlotId>, Rejected> {
         if let Some(&(_, _, amount)) = items.iter().find(|&&(start, end, _)| start >= end) {
             return Err(Rejected::empty_interval(amount));
+        }
+        let mut room = self.room();
+        for &(_, _, amount) in items {
+            if amount > room {
+                return Err(Rejected::out_of_range(amount, room));
+            }
+            room -= amount;
         }
         // Optimistically commit every boundary, then audit each item's
         // interval against the combined load; roll back all on the first
@@ -655,8 +911,8 @@ impl SlotTable {
         let Some(s) = self.slots.remove(&id.0) else {
             return false;
         };
-        self.apply(s.start, -(s.amount as i128), -1);
-        self.apply(s.end, s.amount as i128, -1);
+        self.committed -= s.amount;
+        self.apply_pair(s.start, s.end, -(s.amount as i64), -1);
         true
     }
 
@@ -684,21 +940,36 @@ impl SlotTable {
                 reason: RejectReason::OverCapacity,
             });
         }
-        self.restore(id, new_amount);
+        if !self.restore(id, new_amount) {
+            let room = self.room() + slot.amount;
+            return Err(Rejected::out_of_range(new_amount, room));
+        }
         Ok(())
     }
 
     /// Set a slot's amount without admission control. This is the rollback
-    /// primitive: restoring a previously admitted amount must never fail,
-    /// even if capacity was reconfigured in between. Returns whether the
-    /// slot existed.
+    /// primitive: restoring a previously admitted amount must not fail
+    /// because capacity was reconfigured in between. Returns whether the
+    /// slot existed and the table's domain has room for the amount
+    /// ([`SlotTable::MAX_COMMITTED`]); nothing changes otherwise.
     pub fn restore(&mut self, id: SlotId, amount: u64) -> bool {
-        let Some(&slot) = self.slots.get(&id.0) else {
+        let Some(slot) = self.slots.get_mut(&id.0) else {
             return false;
         };
-        self.apply(slot.start, amount as i128 - slot.amount as i128, 0);
-        self.apply(slot.end, slot.amount as i128 - amount as i128, 0);
-        self.slots.get_mut(&id.0).unwrap().amount = amount;
+        let Slot {
+            start,
+            end,
+            amount: old,
+            ..
+        } = *slot;
+        let others = self.committed - old;
+        if amount > Self::MAX_COMMITTED - others {
+            return false;
+        }
+        slot.amount = amount;
+        self.committed = others + amount;
+        let grow = amount as i64 - old as i64;
+        self.apply_pair(start, end, grow, 0);
         true
     }
 
@@ -723,8 +994,13 @@ impl SlotTable {
             if s.tenant == t.tenant && s.amount == t.amount && s.end == t.start {
                 // The shared boundary carries +amount and -amount from the
                 // pair; both endpoints retire together.
-                self.apply(s.end, 0, -2);
+                self.apply(Edge {
+                    key: s.end,
+                    delta: 0,
+                    refs: -2,
+                });
                 self.slots.remove(&tid);
+                self.committed -= t.amount;
                 self.slots.get_mut(&sid).unwrap().end = t.end;
                 order[head].1.end = t.end;
                 merged.push((SlotId(tid), SlotId(sid)));
@@ -1065,6 +1341,9 @@ mod tests {
         /// one, no reachable empty node, no leaked node, and
         /// `boundary_count()` equal to the leaves' total length.
         fn check_structure(&self) {
+            let live: u64 = self.slots.values().map(|s| s.amount).sum();
+            assert_eq!(self.committed, live, "live-amount total is stale");
+            assert!(live <= Self::MAX_COMMITTED, "table outside its domain");
             if self.root == NIL {
                 assert_eq!((self.height, self.boundaries), (0, 0));
                 assert_eq!(self.root_agg, EMPTY);
@@ -1342,5 +1621,344 @@ mod tests {
         }
         assert_eq!(st.boundary_count(), 0);
         assert_eq!(st.max_peak(), 0);
+    }
+
+    #[test]
+    fn amounts_beyond_the_domain_are_refused_and_nothing_wraps() {
+        const MAX: u64 = SlotTable::MAX_COMMITTED;
+        let out = |requested, room| Rejected {
+            requested,
+            available: room,
+            reason: RejectReason::AmountOutOfRange,
+        };
+        let unchanged = |st: &SlotTable, len, boundaries, peak| {
+            st.check_structure();
+            let now = (st.len(), st.boundary_count(), st.max_peak());
+            assert_eq!(now, (len, boundaries, peak));
+        };
+        let mut st = SlotTable::new(u64::MAX);
+        // The over-admission this domain exists for: the pair used to go
+        // into the tree as 2^65 - 2 and come back out `as u64`, a peak of
+        // 2^64 - 2 under a capacity of 2^64 - 1 — admitted.
+        let pair = [(t(0), t(10), u64::MAX), (t(0), t(10), u64::MAX)];
+        assert_eq!(st.try_insert_batch(&pair), Err(out(u64::MAX, MAX)));
+        // The item reported is the one the running total stops at.
+        let pair = [(t(0), t(10), MAX - 5), (t(20), t(30), 6)];
+        assert_eq!(st.try_insert_batch_tenant(&pair, 3), Err(out(6, 5)));
+        // Singly, over overlapping and over disjoint intervals.
+        for (start, end) in [(0, 10), (5, 15), (20, 30)] {
+            let got = st.try_insert(t(start), t(end), u64::MAX);
+            assert_eq!(got, Err(out(u64::MAX, MAX)));
+        }
+        assert_eq!(st.try_insert(t(0), t(10), MAX + 1), Err(out(MAX + 1, MAX)));
+        unchanged(&st, 0, 0, 0);
+        assert_eq!(st.next_id, 0, "a refusal consumes no slot id");
+        assert_eq!(
+            out(6, 5).to_string(),
+            "reservation of 6 rejected: the table can account for 5 more"
+        );
+
+        // The edge: exactly MAX is admitted and read back exactly.
+        let a = st.try_insert(t(0), t(10), MAX).unwrap();
+        assert_eq!((st.load_at(t(5)), st.load_at(t(10))), (MAX, 0));
+        assert_eq!(st.available(t(0), t(10)), u64::MAX - MAX);
+        assert_eq!(st.max_overcommit(), 0);
+        // One unit more is not, wherever it lies, by any entry point.
+        assert_eq!(st.try_insert(t(5), t(30), 1), Err(out(1, 0)));
+        assert_eq!(st.try_insert(t(20), t(30), 1), Err(out(1, 0)));
+        assert_eq!(st.try_insert_batch(&[(t(20), t(30), 1)]), Err(out(1, 0)));
+        assert_eq!(st.try_resize(a, MAX + 1), Err(out(MAX + 1, MAX)));
+        assert_eq!(st.try_resize(a, u64::MAX), Err(out(u64::MAX, MAX)));
+        assert!(!st.restore(a, MAX + 1) && !st.restore(a, u64::MAX));
+        unchanged(&st, 1, 2, MAX);
+        assert_eq!(st.amount_of(a), Some(MAX));
+
+        // Room is what the other slots leave, for resize and restore too.
+        st.try_resize(a, MAX - 1).unwrap();
+        let b = st.try_insert(t(20), t(30), 1).unwrap();
+        assert_eq!(st.try_resize(b, 2), Err(out(2, 1)));
+        assert!(!st.restore(b, 2));
+        unchanged(&st, 2, 4, MAX - 1);
+        assert!(st.restore(a, MAX - 2) && st.restore(b, 2));
+        assert_eq!((st.load_at(t(0)), st.load_at(t(20))), (MAX - 2, 2));
+        // Folding two slots into one gives their second amount back.
+        assert!(st.remove(a) && st.restore(b, MAX / 2));
+        st.try_insert(t(30), t(40), MAX / 2).unwrap();
+        assert_eq!(st.try_insert(t(50), t(60), 2), Err(out(2, 1)));
+        assert_eq!(st.compact().len(), 1);
+        st.try_insert(t(50), t(60), MAX / 2 + 1).unwrap();
+        unchanged(&st, 2, 4, MAX / 2 + 1);
+
+        // A capacity the amount does not fit is still the first answer.
+        let mut small = SlotTable::new(100);
+        let err = small.try_insert(t(0), t(10), u64::MAX).unwrap_err();
+        assert_eq!(
+            (err.reason, err.available),
+            (RejectReason::OverCapacity, 100)
+        );
+        let id = small.try_insert(t(0), t(10), 60).unwrap();
+        let err = small.try_resize(id, u64::MAX).unwrap_err();
+        assert_eq!(
+            (err.reason, err.available),
+            (RejectReason::OverCapacity, 100)
+        );
+        unchanged(&small, 1, 2, 60);
+    }
+
+    /// Quarter seconds: the populations below sit on whole seconds, so
+    /// every leaf has fresh instants between any two of its keys.
+    fn q(quarters: u64) -> SimTime {
+        SimTime::from_millis(250 * quarters)
+    }
+
+    /// Node reads made by `f`.
+    fn visits<R>(f: impl FnOnce() -> R) -> (usize, R) {
+        VISITS.with(|v| v.set(0));
+        let r = f();
+        (VISITS.with(|v| v.get()), r)
+    }
+
+    impl SlotTable {
+        /// The nodes from the root to the leaf `key` lives in or would go
+        /// to, and that leaf's length.
+        fn path_to(&self, key: SimTime) -> (Vec<u32>, usize) {
+            let mut path = vec![self.root];
+            for _ in 0..self.height {
+                let x = &self.inners.items[*path.last().unwrap() as usize];
+                path.push(x.child[x.child_for(key)]);
+            }
+            let len = self.leaves.items[*path.last().unwrap() as usize].len;
+            (path, len)
+        }
+
+        /// How many nodes the paths to two keys share, from the root down.
+        fn shared(&self, a: SimTime, b: SimTime) -> usize {
+            let (pa, pb) = (self.path_to(a).0, self.path_to(b).0);
+            pa.iter().zip(&pb).take_while(|(x, y)| x == y).count()
+        }
+    }
+
+    /// A table of `n` slots on whole seconds below `HORIZON / 4` (flat
+    /// model in quarter seconds), capacity out of the way.
+    const HORIZON: u64 = 800;
+    fn populated(seed: u64, n: usize) -> (SlotTable, Flat) {
+        let mut rng = mpichgq_sim::SimRng::new(seed);
+        let mut st = SlotTable::new(1_000_000);
+        let mut flat = Flat {
+            cap: 1_000_000,
+            ..Flat::default()
+        };
+        for _ in 0..n {
+            let start = 4 * rng.below(HORIZON / 4 - 40);
+            let (end, amount) = (start + 4 * rng.range(1, 40), rng.range(1, 50));
+            let id = st.try_insert(q(start), q(end), amount).unwrap();
+            flat.slots.push((id, start, end, amount, 0));
+        }
+        (st, flat)
+    }
+
+    /// Structure, and every answer the table gives against the flat
+    /// model's: the load at each quarter second, the peak, and the
+    /// headroom of intervals of every scale from every fifth instant.
+    fn agree(st: &SlotTable, flat: &Flat) {
+        st.check_structure();
+        assert_eq!(st.len(), flat.slots.len());
+        assert_eq!(st.boundary_count(), flat.boundaries());
+        let loads: Vec<u64> = (0..=HORIZON).map(|at| flat.load_at(at)).collect();
+        for (at, &load) in loads.iter().enumerate() {
+            assert_eq!(st.load_at(q(at as u64)), load, "load at {at}");
+        }
+        assert_eq!(st.max_peak(), loads.iter().copied().max().unwrap());
+        for start in (0..HORIZON).step_by(5) {
+            for len in [0, 1, 3, 17, 90, HORIZON] {
+                // Loads only change on quarter seconds.
+                let peak = loads[start as usize..(start + len.max(1)).min(HORIZON + 1) as usize]
+                    .iter()
+                    .max()
+                    .unwrap();
+                assert_eq!(
+                    st.available(q(start), q(start + len)),
+                    flat.cap - peak,
+                    "headroom of [{start}, {start} + {len})"
+                );
+            }
+        }
+    }
+
+    /// The first `(start, end)` in quarter seconds, neither on a whole
+    /// second (so both boundaries are new), that `want` accepts.
+    fn fresh_interval(want: impl Fn(u64, u64) -> bool) -> (u64, u64) {
+        let fresh = || (1..HORIZON).filter(|x| x % 4 != 0);
+        fresh()
+            .flat_map(|s| fresh().filter(move |&e| e > s).map(move |e| (s, e)))
+            .find(|&(s, e)| want(s, e))
+            .expect("the population offers no such interval")
+    }
+
+    #[test]
+    fn a_slots_two_boundaries_move_in_one_descent_wherever_they_lie() {
+        let (mut st, mut flat) = populated(0x51DE, 70);
+        let h = st.height as usize;
+        assert!(h >= 3, "the table was meant to be deep (height {h})");
+        agree(&st, &flat);
+        // Admit over `(s, e)`, which must take `nodes` node reads to
+        // write, then resize, restore and free it again the same way.
+        let cycle = |st: &mut SlotTable, flat: &mut Flat, (s, e): (u64, u64), nodes: usize| {
+            let (query, headroom) = visits(|| st.available(q(s), q(e)));
+            assert!(query <= 2 * (h + 1), "{query} reads for one query");
+            assert_eq!(headroom, flat.cap - flat.peak_in(s, e));
+            let (n, id) = visits(|| st.try_insert(q(s), q(e), 7).unwrap());
+            assert_eq!(n - query, nodes, "reads for the write over [{s}, {e})");
+            flat.slots.push((id, s, e, 7, 0));
+            agree(st, flat);
+            assert_eq!(visits(|| st.try_resize(id, 9).unwrap()).0, query + nodes);
+            flat.slots.last_mut().unwrap().3 = 9;
+            agree(st, flat);
+            assert_eq!(visits(|| st.restore(id, 2)), (nodes, true));
+            flat.slots.last_mut().unwrap().3 = 2;
+            agree(st, flat);
+            assert_eq!(visits(|| st.remove(id)), (nodes, true));
+            flat.slots.pop();
+            agree(st, flat);
+        };
+        // Both in one leaf that has room for two: one path.
+        let one_leaf =
+            fresh_interval(|s, e| st.shared(q(s), q(e)) == h + 1 && st.path_to(q(s)).1 + 2 <= B);
+        cycle(&mut st, &mut flat, one_leaf, h + 1);
+        // In two leaves of one parent; under different children of the
+        // root; and every depth of parting in between.
+        let room = |st: &SlotTable, x: u64| st.path_to(q(x)).1 < B;
+        for together in (1..=h).rev() {
+            let parted = fresh_interval(|s, e| {
+                st.shared(q(s), q(e)) == together && room(&st, s) && room(&st, e)
+            });
+            cycle(
+                &mut st,
+                &mut flat,
+                parted,
+                together + 2 * (h + 1 - together),
+            );
+        }
+    }
+
+    #[test]
+    fn a_write_that_splits_or_empties_a_leaf_builds_the_tree_two_updates_build() {
+        let (mut st, mut flat) = populated(0xB0B, 70);
+        let leaf_of = |st: &SlotTable, x: u64| *st.path_to(q(x)).0.last().unwrap();
+        // Both boundaries into one full leaf, the end above its middle:
+        // the start's split leaves the end to the new right sibling.
+        let (s, e) = fresh_interval(|s, e| {
+            let (path, len) = st.path_to(q(s));
+            let l = &st.leaves.items[*path.last().unwrap() as usize];
+            len == B && leaf_of(&st, e) == leaf_of(&st, s) && q(e) > l.key[B / 2]
+        });
+        let (leaves, id) = (st.leaves.items.len() - st.leaves.free.len(), st.next_id);
+        flat.slots
+            .push((st.try_insert(q(s), q(e), 11).unwrap(), s, e, 11, 0));
+        assert_eq!(st.leaves.items.len() - st.leaves.free.len(), leaves + 1);
+        assert_ne!(leaf_of(&st, s), leaf_of(&st, e));
+        agree(&st, &flat);
+        // A full end leaf under a start that fits: the start is written by
+        // the pair descent, the end by its own.
+        let (s, e) = fresh_interval(|s, e| st.path_to(q(s)).1 < B && st.path_to(q(e)).1 == B);
+        flat.slots
+            .push((st.try_insert(q(s), q(e), 13).unwrap(), s, e, 13, 0));
+        agree(&st, &flat);
+        assert_eq!(st.next_id, id + 2);
+
+        // Drain until leaves hold single boundaries, then free slots whose
+        // start is alone in its leaf while the end is not, and the reverse.
+        let lone = |st: &SlotTable, flat: &Flat, x: u64| {
+            let ends = flat.slots.iter().filter(|s| s.1 == x || s.2 == x).count();
+            ends == 1 && st.path_to(q(x)).1 == 1
+        };
+        let mut emptied = [0, 0];
+        let mut rng = mpichgq_sim::SimRng::new(7);
+        while !flat.slots.is_empty() {
+            let found = flat.slots.iter().position(|&(_, s, e, ..)| {
+                lone(&st, &flat, s) != lone(&st, &flat, e) && leaf_of(&st, s) != leaf_of(&st, e)
+            });
+            let k = found.unwrap_or(rng.below(flat.slots.len() as u64) as usize);
+            if found.is_some() {
+                emptied[lone(&st, &flat, flat.slots[k].1) as usize] += 1;
+            }
+            let (id, ..) = flat.slots.swap_remove(k);
+            let leaves = st.leaves.items.len() - st.leaves.free.len();
+            assert!(st.remove(id));
+            let now = st.leaves.items.len() - st.leaves.free.len();
+            assert!(found.is_none() || now == leaves - 1, "one leaf goes");
+            agree(&st, &flat);
+        }
+        assert!(
+            emptied[0] >= 3 && emptied[1] >= 3,
+            "leaves emptied by an end / a start alone: {emptied:?}"
+        );
+        assert!(st.root == NIL);
+    }
+
+    #[test]
+    fn restore_moves_boundaries_other_slots_share() {
+        let (mut st, mut flat) = populated(0xC0DE, 40);
+        // Three slots on one interval, one ending where it starts and one
+        // starting where it ends.
+        let (s, e) = (400, 480);
+        for (start, end, amount) in [
+            (s, e, 5),
+            (s, e, 6),
+            (s, e, 7),
+            (s - 40, s, 8),
+            (e, e + 40, 9),
+        ] {
+            let id = st.try_insert(q(start), q(end), amount).unwrap();
+            flat.slots.push((id, start, end, amount, 0));
+        }
+        let boundaries = st.boundary_count();
+        for (k, amount) in [(1, 60), (2, 0), (1, 1), (0, 5), (3, 80), (4, 0)] {
+            let at = flat.slots.len() - 5 + k;
+            assert!(st.restore(flat.slots[at].0, amount));
+            flat.slots[at].3 = amount;
+            agree(&st, &flat);
+            assert_eq!(st.boundary_count(), boundaries);
+        }
+    }
+
+    #[test]
+    fn an_admission_is_one_read_descent_and_one_write_descent() {
+        // Three levels, as a production table has at 1k to 30k slots.
+        let mut st = SlotTable::new(1_000_000);
+        let mut next = 0;
+        while st.height < 2 {
+            st.try_insert(q(4 * next), q(4 * next + 12), 3).unwrap();
+            next += 1;
+        }
+        let h = st.height as usize;
+        let mut shapes = [0; 4];
+        for s in (1..4 * next).filter(|x| x % 4 != 0) {
+            for e in (s + 1..4 * next + 12).filter(|x| x % 4 != 0) {
+                let shared = st.shared(q(s), q(e));
+                let fits = match shared == h + 1 {
+                    true => st.path_to(q(s)).1 + 2 <= B,
+                    false => st.path_to(q(s)).1 < B && st.path_to(q(e)).1 < B,
+                };
+                if !fits {
+                    continue;
+                }
+                shapes[shared] += 1;
+                let (query, _) = visits(|| st.available(q(s), q(e)));
+                let (both, id) = visits(|| st.try_insert(q(s), q(e), 1).unwrap());
+                let (free, _) = visits(|| st.remove(id));
+                // Each shared node once, each of the others once.
+                let descent = shared + 2 * (h + 1 - shared);
+                assert_eq!((query, both - query, free), (descent, descent, descent));
+                assert!(descent <= 2 * (h + 1));
+                // The instant and the point query: one path.
+                assert_eq!(visits(|| st.available(q(s), q(s))).0, h + 1);
+                assert_eq!(visits(|| st.load_at(q(e))).0, h + 1);
+            }
+        }
+        assert!(
+            shapes[1..].iter().all(|&n| n > 0),
+            "paths parting at every level: {shapes:?}"
+        );
     }
 }

@@ -811,3 +811,163 @@ fn production_fan_out_tree_matches_flat_model() {
     assert_eq!(st.try_insert(ns(9), ns(20), 1).unwrap_err().available, 0);
     assert!(st.remove(id));
 }
+
+/// Writes placed where a slot's two boundaries meet the tree differently:
+/// one descent serves both (`SlotTable`'s pair write), so what matters is
+/// where the two paths part and whether a leaf on either splits or goes.
+/// The unit tests pin each case at fan-out 4 by looking at the nodes; here
+/// the production fan-out is steered into them by interval shape — a
+/// microsecond long (one leaf), a few dozen boundaries long (neighbouring
+/// leaves), half the horizon (different children of the root), bursts of
+/// abutting microsecond slots poured into one spot (the start's leaf
+/// splits under the pair, the end lands in the new sibling) and freed
+/// again wholesale (leaves empty around the ends of long slots that
+/// stay), and slots on a coarse grid, whose boundaries many share, resized
+/// by `restore`. Every answer is compared with the flat model after every
+/// operation, at the written instants and at random ones.
+#[test]
+fn pair_writes_of_every_shape_match_flat_model_at_production_fan_out() {
+    const HORIZON: u64 = 4_000_000; // microseconds
+    const GRID: u64 = 50_000;
+    let us = SimTime::from_micros;
+    let mut rng = mpichgq_sim::SimRng::new(0x2B0D);
+    let mut st = SlotTable::new(u64::MAX / 8);
+    let mut fl = FlatTable {
+        capacity: u64::MAX / 8,
+        ..FlatTable::default()
+    };
+    // (id, start, end), and the bursts as lists of ids.
+    let mut held: Vec<(u64, u64, u64)> = Vec::new();
+    let mut bursts: Vec<Vec<u64>> = Vec::new();
+    let (mut shapes, mut deepest) = ([0u32; 8], 0);
+    let check = |st: &SlotTable, fl: &FlatTable, rng: &mut mpichgq_sim::SimRng, at: [u64; 2]| {
+        assert_eq!(st.len(), fl.slots.len());
+        assert_eq!(st.boundary_count(), fl.edges.len());
+        assert_eq!(st.max_peak(), fl.max_peak());
+        let [s, e] = at;
+        let near = [s.saturating_sub(1), s, s + 1, e.saturating_sub(1), e, e + 1];
+        let far = [rng.below(HORIZON), rng.below(HORIZON)];
+        for &x in near.iter().chain(&far) {
+            assert_eq!(st.load_at(us(x)), fl.load_at(us(x)), "load at {x}");
+        }
+        for (a, b) in [
+            (s, e),
+            (s + 1, e),
+            (s, e + 1),
+            (far[0], e),
+            (s, far[1]),
+            (0, HORIZON),
+        ] {
+            let (a, b) = (a.min(b), a.max(b));
+            let want = fl.capacity.saturating_sub(fl.peak_in(us(a), us(b)));
+            assert_eq!(st.available(us(a), us(b)), want, "headroom of [{a}, {b})");
+        }
+    };
+    for op in 0..2_600u32 {
+        // Grow to a three-level table first, then hold it there.
+        let grow = held.len() < 1_000 && op < 2_200;
+        let shape = match rng.below(10) {
+            k @ 0..=4 if grow || k == 0 => k as usize,
+            5 if grow => 5,
+            6 if !bursts.is_empty() => 6,
+            7 | 8 if !held.is_empty() => 7,
+            _ if !held.is_empty() => 0xF,
+            _ => 0,
+        };
+        let mut insert = |st: &mut SlotTable, fl: &mut FlatTable, amount: u64, s: u64, e: u64| {
+            let got = st.try_insert(us(s), us(e), amount);
+            let want = fl.try_insert_tenant(us(s), us(e), amount, 0);
+            assert_eq!(got, want.map(SlotId), "insert over [{s}, {e}) diverged");
+            held.push((want.unwrap(), s, e));
+            want.unwrap()
+        };
+        let at = match shape {
+            // One microsecond; a few dozen boundaries; half the horizon;
+            // on the grid; anywhere.
+            0..=4 => {
+                let start = rng.below(HORIZON / 2);
+                let (s, e) = match shape {
+                    0 => (start, start + 1),
+                    1 => (start, start + rng.range(1, 40) * HORIZON / 2_000),
+                    2 => (start, start + HORIZON / 2 - rng.below(1_000)),
+                    3 => {
+                        let s = start / GRID * GRID;
+                        (s, s + GRID * rng.range(1, 4))
+                    }
+                    _ => (start, start + rng.range(1, HORIZON / 2)),
+                };
+                insert(&mut st, &mut fl, rng.range(1, 1_000), s, e);
+                [s, e]
+            }
+            // A burst: forty abutting one-microsecond slots, ascending or
+            // descending, each write checked.
+            5 => {
+                let base = rng.below(HORIZON - 100);
+                let up = rng.chance(0.5);
+                let ids = (0..40)
+                    .map(|i| {
+                        let s = base + 2 * if up { i } else { 39 - i };
+                        let id = insert(&mut st, &mut fl, rng.range(1, 1_000), s, s + 2);
+                        check(&st, &fl, &mut rng, [s, s + 2]);
+                        id
+                    })
+                    .collect();
+                bursts.push(ids);
+                [base, base + 80]
+            }
+            // Free a whole burst.
+            6 => {
+                let ids = bursts.swap_remove(rng.below(bursts.len() as u64) as usize);
+                let mut at = [0, 0];
+                for id in ids {
+                    let k = held.iter().position(|h| h.0 == id).unwrap();
+                    let (_, s, e) = held.swap_remove(k);
+                    assert!(st.remove(SlotId(id)) && fl.remove(id));
+                    check(&st, &fl, &mut rng, [s, e]);
+                    at = [s, e];
+                }
+                at
+            }
+            // Set a slot's amount, admission or no admission.
+            7 => {
+                let (id, s, e) = held[rng.below(held.len() as u64) as usize];
+                let amount = rng.range(0, 2_000);
+                if rng.chance(0.5) {
+                    let want = fl.try_resize(id, amount);
+                    assert_eq!(st.try_resize(SlotId(id), amount), want);
+                } else {
+                    assert!(st.restore(SlotId(id), amount));
+                    let slot = fl.slots[&id];
+                    fl.edge(slot.0, amount as i128 - slot.2 as i128, 0);
+                    fl.edge(slot.1, slot.2 as i128 - amount as i128, 0);
+                    fl.slots.insert(id, (slot.0, slot.1, amount, slot.3));
+                }
+                [s, e]
+            }
+            _ => {
+                let (id, s, e) = held.swap_remove(rng.below(held.len() as u64) as usize);
+                bursts.iter_mut().for_each(|b| b.retain(|&x| x != id));
+                assert!(st.remove(SlotId(id)) && fl.remove(id));
+                [s, e]
+            }
+        };
+        shapes[shape.min(7)] += 1;
+        deepest = deepest.max(st.boundary_count());
+        check(&st, &fl, &mut rng, at);
+    }
+    assert!(
+        shapes.iter().all(|&n| n >= 20),
+        "every shape of write is exercised: {shapes:?}"
+    );
+    assert!(
+        deepest > 1_500,
+        "a three-level table ({deepest} boundaries)"
+    );
+    while let Some((id, s, e)) = held.pop() {
+        assert!(st.remove(SlotId(id)) && fl.remove(id));
+        if held.len().is_multiple_of(64) {
+            check(&st, &fl, &mut rng, [s, e]);
+        }
+    }
+    assert_eq!((st.len(), st.boundary_count(), st.max_peak()), (0, 0, 0));
+}

@@ -2,7 +2,7 @@
 //! invariant — committed capacity never exceeds the limit at any instant,
 //! under arbitrary insert/remove/resize sequences.
 
-use mpichgq_gara::{SlotId, SlotTable};
+use mpichgq_gara::{RejectReason, SlotId, SlotTable};
 use mpichgq_sim::SimTime;
 use proptest::prelude::*;
 
@@ -115,5 +115,96 @@ proptest! {
         }
         prop_assert!(st.is_empty());
         prop_assert_eq!(st.available(SimTime::ZERO, SimTime::from_secs(1000)), CAP);
+    }
+}
+
+/// What the table reports about itself, for "a refusal changed nothing".
+fn census(st: &SlotTable) -> (usize, usize, u64, u64) {
+    let day = SimTime::from_secs(86_400);
+    (
+        st.len(),
+        st.boundary_count(),
+        st.max_peak(),
+        st.available(SimTime::ZERO, day),
+    )
+}
+
+/// No amount reachable through the public API wraps the table's sums:
+/// what is admitted is reported exactly, what cannot be accounted for is
+/// refused with a reason and changes nothing. (Two `u64::MAX`
+/// co-reservations on a `u64::MAX` table used to be admitted with a
+/// reported peak of `u64::MAX - 1`.)
+#[test]
+fn huge_amounts_are_refused_or_reported_exactly() {
+    let t = SimTime::from_secs;
+    let is_out = |r: Result<_, mpichgq_gara::Rejected>, requested: u64| {
+        let r = r.expect_err("refused");
+        assert_eq!(
+            (r.reason, r.requested),
+            (RejectReason::AmountOutOfRange, requested)
+        );
+        r.available
+    };
+    let mut st = SlotTable::new(u64::MAX);
+    let empty = census(&st);
+    let pair = [(t(0), t(10), u64::MAX), (t(0), t(10), u64::MAX)];
+    is_out(st.try_insert_batch(&pair).map(|_| ()), u64::MAX);
+    is_out(st.try_insert(t(0), t(10), u64::MAX).map(|_| ()), u64::MAX);
+    is_out(st.try_insert(t(20), t(30), u64::MAX).map(|_| ()), u64::MAX);
+    assert_eq!(census(&st), empty);
+
+    // A large amount that is admitted is read back to the unit.
+    let big = u64::MAX / 8;
+    let a = st.try_insert(t(0), t(10), big).unwrap();
+    let b = st.try_insert(t(5), t(15), big).unwrap();
+    assert_eq!((st.load_at(t(4)), st.load_at(t(5))), (big, 2 * big));
+    assert_eq!((st.max_peak(), st.max_overcommit()), (2 * big, 0));
+    assert_eq!(st.available(t(0), t(20)), u64::MAX - 2 * big);
+    let held = census(&st);
+    // The third would fit the capacity four times over: its refusal is the
+    // domain's, and says how much it still has room for.
+    let room = is_out(st.try_insert(t(20), t(30), big + 2).map(|_| ()), big + 2);
+    assert_eq!(room, SlotTable::MAX_COMMITTED - 2 * big);
+    assert_eq!(is_out(st.try_resize(a, u64::MAX), u64::MAX), room + big);
+    assert!(!st.restore(b, u64::MAX));
+    assert_eq!(census(&st), held);
+    assert_eq!((st.amount_of(a), st.amount_of(b)), (Some(big), Some(big)));
+    st.try_insert(t(20), t(30), room).unwrap();
+    assert_eq!(st.load_at(t(25)), room);
+}
+
+/// The edge of the domain: all live amounts together may reach
+/// `MAX_COMMITTED` and not pass it, under a capacity of exactly that much
+/// (where the capacity is the answer) and under a larger one (where the
+/// domain is).
+#[test]
+fn the_domain_ends_at_max_committed() {
+    const MAX: u64 = SlotTable::MAX_COMMITTED;
+    assert_eq!(MAX, (1 << 62) - 1);
+    let t = SimTime::from_secs;
+    for (capacity, reason) in [
+        (MAX, RejectReason::OverCapacity),
+        (MAX + 1, RejectReason::AmountOutOfRange),
+    ] {
+        let mut st = SlotTable::new(capacity);
+        let r = st.try_insert(t(0), t(10), MAX + 1).unwrap_err();
+        assert_eq!((r.reason, r.available), (reason, MAX));
+        assert!(st.is_empty());
+        let id = st.try_insert(t(0), t(10), MAX).unwrap();
+        assert_eq!((st.max_peak(), st.load_at(t(9))), (MAX, MAX));
+        assert_eq!(st.available(t(0), t(10)), capacity - MAX);
+        let r = st.try_resize(id, MAX + 1).unwrap_err();
+        assert_eq!((r.reason, r.available), (reason, MAX));
+        assert!(!st.restore(id, MAX + 1));
+        assert_eq!(st.amount_of(id), Some(MAX));
+        // Disjoint in time, but one table's books.
+        let r = st.try_insert(t(10), t(20), 1).unwrap_err();
+        assert_eq!((r.reason, r.available), (RejectReason::AmountOutOfRange, 0));
+        st.try_resize(id, MAX - 1).unwrap();
+        st.try_insert(t(10), t(20), 1).unwrap();
+        assert_eq!(
+            (st.len(), st.boundary_count(), st.max_peak()),
+            (2, 3, MAX - 1)
+        );
     }
 }

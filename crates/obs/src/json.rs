@@ -136,7 +136,8 @@ impl JsonWriter {
 /// A parsed JSON value. Integers are kept exact: a token without `.`, `e`
 /// or `E` parses to [`JsonValue::UInt`] (or [`JsonValue::Int`] when
 /// negative) so round-trip tests can check `u64`/`i64` fields without f64
-/// precision loss. Object member order is preserved.
+/// precision loss; one too large for either reads as [`JsonValue::Float`].
+/// Object member order is preserved.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
@@ -400,17 +401,16 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         if !is_float {
-            if let Some(rest) = text.strip_prefix('-') {
-                // Parse the magnitude, then negate (handles i64::MIN too).
+            // Exact while it fits. JSON has one number type, so an integer
+            // literal beyond `i64` / `u64` — what the writer prints for
+            // `f64(1e21)` — is a float below, not an error.
+            if text.starts_with('-') {
                 if let Ok(v) = text.parse::<i64>() {
                     return Ok(JsonValue::Int(v));
                 }
-                return Err(format!("integer out of range: -{rest}"));
-            }
-            if let Ok(v) = text.parse::<u64>() {
+            } else if let Ok(v) = text.parse::<u64>() {
                 return Ok(JsonValue::UInt(v));
             }
-            return Err(format!("integer out of range: {text}"));
         }
         text.parse::<f64>()
             .map(JsonValue::Float)
@@ -510,6 +510,22 @@ mod parse_tests {
         // 2^63 + 1 is not representable in f64; the parser must keep it.
         let v = parse("9223372036854775809").unwrap();
         assert_eq!(v.as_u64(), Some(9223372036854775809));
+    }
+
+    #[test]
+    fn integer_literals_beyond_64_bits_read_as_floats() {
+        // `f64`'s `Display` prints 1e21 as a 22-digit integer.
+        for v in [1e21, -1e21] {
+            let mut w = JsonWriter::new();
+            w.f64(v);
+            assert_eq!(parse(&w.finish()), Ok(JsonValue::Float(v)));
+        }
+        // One past each exact range; the ends of the ranges stay exact.
+        let float = |text: &str| parse(text).unwrap() == JsonValue::Float(text.parse().unwrap());
+        assert!(float("18446744073709551616") && float("-9223372036854775809"));
+        assert_eq!(parse(&u64::MAX.to_string()), Ok(JsonValue::UInt(u64::MAX)));
+        assert_eq!(parse(&i64::MIN.to_string()), Ok(JsonValue::Int(i64::MIN)));
+        assert!(parse("-").is_err());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 """Flat profiles from the scripts/prof preloads' dumps.
 
 usage: symbolize.py SAMPLES            (a sampler.c dump: where CPU time goes)
+       symbolize.py --within SUBSTR SAMPLES   (the same dump, inside one function)
        symbolize.py --allocs STACKS    (a mallocs.c dump: who calls malloc)
        symbolize.py --live SITES       (a mallocs.c $PROF_LIVE dump: who holds the heap)
 
@@ -10,7 +11,13 @@ sampled address inside it is rebased and resolved with `addr2line -f -C -i`
 (the release profile carries line tables). Self time is printed three ways,
 top 30 each: by outermost symbol (the function that was actually called),
 by innermost inlined function, and by file:line; samples in other mappings
-(libc, vdso) are charged to the mapping's name. With `--allocs` each kept
+(libc, vdso) are charged to the mapping's name. `--within SUBSTR` keeps only
+the samples whose outermost symbol contains SUBSTR — the flat profile's
+"`apply` 40 %" taken apart — and prints them by chain of inlined functions,
+innermost first (`fold < agg < apply`), then by file:line and by address
+with that chain beside each: whether the 40 % is the descent or the re-fold
+is one table away.
+With `--allocs` each kept
 call stack is charged to its allocation site — the first function on it
 outside the allocator and the containers that call it (`alloc::`, `core::`,
 `std::`, `hashbrown::`, the benchmark's counting allocator) — and printed as
@@ -92,11 +99,55 @@ def alloc_sites(binary, base, maps, summary, stacks, live):
     table(f"{what} by site < its three callers", contexts, sum(weights))
 
 
+def short(fn):
+    """`a::b<T>::c::{closure#0}` -> `c{}`: the last path segment outside any brackets."""
+    flat, depth = [], 0
+    for ch in fn.replace("->", ""):
+        depth += ch in "<(["
+        if depth == 0:
+            flat.append(ch)
+        depth -= ch in ">)]"
+    parts = [p.strip() for p in "".join(flat).split("::") if p.strip()]
+    names = [p for p in parts if not p.startswith("{")]
+    return names[-1] + "{}" * (len(parts) - len(names)) if names else "::".join(parts)
+
+
+def within(substr, inside, frames, total):
+    """The samples under one outermost symbol: by inlined chain, line and address."""
+    chains, lines, addrs = (collections.Counter() for _ in range(3))
+    for addr, n in inside:
+        stack = frames.get(addr) or [("??", "??:0")]
+        if substr not in stack[-1][0]:
+            continue
+        names = [short(fn) for fn, _ in stack]
+        # addr2line names a frame inlined from another crate after the symbol
+        # it sits in; its file:line is right, so let that stand for it.
+        if len(names) > 1 and names[0] == names[-1]:
+            names.pop(0)
+        chain = " < ".join(names)
+        where = re.sub(r"^/rustc/[0-9a-f]+/library/", "", stack[0][1].split(" (discriminator")[0])
+        chains[chain] += n
+        lines[f"{where}  {chain}"] += n
+        addrs[f"{addr:#x}  {where}  {chain}"] += n
+    kept = sum(chains.values())
+    if not kept:
+        sys.exit(f"no sample's outermost symbol contains {substr!r}")
+    print(f"{kept} of them ({100 * kept / total:.1f}%) under a symbol containing {substr!r};"
+          " shares below are of all samples, chains read innermost < inlined into")
+    table(f"self time within {substr!r} by inlined chain", chains, total)
+    table(f"self time within {substr!r} by file:line", lines, total)
+    table(f"self time within {substr!r} by address", addrs, total)
+
+
 def main():
-    mode = sys.argv[1] if sys.argv[1:2] in (["--allocs"], ["--live"]) else None
-    if len(sys.argv) != 2 + bool(mode):
+    args, mode, substr = sys.argv[1:], None, None
+    if args[:1] in (["--allocs"], ["--live"]):
+        mode = args.pop(0)
+    elif args[:1] == ["--within"] and len(args) == 3:
+        substr, args = args[1], args[2:]
+    if len(args) != 1 or args[0].startswith("--"):
         sys.exit(__doc__)
-    maps, marker, samples = load(sys.argv[-1])
+    maps, marker, samples = load(args[0])
     if not samples:
         sys.exit("no samples: did the run use any CPU time with PROF_OUT set?")
     binary = next(name for *_, name in maps if name.startswith("/"))
@@ -116,14 +167,16 @@ def main():
         for counts in (outer, inner, lines):
             counts[where] += n
     frames = resolve(binary, [a for a, _ in inside])
+    total = len(samples)
+    print(f"{total} samples at 250 Hz = {total / 250:.2f} s of CPU in {binary}")
+    if substr is not None:
+        return within(substr, inside, frames, total)
     for addr, n in inside:
         stack = frames.get(addr) or [("??", "??:0")]
         outer[stack[-1][0]] += n
         inner[stack[0][0]] += n
         lines[stack[0][1].split(" (discriminator")[0]] += n
 
-    total = len(samples)
-    print(f"{total} samples at 250 Hz = {total / 250:.2f} s of CPU in {binary}")
     table("self time by outermost symbol", outer, total)
     table("self time by innermost inlined function", inner, total)
     table("self time by file:line", lines, total)
