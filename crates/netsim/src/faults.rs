@@ -236,6 +236,9 @@ pub(crate) struct FaultLayer {
     rng: SimRng,
     chans: Vec<ChanFaults>,
     hosts: Vec<HostFaults>,
+    /// Every installed plan's actions, in installation order; a scheduled
+    /// fault event carries its action's index here.
+    actions: Vec<FaultAction>,
     pub(crate) stats: FaultStats,
 }
 
@@ -245,8 +248,22 @@ impl FaultLayer {
             rng: SimRng::new(seed ^ 0x000F_A017_5EED),
             chans: vec![ChanFaults::CLEAR; n_chans],
             hosts: vec![HostFaults::clear(); n_nodes],
+            actions: Vec::new(),
             stats: FaultStats::default(),
         }
+    }
+
+    /// Keep `action` for its event; returns the index the event carries.
+    pub(crate) fn add_action(&mut self, action: FaultAction) -> u32 {
+        let idx =
+            u32::try_from(self.actions.len()).expect("fewer than 2^32 fault actions installed");
+        self.actions.push(action);
+        idx
+    }
+
+    /// The action of the fault event carrying `idx`.
+    pub(crate) fn action(&self, idx: u32) -> FaultAction {
+        self.actions[idx as usize]
     }
 
     #[inline]

@@ -7,10 +7,11 @@
 //!
 //! * a **packet classifier** on edge-ingress interfaces ([`classifier`]);
 //! * **token-bucket** marking and policing of premium flows ([`tokenbucket`]);
-//! * **pluggable queue disciplines** ([`queue`]): the paper's strict-
-//!   priority EF queuing by default, plus WFQ/DRR schedulers and RED/WRED
-//!   droppers with an Assured Forwarding class behind one
-//!   [`QueueDiscipline`] trait;
+//! * **per-interface queue disciplines** ([`queue`]): the paper's strict-
+//!   priority EF queuing by default, drop-tail, and WFQ/DRR schedulers
+//!   with RED/WRED droppers and an Assured Forwarding class, selected by
+//!   [`QueueCfg`] and dispatched by one concrete [`Queue`] type (an enum
+//!   inside, no trait objects);
 //! * optional **end-system traffic shaping** ([`shaper`]) — the paper's
 //!   proposed remedy for bursty MPI traffic (§5.4);
 //! * a per-host **CPU model** (via `mpichgq-dsrt`) so CPU contention and
@@ -47,8 +48,7 @@ pub use net::{
 };
 pub use packet::{AfPrec, Dscp, FlowKey, NodeId, Packet, Proto, TcpFlags, TcpHeader, L4};
 pub use queue::{
-    ClassCfg, DropperCfg, Enqueue, Queue, QueueCfg, QueueDiscipline, QueueStats, RedCfg, SchedCfg,
-    SchedKind,
+    ClassCfg, DropperCfg, Enqueue, Queue, QueueCfg, QueueStats, RedCfg, SchedCfg, SchedKind,
 };
 pub use shaper::{ShapeOutcome, Shaper, ShaperStats};
 pub use shard::{run_partitioned, run_windowed, Partition, PartitionError};

@@ -59,31 +59,88 @@ impl Node {
     }
 }
 
-/// Internal event type.
+/// Internal event type: 16 bytes, so an engine entry is 32. The three
+/// events whose payload is wider keep it out of line — a CPU wake-up and a
+/// shaper release in a [`ColdTable`], a fault's action in the
+/// [`FaultLayer`] — and carry its index.
 #[derive(Debug)]
-pub enum Ev {
+pub(crate) enum Ev {
     /// Transmission of the head packet on `chan` finished.
     TxDone { chan: ChanId },
     /// The head of `chan`'s wire FIFO arrives at `chan.to`.
     Deliver { chan: ChanId },
     /// A transport/application timer on a host.
     HostTimer { host: NodeId, token: u64 },
-    /// A CPU work item may have completed.
-    CpuDone {
-        host: NodeId,
-        work: WorkId,
-        gen: u64,
-    },
-    /// A host egress shaper can release queued packets.
-    ShaperRelease { host: NodeId, shaper: u64, gen: u64 },
+    /// A CPU work item may have completed ([`CpuWake`] in `slot`).
+    CpuDone { slot: u32 },
+    /// A host egress shaper can release queued packets ([`ShaperWake`] in
+    /// `slot`).
+    ShaperRelease { slot: u32 },
     /// Scenario-script control point.
     Control { token: u64 },
-    /// A scripted fault from an installed [`FaultPlan`] fires.
-    Fault { action: FaultAction },
+    /// Scripted fault `idx` of the installed [`FaultPlan`]s fires.
+    Fault { idx: u32 },
     /// A windowed `CpuThrottle` lapsed: re-derive the host's effective
     /// rate from the windows still active (restoring the baseline once
     /// the last one is gone).
     ThrottleExpire { host: NodeId },
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+/// What an [`Ev::CpuDone`] wakes: `host`'s work item `work` at schedule
+/// generation `gen`.
+#[derive(Debug, Clone, Copy)]
+struct CpuWake {
+    host: NodeId,
+    work: WorkId,
+    gen: u64,
+}
+
+/// What an [`Ev::ShaperRelease`] wakes: shaper `shaper` on `host` at
+/// release generation `gen`.
+#[derive(Debug, Clone, Copy)]
+struct ShaperWake {
+    host: NodeId,
+    shaper: u64,
+    gen: u64,
+}
+
+/// Payloads of pending events too wide for [`Ev`], indexed by the event's
+/// `slot`. An event's slot is freed when it fires — a stale one included —
+/// and freed slots are reused last-in first-out, so the table never holds
+/// more entries than there were such events pending at once.
+#[derive(Debug)]
+struct ColdTable<T> {
+    slots: Vec<T>,
+    free: Vec<u32>,
+}
+
+impl<T: Copy> ColdTable<T> {
+    fn new() -> Self {
+        ColdTable {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Store `v` for an event about to be scheduled; returns its slot.
+    fn put(&mut self, v: T) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.slots[slot as usize] = v;
+            return slot;
+        }
+        let slot =
+            u32::try_from(self.slots.len()).expect("fewer than 2^32 such events pending at once");
+        self.slots.push(v);
+        slot
+    }
+
+    /// The payload of the event firing with `slot`, whose slot is free again.
+    fn take(&mut self, slot: u32) -> T {
+        self.free.push(slot);
+        self.slots[slot as usize]
+    }
 }
 
 /// Upper layers (transport stacks, scenario controllers) implement this.
@@ -440,6 +497,8 @@ pub struct Net {
     routes: RouteTable,
     /// Reusable buffer for shaper releases (no per-event allocation).
     shaper_scratch: Vec<Packet>,
+    cpu_wakes: ColdTable<CpuWake>,
+    shaper_wakes: ColdTable<ShaperWake>,
     pub recorder: Recorder,
     pub rng: SimRng,
     pub drops: DropStats,
@@ -486,6 +545,8 @@ impl Net {
             queues,
             routes,
             shaper_scratch: Vec::new(),
+            cpu_wakes: ColdTable::new(),
+            shaper_wakes: ColdTable::new(),
             recorder: Recorder::new(),
             rng: SimRng::new(seed),
             drops: DropStats::default(),
@@ -808,15 +869,13 @@ impl Net {
                 );
             }
         }
-        if self.faults.is_none() {
-            self.faults = Some(Box::new(FaultLayer::new(
-                plan.seed(),
-                self.chans.len(),
-                self.nodes.len(),
-            )));
-        }
+        let (n_chans, n_nodes) = (self.chans.len(), self.nodes.len());
+        let f = self
+            .faults
+            .get_or_insert_with(|| Box::new(FaultLayer::new(plan.seed(), n_chans, n_nodes)));
         for &(at, action) in plan.actions() {
-            self.engine.schedule(at, Ev::Fault { action });
+            let idx = f.add_action(action);
+            self.engine.schedule(at, Ev::Fault { idx });
         }
     }
 
@@ -835,12 +894,13 @@ impl Net {
         self.faults.as_ref().is_some_and(|f| f.host_is_down(host))
     }
 
-    fn apply_fault(&mut self, action: FaultAction) {
+    /// Fire action `idx` of the installed plans.
+    fn apply_fault<H: NetHandler>(&mut self, idx: u32, h: &mut H) {
         let now = self.now();
         let Some(f) = self.faults.as_mut() else {
             return; // plan-scheduled events always find the layer installed
         };
-        match action {
+        match f.action(idx) {
             FaultAction::LinkDown(chan) => {
                 f.set_down(chan, true);
                 self.obs
@@ -887,17 +947,11 @@ impl Net {
                 if let Some(d) = duration {
                     self.engine.schedule(now + d, Ev::ThrottleExpire { host });
                 }
-                let eff = self
-                    .faults
-                    .as_mut()
-                    .expect("checked above")
-                    .effective_throttle(host, now);
+                let eff = f.effective_throttle(host, now);
                 self.cpu_set_throttle(host, eff as f64 / 1000.0);
             }
-            // Handled in `dispatch`, which has the handler to notify.
-            FaultAction::HostCrash { .. } | FaultAction::HostRestart { .. } => {
-                unreachable!("host faults are dispatched with the handler")
-            }
+            FaultAction::HostCrash { host } => self.host_crash(host, h),
+            FaultAction::HostRestart { host } => self.host_restart(host, h),
         }
     }
 
@@ -1502,14 +1556,7 @@ impl Net {
                     }
                     if let Some(at) = arm_at {
                         let gen = s.gen;
-                        self.engine.schedule(
-                            at,
-                            Ev::ShaperRelease {
-                                host: src,
-                                shaper: sid,
-                                gen,
-                            },
-                        );
+                        self.schedule_shaper_release(at, src, sid, gen);
                     }
                 }
             }
@@ -1620,15 +1667,18 @@ impl Net {
 
     fn apply_cpu_updates(&mut self, host: NodeId, updates: Vec<Update>) {
         for u in updates {
-            self.engine.schedule(
-                u.eta,
-                Ev::CpuDone {
-                    host,
-                    work: u.work,
-                    gen: u.gen,
-                },
-            );
+            let slot = self.cpu_wakes.put(CpuWake {
+                host,
+                work: u.work,
+                gen: u.gen,
+            });
+            self.engine.schedule(u.eta, Ev::CpuDone { slot });
         }
+    }
+
+    fn schedule_shaper_release(&mut self, at: SimTime, host: NodeId, shaper: u64, gen: u64) {
+        let slot = self.shaper_wakes.put(ShaperWake { host, shaper, gen });
+        self.engine.schedule(at, Ev::ShaperRelease { slot });
     }
 
     // ------------------------------------------------------------------
@@ -1763,7 +1813,8 @@ impl Net {
                 }
                 h.host_timer(self, host, token)
             }
-            Ev::CpuDone { host, work, gen } => {
+            Ev::CpuDone { slot } => {
+                let CpuWake { host, work, gen } = self.cpu_wakes.take(slot);
                 if self.host_is_down(host) {
                     return;
                 }
@@ -1776,7 +1827,8 @@ impl Net {
                     }
                 }
             }
-            Ev::ShaperRelease { host, shaper, gen } => {
+            Ev::ShaperRelease { slot } => {
+                let ShaperWake { host, shaper, gen } = self.shaper_wakes.take(slot);
                 if self.host_is_down(host) {
                     return; // the crash purge bumped the gen anyway
                 }
@@ -1792,14 +1844,7 @@ impl Net {
                 let next = s.release_into(now, gen, &mut pkts);
                 if let Some(at) = next {
                     let g = s.gen;
-                    self.engine.schedule(
-                        at,
-                        Ev::ShaperRelease {
-                            host,
-                            shaper,
-                            gen: g,
-                        },
-                    );
+                    self.schedule_shaper_release(at, host, shaper, g);
                 }
                 for p in pkts.drain(..) {
                     self.forward_from(host, p);
@@ -1807,11 +1852,7 @@ impl Net {
                 self.shaper_scratch = pkts;
             }
             Ev::Control { token } => h.control(self, token),
-            Ev::Fault { action } => match action {
-                FaultAction::HostCrash { host } => self.host_crash(host, h),
-                FaultAction::HostRestart { host } => self.host_restart(host, h),
-                other => self.apply_fault(other),
-            },
+            Ev::Fault { idx } => self.apply_fault(idx, h),
             Ev::ThrottleExpire { host } => {
                 let now = self.now();
                 let Some(f) = self.faults.as_mut() else {
@@ -2706,6 +2747,183 @@ mod tests {
         assert!(!json.contains("\"slo\""));
         let trace = net.chrome_trace_json();
         assert_eq!(trace, "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}");
+    }
+
+    /// Cold slots held right now, per table: `[cpu, shaper]`.
+    fn cold_held(net: &Net) -> [usize; 2] {
+        [
+            net.cpu_wakes.slots.len() - net.cpu_wakes.free.len(),
+            net.shaper_wakes.slots.len() - net.shaper_wakes.free.len(),
+        ]
+    }
+
+    /// Run to quiescence one event at a time. Returns the most slots each
+    /// table held at once and the slot of every cold event as it fired;
+    /// checks that a held slot always has its pending event and that none
+    /// is held once nothing is pending.
+    fn run_stepped<H: NetHandler>(net: &mut Net, h: &mut H) -> ([usize; 2], Vec<u32>) {
+        let mut peak = cold_held(net);
+        let mut fired = Vec::new();
+        while let Some((_, ev)) = net.engine.pop() {
+            if let Ev::CpuDone { slot } | Ev::ShaperRelease { slot } = ev {
+                fired.push(slot);
+            }
+            net.dispatch(ev, h);
+            let held = cold_held(net);
+            assert!(held[0] + held[1] <= net.engine.len(), "{held:?} held");
+            peak = [peak[0].max(held[0]), peak[1].max(held[1])];
+        }
+        assert_eq!(cold_held(net), [0, 0], "a fired event kept its slot");
+        (peak, fired)
+    }
+
+    /// A CPU handler that records completions and, while `chain` lasts,
+    /// starts another `work` on the process that finished.
+    struct CpuChain {
+        done: Vec<(SimTime, ProcId)>,
+        chain: u32,
+        work: SimDelta,
+    }
+    impl NetHandler for CpuChain {
+        fn deliver(&mut self, _n: &mut Net, _h: NodeId, _p: Packet) {}
+        fn host_timer(&mut self, _n: &mut Net, _h: NodeId, _t: u64) {}
+        fn cpu_done(&mut self, net: &mut Net, host: NodeId, proc: ProcId) {
+            self.done.push((net.now(), proc));
+            if self.chain > 0 {
+                self.chain -= 1;
+                net.cpu_start_work(host, proc, self.work);
+            }
+        }
+        fn control(&mut self, _n: &mut Net, _t: u64) {}
+    }
+
+    #[test]
+    fn cold_table_reuses_the_last_freed_slot() {
+        let mut t = ColdTable::new();
+        assert_eq!([t.put('a'), t.put('b'), t.put('c')], [0, 1, 2]);
+        assert_eq!((t.take(1), t.take(0)), ('b', 'a'));
+        assert_eq!([t.put('d'), t.put('e'), t.put('f')], [0, 1, 3]);
+        assert_eq!((t.take(0), t.take(3)), ('d', 'f'));
+    }
+
+    #[test]
+    fn a_stale_shaper_release_after_remove_shaper_frees_its_slot() {
+        let (mut net, h1, h2) = line_topology();
+        let flow = FlowSpec::host_pair(h1, h2, crate::packet::Proto::Udp);
+        // 1000 B/s: one 1000-byte packet passes, two wait, release at 1 s.
+        let id = net.install_shaper(h1, flow, TokenBucket::new(8_000, 1_000));
+        for _ in 0..3 {
+            net.send_ip(udp(h1, h2, 972));
+        }
+        assert_eq!(cold_held(&net), [0, 1]);
+        let mut h = Collect::new();
+        net.run_until(&mut h, SimTime::from_millis(500));
+        assert!(net.remove_shaper(h1, id));
+        let (peak, fired) = run_stepped(&mut net, &mut h);
+        assert_eq!((peak, fired), ([0, 1], vec![0]));
+        assert_eq!(h.got.len(), 3, "the removal forwarded what the shaper held");
+    }
+
+    #[test]
+    fn a_stale_shaper_release_after_a_crash_frees_its_slot() {
+        let (mut net, h1, h2) = line_topology();
+        let flow = FlowSpec::host_pair(h1, h2, crate::packet::Proto::Udp);
+        net.install_shaper(h1, flow, TokenBucket::new(8_000, 1_000));
+        // The crash purges the two held packets and bumps the generation;
+        // the host is back before the release armed for 1 s fires, so the
+        // generation, not the liveness gate, is what turns it away.
+        net.install_fault_plan(
+            FaultPlan::new(1)
+                .at(
+                    SimTime::from_millis(100),
+                    FaultAction::HostCrash { host: h1 },
+                )
+                .at(
+                    SimTime::from_millis(200),
+                    FaultAction::HostRestart { host: h1 },
+                ),
+        );
+        for _ in 0..3 {
+            net.send_ip(udp(h1, h2, 972));
+        }
+        let mut h = Collect::new();
+        let (peak, fired) = run_stepped(&mut net, &mut h);
+        assert_eq!((peak, fired), ([0, 1], vec![0]));
+        assert_eq!(h.got.len(), 1);
+        assert_eq!(net.fault_stats().unwrap().drops_host_down, 2);
+        assert!(net.audit().conserved());
+    }
+
+    #[test]
+    fn a_cpu_done_made_stale_by_a_replan_frees_its_slot() {
+        let (mut net, h1, _h2) = line_topology();
+        let pid = net.cpu_add_process(h1);
+        net.cpu_start_work(h1, pid, SimDelta::from_secs(1));
+        // The hog halves the share: the wake-up due at 1 s goes stale and a
+        // new one is due at 2 s, in the next slot.
+        net.cpu_spawn_hog(h1);
+        assert_eq!(cold_held(&net), [2, 0]);
+        let mut h = CpuChain {
+            done: Vec::new(),
+            chain: 0,
+            work: SimDelta::ZERO,
+        };
+        let (peak, fired) = run_stepped(&mut net, &mut h);
+        assert_eq!((peak, fired), ([2, 0], vec![0, 1]));
+        assert_eq!(h.done, vec![(SimTime::from_secs(2), pid)]);
+    }
+
+    /// Three processes chaining work items beside a hog that comes and
+    /// goes, and a shaped burst: every share change strands the pending
+    /// wake-ups of the other items.
+    fn shaped_cpu_heavy_run() -> (Net, [usize; 2], Vec<u32>, usize) {
+        let (mut net, h1, h2) = line_topology();
+        let flow = FlowSpec::host_pair(h1, h2, crate::packet::Proto::Udp);
+        net.install_shaper(h1, flow, TokenBucket::new(800_000, 1_000));
+        let procs: Vec<ProcId> = (0..3).map(|_| net.cpu_add_process(h1)).collect();
+        for (i, &p) in procs.iter().enumerate() {
+            net.cpu_start_work(h1, p, SimDelta::from_micros(700 + 300 * i as u64));
+        }
+        let throttle = |at_ms, per_mille| {
+            (
+                SimTime::from_millis(at_ms),
+                FaultAction::CpuThrottle {
+                    host: h1,
+                    per_mille,
+                    duration: Some(SimDelta::from_millis(3)),
+                },
+            )
+        };
+        let plan = [throttle(2, 500), throttle(4, 250), throttle(9, 700)]
+            .into_iter()
+            .fold(FaultPlan::new(3), |p, (at, a)| p.at(at, a));
+        net.install_fault_plan(plan);
+        for _ in 0..40 {
+            net.send_ip(udp(h1, h2, 72));
+        }
+        let mut h = CpuChain {
+            done: Vec::new(),
+            chain: 60,
+            work: SimDelta::from_micros(400),
+        };
+        let (peak, fired) = run_stepped(&mut net, &mut h);
+        (net, peak, fired, h.done.len())
+    }
+
+    #[test]
+    fn the_cold_tables_stay_at_their_peak_and_reuse_deterministically() {
+        let (net, peak, fired, done) = shaped_cpu_heavy_run();
+        assert_eq!(done, 63, "three first items plus the chain");
+        let lens = [net.cpu_wakes.slots.len(), net.shaper_wakes.slots.len()];
+        assert_eq!(lens, peak, "a table grew while a slot was free");
+        assert!(peak[0] > 3 && peak[1] == 1, "{peak:?}");
+        assert!(
+            fired.len() > 2 * done,
+            "stale wake-ups fire too: {}",
+            fired.len()
+        );
+        let (_, peak2, fired2, _) = shaped_cpu_heavy_run();
+        assert_eq!((peak, fired), (peak2, fired2));
     }
 
     #[test]

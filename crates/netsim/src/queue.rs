@@ -1,4 +1,4 @@
-//! Router output queues: pluggable per-interface queue disciplines.
+//! Router output queues: per-interface queue disciplines.
 //!
 //! "Priority Queuing is used on the egress port of edge routers ... Priority
 //! queueing ensures that all packets associated with reservations are sent
@@ -20,11 +20,14 @@
 //! * a third traffic class, **Assured Forwarding** ([`Dscp::Af`]), carrying
 //!   three drop precedences between EF and best-effort.
 //!
-//! Every discipline implements [`QueueDiscipline`]; [`Queue`] is the boxed
-//! facade the network core holds per interface. RED's probabilistic drops
-//! draw from a per-queue [`SimRng`] seeded from the topology seed and the
-//! channel index ([`Queue::with_seed`]), so disciplines are shard-local
-//! state and parallel runs stay bit-identical at any thread count.
+//! [`Queue`], the value the network core holds per interface, is an enum
+//! over the three families of [`QueueCfg`]: the drop-tail and
+//! strict-priority bodies compile into the transmit loop, the scheduler ×
+//! dropper engine stays out of line (DESIGN.md §15). RED's
+//! probabilistic drops draw from a per-queue [`SimRng`] seeded from the
+//! topology seed and the channel index ([`Queue::with_seed`]), so
+//! disciplines are shard-local state and parallel runs stay bit-identical
+//! at any thread count.
 
 use crate::packet::{Dscp, Packet};
 use mpichgq_sim::SimRng;
@@ -47,7 +50,7 @@ pub enum Enqueue {
 /// `enq_*`/`drop_*` count successful enqueues and tail drops; `early_*`
 /// count RED/WRED early drops (disjoint from `drop_*`). `early_af` is
 /// further split by AF drop precedence.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     pub enq_be: u64,
     pub enq_ef: u64,
@@ -125,19 +128,24 @@ impl Fifo {
             cur_bytes: 0,
         }
     }
-    fn try_push(&mut self, pkt: Packet) -> Result<(), Packet> {
+    /// Admit `pkt` if it fits; a packet that does not is dropped here.
+    fn try_push(&mut self, pkt: Packet) -> bool {
         let len = pkt.ip_len() as u64;
         if self.cur_bytes + len > self.cap_bytes {
-            return Err(pkt);
+            return false;
         }
         self.cur_bytes += len;
         self.q.push_back(pkt);
-        Ok(())
+        true
     }
+    // The packet stays in its `Option` on the way out: unwrapping it and
+    // wrapping it again copies it twice where callers inline this.
     fn pop(&mut self) -> Option<Packet> {
-        let p = self.q.pop_front()?;
-        self.cur_bytes -= p.ip_len() as u64;
-        Some(p)
+        let p = self.q.pop_front();
+        if let Some(p) = &p {
+            self.cur_bytes -= p.ip_len() as u64;
+        }
+        p
     }
 }
 
@@ -363,42 +371,43 @@ impl QueueCfg {
     }
 }
 
-/// The pluggable per-interface discipline contract: classify-and-admit on
-/// [`enqueue`], pick-and-serve on [`pop`], with backlog introspection for
-/// the transmit loop and [`QueueStats`] for observability and the qcheck
-/// invariant battery.
+/// The queue discipline on one outgoing interface: classify-and-admit on
+/// [`Queue::enqueue`], pick-and-serve on [`Queue::pop`], with backlog
+/// introspection for the transmit loop and [`QueueStats`] for
+/// observability and the qcheck invariant battery.
 ///
-/// Implementations must be deterministic: any randomness (RED) draws from
-/// state seeded at construction ([`Queue::with_seed`]), never from global
+/// Every discipline is deterministic: RED's randomness draws from state
+/// seeded at construction ([`Queue::with_seed`]), never from global
 /// sources — that is what keeps N-thread sharded runs bit-identical.
-///
-/// [`enqueue`]: QueueDiscipline::enqueue
-/// [`pop`]: QueueDiscipline::pop
-pub trait QueueDiscipline: std::fmt::Debug + Send {
-    /// Admit, early-drop, or tail-drop one packet.
-    fn enqueue(&mut self, pkt: Packet) -> Enqueue;
-    /// Dequeue the next packet to transmit according to the scheduler.
-    fn pop(&mut self) -> Option<Packet>;
-    /// True when no packet is queued in any class.
-    fn is_empty(&self) -> bool;
-    /// Packets currently queued (all classes).
-    fn len(&self) -> u64;
-    /// Bytes currently queued (all classes).
-    fn backlog_bytes(&self) -> u64;
-    /// Bytes currently queued per class, `[EF, AF, BE]`. Single-class
-    /// disciplines report their whole backlog as best-effort (mirroring
-    /// how [`QueueStats`] attributes their high-water marks).
-    fn class_backlog_bytes(&self) -> [u64; 3] {
-        [0, 0, self.backlog_bytes()]
-    }
-    /// Snapshot of the per-class counters.
-    fn stats(&self) -> QueueStats;
+#[derive(Debug)]
+pub struct Queue(Discipline);
+
+/// The three families of [`QueueCfg`], concrete so that the transmit
+/// loop's calls on the two the paper's routers use are direct and inline.
+// Every arm is boxed. Inline, a `Queue` would be 288 B (the size of
+// `SpQueue`), and a world's queues one block large enough that building
+// and dropping worlds back to back makes the allocator give the heap top
+// back and fault it in again (`sharded_islands` `setup_s` +20 %, five times
+// the page faults). Boxed, construction costs what it always did and
+// forwarding reads level with inline arms (DESIGN.md §15).
+#[derive(Debug)]
+enum Discipline {
+    DropTail(Box<DropTailQueue>),
+    Priority(Box<SpQueue>),
+    Sched(Box<SchedQueue>),
 }
 
-/// Queue discipline on one outgoing interface (boxed so the discipline is
-/// pluggable per [`QueueCfg`] without changing the network core).
-#[derive(Debug)]
-pub struct Queue(Box<dyn QueueDiscipline>);
+/// `$body` once per [`Discipline`] arm, with `$q` bound to the arm's queue:
+/// the three types share their method and field names.
+macro_rules! each_arm {
+    ($d:expr, $q:ident => $body:expr) => {
+        match $d {
+            Discipline::DropTail($q) => $body,
+            Discipline::Priority($q) => $body,
+            Discipline::Sched($q) => $body,
+        }
+    };
+}
 
 impl Queue {
     /// Build the discipline described by `cfg` with RNG seed 0. Equivalent
@@ -413,52 +422,59 @@ impl Queue {
     /// index, so a shard rebuilding its slice of the network reproduces
     /// the exact drop stream.
     pub fn with_seed(cfg: QueueCfg, seed: u64) -> Self {
-        match cfg {
-            QueueCfg::DropTail { cap_bytes } => Queue(Box::new(DropTailQueue::new(cap_bytes))),
+        Queue(match cfg {
+            QueueCfg::DropTail { cap_bytes } => {
+                Discipline::DropTail(Box::new(DropTailQueue::new(cap_bytes)))
+            }
             QueueCfg::Priority {
                 ef_cap_bytes,
                 be_cap_bytes,
-            } => Queue(Box::new(SpQueue::new(ef_cap_bytes, be_cap_bytes))),
-            QueueCfg::Sched(sched) => Queue(Box::new(SchedQueue::new(sched, seed))),
-        }
+            } => Discipline::Priority(Box::new(SpQueue::new(ef_cap_bytes, be_cap_bytes))),
+            QueueCfg::Sched(sched) => Discipline::Sched(Box::new(SchedQueue::new(sched, seed))),
+        })
     }
 
+    /// Admit, early-drop, or tail-drop one packet.
     #[inline]
     pub fn enqueue(&mut self, pkt: Packet) -> Enqueue {
-        self.0.enqueue(pkt)
+        each_arm!(&mut self.0, q => q.enqueue(pkt))
     }
 
-    /// Dequeue the next packet to transmit.
+    /// Dequeue the next packet to transmit according to the scheduler.
     #[inline]
     pub fn pop(&mut self) -> Option<Packet> {
-        self.0.pop()
+        each_arm!(&mut self.0, q => q.pop())
     }
 
+    /// True when no packet is queued in any class.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        each_arm!(&self.0, q => q.is_empty())
     }
 
     /// Packets currently queued (all classes).
     #[inline]
     pub fn len(&self) -> u64 {
-        self.0.len()
+        each_arm!(&self.0, q => q.len())
     }
 
     /// Bytes currently queued (all classes).
     #[inline]
     pub fn backlog_bytes(&self) -> u64 {
-        self.0.backlog_bytes()
+        each_arm!(&self.0, q => q.class_backlog_bytes().iter().sum())
     }
 
-    /// Bytes currently queued per class, `[EF, AF, BE]`.
+    /// Bytes currently queued per class, `[EF, AF, BE]`. A drop-tail queue
+    /// reports its whole backlog as best-effort (mirroring how
+    /// [`QueueStats`] attributes its high-water mark).
     #[inline]
     pub fn class_backlog_bytes(&self) -> [u64; 3] {
-        self.0.class_backlog_bytes()
+        each_arm!(&self.0, q => q.class_backlog_bytes())
     }
 
+    /// Snapshot of the per-class counters.
     pub fn stats(&self) -> QueueStats {
-        self.0.stats()
+        each_arm!(&self.0, q => q.stats)
     }
 }
 
@@ -469,6 +485,24 @@ fn note_enq(stats: &mut QueueStats, class: usize) {
         AF => stats.enq_af += 1,
         _ => stats.enq_be += 1,
     }
+}
+
+#[inline]
+fn note_pop(stats: &mut QueueStats, p: &Packet) {
+    stats.dequeued += 1;
+    stats.bytes_dequeued += p.ip_len() as u64;
+}
+
+/// A per-class queue admitted a packet and now holds `backlog` bytes.
+#[inline]
+fn note_admit(stats: &mut QueueStats, class: usize, backlog: u64) {
+    note_enq(stats, class);
+    let hw = match class {
+        EF => &mut stats.hw_ef_bytes,
+        AF => &mut stats.hw_af_bytes,
+        _ => &mut stats.hw_be_bytes,
+    };
+    *hw = (*hw).max(backlog);
 }
 
 #[inline]
@@ -503,33 +537,31 @@ impl DropTailQueue {
             stats: QueueStats::default(),
         }
     }
-}
 
-impl QueueDiscipline for DropTailQueue {
+    #[inline]
     fn enqueue(&mut self, pkt: Packet) -> Enqueue {
         let class = class_of(pkt.dscp);
-        match self.fifo.try_push(pkt) {
-            Ok(()) => {
-                note_enq(&mut self.stats, class);
-                // Single shared FIFO: the whole-queue high-water mark is
-                // reported as best-effort regardless of the packet's class.
-                self.stats.hw_be_bytes = self.stats.hw_be_bytes.max(self.fifo.cur_bytes);
-                Enqueue::Queued
-            }
-            Err(_) => {
-                note_drop(&mut self.stats, class);
-                Enqueue::DroppedFull
-            }
+        if !self.fifo.try_push(pkt) {
+            note_drop(&mut self.stats, class);
+            return Enqueue::DroppedFull;
         }
+        note_enq(&mut self.stats, class);
+        // Single shared FIFO: the whole-queue high-water mark is reported
+        // as best-effort regardless of the packet's class.
+        self.stats.hw_be_bytes = self.stats.hw_be_bytes.max(self.fifo.cur_bytes);
+        Enqueue::Queued
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Packet> {
-        let p = self.fifo.pop()?;
-        self.stats.dequeued += 1;
-        self.stats.bytes_dequeued += p.ip_len() as u64;
-        Some(p)
+        let p = self.fifo.pop();
+        if let Some(p) = &p {
+            note_pop(&mut self.stats, p);
+        }
+        p
     }
 
+    #[inline]
     fn is_empty(&self) -> bool {
         self.fifo.q.is_empty()
     }
@@ -538,12 +570,8 @@ impl QueueDiscipline for DropTailQueue {
         self.fifo.q.len() as u64
     }
 
-    fn backlog_bytes(&self) -> u64 {
-        self.fifo.cur_bytes
-    }
-
-    fn stats(&self) -> QueueStats {
-        self.stats
+    fn class_backlog_bytes(&self) -> [u64; 3] {
+        [0, 0, self.fifo.cur_bytes]
     }
 }
 
@@ -553,83 +581,58 @@ impl QueueDiscipline for DropTailQueue {
 /// and counters are identical to the original two-queue implementation.
 #[derive(Debug)]
 struct SpQueue {
-    ef: Fifo,
-    af: Fifo,
-    be: Fifo,
+    /// One FIFO per class, indexed `[EF, AF, BE]`: service order.
+    fifos: [Fifo; 3],
     stats: QueueStats,
 }
 
 impl SpQueue {
     fn new(ef_cap_bytes: u64, be_cap_bytes: u64) -> Self {
         SpQueue {
-            ef: Fifo::new(ef_cap_bytes),
             // AF is admission-limited like EF but jitter-tolerant: size its
             // queue like best-effort.
-            af: Fifo::new(be_cap_bytes),
-            be: Fifo::new(be_cap_bytes),
+            fifos: [ef_cap_bytes, be_cap_bytes, be_cap_bytes].map(Fifo::new),
             stats: QueueStats::default(),
         }
     }
-}
 
-impl QueueDiscipline for SpQueue {
+    #[inline]
     fn enqueue(&mut self, pkt: Packet) -> Enqueue {
         let class = class_of(pkt.dscp);
-        let target = match class {
-            EF => &mut self.ef,
-            AF => &mut self.af,
-            _ => &mut self.be,
-        };
-        match target.try_push(pkt) {
-            Ok(()) => {
-                let cur = target.cur_bytes;
-                note_enq(&mut self.stats, class);
-                match class {
-                    EF => self.stats.hw_ef_bytes = self.stats.hw_ef_bytes.max(cur),
-                    AF => self.stats.hw_af_bytes = self.stats.hw_af_bytes.max(cur),
-                    _ => self.stats.hw_be_bytes = self.stats.hw_be_bytes.max(cur),
-                }
-                Enqueue::Queued
-            }
-            Err(_) => {
-                note_drop(&mut self.stats, class);
-                Enqueue::DroppedFull
-            }
+        let target = &mut self.fifos[class];
+        if !target.try_push(pkt) {
+            note_drop(&mut self.stats, class);
+            return Enqueue::DroppedFull;
         }
+        note_admit(&mut self.stats, class, target.cur_bytes);
+        Enqueue::Queued
     }
 
+    #[inline]
     fn pop(&mut self) -> Option<Packet> {
-        let p = self
-            .ef
-            .pop()
-            .or_else(|| self.af.pop())
-            .or_else(|| self.be.pop())?;
-        if p.dscp != Dscp::Ef && !self.ef.q.is_empty() {
-            self.stats.prio_inversions += 1;
+        // Pick the queue, then move the packet out once.
+        let c = [EF, AF].into_iter().find(|&c| !self.fifos[c].q.is_empty());
+        let p = self.fifos[c.unwrap_or(BE)].pop();
+        if let Some(p) = &p {
+            if p.dscp != Dscp::Ef && !self.fifos[EF].q.is_empty() {
+                self.stats.prio_inversions += 1;
+            }
+            note_pop(&mut self.stats, p);
         }
-        self.stats.dequeued += 1;
-        self.stats.bytes_dequeued += p.ip_len() as u64;
-        Some(p)
+        p
     }
 
+    #[inline]
     fn is_empty(&self) -> bool {
-        self.ef.q.is_empty() && self.af.q.is_empty() && self.be.q.is_empty()
+        self.fifos.iter().all(|f| f.q.is_empty())
     }
 
     fn len(&self) -> u64 {
-        (self.ef.q.len() + self.af.q.len() + self.be.q.len()) as u64
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        self.ef.cur_bytes + self.af.cur_bytes + self.be.cur_bytes
+        self.fifos.iter().map(|f| f.q.len() as u64).sum()
     }
 
     fn class_backlog_bytes(&self) -> [u64; 3] {
-        [self.ef.cur_bytes, self.af.cur_bytes, self.be.cur_bytes]
-    }
-
-    fn stats(&self) -> QueueStats {
-        self.stats
+        self.fifos.each_ref().map(|f| f.cur_bytes)
     }
 }
 
@@ -655,7 +658,22 @@ struct ClassState {
 }
 
 impl ClassState {
+    /// The builders' clamps (`weight ≥ 1`, `ewma_shift ≤ 16`,
+    /// `max_p_permille ≤ 1000`) are applied here, once, so a config written
+    /// as a struct literal gets the domain a built one has: a zero DRR
+    /// quantum would trip the rotation guard on every pop, and a shift past
+    /// 63 overflows the EWMA.
     fn new(cfg: ClassCfg) -> Self {
+        let curve = |r: RedCfg| r.max_p_permille(r.max_p_permille).ewma_shift(r.ewma_shift);
+        let cfg = ClassCfg {
+            weight: cfg.weight.max(1),
+            dropper: match cfg.dropper {
+                DropperCfg::DropTail => DropperCfg::DropTail,
+                DropperCfg::Red(r) => DropperCfg::Red(curve(r)),
+                DropperCfg::Wred(rs) => DropperCfg::Wred(rs.map(curve)),
+            },
+            ..cfg
+        };
         ClassState {
             fifo: Fifo::new(cfg.cap_bytes),
             cfg,
@@ -803,9 +821,10 @@ impl SchedQueue {
         self.current = (self.current + 1) % 3;
         self.credited = false;
     }
-}
 
-impl QueueDiscipline for SchedQueue {
+    // Out of line: inlined, the generic engine would bloat the transmit
+    // loop that the default disciplines run through.
+    #[inline(never)]
     fn enqueue(&mut self, pkt: Packet) -> Enqueue {
         let class = class_of(pkt.dscp);
         let prec = prec_of(pkt.dscp);
@@ -814,41 +833,33 @@ impl QueueDiscipline for SchedQueue {
             note_early(&mut self.stats, class, prec);
             return Enqueue::DroppedEarly;
         }
-        match self.classes[class].fifo.try_push(pkt) {
-            Ok(()) => {
-                if self.kind == SchedKind::Wfq {
-                    let weight = self.classes[class].cfg.weight.max(1) as u64;
-                    let start = self.vtime.max(self.last_finish[class]);
-                    let finish = start + len * WFQ_SCALE / weight;
-                    self.last_finish[class] = finish;
-                    self.classes[class].tags.push_back(finish);
-                }
-                note_enq(&mut self.stats, class);
-                let cur = self.classes[class].fifo.cur_bytes;
-                match class {
-                    EF => self.stats.hw_ef_bytes = self.stats.hw_ef_bytes.max(cur),
-                    AF => self.stats.hw_af_bytes = self.stats.hw_af_bytes.max(cur),
-                    _ => self.stats.hw_be_bytes = self.stats.hw_be_bytes.max(cur),
-                }
-                Enqueue::Queued
-            }
-            Err(_) => {
-                note_drop(&mut self.stats, class);
-                Enqueue::DroppedFull
-            }
+        let cs = &mut self.classes[class];
+        if !cs.fifo.try_push(pkt) {
+            note_drop(&mut self.stats, class);
+            return Enqueue::DroppedFull;
         }
+        if self.kind == SchedKind::Wfq {
+            let start = self.vtime.max(self.last_finish[class]);
+            let finish = start + len * WFQ_SCALE / cs.cfg.weight as u64;
+            self.last_finish[class] = finish;
+            cs.tags.push_back(finish);
+        }
+        note_admit(&mut self.stats, class, cs.fifo.cur_bytes);
+        Enqueue::Queued
     }
 
+    #[inline(never)]
     fn pop(&mut self) -> Option<Packet> {
         let c = match self.kind {
             SchedKind::Sp => self.pick_sp(),
             SchedKind::Wfq => self.pick_wfq(),
             SchedKind::Drr => self.pick_drr(),
         }?;
-        let p = self.classes[c].fifo.pop()?;
-        self.stats.dequeued += 1;
-        self.stats.bytes_dequeued += p.ip_len() as u64;
-        Some(p)
+        let p = self.classes[c].fifo.pop();
+        if let Some(p) = &p {
+            note_pop(&mut self.stats, p);
+        }
+        p
     }
 
     fn is_empty(&self) -> bool {
@@ -859,20 +870,8 @@ impl QueueDiscipline for SchedQueue {
         self.classes.iter().map(|c| c.fifo.q.len() as u64).sum()
     }
 
-    fn backlog_bytes(&self) -> u64 {
-        self.classes.iter().map(|c| c.fifo.cur_bytes).sum()
-    }
-
     fn class_backlog_bytes(&self) -> [u64; 3] {
-        [
-            self.classes[EF].fifo.cur_bytes,
-            self.classes[AF].fifo.cur_bytes,
-            self.classes[BE].fifo.cur_bytes,
-        ]
-    }
-
-    fn stats(&self) -> QueueStats {
-        self.stats
+        self.classes.each_ref().map(|c| c.fifo.cur_bytes)
     }
 }
 
@@ -982,28 +981,116 @@ mod tests {
         assert_eq!(st.prio_inversions, 0);
     }
 
-    #[test]
-    fn sched_sp_matches_legacy_priority_service_order() {
-        let mut legacy = Queue::new(QueueCfg::priority_default());
-        let mut sched = Queue::new(QueueCfg::Sched(SchedCfg::sp()));
-        for i in 0..20u64 {
-            let dscp = if i % 3 == 0 {
-                Dscp::Ef
-            } else {
-                Dscp::BestEffort
-            };
-            let mut p = pkt(dscp, 500);
-            p.id = i;
-            legacy.enqueue(p.clone());
-            sched.enqueue(p);
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 128, ..proptest::ProptestConfig::default() })]
+
+        /// The strict-priority arm and the generic engine under `Sp` are
+        /// one discipline: over any stream of enqueues and pops with EF,
+        /// AF and best-effort mixed, equal capacities give the same
+        /// verdicts, the same pops and the same counters.
+        #[test]
+        fn sched_sp_matches_the_priority_arm(
+            ef_cap in 1_500u64..20_000,
+            be_cap in 1_500u64..20_000,
+            ops in proptest::collection::vec((0u8..4, 0u8..5, 0u32..1_473), 1..400),
+        ) {
+            let mut prio = Queue::new(QueueCfg::Priority { ef_cap_bytes: ef_cap, be_cap_bytes: be_cap });
+            let be = ClassCfg::new(be_cap);
+            let cfg = SchedCfg::sp().ef(ClassCfg::new(ef_cap)).af(be).be(be);
+            let mut sched = Queue::new(QueueCfg::Sched(cfg));
+            for (id, (op, class, payload)) in ops.into_iter().enumerate() {
+                if op == 3 {
+                    let (a, b) = (prio.pop(), sched.pop());
+                    assert_eq!(a.map(|p| p.id), b.map(|p| p.id));
+                    continue;
+                }
+                let dscp = match class {
+                    0 => Dscp::Ef,
+                    1 => Dscp::BestEffort,
+                    2 => Dscp::Af(AfPrec::Low),
+                    3 => Dscp::Af(AfPrec::Medium),
+                    _ => Dscp::Af(AfPrec::High),
+                };
+                let mut p = pkt(dscp, payload);
+                p.id = id as u64;
+                assert_eq!(prio.enqueue(p.clone()), sched.enqueue(p));
+                assert_eq!(prio.class_backlog_bytes(), sched.class_backlog_bytes());
+            }
+            while let Some(p) = prio.pop() {
+                assert_eq!(Some(p.id), sched.pop().map(|p| p.id));
+            }
+            assert!(sched.is_empty());
+            assert_eq!(prio.stats(), sched.stats());
         }
-        loop {
-            let (a, b) = (legacy.pop(), sched.pop());
-            assert_eq!(a.as_ref().map(|p| p.id), b.as_ref().map(|p| p.id));
-            if a.is_none() {
-                break;
+    }
+
+    /// A DRR class written as a struct literal with weight 0 is served as
+    /// the builder would serve it (weight 1), not as a zero quantum that
+    /// trips the rotation guard on every pop.
+    #[test]
+    fn literal_zero_weight_is_clamped_like_the_builder() {
+        let zero = ClassCfg {
+            weight: 0,
+            ..ClassCfg::new(1_000_000)
+        };
+        let run = |ef: ClassCfg| {
+            let mut q = Queue::new(QueueCfg::Sched(SchedCfg::drr().ef(ef)));
+            for i in 0..10 {
+                let dscp = [Dscp::Ef, Dscp::BestEffort][i % 2];
+                q.enqueue(pkt(dscp, 972));
+            }
+            let order: Vec<Dscp> = std::iter::from_fn(|| q.pop().map(|p| p.dscp)).collect();
+            (order, q.stats())
+        };
+        let (order, st) = run(zero);
+        assert_eq!(order.len(), 10);
+        assert_eq!(
+            st.sched_violations, 0,
+            "an input error is not an invariant breach"
+        );
+        assert_eq!((order, st), run(ClassCfg::new(1_000_000).weight(0)));
+    }
+
+    /// RED curves written as struct literals get the builder's clamps.
+    #[test]
+    fn literal_red_curves_are_clamped_like_the_builder() {
+        let base = RedCfg::new(2_000, 100_000);
+        let cases = [
+            // A shift of 64 overflows in a debug build and wraps to 0 in a
+            // release one, early-dropping most arrivals; clamped, it is 16.
+            (
+                RedCfg {
+                    ewma_shift: 64,
+                    ..base
+                },
+                base.ewma_shift(64),
+            ),
+            // A drop probability above 1000‰ is 1000‰.
+            (
+                RedCfg {
+                    max_p_permille: 5_000,
+                    ewma_shift: 2,
+                    ..base
+                },
+                base.ewma_shift(2).max_p_permille(5_000),
+            ),
+        ];
+        let run = |red: RedCfg, wred: bool| {
+            let be = ClassCfg::new(1_000_000);
+            let be = if wred { be.wred([red; 3]) } else { be.red(red) };
+            let mut q = Queue::with_seed(QueueCfg::Sched(SchedCfg::sp().be(be)), 3);
+            let verdicts: Vec<Enqueue> = (0..50)
+                .map(|_| q.enqueue(pkt(Dscp::BestEffort, 972)))
+                .collect();
+            (verdicts, q.stats())
+        };
+        for (literal, built) in cases {
+            for wred in [false, true] {
+                assert_eq!(run(literal, wred), run(built, wred), "{literal:?}");
             }
         }
+        assert_eq!(run(cases[0].1, false).1.early_be, 0, "2^-16 barely moves");
+        assert!(run(cases[1].1, false).1.early_be > 0, "the ramp is reached");
     }
 
     #[test]
