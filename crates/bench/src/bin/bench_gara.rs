@@ -393,9 +393,9 @@ fn main() {
         &[1_000, 10_000, 100_000, 1_000_000]
     };
     let churn_per_size: u64 = if quick { 30_000 } else { 200_000 };
-    // Best of N identical runs per workload, as bench_engine does: a
-    // deterministic op stream repeated, keeping the fastest wall clock so
-    // one-off scheduling hiccups and cold caches don't skew the gate.
+    // Best of N identical runs per workload: a deterministic op stream
+    // repeated, keeping the fastest wall clock so one-off scheduling
+    // hiccups and cold caches don't skew the gate.
     let repeats = if quick { 2 } else { 3 };
     let best = |mut runs: Vec<(WorkloadOut, Option<Net>, Histogram)>| {
         let mut best = runs.pop().expect("at least one repeat");

@@ -14,7 +14,7 @@ use mpichgq_netsim::{
     GarnetCfg, LinkCfg, NodeId, PolicingAction, Proto, QueueCfg, RedCfg, SchedCfg, SchedKind,
     TokenBucket, TopoBuilder,
 };
-use mpichgq_sim::{SchedulerKind, SimDelta, SimTime, TimeSeries};
+use mpichgq_sim::{SimDelta, SimTime, TimeSeries};
 use mpichgq_tcp::{Sim, TcpCfg};
 
 /// The offered UDP contention load: enough to keep the best-effort queue
@@ -26,8 +26,8 @@ fn secs(s: f64) -> SimTime {
 }
 
 /// Observability bundle every instrumented experiment returns alongside its
-/// series: the engine's processed-event count (for the events/sec benchmark
-/// and determinism tests) and the full registry + flight-recorder snapshot
+/// series: the engine's processed-event count (for the determinism tests)
+/// and the full registry + flight-recorder snapshot
 /// (what the binaries write to `results/<experiment>/metrics.json`).
 #[derive(Debug, Clone)]
 pub struct RunMetrics {
@@ -37,7 +37,7 @@ pub struct RunMetrics {
     /// array when tracing was off); `qtrace` summarizes it.
     pub trace_json: String,
     /// Fixed-interval time-series document (`timeline.json`); `None` when
-    /// sampling was off (counted perf runs, `MPICHGQ_TIMELINE_MS=off`).
+    /// sampling was off (plain figure runs, `MPICHGQ_TIMELINE_MS=off`).
     /// `qtop` summarizes it.
     pub timeline_json: Option<String>,
 }
@@ -87,7 +87,7 @@ fn arm_trace_with(lab: &mut GarnetLab, trace_capacity: usize, timeline: Option<S
     if trace_capacity > 0 {
         lab.sim.net.obs.enable_trace(trace_capacity);
         lab.sim.net.enable_packet_tracing();
-        // Counted perf variants pass capacity 0 and stay sampler-free; the
+        // Plain figure runs pass capacity 0 and stay sampler-free; the
         // no-perturbation tests prove the figures come out bit-identical
         // either way.
         if let Some(interval) = timeline {
@@ -153,9 +153,6 @@ pub struct Fig1Cfg {
     /// Premium reservation (paper: 40 Mb/s, "somewhat too low").
     pub reservation_bps: u64,
     pub duration: SimTime,
-    /// Event-scheduler backend (results are identical either way; the
-    /// choice only affects wall-clock speed).
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for Fig1Cfg {
@@ -164,7 +161,6 @@ impl Default for Fig1Cfg {
             app_rate_bps: 50_000_000,
             reservation_bps: 40_000_000,
             duration: SimTime::from_secs(100),
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -173,14 +169,7 @@ impl Default for Fig1Cfg {
 /// contention, with a premium reservation of `reservation_bps`. Returns
 /// the receiver's 1-second bandwidth trace (Kb/s).
 pub fn fig1_tcp_sawtooth(cfg: Fig1Cfg) -> TimeSeries {
-    fig1_tcp_sawtooth_counted(cfg).0
-}
-
-/// [`fig1_tcp_sawtooth`] plus the engine's processed-event count, for the
-/// events-per-second benchmark and the scheduler determinism test.
-pub fn fig1_tcp_sawtooth_counted(cfg: Fig1Cfg) -> (TimeSeries, u64) {
-    let (series, m) = fig1_tcp_sawtooth_run(cfg, 0);
-    (series, m.events)
+    fig1_tcp_sawtooth_run(cfg, 0).0
 }
 
 /// [`fig1_tcp_sawtooth`] with full observability: a non-zero
@@ -197,11 +186,7 @@ pub fn fig1_tcp_sawtooth_run_timeline(
     trace_capacity: usize,
     timeline: Option<SimDelta>,
 ) -> (TimeSeries, RunMetrics) {
-    let garnet = GarnetCfg {
-        scheduler: cfg.scheduler,
-        ..GarnetCfg::default()
-    };
-    let mut lab = GarnetLab::new(garnet, 0.7);
+    let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
     arm_trace_with(&mut lab, trace_capacity, timeline);
     lab.add_contention(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
@@ -257,8 +242,6 @@ pub struct Fig5Cfg {
     pub reservation_kbps: f64,
     pub duration: SimTime,
     pub warmup: SimTime,
-    /// Event-scheduler backend (identical results; wall-clock only).
-    pub scheduler: SchedulerKind,
 }
 
 impl Fig5Cfg {
@@ -268,7 +251,6 @@ impl Fig5Cfg {
             reservation_kbps,
             duration: SimTime::from_secs(20),
             warmup: SimTime::from_secs(5),
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -287,48 +269,14 @@ pub fn fig5_garnet() -> GarnetCfg {
 /// size and reservation, with contention on both trunk directions.
 /// `reservation_kbps == 0` means no reservation.
 pub fn fig5_pingpong_point(cfg: Fig5Cfg) -> f64 {
-    fig5_pingpong_point_counted(cfg).0
-}
-
-/// [`fig5_pingpong_point`] plus the engine's processed-event count.
-pub fn fig5_pingpong_point_counted(cfg: Fig5Cfg) -> (f64, u64) {
-    let (kbps, m) = fig5_pingpong_point_run(cfg, 0);
-    (kbps, m.events)
+    fig5_pingpong_point_run(cfg, 0).0
 }
 
 /// [`fig5_pingpong_point`] with full observability (see
 /// [`fig1_tcp_sawtooth_run`]).
 pub fn fig5_pingpong_point_run(cfg: Fig5Cfg, trace_capacity: usize) -> (f64, RunMetrics) {
-    fig5_pingpong_point_inner(cfg, trace_capacity, false)
-}
-
-/// [`fig5_pingpong_point_counted`] with the flight recorder and the
-/// timeline sampler unconditionally armed (trace at [`TRACE_CAPACITY`],
-/// sampling at [`TIMELINE_DEFAULT_MS`], ignoring `MPICHGQ_TIMELINE_MS`).
-/// `bench_engine` uses this for its labeled, non-gated
-/// instrumentation-overhead entry, so the measured cost never depends on
-/// the caller's environment.
-pub fn fig5_pingpong_point_sampled_counted(cfg: Fig5Cfg) -> (f64, u64) {
-    let (kbps, m) = fig5_pingpong_point_inner(cfg, TRACE_CAPACITY, true);
-    (kbps, m.events)
-}
-
-fn fig5_pingpong_point_inner(
-    cfg: Fig5Cfg,
-    trace_capacity: usize,
-    force_timeline: bool,
-) -> (f64, RunMetrics) {
-    let garnet = GarnetCfg {
-        scheduler: cfg.scheduler,
-        ..fig5_garnet()
-    };
-    let mut lab = GarnetLab::new(garnet, 0.7);
-    let timeline = if force_timeline {
-        Some(SimDelta::from_millis(TIMELINE_DEFAULT_MS))
-    } else {
-        env_timeline_interval()
-    };
-    arm_trace_with(&mut lab, trace_capacity, timeline);
+    let mut lab = GarnetLab::new(fig5_garnet(), 0.7);
+    arm_trace(&mut lab, trace_capacity);
     lab.add_contention(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
     lab.add_contention_reverse(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
 
@@ -420,7 +368,7 @@ pub fn fig6_viz_point(cfg: Fig6Cfg) -> f64 {
 }
 
 /// Fraction of the offered frames that were delivered by the end of the
-/// run — the sustained-throughput criterion for Table 1 (delivery that
+/// run — the sustained-throughput test for Table 1 (delivery that
 /// merely accumulates latency does not count as achieving the rate).
 pub fn viz_delivery_ratio(cfg: Fig6Cfg) -> f64 {
     let offered = (cfg.fps * (cfg.duration.as_secs_f64() - 0.5)).floor();
@@ -983,7 +931,6 @@ pub struct ChaosCfg {
     pub duration: SimTime,
     /// Seed of the fault layer's private RNG (loss/corruption draws).
     pub seed: u64,
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for ChaosCfg {
@@ -1008,7 +955,6 @@ impl Default for ChaosCfg {
             clear_at: SimTime::from_secs(21),
             duration: SimTime::from_secs(28),
             seed: 7,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -1100,11 +1046,7 @@ pub fn chaos_run(cfg: ChaosCfg, trace_capacity: usize) -> (TimeSeries, RunMetric
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    let garnet = GarnetCfg {
-        scheduler: cfg.scheduler,
-        ..GarnetCfg::default()
-    };
-    let mut lab = GarnetLab::new(garnet, 0.7);
+    let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
     arm_trace(&mut lab, trace_capacity);
     lab.add_contention(cfg.contention_bps, cfg.contention_at, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
@@ -1837,7 +1779,6 @@ pub struct ChaosRanksCfg {
     pub duration: SimTime,
     /// Seed of the fault layer's private RNG.
     pub seed: u64,
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for ChaosRanksCfg {
@@ -1859,7 +1800,6 @@ impl Default for ChaosRanksCfg {
             correlated_outage: SimDelta::from_millis(2_500),
             duration: SimTime::from_secs(24),
             seed: 29,
-            scheduler: SchedulerKind::default(),
         }
     }
 }

@@ -8,7 +8,6 @@
 //! Cisco/ATM testbed); the shapes — who wins, where the knees fall, the
 //! burstiness penalty — are the reproduction targets (see EXPERIMENTS.md).
 
-pub mod bulk;
 pub mod experiments;
 pub mod output;
 pub mod par;

@@ -19,7 +19,7 @@ use crate::shaper::{ShapeOutcome, Shaper};
 use crate::tokenbucket::TokenBucket;
 use mpichgq_dsrt::{AdmissionError, CompleteOutcome, Cpu, ProcId, Update, WorkId};
 use mpichgq_obs::{CounterId, JsonWriter, MetricSink, Obs, Scope, Tick, Timeline};
-use mpichgq_sim::{fnv1a, Engine, Recorder, SchedulerKind, SimDelta, SimRng, SimTime};
+use mpichgq_sim::{fnv1a, Engine, Recorder, SimDelta, SimRng, SimTime};
 use std::collections::VecDeque;
 
 /// What kind of node this is.
@@ -533,12 +533,11 @@ impl Net {
         queues: Vec<Queue>,
         routes: RouteTable,
         seed: u64,
-        scheduler: SchedulerKind,
     ) -> Self {
         let mut obs = Obs::new();
         let ctrs = NetCounters::register(&mut obs);
         Net {
-            engine: Engine::with_scheduler(scheduler),
+            engine: Engine::new(),
             nodes,
             wires: chans.iter().map(|_| Wire::default()).collect(),
             chans,
@@ -702,9 +701,9 @@ impl Net {
         started - self.txdone_inserted - undecided
     }
 
-    /// Calendar-scheduler operation counters, for benchmark diagnostics.
+    /// The event queue's operation counters, for diagnostics.
     #[doc(hidden)]
-    pub fn scheduler_stats(&self) -> Option<mpichgq_sim::CalendarStats> {
+    pub fn scheduler_stats(&self) -> mpichgq_sim::CalendarStats {
         self.engine.calendar_stats()
     }
 
@@ -739,11 +738,6 @@ impl Net {
     #[inline]
     pub fn route(&self, from: NodeId, to: NodeId) -> Option<ChanId> {
         self.routes.get(from, to)
-    }
-
-    /// Which scheduler backend drives this network's event engine.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.engine.scheduler_kind()
     }
 
     /// The sum of per-hop propagation delays from `a` to `b` (no queueing or
@@ -1147,12 +1141,11 @@ impl Net {
         sink.gauge("engine.pending_events", self.engine.len() as f64);
         sink.counter("engine.events_elided.txdone", self.txdone_elided());
         sink.counter("engine.events_elided.timer", self.timers_elided);
-        if let Some(cs) = self.engine.calendar_stats() {
-            sink.counter("engine.calendar.rebuilds", cs.rebuilds);
-            sink.counter("engine.calendar.fallbacks", cs.fallbacks);
-            sink.counter("engine.calendar.scan_steps", cs.scan_steps);
-            sink.counter("engine.calendar.slow_pushes", cs.slow_pushes);
-        }
+        let cs = self.engine.calendar_stats();
+        sink.counter("engine.calendar.rebuilds", cs.rebuilds);
+        sink.counter("engine.calendar.fallbacks", cs.fallbacks);
+        sink.counter("engine.calendar.scan_steps", cs.scan_steps);
+        sink.counter("engine.calendar.slow_pushes", cs.slow_pushes);
         sink.counter("net.drops.policed", self.drops.policed);
         sink.counter("net.drops.queue_full", self.drops.queue_full);
         sink.counter("net.drops.misrouted", self.drops.misrouted);
@@ -2060,7 +2053,6 @@ pub struct TopoBuilder {
     chans: Vec<Chan>,
     queues: Vec<Queue>,
     seed: u64,
-    scheduler: SchedulerKind,
 }
 
 impl TopoBuilder {
@@ -2070,14 +2062,7 @@ impl TopoBuilder {
             chans: Vec::new(),
             queues: Vec::new(),
             seed,
-            scheduler: SchedulerKind::default(),
         }
-    }
-
-    /// Choose the event-scheduler backend for the built network.
-    pub fn scheduler(&mut self, kind: SchedulerKind) -> &mut Self {
-        self.scheduler = kind;
-        self
     }
 
     pub fn host(&mut self, name: &str) -> NodeId {
@@ -2216,14 +2201,7 @@ impl TopoBuilder {
                 }
             }
         }
-        Net::from_parts(
-            self.nodes,
-            self.chans,
-            self.queues,
-            routes,
-            self.seed,
-            self.scheduler,
-        )
+        Net::from_parts(self.nodes, self.chans, self.queues, routes, self.seed)
     }
 }
 

@@ -116,12 +116,17 @@ impl Partition {
                 map: shard_of.len(),
             });
         }
-        let shards = shard_of.iter().copied().max().map_or(0, |m| m + 1);
-        let mut seen = vec![false; shards as usize];
+        let shards = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(0);
+        // With no empty shard there are at most as many shards as nodes, so
+        // an id at or past the node count leaves a gap below it: `seen`
+        // never needs more than one slot per node.
+        let mut seen = vec![false; nodes];
         for &s in &shard_of {
-            seen[s as usize] = true;
+            if let Some(slot) = seen.get_mut(s as usize) {
+                *slot = true;
+            }
         }
-        if let Some(empty) = seen.iter().position(|&s| !s) {
+        if let Some(empty) = seen[..shards.min(nodes)].iter().position(|&s| !s) {
             return Err(PartitionError::EmptyShard {
                 shard: empty as u32,
             });
@@ -138,7 +143,7 @@ impl Partition {
         }
         Ok(Partition {
             shard_of: shard_of.into(),
-            shards,
+            shards: shards as u32,
             lookahead,
         })
     }
@@ -419,6 +424,16 @@ mod tests {
         assert!(matches!(
             Partition::from_map(&topo, vec![0, 0, 2, 2]).unwrap_err(),
             PartitionError::EmptyShard { shard: 1 }
+        ));
+        // Ids past the node count: one whose `+ 1` would wrap, and one that
+        // would size a 400 MB bitmap if the check were sized by the id.
+        assert!(matches!(
+            Partition::from_map(&topo, vec![0, 0, 1, u32::MAX]).unwrap_err(),
+            PartitionError::EmptyShard { shard: 2 }
+        ));
+        assert!(matches!(
+            Partition::from_map(&topo, vec![0, 0, 1, 400_000_000]).unwrap_err(),
+            PartitionError::EmptyShard { shard: 2 }
         ));
         assert!(matches!(
             Partition::from_map(&topo, vec![0, 0, 1]).unwrap_err(),

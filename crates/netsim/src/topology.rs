@@ -4,7 +4,7 @@ use crate::link::{Framing, LinkCfg};
 use crate::net::{Net, TopoBuilder};
 use crate::packet::NodeId;
 use crate::queue::QueueCfg;
-use mpichgq_sim::{SchedulerKind, SimDelta};
+use mpichgq_sim::SimDelta;
 
 /// Configuration for the GARNET testbed model.
 ///
@@ -28,8 +28,6 @@ pub struct GarnetCfg {
     /// Queue configuration on core-trunk egress ports.
     pub core_queue: QueueCfg,
     pub seed: u64,
-    /// Event-scheduler backend for the simulation engine.
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for GarnetCfg {
@@ -41,7 +39,6 @@ impl Default for GarnetCfg {
             core_framing: Framing::AtmAal5,
             core_queue: QueueCfg::priority_default(),
             seed: 0xC15C0,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -61,7 +58,6 @@ pub struct Garnet {
 impl Garnet {
     pub fn build(cfg: GarnetCfg) -> Garnet {
         let mut b = TopoBuilder::new(cfg.seed);
-        b.scheduler(cfg.scheduler);
         let premium_src = b.host("premium-src");
         let competitive_src = b.host("competitive-src");
         let r1 = b.router("cisco-7507-1");
@@ -148,17 +144,7 @@ pub struct Dumbbell {
 
 impl Dumbbell {
     pub fn build(bottleneck_bps: u64, delay: SimDelta, seed: u64) -> Dumbbell {
-        Self::build_with_scheduler(bottleneck_bps, delay, seed, SchedulerKind::default())
-    }
-
-    pub fn build_with_scheduler(
-        bottleneck_bps: u64,
-        delay: SimDelta,
-        seed: u64,
-        scheduler: SchedulerKind,
-    ) -> Dumbbell {
         let mut b = TopoBuilder::new(seed);
-        b.scheduler(scheduler);
         let src = b.host("src");
         let r1 = b.router("r1");
         let r2 = b.router("r2");

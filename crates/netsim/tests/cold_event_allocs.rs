@@ -128,7 +128,7 @@ fn a_warm_shaped_cpu_run_allocates_only_what_the_cpu_model_does() {
     net.run_until(&mut h, SimTime::from_micros(200_100));
     let shaped = |net: &Net| net.node(h0).shapers[0].stats.delayed;
     let delayed = shaped(&net);
-    let rebuilds = |net: &Net| net.scheduler_stats().map(|s| s.rebuilds);
+    let rebuilds = |net: &Net| net.scheduler_stats().rebuilds;
     let settled = rebuilds(&net);
     let before = allocs();
     net.run_until(&mut h, SimTime::from_micros(230_100));

@@ -5,17 +5,14 @@
 //! the engine with a pop-dispatch loop. Ties in time are broken by insertion
 //! order (a monotonic sequence number), which makes runs deterministic.
 //!
-//! Two interchangeable scheduler backends implement the same contract
-//! (earliest `(time, seq)` pops first):
-//!
-//! - [`SchedulerKind::Heap`]: a `BinaryHeap` — the O(log n) reference
-//!   implementation the property tests compare against.
-//! - [`SchedulerKind::Calendar`] (the default): a calendar queue in the
-//!   style of Brown (CACM 1988) — a power-of-two ring of time buckets with
-//!   amortized O(1) enqueue/dequeue, the structure ns-2 adopted for exactly
-//!   this packet-event workload. Bucket count follows occupancy; bucket
-//!   width follows the two costs it trades, measured over a window of
-//!   dequeues (scan steps per dequeue, entries shifted per enqueue).
+//! The queue is a calendar queue in the style of Brown (CACM 1988) — a
+//! power-of-two ring of time buckets with amortized O(1) enqueue/dequeue,
+//! the structure ns-2 adopted for exactly this packet-event workload.
+//! Bucket count follows occupancy; bucket width follows the two costs it
+//! trades, measured over a window of dequeues (scan steps per dequeue,
+//! entries shifted per enqueue). The unit tests hold it to a `BinaryHeap`
+//! reference — the O(log n) structure with the same contract (earliest
+//! `(time, seq)` pops first) — which exists only under `cfg(test)`.
 //!
 //! There is no cancellation. What keeps the pending set small instead is
 //! **reserved-key deferred scheduling**: an event's `(at, seq)` key is
@@ -31,45 +28,12 @@
 //! the events that do something is unchanged — only the no-ops are gone.
 
 use crate::time::{SimDelta, SimTime};
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
-
-/// Which event-queue backend an [`Engine`] uses.
-///
-/// Both backends are observably identical (same pop order, same clock
-/// behavior); `Calendar` is the default because it is measurably faster on
-/// packet workloads (see `BENCH_engine.json`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Binary-heap reference scheduler.
-    Heap,
-    /// Bucketed calendar queue (timing wheel with adaptive width).
-    #[default]
-    Calendar,
-}
+use std::collections::VecDeque;
 
 struct Entry<E> {
     at: SimTime,
     seq: u64,
     ev: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// Cached location of the minimum pending entry in a [`CalendarQueue`],
@@ -90,7 +54,7 @@ struct Head {
 ///
 /// A two-tier variant (far-future events parked in an overflow heap) was
 /// prototyped and benchmarked during development; it lost to this simple
-/// single-tier design on every workload in `bench_engine` — the migration
+/// single-tier design on every engine workload measured — the migration
 /// double-handling and geometry feedback loops cost more than the sparse
 /// mid-bucket inserts they avoided — so the simple design stays.
 struct CalendarQueue<E> {
@@ -110,8 +74,8 @@ struct CalendarQueue<E> {
     stats: CalendarStats,
 }
 
-/// Lifetime operation counters for a `CalendarQueue`, for benchmark
-/// diagnostics (see `bench_engine`); not part of the public API.
+/// Lifetime operation counters of an [`Engine`]'s calendar queue, read
+/// out as the `engine.calendar.*` metrics; diagnostics, not physics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CalendarStats {
     /// Full re-bucketing passes.
@@ -320,11 +284,6 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(CalendarQueue<E>),
-}
-
 /// A deterministic discrete-event queue.
 pub struct Engine<E> {
     now: SimTime,
@@ -332,7 +291,7 @@ pub struct Engine<E> {
     /// Sequence number of the event being dispatched; `u64::MAX` while
     /// none is (see [`Engine::cursor`]).
     cur_seq: u64,
-    backend: Backend<E>,
+    queue: CalendarQueue<E>,
     processed: u64,
 }
 
@@ -343,42 +302,21 @@ impl<E> Default for Engine<E> {
 }
 
 impl<E> Engine<E> {
-    /// An engine with the default scheduler backend.
+    /// An empty engine with its clock at zero.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::default())
-    }
-
-    /// An engine with an explicitly chosen scheduler backend.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        let backend = match kind {
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-        };
         Engine {
             now: SimTime::ZERO,
             seq: 0,
             cur_seq: u64::MAX,
-            backend,
+            queue: CalendarQueue::new(),
             processed: 0,
         }
     }
 
-    /// Calendar-backend operation counters (`None` on the heap backend).
-    /// Benchmark/diagnostic use only.
+    /// The calendar queue's operation counters. Diagnostic use only.
     #[doc(hidden)]
-    pub fn calendar_stats(&self) -> Option<CalendarStats> {
-        match &self.backend {
-            Backend::Heap(_) => None,
-            Backend::Calendar(c) => Some(c.stats),
-        }
-    }
-
-    /// Which scheduler backend this engine was built with.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        match self.backend {
-            Backend::Heap(_) => SchedulerKind::Heap,
-            Backend::Calendar(_) => SchedulerKind::Calendar,
-        }
+    pub fn calendar_stats(&self) -> CalendarStats {
+        self.queue.stats
     }
 
     /// Current simulation time: the timestamp of the most recently popped event.
@@ -396,10 +334,7 @@ impl<E> Engine<E> {
     /// Number of pending events.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(h) => h.len(),
-            Backend::Calendar(c) => c.len,
-        }
+        self.queue.len
     }
 
     #[inline]
@@ -417,15 +352,7 @@ impl<E> Engine<E> {
             self.now
         );
         let seq = self.reserve_seq();
-        self.push(Entry { at, seq, ev });
-    }
-
-    #[inline]
-    fn push(&mut self, entry: Entry<E>) {
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Calendar(c) => c.push(entry),
-        }
+        self.queue.push(Entry { at, seq, ev });
     }
 
     /// Allocate the sequence number [`Engine::schedule`] would have used,
@@ -451,7 +378,7 @@ impl<E> Engine<E> {
             self.now,
             self.cur_seq
         );
-        self.push(Entry { at, seq, ev });
+        self.queue.push(Entry { at, seq, ev });
     }
 
     /// The `(time, seq)` key of the event being dispatched. A reserved key
@@ -476,19 +403,12 @@ impl<E> Engine<E> {
     /// Timestamp of the next pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| e.at),
-            Backend::Calendar(c) => c.head.map(|h| h.at),
-        }
+        self.queue.head.map(|h| h.at)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = match &mut self.backend {
-            Backend::Heap(h) => h.pop(),
-            Backend::Calendar(c) => c.pop(),
-        };
-        let Some(e) = e else {
+        let Some(e) = self.queue.pop() else {
             self.cur_seq = u64::MAX;
             return None;
         };
@@ -522,63 +442,276 @@ impl<E> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
 
-    fn both() -> [Engine<u32>; 2] {
-        [
-            Engine::with_scheduler(SchedulerKind::Heap),
-            Engine::with_scheduler(SchedulerKind::Calendar),
+    // The reference queue is a `BinaryHeap` of the same entries. It is a
+    // max-heap, so the order is inverted: the earliest `(at, seq)` pops first.
+    impl<E> PartialEq for Entry<E> {
+        fn eq(&self, other: &Self) -> bool {
+            (self.at, self.seq) == (other.at, other.seq)
+        }
+    }
+    impl<E> Eq for Entry<E> {}
+    impl<E> PartialOrd for Entry<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for Entry<E> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            (other.at, other.seq).cmp(&(self.at, self.seq))
+        }
+    }
+
+    /// What [`Engine`] asks of its queue, so one driver runs the calendar
+    /// queue and the heap reference alike.
+    trait Pending {
+        fn put(&mut self, e: Entry<u64>);
+        fn take(&mut self) -> Option<Entry<u64>>;
+        fn front(&self) -> Option<(SimTime, u64)>;
+        fn count(&self) -> usize;
+    }
+
+    impl Pending for CalendarQueue<u64> {
+        fn put(&mut self, e: Entry<u64>) {
+            self.push(e)
+        }
+        fn take(&mut self) -> Option<Entry<u64>> {
+            self.pop()
+        }
+        fn front(&self) -> Option<(SimTime, u64)> {
+            self.head.map(|h| (h.at, h.seq))
+        }
+        fn count(&self) -> usize {
+            self.len
+        }
+    }
+
+    impl Pending for BinaryHeap<Entry<u64>> {
+        fn put(&mut self, e: Entry<u64>) {
+            self.push(e)
+        }
+        fn take(&mut self) -> Option<Entry<u64>> {
+            self.pop()
+        }
+        fn front(&self) -> Option<(SimTime, u64)> {
+            self.peek().map(|e| (e.at, e.seq))
+        }
+        fn count(&self) -> usize {
+            self.len()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Push a burst of entries `delta` ns after the clock. `burst` > 1
+        /// exercises FIFO tie-breaking at one timestamp.
+        Push { delta: u64, burst: u8 },
+        /// Pop one entry.
+        Pop,
+        /// Pop with a horizon `delta` ns past the clock.
+        PopUntil { delta: u64 },
+        /// Reserve a key `delta` ns after the clock and hold it.
+        Reserve { delta: u64 },
+        /// Insert the oldest held key if the cursor has not passed it,
+        /// otherwise let it lapse (a key that never becomes an entry).
+        InsertHeld,
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..2_000, 1u8..6).prop_map(|(delta, burst)| Op::Push { delta, burst }),
+            // Occasional far-future timers stress the calendar's fallback scan.
+            (1_000_000_000u64..30_000_000_000, 1u8..2)
+                .prop_map(|(delta, burst)| Op::Push { delta, burst }),
+            (0u64..1).prop_map(|_| Op::Pop),
+            (0u64..3_000).prop_map(|delta| Op::PopUntil { delta }),
+            (1u64..2_000).prop_map(|delta| Op::Reserve { delta }),
+            (0u64..1).prop_map(|_| Op::InsertHeld),
         ]
     }
 
+    /// One queue driven the way [`Engine`] drives its own: sequence numbers
+    /// in order, a clock that only moves forward, pushes at or after the
+    /// last popped time, and reserved keys inserted only past the cursor.
+    struct Driver<Q> {
+        q: Q,
+        now: SimTime,
+        /// Sequence number of the last popped entry; `u64::MAX` once a pop
+        /// or a horizon has found nothing due.
+        cursor: u64,
+        seq: u64,
+        held: VecDeque<(SimTime, u64)>,
+    }
+
+    impl<Q: Pending> Driver<Q> {
+        fn new(q: Q) -> Self {
+            Driver {
+                q,
+                now: SimTime::ZERO,
+                cursor: u64::MAX,
+                seq: 0,
+                held: VecDeque::new(),
+            }
+        }
+
+        fn next_seq(&mut self) -> u64 {
+            self.seq += 1;
+            self.seq - 1
+        }
+
+        fn after(&self, delta: u64) -> SimTime {
+            SimTime::from_nanos(self.now.as_nanos().saturating_add(delta))
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let Some(e) = self.q.take() else {
+                self.cursor = u64::MAX;
+                return None;
+            };
+            assert!(e.at >= self.now, "time went backwards");
+            (self.now, self.cursor) = (e.at, e.seq);
+            Some((e.at, e.ev))
+        }
+
+        /// Apply `op`, returning everything it made observable.
+        fn step(&mut self, op: &Op) -> String {
+            match *op {
+                Op::Push { delta, burst } => {
+                    let at = self.after(delta);
+                    for _ in 0..burst {
+                        let seq = self.next_seq();
+                        self.q.put(Entry { at, seq, ev: seq });
+                    }
+                    format!("push len={}", self.q.count())
+                }
+                Op::Pop => format!("pop {:?} front={:?}", self.pop(), self.q.front()),
+                Op::PopUntil { delta } => {
+                    let limit = self.after(delta);
+                    let got = match self.q.front() {
+                        Some((t, _)) if t <= limit => self.pop(),
+                        _ => {
+                            (self.now, self.cursor) = (limit, u64::MAX);
+                            None
+                        }
+                    };
+                    format!(
+                        "pop_until {got:?} now={} front={:?}",
+                        self.now,
+                        self.q.front()
+                    )
+                }
+                Op::Reserve { delta } => {
+                    let key = (self.after(delta), self.next_seq());
+                    self.held.push_back(key);
+                    format!("reserve {:?}", self.held.back())
+                }
+                Op::InsertHeld => {
+                    let Some((at, seq)) = self.held.pop_front() else {
+                        return "insert none".into();
+                    };
+                    let live = (at, seq) > (self.now, self.cursor);
+                    if live {
+                        self.q.put(Entry { at, seq, ev: seq });
+                    }
+                    format!("insert {at} {seq} live={live} len={}", self.q.count())
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The calendar queue and the heap are observably identical: any
+        /// interleaving of pushes, pops and horizons — same-timestamp
+        /// bursts, far-future timers, horizons that land between entries,
+        /// reserved keys inserted late or never — yields the same pops,
+        /// clocks and lengths.
+        #[test]
+        fn calendar_matches_heap_observably(
+            ops in proptest::collection::vec(op_strategy(), 1..200),
+        ) {
+            let mut heap = Driver::new(BinaryHeap::new());
+            let mut cal = Driver::new(CalendarQueue::new());
+            for (i, op) in ops.iter().enumerate() {
+                let (oh, oc) = (heap.step(op), cal.step(op));
+                prop_assert_eq!(&oh, &oc, "divergence at op {}: {:?}", i, op);
+            }
+            // Drain both to the end: full pop sequences must match too.
+            loop {
+                let h = heap.pop();
+                prop_assert_eq!(h, cal.pop());
+                if h.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// A dense deterministic workload with adversarial structure:
+    /// scattered timestamps with collisions, and a resize-forcing ramp.
     #[test]
-    fn default_backend_is_calendar() {
-        let e: Engine<u32> = Engine::new();
-        assert_eq!(e.scheduler_kind(), SchedulerKind::Calendar);
+    fn calendar_matches_heap_on_dense_ramp() {
+        let mut heap = BinaryHeap::new();
+        let mut cal = CalendarQueue::new();
+        for i in 0..50_000u64 {
+            // Multiplicative-hash timestamps: scattered, with collisions.
+            let at = SimTime::from_nanos(i.wrapping_mul(2_654_435_761) % 1_000_000);
+            heap.push(Entry { at, seq: i, ev: i });
+            cal.push(Entry { at, seq: i, ev: i });
+        }
+        let mut n = 0;
+        while let Some(h) = heap.pop() {
+            let c = cal.pop().expect("the calendar ran dry before the heap");
+            assert_eq!((h.at, h.seq, h.ev), (c.at, c.seq, c.ev));
+            n += 1;
+        }
+        assert!(cal.pop().is_none());
+        assert_eq!(n, 50_000);
     }
 
     #[test]
     fn pops_in_time_order() {
-        for mut e in both() {
-            e.schedule(SimTime::from_secs(3), 3);
-            e.schedule(SimTime::from_secs(1), 1);
-            e.schedule(SimTime::from_secs(2), 2);
-            let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
-            assert_eq!(order, vec![1, 2, 3]);
-            assert_eq!(e.now(), SimTime::from_secs(3));
-        }
+        let mut e = Engine::new();
+        e.schedule(SimTime::from_secs(3), 3);
+        e.schedule(SimTime::from_secs(1), 1);
+        e.schedule(SimTime::from_secs(2), 2);
+        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![1, 2, 3]);
+        assert_eq!(e.now(), SimTime::from_secs(3));
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for mut e in both() {
-            let t = SimTime::from_millis(5);
-            for v in 0..10 {
-                e.schedule(t, v);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>());
+        let mut e = Engine::new();
+        let t = SimTime::from_millis(5);
+        for v in 0..10 {
+            e.schedule(t, v);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn pop_until_respects_limit_and_advances_clock() {
-        for mut e in both() {
-            e.schedule(SimTime::from_secs(10), 10);
-            assert_eq!(e.pop_until(SimTime::from_secs(5)), None);
-            assert_eq!(e.now(), SimTime::from_secs(5));
-            assert_eq!(
-                e.pop_until(SimTime::from_secs(10)),
-                Some((SimTime::from_secs(10), 10))
-            );
-        }
+        let mut e = Engine::new();
+        e.schedule(SimTime::from_secs(10), 10);
+        assert_eq!(e.pop_until(SimTime::from_secs(5)), None);
+        assert_eq!(e.now(), SimTime::from_secs(5));
+        assert_eq!(
+            e.pop_until(SimTime::from_secs(10)),
+            Some((SimTime::from_secs(10), 10))
+        );
     }
 
     #[test]
     fn pop_until_on_empty_advances_to_limit() {
-        for mut e in both() {
-            assert_eq!(e.pop_until(SimTime::from_secs(7)), None);
-            assert_eq!(e.now(), SimTime::from_secs(7));
-        }
+        let mut e: Engine<u32> = Engine::new();
+        assert_eq!(e.pop_until(SimTime::from_secs(7)), None);
+        assert_eq!(e.now(), SimTime::from_secs(7));
     }
 
     #[test]
@@ -592,48 +725,45 @@ mod tests {
 
     #[test]
     fn schedule_in_is_relative_to_now() {
-        for mut e in both() {
-            e.schedule(SimTime::from_secs(1), 1);
-            e.pop();
-            e.schedule_in(SimDelta::from_secs(1), 2);
-            assert_eq!(e.pop().unwrap().0, SimTime::from_secs(2));
-        }
+        let mut e = Engine::new();
+        e.schedule(SimTime::from_secs(1), 1);
+        e.pop();
+        e.schedule_in(SimDelta::from_secs(1), 2);
+        assert_eq!(e.pop().unwrap().0, SimTime::from_secs(2));
     }
 
     #[test]
     fn keyed_insert_pops_at_its_reserved_position() {
-        for mut e in both() {
-            let t = SimTime::from_millis(5);
-            e.schedule(t, 0);
-            let held = e.reserve_seq();
-            e.schedule(t, 2);
-            // Inserted last, pops second: the key decides, not the insert.
-            e.schedule_keyed(t, held, 1);
-            let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
-            assert_eq!(order, vec![0, 1, 2]);
-        }
+        let mut e = Engine::new();
+        let t = SimTime::from_millis(5);
+        e.schedule(t, 0);
+        let held = e.reserve_seq();
+        e.schedule(t, 2);
+        // Inserted last, pops second: the key decides, not the insert.
+        e.schedule_keyed(t, held, 1);
+        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
     fn cursor_is_the_dispatched_key_and_reads_max_when_idle() {
-        for mut e in both() {
-            assert_eq!(e.cursor(), (SimTime::ZERO, u64::MAX));
-            let t = SimTime::from_secs(1);
-            e.schedule(t, 0);
-            e.schedule(t, 1);
-            e.pop();
-            assert_eq!(e.cursor(), (t, 0));
-            // A horizon behind the clock fires nothing and leaves the
-            // same-instant event pending: the cursor must not jump past it.
-            assert_eq!(e.pop_until(SimTime::ZERO), None);
-            assert_eq!(e.cursor(), (t, 0));
-            e.pop();
-            assert_eq!(e.cursor(), (t, 1));
-            assert_eq!(e.pop_until(SimTime::from_secs(2)), None);
-            assert_eq!(e.cursor(), (SimTime::from_secs(2), u64::MAX));
-            assert_eq!(e.pop(), None);
-            assert_eq!(e.cursor(), (SimTime::from_secs(2), u64::MAX));
-        }
+        let mut e = Engine::new();
+        assert_eq!(e.cursor(), (SimTime::ZERO, u64::MAX));
+        let t = SimTime::from_secs(1);
+        e.schedule(t, 0);
+        e.schedule(t, 1);
+        e.pop();
+        assert_eq!(e.cursor(), (t, 0));
+        // A horizon behind the clock fires nothing and leaves the
+        // same-instant event pending: the cursor must not jump past it.
+        assert_eq!(e.pop_until(SimTime::ZERO), None);
+        assert_eq!(e.cursor(), (t, 0));
+        e.pop();
+        assert_eq!(e.cursor(), (t, 1));
+        assert_eq!(e.pop_until(SimTime::from_secs(2)), None);
+        assert_eq!(e.cursor(), (SimTime::from_secs(2), u64::MAX));
+        assert_eq!(e.pop(), None);
+        assert_eq!(e.cursor(), (SimTime::from_secs(2), u64::MAX));
     }
 
     #[test]
@@ -649,7 +779,7 @@ mod tests {
 
     #[test]
     fn calendar_handles_far_future_and_resize() {
-        let mut e: Engine<u64> = Engine::with_scheduler(SchedulerKind::Calendar);
+        let mut e: Engine<u64> = Engine::new();
         // Dense near-term burst (forces growth), one far-future timer
         // (forces the direct-search fallback), and interleaved pops.
         for i in 0..10_000u64 {
@@ -673,17 +803,17 @@ mod tests {
     /// through the gap until the tuning window widens the buckets.
     #[test]
     fn calendar_fits_its_width_to_a_shallow_population() {
-        let mut e: Engine<u64> = Engine::with_scheduler(SchedulerKind::Calendar);
+        let mut e: Engine<u64> = Engine::new();
         for i in 0..16u64 {
             e.schedule(SimTime::from_nanos(1_250 * i), i);
         }
         let hop = |e: &mut Engine<u64>, pops: u64| {
-            let before = e.calendar_stats().unwrap().scan_steps;
+            let before = e.calendar_stats().scan_steps;
             for _ in 0..pops {
                 let (t, v) = e.pop().unwrap();
                 e.schedule(t + SimDelta::from_nanos(20_000 + 7 * v), v);
             }
-            e.calendar_stats().unwrap().scan_steps - before
+            e.calendar_stats().scan_steps - before
         };
         assert!(
             hop(&mut e, 1_000) > 1_500,
@@ -698,18 +828,18 @@ mod tests {
     /// so a window closes with fewer scan steps than pops.
     #[test]
     fn calendar_tuning_window_survives_an_emptying_queue() {
-        let mut e: Engine<u32> = Engine::with_scheduler(SchedulerKind::Calendar);
+        let mut e: Engine<u32> = Engine::new();
         e.schedule(SimTime::ZERO, 0);
         for _ in 0..3 * MIN_WINDOW {
             let (t, v) = e.pop().unwrap();
             e.schedule(t + SimDelta::from_nanos(5), v);
         }
-        assert_eq!(e.calendar_stats().unwrap().rebuilds, 0);
+        assert_eq!(e.calendar_stats().rebuilds, 0);
     }
 
     #[test]
     fn calendar_handles_max_timestamp() {
-        let mut e: Engine<u32> = Engine::with_scheduler(SchedulerKind::Calendar);
+        let mut e: Engine<u32> = Engine::new();
         e.schedule(SimTime::MAX, 1);
         e.schedule(SimTime::ZERO, 0);
         assert_eq!(e.pop(), Some((SimTime::ZERO, 0)));

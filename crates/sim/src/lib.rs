@@ -15,7 +15,7 @@ pub mod rng;
 pub mod series;
 pub mod time;
 
-pub use engine::{CalendarStats, Engine, SchedulerKind};
+pub use engine::{CalendarStats, Engine};
 pub use fxhash::{FxBuildHasher, FxHashMap};
 pub use rng::{fnv1a, SimRng};
 pub use series::{Recorder, ThroughputMeter, TimeSeries};

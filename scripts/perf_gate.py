@@ -1,28 +1,16 @@
 #!/usr/bin/env python3
-"""Compare a fresh benchmark run against a committed baseline.
+"""Compare a fresh bench_gara run against its committed baseline.
 
 Usage: perf_gate.py BASELINE.json FRESH.json [--tolerance 0.25]
 
-Understands both benchmark schemas and auto-detects each file's via its
-"benchmark" field:
-
-* bench_engine  — {"workloads": [{name, heap, calendar}, ...]}; the
-  calendar backend's events/sec is the gated number (heap is informative
-  only, since calendar is the default scheduler).
-* bench_parallel — {"engine_compat": ..., "scaling": {"runs": [...]}};
-  engine_compat is the bench_engine transport_multiflow_bulk workload
-  run monolithically (so it can be gated *across files* against a
-  bench_engine baseline — that is the "single-thread within tolerance of
-  the old engine" acceptance check), and each scaling run gates at its
-  thread count.
-* bench_gara — {"workloads": [{name, reservations_per_sec,
-  admission_p99_us, counts, ...}, ...]}; each workload gates
-  reservations/sec (higher is better), the p99 admission latency and,
-  where the workload reports one, the `counts.compact_us` compaction
-  pass (both LOWER is better — the ratio is inverted before comparison,
-  with +1 µs smoothing so sub-microsecond baselines never divide by
-  zero). The compaction pass runs once, outside the timed churn, so
-  neither of the other two numbers sees it.
+Both files are bench_gara output: {"workloads": [{name,
+reservations_per_sec, admission_p99_us, counts, ...}, ...]}. Each workload
+gates reservations/sec (higher is better), the p99 admission latency and,
+where the workload reports one, the `counts.compact_us` compaction pass
+(both LOWER is better — the ratio is inverted before comparison, with
++1 µs smoothing so sub-microsecond baselines never divide by zero). The
+compaction pass runs once, outside the timed churn, so neither of the
+other two numbers sees it.
 
 Every workload present in both files is compared; ALL regressions beyond
 the tolerance are reported with their deltas before the nonzero exit, so
@@ -40,28 +28,12 @@ def load(path):
     {metric name: (value, unit, higher_is_better)}."""
     with open(path) as f:
         doc = json.load(f)
-    kind = doc.get("benchmark", "bench_engine")
     rates = {}
-    if kind == "bench_parallel":
-        compat = doc["engine_compat"]
-        rates[compat["name"]] = (compat["calendar"]["events_per_sec"], "ev/s", True)
-        scaling = doc["scaling"]
-        for run in scaling["runs"]:
-            name = f"{scaling['name']}@{run['threads']}t"
-            rates[name] = (run["events_per_sec"], "ev/s", True)
-    elif kind == "bench_gara":
-        for w in doc["workloads"]:
-            rates[f"{w['name']}/rps"] = (w["reservations_per_sec"], "resv/s", True)
-            rates[f"{w['name']}/p99"] = (w["admission_p99_us"], "us", False)
-            if "compact_us" in w.get("counts", {}):
-                rates[f"{w['name']}/compact"] = (w["counts"]["compact_us"], "us", False)
-    else:
-        for w in doc["workloads"]:
-            # Entries labeled perf_gated: false (the instrumentation
-            # overhead probe) are informative only — never compared.
-            if not w.get("perf_gated", True):
-                continue
-            rates[w["name"]] = (w["calendar"]["events_per_sec"], "ev/s", True)
+    for w in doc["workloads"]:
+        rates[f"{w['name']}/rps"] = (w["reservations_per_sec"], "resv/s", True)
+        rates[f"{w['name']}/p99"] = (w["admission_p99_us"], "us", False)
+        if "compact_us" in w.get("counts", {}):
+            rates[f"{w['name']}/compact"] = (w["counts"]["compact_us"], "us", False)
     return rates
 
 
@@ -95,7 +67,9 @@ def main():
         if ratio < 1.0 - args.tolerance:
             status = "REGRESSED"
             failed.append((name, ratio))
-        print(f"{name:28s} baseline {b:14,.0f} {unit:6s} fresh {f:14,.0f} {unit:6s}"
+        # Latencies are often sub-microsecond: keep their decimals.
+        spec = "14,.0f" if higher_better else "14,.3f"
+        print(f"{name:28s} baseline {b:{spec}} {unit:6s} fresh {f:{spec}} {unit:6s}"
               f"  ({ratio:5.2f}x)  {status}")
 
     skipped = sorted((set(base) | set(fresh)) - set(common))

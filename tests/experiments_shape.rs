@@ -13,7 +13,6 @@ fn fig1_sawtooth_oscillates_below_reservation() {
         app_rate_bps: 50_000_000,
         reservation_bps: 40_000_000,
         duration: SimTime::from_secs(30),
-        ..Fig1Cfg::default()
     };
     let s = fig1_tcp_sawtooth(cfg);
     // Steady portion (skip slow start).
