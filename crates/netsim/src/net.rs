@@ -301,39 +301,52 @@ impl NetAudit {
     }
 }
 
-/// Hop-count shortest-path next hops, flattened to one contiguous
-/// row-major table: `next_hop[from * n + to]` is the outgoing channel
-/// index, or [`RouteTable::NONE`]. One range compare, one multiply-add and
-/// one load per per-packet route lookup, no pointer chasing, no `Option`
-/// overhead in the stored representation.
+/// Hop-count shortest-path next hops, stored for **core** nodes only.
+///
+/// A *leaf* is a host whose one outgoing channel goes to a router and
+/// whose one incoming channel comes back from it; every other node is
+/// core. Each core node owns one row of `n` entries, indexed by
+/// destination node id: `next_hop[base + to]` is the outgoing channel
+/// index, or [`RouteTable::NONE`]. A leaf keeps its uplink and borrows its
+/// router's row, which answers whether `to` is reachable at all. A leaf
+/// destination's column holds its router's column, except in the router's
+/// own row, where it holds the downlink. The table is c·n entries for c
+/// core nodes instead of n². A lookup is one range compare, one per-node
+/// record and one table load.
 pub(crate) struct RouteTable {
-    n: usize,
+    hops: Vec<Hop>,
     next_hop: Vec<u32>,
+}
+
+/// One node's way into [`RouteTable::next_hop`].
+#[derive(Clone, Copy)]
+struct Hop {
+    /// Offset of the row this node reads: its own, or its router's.
+    base: usize,
+    /// A leaf's one outgoing channel; [`RouteTable::NONE`] for core nodes.
+    uplink: u32,
+    /// A leaf's router; unused for core nodes.
+    router: u32,
 }
 
 impl RouteTable {
     const NONE: u32 = u32::MAX;
 
-    pub(crate) fn new(n: usize) -> Self {
-        RouteTable {
-            n,
-            next_hop: vec![Self::NONE; n * n],
-        }
-    }
-
-    #[inline]
-    pub(crate) fn set(&mut self, from: usize, to: usize, chan: ChanId) {
-        self.next_hop[from * self.n + to] = chan.0;
-    }
-
     #[inline]
     fn get(&self, from: NodeId, to: NodeId) -> Option<ChanId> {
         let (from, to) = (from.0 as usize, to.0 as usize);
-        if from.max(to) >= self.n {
+        if from.max(to) >= self.hops.len() {
             return None; // a bad `to` would otherwise alias into the next row
         }
-        let raw = self.next_hop[from * self.n + to];
-        (raw != Self::NONE).then_some(ChanId(raw))
+        let hop = self.hops[from];
+        let raw = self.next_hop[hop.base + to];
+        if hop.uplink == Self::NONE {
+            return (raw != Self::NONE).then_some(ChanId(raw));
+        }
+        // A leaf leaves by its uplink whenever its router reaches `to`
+        // (its own column in that row is the downlink, not a way out).
+        (to != from && (raw != Self::NONE || to == hop.router as usize))
+            .then_some(ChanId(hop.uplink))
     }
 }
 
@@ -2148,24 +2161,29 @@ impl TopoBuilder {
             .map(|c| (c.from.0 as usize, c.to.0 as usize, c.cfg.delay))
     }
 
-    /// Compute hop-count shortest-path routes and freeze the topology: one
-    /// reverse BFS per destination, O(n·(n+E)). A node's next hop is its
-    /// first discovery, and a popped node's incoming channels are visited in
+    /// Compute hop-count shortest-path routes and freeze the topology. A
+    /// node's next hop is its first discovery in a reverse BFS from the
+    /// destination, and a popped node's incoming channels are visited in
     /// ascending channel index — that tie-break is a contract (DESIGN.md §7).
+    /// A leaf (a host whose one link goes to a router) is discovered only
+    /// from its router and discovers nothing itself, so the BFS runs from and
+    /// over the c other (core) nodes alone, O(c·(c+E)), into c rows of
+    /// next hops; a leaf borrows its router's row.
     pub fn build(self) -> Net {
         let n = self.nodes.len();
+        let chans = &self.chans;
         // Counting sort of channel indices by `to`: node v's incoming
         // channels are `incoming[start[v]..start[v + 1]]`, ascending.
         let mut start = vec![0usize; n + 1];
-        for c in &self.chans {
+        for c in chans {
             start[c.to.0 as usize + 1] += 1;
         }
         for v in 0..n {
             start[v + 1] += start[v];
         }
         let mut next = start.clone();
-        let mut incoming = vec![u32::MAX; self.chans.len()];
-        for (ci, c) in self.chans.iter().enumerate() {
+        let mut incoming = vec![u32::MAX; chans.len()];
+        for (ci, c) in chans.iter().enumerate() {
             let slot = &mut next[c.to.0 as usize];
             incoming[*slot] = ci as u32;
             *slot += 1;
@@ -2179,12 +2197,50 @@ impl TopoBuilder {
             },
             "a channel is missing from the incoming index, so from routing"
         );
-        let mut routes = RouteTable::new(n);
-        let mut dist = vec![u32::MAX; n];
-        let mut frontier: Vec<u32> = Vec::with_capacity(n);
-        for dst in 0..n {
-            dist.fill(u32::MAX);
-            dist[dst] = 0;
+        // Leaves as `(leaf, router, downlink)`; every other node is core and
+        // owns row `core.len()` at the time it is met.
+        let mut leaves: Vec<(usize, usize, u32)> = Vec::new();
+        let mut core: Vec<usize> = Vec::new();
+        let mut hops = Vec::with_capacity(n);
+        for (v, node) in self.nodes.iter().enumerate() {
+            let into = &incoming[start[v]..start[v + 1]];
+            let leaf = match (node.kind, &node.ifaces[..], into) {
+                (NodeKind::Host, &[up], &[down]) => {
+                    let router = chans[up.0 as usize].to.0 as usize;
+                    let back = chans[down as usize].from.0 as usize;
+                    (self.nodes[router].kind == NodeKind::Router && back == router)
+                        .then_some((up.0, router, down))
+                }
+                _ => None,
+            };
+            hops.push(match leaf {
+                Some((uplink, router, down)) => {
+                    leaves.push((v, router, down));
+                    Hop {
+                        base: usize::MAX, // the router's, once rows are numbered
+                        uplink,
+                        router: router as u32,
+                    }
+                }
+                None => {
+                    core.push(v);
+                    Hop {
+                        base: (core.len() - 1) * n,
+                        uplink: RouteTable::NONE,
+                        router: v as u32,
+                    }
+                }
+            });
+        }
+        for &(leaf, router, _) in &leaves {
+            hops[leaf].base = hops[router].base;
+        }
+        // A row's entry doubles as the BFS's visited mark: a core node is
+        // discovered exactly when its entry for `dst` is set (`dst` itself
+        // is never set, so it is checked by id).
+        let mut next_hop = vec![RouteTable::NONE; core.len() * n];
+        let mut frontier: Vec<u32> = Vec::with_capacity(core.len());
+        for &dst in &core {
             frontier.clear();
             frontier.push(dst as u32);
             let mut head = 0;
@@ -2192,15 +2248,27 @@ impl TopoBuilder {
                 head += 1;
                 let cur = cur as usize;
                 for &ci in &incoming[start[cur]..start[cur + 1]] {
-                    let pred = self.chans[ci as usize].from.0 as usize;
-                    if dist[pred] == u32::MAX {
-                        dist[pred] = dist[cur] + 1;
-                        routes.set(pred, dst, ChanId(ci));
+                    let pred = chans[ci as usize].from.0 as usize;
+                    let hop = hops[pred];
+                    if hop.uplink != RouteTable::NONE || pred == dst {
+                        continue; // a leaf, or the destination itself
+                    }
+                    let entry = &mut next_hop[hop.base + dst];
+                    if *entry == RouteTable::NONE {
+                        *entry = ci;
                         frontier.push(pred as u32);
                     }
                 }
             }
         }
+        // Leaf columns: a leaf is reached through its router, and from the
+        // router itself by the downlink.
+        for (row, &own) in next_hop.chunks_exact_mut(n.max(1)).zip(&core) {
+            for &(leaf, router, down) in &leaves {
+                row[leaf] = if router == own { down } else { row[router] };
+            }
+        }
+        let routes = RouteTable { hops, next_hop };
         Net::from_parts(self.nodes, self.chans, self.queues, routes, self.seed)
     }
 }
@@ -2345,6 +2413,35 @@ mod tests {
         assert!(h.got.is_empty());
         assert_eq!(net.drops.misrouted, 1);
         assert!(net.audit().conserved());
+    }
+
+    /// 64 routers in a line with 32 single-homed hosts each: only the
+    /// routers own rows, so the table is 64 × 2,112 entries, not 2,112².
+    #[test]
+    fn single_homed_hosts_own_no_route_row() {
+        let mut b = TopoBuilder::new(9);
+        let lan = LinkCfg::fast_ethernet(SimDelta::from_micros(50));
+        let wan = LinkCfg::atm_vc(622_080_000, SimDelta::from_millis(20));
+        let mut prev = None;
+        for r in 0..64 {
+            let router = b.router(&format!("r{r}"));
+            if let Some(p) = prev {
+                b.link(p, router, wan, QueueCfg::priority_default());
+            }
+            prev = Some(router);
+            for h in 0..32 {
+                let host = b.host(&format!("h{r}.{h}"));
+                b.link(host, router, lan, QueueCfg::droptail_default());
+            }
+        }
+        let net = b.build();
+        assert_eq!(net.node_count(), 2_112);
+        let routes = &net.routes;
+        assert_eq!(routes.next_hop.len(), 64 * 2_112, "not 64 rows of 2,112");
+        let bases: std::collections::BTreeSet<usize> = routes.hops.iter().map(|h| h.base).collect();
+        assert!(bases.into_iter().eq((0..64).map(|r| r * 2_112)));
+        let leaves = routes.hops.iter().filter(|h| h.uplink != RouteTable::NONE);
+        assert_eq!(leaves.count(), 64 * 32);
     }
 
     #[test]

@@ -105,9 +105,9 @@ pub struct Partition {
 
 impl Partition {
     /// Validate an explicit node→shard map against the topology: the map
-    /// must cover every node with contiguous shard ids, and every channel
-    /// that crosses shards must have nonzero propagation delay (that
-    /// minimum becomes the lookahead window).
+    /// must cover every node (there must be at least one) with contiguous
+    /// shard ids, and every channel that crosses shards must have nonzero
+    /// propagation delay (that minimum becomes the lookahead window).
     pub fn from_map(topo: &TopoBuilder, shard_of: Vec<u32>) -> Result<Partition, PartitionError> {
         let nodes = topo.node_count();
         if shard_of.len() != nodes {
@@ -115,6 +115,10 @@ impl Partition {
                 nodes,
                 map: shard_of.len(),
             });
+        }
+        if nodes == 0 {
+            // No node can own shard 0, and a partition has at least one.
+            return Err(PartitionError::EmptyShard { shard: 0 });
         }
         let shards = shard_of.iter().map(|&s| s as usize + 1).max().unwrap_or(0);
         // With no empty shard there are at most as many shards as nodes, so
@@ -274,7 +278,10 @@ where
 {
     assert!(threads >= 1, "need at least one worker");
     let k = part.shards as usize;
-    assert!(k >= 1, "partition has no shards");
+    debug_assert!(
+        k >= 1,
+        "a Partition has at least one shard: from_map rejects a topology with no nodes"
+    );
     let threads = threads.min(k);
     // With no cross-shard channel there is no coupling: a single maximal
     // window runs every shard straight to the limit.
@@ -438,6 +445,17 @@ mod tests {
         assert!(matches!(
             Partition::from_map(&topo, vec![0, 0, 1]).unwrap_err(),
             PartitionError::WrongLength { nodes: 4, map: 3 }
+        ));
+        // No nodes, so no shard 0: both constructors refuse instead of
+        // handing `run_partitioned` a partition with nothing to run.
+        let empty = TopoBuilder::new(1);
+        assert!(matches!(
+            Partition::from_map(&empty, vec![]).unwrap_err(),
+            PartitionError::EmptyShard { shard: 0 }
+        ));
+        assert!(matches!(
+            Partition::by_min_delay(&empty, SimDelta::from_millis(1)).unwrap_err(),
+            PartitionError::EmptyShard { shard: 0 }
         ));
     }
 

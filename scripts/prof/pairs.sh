@@ -2,10 +2,11 @@
 # Is a change faster than its parent on a ledger workload? Runs the contract
 # form (--workload W --seed S --seconds N --trace 0) of two benchmark
 # binaries in interleaved pairs, one pair per seed, alternating which side
-# goes first, and prints each pair's wall_s / setup_s / peak_rss_mb, then
-# both wall_s medians, how many pairs the change is ahead in, the parent's
-# q1/q3 and the median gap over the parent's interquartile range. Exits
-# non-zero if any run reports correct: false. Needs python3.
+# goes first, and prints each pair's wall_s / setup_s / peak_rss_mb, then,
+# for wall_s and for setup_s, both medians, how many pairs the change is
+# ahead in, the parent's q1/q3 and the median gap over the parent's
+# interquartile range. Exits non-zero if any run reports correct: false.
+# Needs python3.
 #
 #   bash scripts/prof/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS SEED...
 #
@@ -47,23 +48,23 @@ seeds = list(dict.fromkeys(seed for _, seed, _ in rows))
 keys = ("wall_s", "setup_s", "peak_rss_mb")
 print(f"# {sys.argv[2]}: parent vs change, {len(seeds)} interleaved pairs")
 print("seed  " + "  ".join(f"{s + ' ' + k:>18}" for s in ("parent", "change") for k in keys) + "  ahead")
-ahead = 0
 for seed in seeds:
     p, c = runs["parent", seed], runs["change", seed]
     won = c["wall_s"] < p["wall_s"]
-    ahead += won
     cells = [f"{side[k]:>18.4f}" for side in (p, c) for k in keys]
     print(f"{seed:<4}  " + "  ".join(cells) + f"  {'yes' if won else 'no'}")
-pw = [runs["parent", s]["wall_s"] for s in seeds]
-cw = [runs["change", s]["wall_s"] for s in seeds]
-pm, cm = statistics.median(pw), statistics.median(cw)
-q1, _, q3 = statistics.quantiles(pw, n=4, method="inclusive") if len(pw) > 1 else (pm, pm, pm)
-iqr = q3 - q1
-gap = pm - cm
-print(f"wall_s median  parent {pm:.4f}  change {cm:.4f}  ({(cm / pm - 1) * 100:+.1f} %)")
-print(f"change ahead   {ahead}/{len(seeds)}")
-print(f"parent q1/q3   {q1:.4f} / {q3:.4f}  (IQR {iqr:.4f})")
-print(f"gap / IQR      {gap / iqr:.2f}" if iqr > 0 else "gap / IQR      n/a (zero IQR)")
+for k in keys[:2]:
+    pv = [runs["parent", s][k] for s in seeds]
+    cv = [runs["change", s][k] for s in seeds]
+    won = sum(c < p for p, c in zip(pv, cv))
+    pm, cm = statistics.median(pv), statistics.median(cv)
+    q1, _, q3 = statistics.quantiles(pv, n=4, method="inclusive") if len(pv) > 1 else (pm, pm, pm)
+    iqr = q3 - q1
+    gap = pm - cm
+    print(f"{k} median  parent {pm:.4f}  change {cm:.4f}  ({(cm / pm - 1) * 100:+.1f} %)")
+    print(f"  change ahead   {won}/{len(seeds)}")
+    print(f"  parent q1/q3   {q1:.4f} / {q3:.4f}  (IQR {iqr:.4f})")
+    print(f"  gap / IQR      {gap / iqr:.2f}" if iqr > 0 else "  gap / IQR      n/a (zero IQR)")
 if wrong:
     print("correct: false in " + ", ".join(wrong), file=sys.stderr)
     sys.exit(1)

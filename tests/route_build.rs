@@ -1,15 +1,18 @@
 //! Route construction: identity against the full-scan reference, and scale.
 //!
 //! `TopoBuilder::build` computes hop-count shortest paths with one reverse
-//! BFS per destination over an incoming-channel index. Which of several
-//! equal-cost next hops a node gets is physics (it decides which queues a
-//! flow shares), so the tie-break is a contract (DESIGN.md §7): first
-//! discovery, a popped node's incoming channels visited in ascending channel
-//! index. The reference below is the original formulation of that rule —
-//! every pop scans every channel — kept here as the oracle.
+//! BFS per core destination over an incoming-channel index, and stores next
+//! hops only for core nodes: a single-homed host (a leaf) keeps its uplink
+//! and borrows its router's row. Which of several equal-cost next hops a
+//! node gets is physics (it decides which queues a flow shares), so the
+//! tie-break is a contract (DESIGN.md §7): first discovery, a popped node's
+//! incoming channels visited in ascending channel index. The reference below
+//! is the original formulation of that rule over every node — every pop
+//! scans every channel — kept here as the oracle.
 
 use mpichgq::netsim::{
-    ChanId, Dumbbell, Garnet, GarnetCfg, LinkCfg, Net, NodeId, Partition, QueueCfg, TopoBuilder,
+    ChanId, Dumbbell, Garnet, GarnetCfg, LinkCfg, Net, NodeId, NodeKind, Partition, QueueCfg,
+    TopoBuilder,
 };
 use mpichgq::qcheck::{build, Inject, ScenarioSpec};
 use mpichgq::sim::{SimDelta, SimRng};
@@ -110,6 +113,149 @@ fn random_trees_with_chords_route_as_the_reference() {
     );
 }
 
+/// Routers on a random forest with chords (a router starts its own island
+/// one time in five), and hosts in every role: single-homed, multi-homed,
+/// two parallel uplinks to one router, host–host pairs, `h–h–r` chains and
+/// isolated. Routers and hosts take interleaved ids and the links are made
+/// in shuffled order and direction, so a leaf's downlink may sit below or
+/// above its uplink.
+fn random_mixed_world(rng: &mut SimRng, seed: u64) -> TopoBuilder {
+    let mut b = TopoBuilder::new(seed);
+    let (nr, nh) = (rng.range(1, 9) as usize, rng.range(2, 24) as usize);
+    let (mut routers, mut hosts) = (Vec::new(), Vec::new());
+    while routers.len() + hosts.len() < nr + nh {
+        if hosts.len() == nh || (routers.len() < nr && rng.below((nr + nh) as u64) < nr as u64) {
+            routers.push(b.router(&format!("r{}", routers.len())));
+        } else {
+            hosts.push(b.host(&format!("h{}", hosts.len())));
+        }
+    }
+    let mut links = Vec::new();
+    for i in 1..nr {
+        if !rng.chance(0.2) {
+            links.push((routers[i], routers[rng.below(i as u64) as usize]));
+        }
+    }
+    for _ in 0..rng.below(nr as u64) {
+        let (x, y) = (rng.below(nr as u64), rng.below(nr as u64));
+        if x != y {
+            links.push((routers[x as usize], routers[y as usize]));
+        }
+    }
+    let router = |rng: &mut SimRng| routers[rng.below(nr as u64) as usize];
+    let mut i = 0;
+    while i < nh {
+        let h = hosts[i];
+        match rng.below(8) {
+            0..=2 => links.push((h, router(rng))),
+            3 => {
+                links.push((h, router(rng)));
+                links.push((h, router(rng)));
+            }
+            4 => {
+                let r = router(rng);
+                links.extend([(h, r), (h, r)]);
+            }
+            5 if i + 1 < nh => {
+                links.push((h, hosts[i + 1]));
+                i += 1;
+            }
+            6 if i + 1 < nh => {
+                links.push((h, hosts[i + 1]));
+                links.push((hosts[i + 1], router(rng)));
+                i += 1;
+            }
+            _ => {} // isolated
+        }
+        i += 1;
+    }
+    for k in (1..links.len()).rev() {
+        links.swap(k, rng.below(k as u64 + 1) as usize);
+    }
+    for (x, y) in links {
+        let (x, y) = if rng.chance(0.5) { (x, y) } else { (y, x) };
+        b.link(x, y, lan(), q());
+    }
+    b
+}
+
+/// `(leaves, linked core hosts)`: hosts whose one channel goes to a router,
+/// and hosts with at least one channel that are not leaves.
+fn host_roles(net: &Net) -> (usize, usize) {
+    let (mut leaves, mut core) = (0, 0);
+    for v in 0..net.node_count() {
+        let node = net.node(NodeId(v as u32));
+        if node.kind != NodeKind::Host || node.ifaces.is_empty() {
+            continue;
+        }
+        match node.ifaces[..] {
+            [up] if net.node(net.chan(up).to).kind == NodeKind::Router => leaves += 1,
+            _ => core += 1,
+        }
+    }
+    (leaves, core)
+}
+
+#[test]
+fn random_mixed_worlds_route_as_the_reference() {
+    let mut rng = SimRng::new(0x1EAF_5EED);
+    let (mut ties, mut leaves, mut core_hosts) = (0, 0, 0);
+    for case in 0..160 {
+        let net = random_mixed_world(&mut rng, case).build();
+        ties += assert_routes_match_reference(&net, &format!("mixed case {case}"));
+        let (l, c) = host_roles(&net);
+        leaves += l;
+        core_hosts += c;
+    }
+    assert!(
+        leaves > 400 && core_hosts > 400 && ties > 1_000,
+        "too easy: {leaves} leaves, {core_hosts} core hosts, {ties} ties"
+    );
+}
+
+#[test]
+fn leaves_route_through_their_router() {
+    // Two islands: `ra` with leaves `a0` (uplink made first) and `a1`
+    // (downlink made first), and `rb` with the leaf `b0`.
+    let mut b = TopoBuilder::new(10);
+    let (ra, a0, rb, a1, b0) = (
+        b.router("ra"),
+        b.host("a0"),
+        b.router("rb"),
+        b.host("a1"),
+        b.host("b0"),
+    );
+    let (up, down) = b.link(a0, ra, lan(), q());
+    let (down1, up1) = b.link(ra, a1, lan(), q());
+    let (up_b, _) = b.link(b0, rb, lan(), q());
+    let net = b.build();
+    assert_eq!(host_roles(&net), (3, 0));
+    assert_routes_match_reference(&net, "leaf islands");
+
+    assert_eq!(net.route(a0, ra), Some(up));
+    assert_eq!(net.route(ra, a0), Some(down));
+    assert_eq!(net.route(ra, a1), Some(down1));
+    assert_eq!(net.route(a0, a1), Some(up));
+    assert_eq!(net.route(a1, a0), Some(up1));
+    assert_eq!(net.route(b0, rb), Some(up_b));
+    // Nothing crosses to the other island, in either direction.
+    for (x, y) in [(a0, rb), (a0, b0), (b0, a0), (b0, ra), (ra, b0), (rb, a1)] {
+        assert_eq!(net.route(x, y), None, "{x:?} -> {y:?}");
+    }
+    // A leaf to itself.
+    assert_eq!(net.route(a0, a0), None);
+    assert_eq!(net.route(b0, b0), None);
+    // Ids past the last node, from and to leaves and routers.
+    let past = NodeId(net.node_count() as u32);
+    for id in [ra, a0, rb, a1, b0] {
+        for bad in [past, NodeId(u32::MAX)] {
+            assert_eq!(net.route(id, bad), None, "{id:?} -> {bad:?}");
+            assert_eq!(net.route(bad, id), None, "{bad:?} -> {id:?}");
+        }
+    }
+    assert_eq!(net.path_chans(a0, a1), Some(vec![up, down1]));
+}
+
 #[test]
 fn hand_cases_route_as_the_reference() {
     // Two parallel links between one router pair: the lower channel wins.
@@ -200,7 +346,8 @@ fn a_two_thousand_node_world_builds_in_under_two_seconds() {
     let net = b.build();
     let took = t0.elapsed();
     assert_eq!(net.chan_ids().count(), 4_222);
-    // The full scan took 8.8 s here in release; the indexed walk ~50 ms.
+    // Release, 2 cores: the full scan over every node took 8.8 s, a reverse
+    // BFS per node into an n² table 34 ms, the core-only BFS 0.5 ms.
     assert!(took.as_secs_f64() < 2.0, "build took {took:?}");
 
     let (first, last) = (hosts[0], hosts[hosts.len() - 1]);
