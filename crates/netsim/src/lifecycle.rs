@@ -31,9 +31,15 @@ use crate::link::{Chan, ChanId};
 use crate::packet::{Dscp, FlowKey, Packet};
 use mpichgq_obs::{FlightRecorder, Histogram, JsonWriter, Registry};
 use mpichgq_sim::{FxHashMap, SimTime};
+use std::collections::VecDeque;
 
 /// Default bound on retained lifecycle spans (~3 MB of span log).
 pub const DEFAULT_MAX_SPANS: usize = 65_536;
+
+/// How many consecutive packet ids the in-flight ring covers. A packet
+/// still in flight when one this many ids younger is sent — one parked in
+/// a shaper, say — moves to the spill map instead of holding the ring open.
+const RING_SPAN: u64 = 4_096;
 
 /// What a lifecycle span or instant records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +62,9 @@ pub enum SpanKind {
     DropPoliced,
     /// Instant: dropped by the fault layer (loss/corrupt/link-down).
     DropFault,
+    /// Instant: dropped for want of a route, or delivered to a host it was
+    /// not addressed to (hosts do not forward).
+    DropMisrouted,
     /// Instant: delivered past its flow's deadline.
     SloMiss,
 }
@@ -73,6 +82,7 @@ impl SpanKind {
             SpanKind::DropRedEarly => "drop.red_early",
             SpanKind::DropPoliced => "drop.policed",
             SpanKind::DropFault => "drop.fault",
+            SpanKind::DropMisrouted => "drop.misrouted",
             SpanKind::SloMiss => "slo.miss",
         }
     }
@@ -162,6 +172,77 @@ struct PacketLife {
     enq_at: SimTime,
 }
 
+/// Traced packets in flight, by id. `Net::send_ip` hands out ids in send
+/// order, so the live ones sit in a window of ids: `ring[id - base]` is
+/// packet `id`, `None` once it was delivered or dropped, and the front is
+/// always the oldest live packet of the window. Finding a packet is an
+/// index, not a hash. Ids below `base` — packets pushed out of the window
+/// by one [`RING_SPAN`] younger, or sent out of order — live in `spill`.
+#[derive(Debug, Default)]
+struct InFlight {
+    ring: VecDeque<Option<PacketLife>>,
+    base: u64,
+    spill: FxHashMap<u64, PacketLife>,
+}
+
+impl InFlight {
+    fn insert(&mut self, id: u64, life: PacketLife) {
+        if self.ring.is_empty() && id >= self.base {
+            self.base = id;
+        }
+        if id < self.base {
+            self.spill.insert(id, life);
+            return;
+        }
+        while id - self.base >= RING_SPAN {
+            match self.ring.pop_front() {
+                Some(old) => {
+                    if let Some(old) = old {
+                        self.spill.insert(self.base, old);
+                    }
+                    self.base += 1;
+                }
+                None => self.base = id,
+            }
+        }
+        let off = (id - self.base) as usize;
+        if off >= self.ring.len() {
+            self.ring.resize(off + 1, None);
+        }
+        self.ring[off] = Some(life);
+        self.trim();
+    }
+
+    #[inline]
+    fn get_mut(&mut self, id: u64) -> Option<&mut PacketLife> {
+        match id.checked_sub(self.base) {
+            Some(off) => self.ring.get_mut(off as usize)?.as_mut(),
+            None => self.spill.get_mut(&id),
+        }
+    }
+
+    #[inline]
+    fn remove(&mut self, id: u64) -> Option<PacketLife> {
+        match id.checked_sub(self.base) {
+            Some(off) => {
+                let life = self.ring.get_mut(off as usize)?.take();
+                self.trim();
+                life
+            }
+            None => self.spill.remove(&id),
+        }
+    }
+
+    /// Drop finished packets off the front, so it is the oldest live one.
+    #[inline]
+    fn trim(&mut self) {
+        while let Some(None) = self.ring.front() {
+            self.ring.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
 /// The lifecycle tracer. Created by `Net::enable_packet_tracing`; all
 /// hooks are crate-internal and called from the network's hot paths behind
 /// an `Option` check.
@@ -169,7 +250,7 @@ struct PacketLife {
 pub struct PacketTracer {
     flow_ids: FxHashMap<FlowKey, u32>,
     flows: Vec<FlowRec>,
-    active: FxHashMap<u64, PacketLife>,
+    active: InFlight,
     /// Queue wait of EF-marked packets, all hops.
     pub ef_wait: Histogram,
     /// Queue wait of AF-marked packets (all drop precedences), all hops.
@@ -189,7 +270,7 @@ impl PacketTracer {
         PacketTracer {
             flow_ids: FxHashMap::default(),
             flows: Vec::new(),
-            active: FxHashMap::default(),
+            active: InFlight::default(),
             ef_wait: Histogram::new(),
             af_wait: Histogram::new(),
             be_wait: Histogram::new(),
@@ -219,6 +300,12 @@ impl PacketTracer {
     /// Total deadline misses across all flows.
     pub fn total_misses(&self) -> u64 {
         self.total_misses
+    }
+
+    /// Traced packets neither delivered nor dropped yet.
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
+        self.active.ring.iter().flatten().count() + self.active.spill.len()
     }
 
     pub(crate) fn add_deadline_rule(&mut self, spec: FlowSpec, deadline_ns: u64) {
@@ -268,7 +355,7 @@ impl PacketTracer {
 
     /// Hook: packet held back by an egress shaper.
     pub(crate) fn on_shaped(&mut self, now: SimTime, pkt_id: u64) {
-        if let Some(life) = self.active.get(&pkt_id) {
+        if let Some(life) = self.active.get_mut(pkt_id) {
             let flow = life.flow;
             self.push_span(Span {
                 ts_ns: now.as_nanos(),
@@ -283,7 +370,7 @@ impl PacketTracer {
 
     /// Hook: packet entered the queue of an interface.
     pub(crate) fn on_enqueue(&mut self, now: SimTime, pkt_id: u64) {
-        if let Some(life) = self.active.get_mut(&pkt_id) {
+        if let Some(life) = self.active.get_mut(pkt_id) {
             life.enq_at = now;
         }
     }
@@ -299,7 +386,7 @@ impl PacketTracer {
         ser_ns: u64,
         wire_ns: u64,
     ) {
-        let Some(life) = self.active.get(&pkt.id).copied() else {
+        let Some(life) = self.active.get_mut(pkt.id).copied() else {
             return; // packet predates tracing enablement
         };
         let wait = now.as_nanos().saturating_sub(life.enq_at.as_nanos());
@@ -334,7 +421,7 @@ impl PacketTracer {
     /// Hook: packet destroyed before delivery. `chan` is the interface it
     /// died on, or [`Span::NO_CHAN`].
     pub(crate) fn on_drop(&mut self, now: SimTime, pkt_id: u64, kind: SpanKind, chan: u32) {
-        if let Some(life) = self.active.remove(&pkt_id) {
+        if let Some(life) = self.active.remove(pkt_id) {
             self.push_span(Span {
                 ts_ns: now.as_nanos(),
                 dur_ns: 0,
@@ -350,7 +437,7 @@ impl PacketTracer {
     /// histograms and evaluates the flow's deadline; misses feed both the
     /// span log and the flight recorder (`slo.miss`).
     pub(crate) fn on_delivered(&mut self, now: SimTime, pkt: &Packet, fr: &mut FlightRecorder) {
-        let Some(life) = self.active.remove(&pkt.id) else {
+        let Some(life) = self.active.remove(pkt.id) else {
             return;
         };
         let delay_ns = now.as_nanos().saturating_sub(pkt.born.as_nanos());
@@ -678,6 +765,63 @@ mod tests {
         // E2e spans recorded for every delivery, SloMiss instants for misses.
         let e2e = t.spans().iter().filter(|s| s.kind == SpanKind::E2e).count();
         assert_eq!(e2e, 4);
+    }
+
+    #[test]
+    fn a_parked_packet_spills_instead_of_holding_the_ring_open() {
+        let mut t = PacketTracer::new(0);
+        let mut fr = FlightRecorder::default();
+        let mut p = probe(1000);
+        p.id = 0;
+        t.on_send(SimTime::ZERO, &p); // parked in a shaper for the whole run
+        let n = 3 * RING_SPAN;
+        for id in 1..=n {
+            let mut q = probe(2000);
+            q.id = id;
+            t.on_send(SimTime::ZERO, &q);
+            t.on_enqueue(SimTime::ZERO, id);
+            t.on_tx_start(SimTime::from_millis(1), &q, ChanId(0), 1_000, 1_000);
+            t.on_delivered(SimTime::from_millis(2), &q, &mut fr);
+            // Packet 0 holds the ring open until it is RING_SPAN ids old.
+            let held = if id < RING_SPAN { id + 1 } else { 0 };
+            assert_eq!(t.active.ring.len() as u64, held, "after packet {id}");
+        }
+        assert_eq!((t.active.spill.len(), t.in_flight()), (1, 1));
+        assert_eq!(t.be_wait.count(), n);
+        // Released at last: found in the spill map, delivered as any other.
+        t.on_tx_start(SimTime::from_secs(1), &p, ChanId(0), 1_000, 1_000);
+        t.on_delivered(SimTime::from_secs(2), &p, &mut fr);
+        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.flows()[0].delivered, 1);
+        assert_eq!(t.be_wait.max(), Some(1_000_000_000));
+    }
+
+    #[test]
+    fn ids_out_of_send_order_are_still_found() {
+        let mut t = PacketTracer::new(64);
+        let mut fr = FlightRecorder::default();
+        let send = |t: &mut PacketTracer, id: u64| {
+            let mut p = probe(1000);
+            p.id = id;
+            t.on_send(SimTime::ZERO, &p);
+            p
+        };
+        // 50 first, then older ids (below the ring: spilled), a gap, and
+        // one far beyond the ring's span (the window moves past 50).
+        let ps: Vec<Packet> = [50, 7, 3, 52, 60, 51, 50 + 2 * RING_SPAN]
+            .into_iter()
+            .map(|id| send(&mut t, id))
+            .collect();
+        assert_eq!(t.in_flight(), ps.len());
+        for (k, p) in ps.iter().enumerate().rev() {
+            t.on_drop(SimTime::from_millis(1), p.id, SpanKind::DropQueueFull, 0);
+            assert_eq!(t.in_flight(), k, "after dropping {}", p.id);
+        }
+        // Nothing is found twice.
+        t.on_delivered(SimTime::from_millis(2), &ps[0], &mut fr);
+        assert_eq!(t.flows()[0].delivered, 0);
+        assert_eq!(t.spans().len(), ps.len());
+        assert!(t.active.ring.is_empty() && t.active.spill.is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::classifier::FlowSpec;
 use crate::classifier::{Classifier, Verdict};
 use crate::faults::{FaultAction, FaultLayer, FaultPlan, FaultStats, FaultVerdict};
-use crate::lifecycle::{PacketTracer, SpanKind, DEFAULT_MAX_SPANS};
+use crate::lifecycle::{PacketTracer, Span, SpanKind, DEFAULT_MAX_SPANS};
 use crate::link::{Chan, ChanId, LinkCfg};
 use crate::packet::{NodeId, Packet};
 use crate::queue::{Enqueue, Queue, QueueCfg, QueueStats};
@@ -1920,7 +1920,7 @@ impl Net {
                     }
                     h.deliver(self, node_id, pkt);
                 } else {
-                    self.drops.misrouted += 1;
+                    self.drop_misrouted(pkt.id, chan.0);
                 }
             }
         }
@@ -1929,8 +1929,7 @@ impl Net {
     #[inline]
     fn forward_from(&mut self, node: NodeId, pkt: Packet) {
         let Some(chan) = self.route(node, pkt.dst) else {
-            self.drops.misrouted += 1;
-            return;
+            return self.drop_misrouted(pkt.id, Span::NO_CHAN);
         };
         let len = pkt.ip_len();
         let pid = pkt.id;
@@ -1966,6 +1965,17 @@ impl Net {
                     t.on_drop(now, pid, SpanKind::DropRedEarly, chan.0);
                 }
             }
+        }
+    }
+
+    /// A packet with nowhere to go: no route from the node it is at, or
+    /// delivered to a host it was not addressed to (hosts do not forward).
+    /// `chan` is the channel it arrived on, or [`Span::NO_CHAN`].
+    #[cold]
+    fn drop_misrouted(&mut self, pkt_id: u64, chan: u32) {
+        self.drops.misrouted += 1;
+        if let Some(t) = self.lifecycle.as_deref_mut() {
+            t.on_drop(self.engine.now(), pkt_id, SpanKind::DropMisrouted, chan);
         }
     }
 
@@ -2383,6 +2393,46 @@ mod tests {
         assert!(h.got.is_empty());
         assert_eq!(net.drops.misrouted, 1);
         assert!(net.path_delay(h1, h3).is_none());
+    }
+
+    #[test]
+    fn misrouted_drops_end_their_lifecycle() {
+        // h1 -- h2 -- h3: h2 is a host and forwards nothing, so h1's packet
+        // to h3 dies on arrival at h2. h4 is on no link: no route at all.
+        let mut b = TopoBuilder::new(1);
+        let (h1, h2, h3, h4) = (b.host("h1"), b.host("h2"), b.host("h3"), b.host("h4"));
+        let cfg = LinkCfg {
+            bandwidth_bps: 8_000_000,
+            delay: SimDelta::from_millis(1),
+            framing: Framing::None,
+        };
+        b.link(h1, h2, cfg, QueueCfg::droptail_default());
+        b.link(h2, h3, cfg, QueueCfg::droptail_default());
+        let mut net = b.build();
+        net.enable_packet_tracing();
+        let hop = net.route(h1, h2).expect("h1 reaches h2");
+        assert_eq!(net.route(h1, h3), Some(hop), "h3 lies beyond h2");
+        net.send_ip(udp(h1, h3, 100)); // id 0
+        net.send_ip(udp(h1, h4, 100)); // id 1
+        net.run_to_quiescence(&mut Collect::new());
+        assert_eq!(net.drops.misrouted, 2);
+        assert!(net.audit().conserved());
+        let t = net.packet_tracer().unwrap();
+        let drops: Vec<_> = t
+            .spans()
+            .iter()
+            .filter(|s| s.kind == SpanKind::DropMisrouted)
+            .map(|s| (s.pkt, s.chan, s.ts_ns))
+            .collect();
+        // The unroutable one dies at once, the other on arrival at h2
+        // (128 bytes at 8 Mb/s + 1 ms on the wire).
+        assert_eq!(drops, [(1, Span::NO_CHAN, 0), (0, hop.0, 1_128_000)]);
+        assert_eq!(SpanKind::DropMisrouted.label(), "drop.misrouted");
+        assert_eq!(
+            t.in_flight(),
+            0,
+            "a misrouted packet is no longer in flight"
+        );
     }
 
     #[test]

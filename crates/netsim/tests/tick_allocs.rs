@@ -1,10 +1,10 @@
 //! A timeline tick that creates no series does not touch the allocator.
 //!
 //! The network's metric walk states every indexed series (`iface*`,
-//! `node*.rule*`, `node*.shaper*`) in parts, and a tick finds each one by
-//! the identity of those parts — so once a series exists, sampling it
-//! builds no name. What is left is `Vec` growth of the sample columns, and
-//! that is amortised: after the fifth sample a column holds room for eight.
+//! `node*.rule*`, `node*.shaper*`) in parts, and a tick finds each one at
+//! its position in the previous instant's order — so once a series exists,
+//! sampling it builds no name. What is left is `Vec` growth of the sample
+//! columns, and a column gets room for 16 samples at its first.
 
 use mpichgq_dsrt::ProcId;
 use mpichgq_netsim::{
@@ -102,7 +102,7 @@ fn a_tick_that_creates_no_series_allocates_nothing() {
     assert_eq!(tl.gauge(g).expect(g).0.len(), 5, "{g}: one per instant");
     let series_before = tl.series_count();
 
-    // Instants 6 and 7: samples 6 and 7 of columns that grew to 8 at 5.
+    // Instants 6 and 7: samples 6 and 7 of columns with room for 16.
     let before = ALLOCS.with(Cell::get);
     net.run_until(&mut h, SimTime::from_millis(75));
     let allocs = ALLOCS.with(Cell::get) - before;

@@ -71,9 +71,15 @@ pub fn bucket_low(i: usize) -> u64 {
 
 /// A streaming histogram with the fixed log-bucket layout described in the
 /// module docs. `Default` is an empty histogram.
+///
+/// Only the buckets up to the largest index observed are stored: an empty
+/// histogram owns no heap, and one holding delays below a second stores a
+/// few hundred counters, not [`NUM_BUCKETS`]. Every read treats a bucket
+/// past the stored ones as zero, so the layout is unchanged.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    buckets: Box<[u64; NUM_BUCKETS]>,
+    /// Counts of buckets `0..buckets.len()`; the rest are zero.
+    buckets: Vec<u64>,
     count: u64,
     sum: u64,
     min: u64,
@@ -83,7 +89,7 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Histogram {
         Histogram {
-            buckets: Box::new([0; NUM_BUCKETS]),
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -100,7 +106,11 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn observe(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
+        let i = bucket_index(v);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         if v < self.min {
@@ -114,7 +124,10 @@ impl Histogram {
     /// Fold `other` into `self` by adding per-bucket counts. Commutative
     /// and associative, so quantiles are independent of merge order.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
         self.count += other.count;
@@ -308,6 +321,35 @@ mod tests {
         };
         assert_eq!(json(&ab), json(&ba));
         assert_eq!(json(&ab), json(&all));
+    }
+
+    #[test]
+    fn storage_reaches_only_the_largest_bucket_seen() {
+        let json = |h: &Histogram| {
+            let mut w = JsonWriter::new();
+            h.write_json(&mut w);
+            w.finish()
+        };
+        let mut small = Histogram::new();
+        assert_eq!(small.buckets.capacity(), 0, "empty: no heap");
+        small.observe(3);
+        small.observe(3);
+        assert_eq!(small.buckets.len(), 4);
+        let mut big = Histogram::new();
+        big.observe(1 << 40);
+        big.observe(5);
+        let top = bucket_index(1 << 40);
+        assert_eq!(big.buckets.len(), top + 1);
+        // Unequal lengths merge either way round to the same histogram.
+        let (mut ab, mut ba) = (small.clone(), big.clone());
+        ab.merge(&big);
+        ba.merge(&small);
+        assert_eq!(ab.buckets.len(), top + 1);
+        assert_eq!(json(&ab), json(&ba));
+        assert_eq!(ab.quantile(0.5), Some(3));
+        assert_eq!(ab.quantile(1.0), Some(bucket_low(top)));
+        let buckets: Vec<_> = ab.nonzero_buckets().collect();
+        assert_eq!(buckets, [(3, 2), (5, 1), (bucket_low(top), 1)]);
     }
 
     #[test]

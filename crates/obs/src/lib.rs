@@ -26,6 +26,7 @@
 mod hist;
 mod json;
 mod metrics;
+mod names;
 mod timeseries;
 mod trace;
 

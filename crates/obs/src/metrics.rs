@@ -7,7 +7,7 @@
 
 use crate::hist::Histogram;
 use crate::json::JsonWriter;
-use mpichgq_sim::FxHashMap;
+use crate::names::Names;
 
 /// Handle to a registered counter (a dense index; `Copy`, cheap to store).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,11 +41,11 @@ pub trait MetricSink {
     /// [`MetricSink::counter`] under the name `"{scope}.{leaf}"`, in parts
     /// so that a sink can find the series without building the name.
     fn counter_in(&mut self, scope: Scope, leaf: &'static str, total: u64) {
-        self.counter(&format!("{scope}.{leaf}"), total);
+        self.counter(&scope.name(leaf), total);
     }
     /// [`MetricSink::gauge`] under the name `"{scope}.{leaf}"`.
     fn gauge_in(&mut self, scope: Scope, leaf: &'static str, v: f64) {
-        self.gauge(&format!("{scope}.{leaf}"), v);
+        self.gauge(&scope.name(leaf), v);
     }
 }
 
@@ -70,6 +70,21 @@ impl Scope {
         self.sub = Some((kind, index));
         self
     }
+
+    /// `"{self}.{leaf}"`, written into `name` (cleared first).
+    pub(crate) fn write_name(self, leaf: &str, name: &mut String) {
+        use std::fmt::Write;
+        name.clear();
+        write!(name, "{self}.{leaf}").expect("formatting into a String");
+    }
+
+    /// `"{self}.{leaf}"` in one allocation (`format!` reallocates as the
+    /// pieces arrive).
+    fn name(self, leaf: &str) -> String {
+        let mut name = String::with_capacity(48);
+        self.write_name(leaf, &mut name);
+        name
+    }
 }
 
 impl std::fmt::Display for Scope {
@@ -85,15 +100,12 @@ impl std::fmt::Display for Scope {
 /// Named counters and gauges for one simulation run.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counter_names: Vec<String>,
+    counter_names: Names,
     counter_values: Vec<u64>,
-    counter_ids: FxHashMap<String, u32>,
-    gauge_names: Vec<String>,
+    gauge_names: Names,
     gauges: Vec<Gauge>,
-    gauge_ids: FxHashMap<String, u32>,
-    hist_names: Vec<String>,
+    hist_names: Names,
     hists: Vec<Histogram>,
-    hist_ids: FxHashMap<String, u32>,
 }
 
 impl MetricSink for Registry {
@@ -109,14 +121,11 @@ impl Registry {
     /// Register (or look up) a counter; increments via the returned id are
     /// one vector add.
     pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(&i) = self.counter_ids.get(name) {
-            return CounterId(i);
+        let (i, new) = self.counter_names.intern(name);
+        if new {
+            self.counter_values.push(0);
         }
-        let i = self.counter_values.len() as u32;
-        self.counter_names.push(name.to_owned());
-        self.counter_values.push(0);
-        self.counter_ids.insert(name.to_owned(), i);
-        CounterId(i)
+        CounterId(i as u32)
     }
 
     /// Increment a counter by `n`.
@@ -147,25 +156,20 @@ impl Registry {
     }
 
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counter_ids
-            .get(name)
-            .map(|&i| self.counter_values[i as usize])
+        self.counter_names.get(name).map(|i| self.counter_values[i])
     }
 
     /// Register (or look up) a gauge.
     pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(&i) = self.gauge_ids.get(name) {
-            return GaugeId(i);
+        let (i, new) = self.gauge_names.intern(name);
+        if new {
+            self.gauges.push(Gauge {
+                value: 0.0,
+                high_water: f64::NEG_INFINITY,
+                touched: false,
+            });
         }
-        let i = self.gauges.len() as u32;
-        self.gauge_names.push(name.to_owned());
-        self.gauges.push(Gauge {
-            value: 0.0,
-            high_water: f64::NEG_INFINITY,
-            touched: false,
-        });
-        self.gauge_ids.insert(name.to_owned(), i);
-        GaugeId(i)
+        GaugeId(i as u32)
     }
 
     /// Set a gauge's current value, updating its high-water mark.
@@ -186,30 +190,26 @@ impl Registry {
     }
 
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauge_ids
-            .get(name)
-            .filter(|&&i| self.gauges[i as usize].touched)
-            .map(|&i| self.gauges[i as usize].value)
+        self.touched_gauge(name).map(|g| g.value)
     }
 
     pub fn gauge_high_water(&self, name: &str) -> Option<f64> {
-        self.gauge_ids
-            .get(name)
-            .filter(|&&i| self.gauges[i as usize].touched)
-            .map(|&i| self.gauges[i as usize].high_water)
+        self.touched_gauge(name).map(|g| g.high_water)
+    }
+
+    fn touched_gauge(&self, name: &str) -> Option<&Gauge> {
+        let g = &self.gauges[self.gauge_names.get(name)?];
+        g.touched.then_some(g)
     }
 
     /// Register (or look up) a histogram; observations via the returned id
     /// are one bucket increment.
     pub fn hist(&mut self, name: &str) -> HistId {
-        if let Some(&i) = self.hist_ids.get(name) {
-            return HistId(i);
+        let (i, new) = self.hist_names.intern(name);
+        if new {
+            self.hists.push(Histogram::new());
         }
-        let i = self.hists.len() as u32;
-        self.hist_names.push(name.to_owned());
-        self.hists.push(Histogram::new());
-        self.hist_ids.insert(name.to_owned(), i);
-        HistId(i)
+        HistId(i as u32)
     }
 
     /// Record one observation into a histogram.
@@ -238,14 +238,13 @@ impl Registry {
 
     /// Read access to a registered histogram.
     pub fn hist_value(&self, name: &str) -> Option<&Histogram> {
-        self.hist_ids.get(name).map(|&i| &self.hists[i as usize])
+        self.hist_names.get(name).map(|i| &self.hists[i])
     }
 
     /// Counters in registration order, as `(name, value)` pairs.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counter_names
             .iter()
-            .map(String::as_str)
             .zip(self.counter_values.iter().copied())
     }
 
@@ -253,7 +252,6 @@ impl Registry {
     pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauge_names
             .iter()
-            .map(String::as_str)
             .zip(self.gauges.iter())
             .filter(|(_, g)| g.touched)
             .map(|(n, g)| (n, g.value))
@@ -308,8 +306,7 @@ impl Registry {
     /// is the combined peak at sampling resolution. Gauges without a
     /// sampled series keep the documented upper-bound fallback.
     pub fn refine_gauge_peaks(&mut self, timeline: &crate::Timeline) {
-        for (name, i) in &self.gauge_ids {
-            let g = &mut self.gauges[*i as usize];
+        for (name, g) in self.gauge_names.iter().zip(&mut self.gauges) {
             if !g.touched {
                 continue;
             }
@@ -337,11 +334,9 @@ impl Registry {
 
     /// Write `{"name": value, ...}` for all counters, name-sorted.
     pub fn write_counters(&self, w: &mut JsonWriter) {
-        let mut order: Vec<usize> = (0..self.counter_names.len()).collect();
-        order.sort_by(|&a, &b| self.counter_names[a].cmp(&self.counter_names[b]));
         w.begin_object();
-        for i in order {
-            w.key(&self.counter_names[i]);
+        for i in self.counter_names.sorted() {
+            w.key(self.counter_names.at(i));
             w.u64(self.counter_values[i]);
         }
         w.end_object();
@@ -350,15 +345,13 @@ impl Registry {
     /// Write `{"name": {"value": v, "high_water": h}, ...}`, name-sorted.
     /// Gauges that were registered but never set are omitted.
     pub fn write_gauges(&self, w: &mut JsonWriter) {
-        let mut order: Vec<usize> = (0..self.gauge_names.len()).collect();
-        order.sort_by(|&a, &b| self.gauge_names[a].cmp(&self.gauge_names[b]));
         w.begin_object();
-        for i in order {
+        for i in self.gauge_names.sorted() {
             let g = &self.gauges[i];
             if !g.touched {
                 continue;
             }
-            w.key(&self.gauge_names[i]);
+            w.key(self.gauge_names.at(i));
             w.begin_object();
             w.key("value");
             w.f64(g.value);
@@ -374,15 +367,13 @@ impl Registry {
     /// tracing disabled stay free of empty sections). The per-histogram
     /// schema is documented on [`Histogram::write_json`].
     pub fn write_histograms(&self, w: &mut JsonWriter) {
-        let mut order: Vec<usize> = (0..self.hist_names.len()).collect();
-        order.sort_by(|&a, &b| self.hist_names[a].cmp(&self.hist_names[b]));
         w.begin_object();
-        for i in order {
+        for i in self.hist_names.sorted() {
             let h = &self.hists[i];
             if h.is_empty() {
                 continue;
             }
-            w.key(&self.hist_names[i]);
+            w.key(self.hist_names.at(i));
             h.write_json(w);
         }
         w.end_object();

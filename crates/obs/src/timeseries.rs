@@ -9,6 +9,16 @@
 //! snapshot — so a timeline's JSON is a pure function of its samples,
 //! byte-stable across runs and platforms.
 //!
+//! Sampling is cheap enough to leave on because an instant writes its
+//! series in the order the previous instant did. A write first compares
+//! its key — the `(Scope, leaf)` parts, or the name's text — with the
+//! series at the next position of that order; only when they differ (a
+//! series appeared, vanished, or moved) does it fall back to the hash maps,
+//! and it resumes the order after the series it found. And a series
+//! sampled at every instant since its first keeps no timestamps of its
+//! own: it reads them from the one column of instants the timeline has
+//! written.
+//!
 //! Shard merge mirrors [`crate::Registry::merge_from`]: series are keyed
 //! by name, and merging sums the per-shard step functions pointwise over
 //! the union of their sample timestamps (a shard contributes its value-so-
@@ -19,8 +29,12 @@
 
 use crate::json::JsonWriter;
 use crate::metrics::{MetricSink, Scope};
+use crate::names::Names;
 use mpichgq_sim::FxHashMap;
 use std::hash::{Hash, Hasher};
+
+#[cfg(test)]
+mod reference;
 
 /// What a series measures: a cumulative monotone count or a level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,6 +45,13 @@ pub enum SeriesKind {
     Gauge,
 }
 
+/// [`Series::first`] of a series that keeps its own timestamps.
+const OWN_TIMES: u32 = u32::MAX;
+
+/// Room a column gets at its first sample: a fuzz run's ~16-instant grid
+/// fits, where `Vec`'s own growth would reallocate at 4, 8 and 16.
+const FIRST_COLUMN: usize = 16;
+
 #[derive(Debug, Clone)]
 struct Series {
     kind: SeriesKind,
@@ -38,6 +59,16 @@ struct Series {
     /// skips live series, so a stale registry copy published mid-run can
     /// never push a non-monotone sample under a sampler-owned name.
     live: bool,
+    /// While the series has been sampled at every instant since its first,
+    /// the index of that first instant in [`Timeline::ticks`]: its
+    /// timestamps are `ticks[first..first + len]` and `t_ns` stays empty.
+    /// [`OWN_TIMES`] once it skipped an instant or came out of a merge.
+    first: u32,
+    /// Where in its instant's write order the series was last written.
+    pos: u32,
+    /// The parts a [`Tick`] last reached this series by.
+    parts: Option<Parts>,
+    /// Own timestamps (only when `first == OWN_TIMES`).
     t_ns: Vec<u64>,
     /// Counter samples (absolute totals); empty for gauges.
     u: Vec<u64>,
@@ -50,9 +81,29 @@ impl Series {
         Series {
             kind,
             live,
+            first: 0,
+            pos: u32::MAX,
+            parts: None,
             t_ns: Vec::new(),
             u: Vec::new(),
             f: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self.kind {
+            SeriesKind::Counter => self.u.len(),
+            SeriesKind::Gauge => self.f.len(),
+        }
+    }
+
+    /// The sample timestamps, given the timeline's column of instants.
+    fn times<'a>(&'a self, ticks: &'a [u64]) -> &'a [u64] {
+        if self.first == OWN_TIMES {
+            &self.t_ns
+        } else {
+            let first = self.first as usize;
+            &ticks[first..first + self.len()]
         }
     }
 }
@@ -61,17 +112,27 @@ impl Series {
 #[derive(Debug, Default)]
 pub struct Timeline {
     interval_ns: u64,
-    names: Vec<String>,
+    names: Names,
     series: Vec<Series>,
-    ids: FxHashMap<String, u32>,
     /// Series a [`Tick`] was handed in parts, found again without a name.
     by_parts: FxHashMap<Parts, u32>,
+    /// Every instant written so far, ascending: the shared time column.
+    ticks: Vec<u64>,
+    /// Series in the order the previous instant wrote them.
+    prev: Vec<u32>,
+    /// Series in the order the current instant is writing them.
+    cur: Vec<u32>,
+    /// The position in `prev` the next write is expected at.
+    cursor: usize,
+    /// Where a name built from parts is formatted.
+    scratch: String,
 }
 
 /// A [`Scope`] and leaf by identity. `'static` text never changes, so equal
-/// address and length is equal text, and a key of integers hashes in a few
-/// multiplies where the name would be formatted and hashed byte by byte.
-/// Equal text at two addresses is two keys, resolved by name to one series.
+/// address and length is equal text, and a key of integers compares and
+/// hashes in a few instructions where the name would be formatted and
+/// hashed byte by byte. Equal text at two addresses is two keys, resolved
+/// by name to one series.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Parts {
     kind: (usize, usize),
@@ -118,11 +179,13 @@ impl MetricSink for Tick<'_> {
         self.tl.push_gauge(name, self.t_ns, v);
     }
     fn counter_in(&mut self, scope: Scope, leaf: &'static str, total: u64) {
-        let idx = self.tl.index_in(scope, leaf, SeriesKind::Counter);
+        let idx = self
+            .tl
+            .locate_in(scope, leaf, self.t_ns, SeriesKind::Counter);
         self.tl.push_counter_at(idx, self.t_ns, total);
     }
     fn gauge_in(&mut self, scope: Scope, leaf: &'static str, v: f64) {
-        let idx = self.tl.index_in(scope, leaf, SeriesKind::Gauge);
+        let idx = self.tl.locate_in(scope, leaf, self.t_ns, SeriesKind::Gauge);
         self.tl.push_gauge_at(idx, self.t_ns, v);
     }
 }
@@ -158,127 +221,164 @@ impl Timeline {
 
     /// The index of series `name`, registered on first sight.
     fn index_of(&mut self, name: &str, kind: SeriesKind, live: bool) -> usize {
-        match self.ids.get(name) {
-            Some(&i) => i as usize,
-            None => {
-                let i = self.series.len() as u32;
-                self.ids.insert(name.to_owned(), i);
-                self.names.push(name.to_owned());
-                self.series.push(Series::new(kind, live));
-                i as usize
-            }
+        let (i, new) = self.names.intern(name);
+        if new {
+            self.series.push(Series::new(kind, live));
         }
+        i
     }
 
-    /// [`Timeline::index_of`] by identity; on first sight, by the built name.
-    fn index_in(&mut self, scope: Scope, leaf: &'static str, kind: SeriesKind) -> usize {
-        let key = Parts::new(scope, leaf);
-        if let Some(&i) = self.by_parts.get(&key) {
-            return i as usize;
+    /// The series a write at `t_ns` goes to: the one at the cursor when
+    /// `at_cursor` accepts it, else whatever `find` returns. Either way the
+    /// write is appended to this instant's order, and the cursor moves past
+    /// the series' place in the previous one.
+    #[inline]
+    fn locate(
+        &mut self,
+        t_ns: u64,
+        at_cursor: impl FnOnce(&Timeline, usize) -> bool,
+        find: impl FnOnce(&mut Timeline) -> usize,
+    ) -> usize {
+        if self.ticks.last().is_none_or(|&last| t_ns > last) {
+            // A new instant: what the last one wrote is the order to expect.
+            push_sample(&mut self.ticks, t_ns);
+            std::mem::swap(&mut self.prev, &mut self.cur);
+            self.cur.clear();
+            self.cur.reserve(self.prev.len());
+            self.cursor = 0;
         }
-        let idx = self.index_of(&format!("{scope}.{leaf}"), kind, true);
-        self.by_parts.insert(key, idx as u32);
+        let idx = match self.prev.get(self.cursor) {
+            Some(&i) if at_cursor(self, i as usize) => {
+                self.cursor += 1;
+                i as usize
+            }
+            _ => {
+                let i = find(self);
+                let pos = self.series[i].pos as usize;
+                if self.prev.get(pos) == Some(&(i as u32)) {
+                    self.cursor = pos + 1;
+                }
+                i
+            }
+        };
+        self.series[idx].pos = self.cur.len() as u32;
+        self.cur.push(idx as u32);
         idx
     }
 
-    /// Series `idx` and its name; panics unless it is of `kind`.
-    fn series_at(&mut self, idx: usize, kind: SeriesKind) -> (&mut Series, &str) {
-        let (s, name) = (&mut self.series[idx], self.names[idx].as_str());
+    /// [`Timeline::locate`] by name.
+    fn locate_name(&mut self, name: &str, t_ns: u64, kind: SeriesKind, live: bool) -> usize {
+        self.locate(
+            t_ns,
+            |tl, i| tl.names.at(i) == name,
+            |tl| tl.index_of(name, kind, live),
+        )
+    }
+
+    /// [`Timeline::locate`] by identity; on first sight, by the built name.
+    fn locate_in(
+        &mut self,
+        scope: Scope,
+        leaf: &'static str,
+        t_ns: u64,
+        kind: SeriesKind,
+    ) -> usize {
+        let key = Parts::new(scope, leaf);
+        self.locate(
+            t_ns,
+            |tl, i| tl.series[i].parts == Some(key),
+            |tl| {
+                let idx = match tl.by_parts.get(&key) {
+                    Some(&i) => i as usize,
+                    None => {
+                        let mut name = std::mem::take(&mut tl.scratch);
+                        scope.write_name(leaf, &mut name);
+                        let idx = tl.index_of(&name, kind, true);
+                        tl.scratch = name;
+                        tl.by_parts.insert(key, idx as u32);
+                        idx
+                    }
+                };
+                tl.series[idx].parts = Some(key);
+                idx
+            },
+        )
+    }
+
+    /// Series `idx` checked to be of `kind`, with its name and the shared
+    /// time column; panics unless it is of `kind`.
+    fn series_at(&mut self, idx: usize, kind: SeriesKind) -> (&mut Series, &str, &[u64]) {
+        let (s, name) = (&mut self.series[idx], self.names.at(idx));
         assert_eq!(
             s.kind, kind,
             "series {name} already registered with the other kind"
         );
-        (s, name)
-    }
-
-    fn series_mut(&mut self, name: &str, kind: SeriesKind, live: bool) -> &mut Series {
-        let idx = self.index_of(name, kind, live);
-        self.series_at(idx, kind).0
-    }
-
-    fn push_at(s: &mut Series, name: &str, t_ns: u64) {
-        if let Some(&last) = s.t_ns.last() {
-            assert!(
-                t_ns > last,
-                "series {name}: timestamp {t_ns} not after {last}"
-            );
-        }
-        s.t_ns.push(t_ns);
+        (s, name, &self.ticks)
     }
 
     /// Record a counter sample from a dedicated sampler. Marks the series
     /// live (the registry sweep will skip it from now on). Panics if the
     /// timestamp does not advance or the value regresses.
     pub fn push_counter(&mut self, name: &str, t_ns: u64, v: u64) {
-        let idx = self.index_of(name, SeriesKind::Counter, true);
+        let idx = self.locate_name(name, t_ns, SeriesKind::Counter, true);
         self.push_counter_at(idx, t_ns, v);
     }
 
     fn push_counter_at(&mut self, idx: usize, t_ns: u64, v: u64) {
-        let (s, name) = self.series_at(idx, SeriesKind::Counter);
+        let (s, name, ticks) = self.series_at(idx, SeriesKind::Counter);
         s.live = true;
-        if let Some(&prev) = s.u.last() {
-            assert!(v >= prev, "counter series {name} regressed: {prev} -> {v}");
-        }
-        Self::push_at(s, name, t_ns);
-        s.u.push(v);
+        push_u(s, name, ticks, t_ns, v);
     }
 
     /// Record a gauge sample from a dedicated sampler (marks the series
     /// live). Panics if the timestamp does not advance.
     pub fn push_gauge(&mut self, name: &str, t_ns: u64, v: f64) {
-        let idx = self.index_of(name, SeriesKind::Gauge, true);
+        let idx = self.locate_name(name, t_ns, SeriesKind::Gauge, true);
         self.push_gauge_at(idx, t_ns, v);
     }
 
     fn push_gauge_at(&mut self, idx: usize, t_ns: u64, v: f64) {
-        let (s, name) = self.series_at(idx, SeriesKind::Gauge);
+        let (s, name, ticks) = self.series_at(idx, SeriesKind::Gauge);
         s.live = true;
-        Self::push_at(s, name, t_ns);
-        s.f.push(v);
+        push_f(s, name, ticks, t_ns, v);
     }
 
     /// Record a counter sample from the registry sweep. No-op when a
     /// dedicated sampler owns the series (see [`Timeline::push_counter`])
     /// or when `t_ns` was already sampled.
     pub fn sweep_counter(&mut self, name: &str, t_ns: u64, v: u64) {
-        let s = self.series_mut(name, SeriesKind::Counter, false);
-        if s.live || s.t_ns.last() == Some(&t_ns) {
-            return;
+        let idx = self.locate_name(name, t_ns, SeriesKind::Counter, false);
+        let (s, name, ticks) = self.series_at(idx, SeriesKind::Counter);
+        if !s.live && s.times(ticks).last() != Some(&t_ns) {
+            push_u(s, name, ticks, t_ns, v);
         }
-        if let Some(&prev) = s.u.last() {
-            assert!(v >= prev, "counter series {name} regressed: {prev} -> {v}");
-        }
-        Self::push_at(s, name, t_ns);
-        s.u.push(v);
     }
 
     /// Record a gauge sample from the registry sweep (see
     /// [`Timeline::sweep_counter`] for the live-series rule).
     pub fn sweep_gauge(&mut self, name: &str, t_ns: u64, v: f64) {
-        let s = self.series_mut(name, SeriesKind::Gauge, false);
-        if s.live || s.t_ns.last() == Some(&t_ns) {
-            return;
+        let idx = self.locate_name(name, t_ns, SeriesKind::Gauge, false);
+        let (s, name, ticks) = self.series_at(idx, SeriesKind::Gauge);
+        if !s.live && s.times(ticks).last() != Some(&t_ns) {
+            push_f(s, name, ticks, t_ns, v);
         }
-        Self::push_at(s, name, t_ns);
-        s.f.push(v);
     }
 
     /// Series names in registration order (JSON output sorts them).
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.names.iter().map(String::as_str)
+        self.names.iter()
     }
 
     /// A counter series' `(timestamps, values)` columns, if it exists.
     pub fn counter(&self, name: &str) -> Option<(&[u64], &[u64])> {
-        let s = &self.series[*self.ids.get(name)? as usize];
-        (s.kind == SeriesKind::Counter).then_some((&s.t_ns[..], &s.u[..]))
+        let s = &self.series[self.names.get(name)?];
+        (s.kind == SeriesKind::Counter).then(|| (s.times(&self.ticks), &s.u[..]))
     }
 
     /// A gauge series' `(timestamps, values)` columns, if it exists.
     pub fn gauge(&self, name: &str) -> Option<(&[u64], &[f64])> {
-        let s = &self.series[*self.ids.get(name)? as usize];
-        (s.kind == SeriesKind::Gauge).then_some((&s.t_ns[..], &s.f[..]))
+        let s = &self.series[self.names.get(name)?];
+        (s.kind == SeriesKind::Gauge).then(|| (s.times(&self.ticks), &s.f[..]))
     }
 
     /// The last sample of a counter series, if any.
@@ -315,11 +415,11 @@ impl Timeline {
             self.interval_ns, other.interval_ns,
             "cannot merge timelines with different sampling grids"
         );
-        for (name, o) in other.names.iter().zip(&other.series) {
-            let s = self.series_mut(name, o.kind, o.live);
+        for (name, o) in other.names().zip(&other.series) {
+            let idx = self.index_of(name, o.kind, o.live);
+            let (s, _, ticks) = self.series_at(idx, o.kind);
             s.live |= o.live;
-            let merged = merge_series(s, o);
-            *s = merged;
+            merge_series(s, ticks, o, &other.ticks);
         }
     }
 
@@ -342,11 +442,10 @@ impl Timeline {
         w.u64(self.interval_ns);
         w.key("series");
         w.begin_object();
-        let mut order: Vec<usize> = (0..self.names.len()).collect();
-        order.sort_by(|&a, &b| self.names[a].cmp(&self.names[b]));
-        for i in order {
+        for i in self.names.sorted() {
             let s = &self.series[i];
-            w.key(&self.names[i]);
+            let t_ns = s.times(&self.ticks);
+            w.key(self.names.at(i));
             w.begin_object();
             w.key("kind");
             w.string(match s.kind {
@@ -354,13 +453,13 @@ impl Timeline {
                 SeriesKind::Gauge => "gauge",
             });
             w.key("t0_ns");
-            match s.t_ns.first() {
+            match t_ns.first() {
                 Some(&t0) => w.u64(t0),
                 None => w.raw("null"),
             }
             w.key("dt_ns");
             w.begin_array();
-            for pair in s.t_ns.windows(2) {
+            for pair in t_ns.windows(2) {
                 w.u64(pair[1] - pair[0]);
             }
             w.end_array();
@@ -401,15 +500,69 @@ impl Timeline {
     }
 }
 
-/// Pointwise step-function sum of two series over their timestamp union.
-fn merge_series(a: &Series, b: &Series) -> Series {
-    let mut out = Series::new(a.kind, a.live || b.live);
+/// Stamp the next sample of `s` with `t_ns`, which must be after its
+/// last. The series keeps reading the shared column while `t_ns` is the
+/// instant after its last there; otherwise it copies its timestamps out.
+fn push_time(s: &mut Series, name: &str, ticks: &[u64], t_ns: u64) {
+    let n = s.len();
+    if s.first != OWN_TIMES {
+        let next = s.first as usize + n;
+        if n == 0 && ticks.last() == Some(&t_ns) {
+            s.first = (ticks.len() - 1) as u32;
+            return;
+        }
+        if n > 0 && ticks.get(next) == Some(&t_ns) {
+            return;
+        }
+        let mut own = Vec::with_capacity((n + 1).max(FIRST_COLUMN));
+        own.extend_from_slice(&ticks[next - n..next]);
+        s.t_ns = own;
+        s.first = OWN_TIMES;
+    }
+    if let Some(&last) = s.t_ns.last() {
+        assert!(
+            t_ns > last,
+            "series {name}: timestamp {t_ns} not after {last}"
+        );
+    }
+    s.t_ns.push(t_ns);
+}
+
+/// Append counter sample `v` at `t_ns` (panics if it regresses).
+fn push_u(s: &mut Series, name: &str, ticks: &[u64], t_ns: u64, v: u64) {
+    if let Some(&prev) = s.u.last() {
+        assert!(v >= prev, "counter series {name} regressed: {prev} -> {v}");
+    }
+    push_time(s, name, ticks, t_ns);
+    push_sample(&mut s.u, v);
+}
+
+/// Append gauge sample `v` at `t_ns`.
+fn push_f(s: &mut Series, name: &str, ticks: &[u64], t_ns: u64, v: f64) {
+    push_time(s, name, ticks, t_ns);
+    push_sample(&mut s.f, v);
+}
+
+/// Append to a column, giving it [`FIRST_COLUMN`] entries of room first.
+fn push_sample<T>(column: &mut Vec<T>, v: T) {
+    if column.capacity() == 0 {
+        column.reserve_exact(FIRST_COLUMN);
+    }
+    column.push(v);
+}
+
+/// Replace `a`'s samples with the pointwise step-function sum of `a` and
+/// `b` over their timestamp union (each series read against its own
+/// timeline's column of instants).
+fn merge_series(a: &mut Series, a_ticks: &[u64], b: &Series, b_ticks: &[u64]) {
+    let (at, bt) = (a.times(a_ticks), b.times(b_ticks));
+    let (mut t_ns, mut u, mut f) = (Vec::new(), Vec::new(), Vec::new());
     let (mut i, mut j) = (0usize, 0usize);
     let (mut au, mut bu) = (0u64, 0u64);
     let (mut af, mut bf) = (0f64, 0f64);
-    while i < a.t_ns.len() || j < b.t_ns.len() {
-        let ta = a.t_ns.get(i).copied().unwrap_or(u64::MAX);
-        let tb = b.t_ns.get(j).copied().unwrap_or(u64::MAX);
+    while i < at.len() || j < bt.len() {
+        let ta = at.get(i).copied().unwrap_or(u64::MAX);
+        let tb = bt.get(j).copied().unwrap_or(u64::MAX);
         let t = ta.min(tb);
         if ta == t {
             match a.kind {
@@ -425,13 +578,13 @@ fn merge_series(a: &Series, b: &Series) -> Series {
             }
             j += 1;
         }
-        out.t_ns.push(t);
+        t_ns.push(t);
         match a.kind {
-            SeriesKind::Counter => out.u.push(au + bu),
-            SeriesKind::Gauge => out.f.push(af + bf),
+            SeriesKind::Counter => u.push(au + bu),
+            SeriesKind::Gauge => f.push(af + bf),
         }
     }
-    out
+    (a.t_ns, a.u, a.f, a.first) = (t_ns, u, f, OWN_TIMES);
 }
 
 #[cfg(test)]
@@ -637,5 +790,305 @@ mod tests {
         let mut t = tl();
         t.push_gauge("g", 2_000, 1.0);
         t.push_gauge("g", 2_000, 2.0);
+    }
+
+    #[test]
+    fn a_series_sampled_at_every_instant_reads_the_shared_column() {
+        let mut t = tl();
+        for i in 1..=20u64 {
+            let mut k = t.tick(i * 1_000);
+            k.counter_in(IFACE7, "enq_ef", i);
+            if i % 5 != 0 {
+                k.gauge("skips", i as f64); // not at instants 5, 10, 15, 20
+            }
+            if i >= 12 {
+                k.counter("late", i); // appears mid-run
+            }
+        }
+        let s = |name: &str| &t.series[t.names.get(name).unwrap()];
+        for name in ["iface007.enq_ef", "late"] {
+            assert_ne!(s(name).first, OWN_TIMES, "{name}");
+            assert_eq!(s(name).t_ns.capacity(), 0, "{name}: no own timestamps");
+        }
+        assert_eq!(s("skips").first, OWN_TIMES);
+        assert_eq!(t.ticks.len(), 20, "one column of instants");
+        let late: Vec<u64> = (12..=20).map(|i| i * 1_000).collect();
+        assert_eq!(t.counter("late").unwrap().0, &late[..]);
+        let (ts, vs) = t.gauge("skips").unwrap();
+        assert_eq!((ts.len(), vs.len()), (16, 16));
+        assert_eq!(ts[3..5], [4_000, 6_000]);
+    }
+
+    #[test]
+    fn a_steady_instant_takes_no_hash_lookup() {
+        let write = |t: &mut Timeline, i: u64| {
+            let at = i * 1_000;
+            let mut k = t.tick(at);
+            for n in 0..8 {
+                k.counter_in(Scope::new("iface", n), "tx_packets", i);
+            }
+            k.gauge(&format!("shard{:02}.pending_events", 1), i as f64);
+            t.sweep_counter("tcp.segs_sent", at, i);
+            t.sweep_counter("iface003.tx_packets", at, 0); // live: skipped
+            t.tick(at)
+                .counter_in(IFACE7.sub("rule", 2), "policed_pkts", i);
+            t.push_gauge("slo.burn.fast", at, 0.5);
+        };
+        let mut t = tl();
+        write(&mut t, 1);
+        write(&mut t, 2);
+        // With every key forgotten, a write that needed a lookup would
+        // register a second series under its name.
+        t.names.forget();
+        t.by_parts.clear();
+        write(&mut t, 3);
+        assert_eq!(t.series_count(), 12);
+        assert!(t.series.iter().all(|s| s.len() == 3));
+        assert_eq!(t.cursor, t.prev.len());
+    }
+
+    use mpichgq_sim::SimRng;
+    use std::collections::{HashMap, HashSet};
+
+    /// One write of a random tick program, replayed on both timelines.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// `tick(t).counter_in` / `gauge_in`.
+        Parts(u64, Scope, &'static str, Val),
+        /// `tick(t).counter` / `gauge`, the name formatted at the call.
+        Named(u64, String, Val),
+        /// `push_counter` / `push_gauge`.
+        Push(u64, String, Val),
+        /// `sweep_counter` / `sweep_gauge`.
+        Sweep(u64, String, Val),
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Val {
+        C(u64),
+        G(f64),
+    }
+
+    macro_rules! replay {
+        ($tl:expr, $ops:expr) => {
+            for op in $ops {
+                match op.clone() {
+                    Op::Parts(t, scope, leaf, Val::C(v)) => $tl.tick(t).counter_in(scope, leaf, v),
+                    Op::Parts(t, scope, leaf, Val::G(v)) => $tl.tick(t).gauge_in(scope, leaf, v),
+                    Op::Named(t, name, Val::C(v)) => $tl.tick(t).counter(&name.clone(), v),
+                    Op::Named(t, name, Val::G(v)) => $tl.tick(t).gauge(&name.clone(), v),
+                    Op::Push(t, name, Val::C(v)) => $tl.push_counter(&name, t, v),
+                    Op::Push(t, name, Val::G(v)) => $tl.push_gauge(&name, t, v),
+                    Op::Sweep(t, name, Val::C(v)) => $tl.sweep_counter(&name, t, v),
+                    Op::Sweep(t, name, Val::G(v)) => $tl.sweep_gauge(&name, t, v),
+                }
+            }
+        };
+    }
+
+    /// A series of the program: its scope and leaf, how it is written, and
+    /// the instants `[born, dies)` it is written at.
+    struct Spec {
+        scope: Scope,
+        leaf: &'static str,
+        /// 0: parts; 1: the formatted name; 2: alternating; 3: parts with
+        /// the leaf's text at another address.
+        mode: u64,
+        alt_leaf: &'static str,
+        /// Written by the handler's tick rather than the core one.
+        handler: bool,
+        born: u64,
+        dies: u64,
+    }
+
+    const KINDS: [&str; 3] = ["iface", "node", "host"];
+    const SUBS: [&str; 2] = ["rule", "shaper"];
+    /// Counters first, then gauges: a leaf fixes the kind of its series.
+    const LEAVES: [&str; 6] = [
+        "enq_ef",
+        "tx_packets",
+        "passed",
+        "backlog_bytes",
+        "level",
+        "hw_ef_bytes",
+    ];
+
+    /// The next sample of `name`: counters climb, gauges wander.
+    fn val(rng: &mut SimRng, totals: &mut HashMap<String, u64>, name: &str) -> Val {
+        let leaf = name.rsplit('.').next().unwrap_or_default();
+        if LEAVES[3..].contains(&leaf) || leaf == "inbox_depth" {
+            return Val::G(rng.below(1_000) as f64 / 8.0);
+        }
+        let v = totals
+            .get_mut(name)
+            .expect("every counter starts at the base");
+        *v += rng.below(4);
+        Val::C(*v)
+    }
+
+    /// Spec `s`'s write at instant `k`, stamped `t`.
+    fn write(rng: &mut SimRng, totals: &mut HashMap<String, u64>, t: u64, s: &Spec, k: u64) -> Op {
+        let name = format!("{}.{}", s.scope, s.leaf);
+        let v = val(rng, totals, &name);
+        match (s.mode, k % 2) {
+            (1, _) | (2, 1) => Op::Named(t, name, v),
+            (3, 1) => Op::Parts(t, s.scope, s.alt_leaf, v),
+            _ => Op::Parts(t, s.scope, s.leaf, v),
+        }
+    }
+
+    /// A random tick program on a 1 µs grid: series appear and vanish, the
+    /// write order changes now and then, every instant has a core tick, a
+    /// registry sweep, a handler tick and the burn gauges, some instants
+    /// are followed by an off-grid shard-window tick with names formatted
+    /// into temporaries, and the program ends at an off-grid final instant.
+    fn program(rng: &mut SimRng, t0: u64, instants: u64, base: u64) -> Vec<Op> {
+        let mut specs = Vec::new();
+        let mut seen = HashSet::new();
+        for _ in 0..rng.range(3, 40) {
+            let mut scope = Scope::new(KINDS[rng.below(3) as usize], rng.below(12));
+            if rng.chance(0.4) {
+                scope = scope.sub(SUBS[rng.below(2) as usize], rng.below(4));
+            }
+            let leaf = LEAVES[rng.below(6) as usize];
+            if !seen.insert(format!("{scope}.{leaf}")) {
+                continue;
+            }
+            let born = if rng.chance(0.5) {
+                0
+            } else {
+                rng.below(instants)
+            };
+            let dies = if rng.chance(0.7) {
+                u64::MAX
+            } else {
+                born + 1 + rng.below(instants)
+            };
+            specs.push(Spec {
+                scope,
+                leaf,
+                mode: rng.below(4),
+                alt_leaf: String::from(leaf).leak(),
+                handler: rng.chance(0.2),
+                born,
+                dies,
+            });
+        }
+        // Registry names the sweep carries: some are series the core tick
+        // owns (a handler-owned one would be swept before its own write).
+        let mut swept: Vec<String> = ["tcp.segs_sent", "mpi.sends", "gara.level"]
+            .map(String::from)
+            .to_vec();
+        swept.extend(
+            specs
+                .iter()
+                .filter(|s| !s.handler && rng.chance(0.2))
+                .map(|s| format!("{}.{}", s.scope, s.leaf)),
+        );
+        let mut totals = HashMap::new();
+        for name in &swept {
+            totals.insert(name.clone(), base);
+        }
+        for s in &specs {
+            totals.insert(format!("{}.{}", s.scope, s.leaf), base);
+        }
+        for shard in 0..2 {
+            totals.insert(format!("shard{shard:02}.windows"), base);
+        }
+        let mut ops = Vec::new();
+        let mut order: Vec<usize> = (0..specs.len()).collect();
+        for k in 0..instants {
+            let t = t0 + (k + 1) * 1_000;
+            if rng.chance(0.2) {
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.below(i as u64 + 1) as usize);
+                }
+            }
+            let live = |s: &Spec| s.born <= k && k < s.dies;
+            for &i in &order {
+                if live(&specs[i]) && !specs[i].handler {
+                    ops.push(write(rng, &mut totals, t, &specs[i], k));
+                }
+            }
+            for name in &swept {
+                let v = val(rng, &mut totals, name);
+                ops.push(Op::Sweep(t, name.clone(), v));
+            }
+            for &i in &order {
+                if live(&specs[i]) && specs[i].handler {
+                    ops.push(write(rng, &mut totals, t, &specs[i], k));
+                }
+            }
+            for name in ["slo.burn.fast", "slo.burn.slow"] {
+                ops.push(Op::Push(t, name.into(), Val::G(rng.below(3) as f64)));
+            }
+            if rng.chance(0.3) {
+                let shard = rng.below(2);
+                let p = format!("shard{shard:02}");
+                let name = format!("{p}.windows");
+                let v = val(rng, &mut totals, &name);
+                ops.push(Op::Named(t + 500, name, v));
+                let v = Val::G(rng.below(9) as f64);
+                ops.push(Op::Named(t + 500, format!("{p}.inbox_depth"), v));
+            }
+        }
+        let end = t0 + instants * 1_000 + 700;
+        for s in specs.iter().filter(|s| s.dies == u64::MAX) {
+            ops.push(write(rng, &mut totals, end, s, 0));
+        }
+        ops
+    }
+
+    /// Every read-out of `a` (positional) and `b` (hash-keyed) agrees.
+    fn assert_agree(a: &Timeline, b: &reference::Timeline, rng: &mut SimRng) {
+        assert_eq!(a.to_json(), b.to_json());
+        let names: Vec<&str> = a.names().collect();
+        assert_eq!(names, b.names().collect::<Vec<_>>());
+        for name in names.iter().copied().chain(["missing"]) {
+            assert_eq!(a.counter(name), b.counter(name), "{name}");
+            assert_eq!(a.gauge(name), b.gauge(name), "{name}");
+            for _ in 0..4 {
+                let t = rng.below(60_000);
+                assert_eq!(a.counter_at(name, t), b.counter_at(name, t), "{name} @ {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_tick_programs_read_as_the_hash_keyed_reference() {
+        let mut rng = SimRng::new(0x7157);
+        for case in 0..120 {
+            let instants = rng.range(1, 40);
+            let (pa, pb) = (
+                program(&mut rng, 0, instants, 0),
+                program(&mut rng, 300, instants, 0),
+            );
+            let (mut a, mut ra) = (tl(), reference::Timeline::new(1_000));
+            replay!(a, &pa);
+            replay!(ra, &pa);
+            assert_agree(&a, &ra, &mut rng);
+            // Shard merge in either order, then ticking on the merged one.
+            let (mut b, mut rb) = (tl(), reference::Timeline::new(1_000));
+            replay!(rb, &pb);
+            replay!(b, &pb);
+            let (mut m, mut rm) = (tl(), reference::Timeline::new(1_000));
+            let (mut n, mut rn) = (tl(), reference::Timeline::new(1_000));
+            m.merge_from(&a);
+            m.merge_from(&b);
+            rm.merge_from(&ra);
+            rm.merge_from(&rb);
+            n.merge_from(&b);
+            n.merge_from(&a);
+            rn.merge_from(&rb);
+            rn.merge_from(&ra);
+            assert_agree(&m, &rm, &mut rng);
+            assert_eq!(m.to_json(), n.to_json(), "case {case}: merge order");
+            assert_eq!(rm.to_json(), rn.to_json(), "case {case}: merge order");
+            // Counters of the continuation start above anything merged.
+            let more = program(&mut rng, 60_000, 3, 1 << 20);
+            replay!(m, &more);
+            replay!(rm, &more);
+            assert_agree(&m, &rm, &mut rng);
+        }
     }
 }
