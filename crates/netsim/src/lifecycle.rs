@@ -41,6 +41,11 @@ pub const DEFAULT_MAX_SPANS: usize = 65_536;
 /// a shaper, say — moves to the spill map instead of holding the ring open.
 const RING_SPAN: u64 = 4_096;
 
+/// Bytes to reserve per span for the Chrome trace export
+/// ([`crate::Net::chrome_trace_json`]): a span exports as ≈ 154 B, so
+/// the document is written into one buffer that never grows.
+pub(crate) const CHROME_TRACE_BYTES_PER_SPAN: usize = 192;
+
 /// What a lifecycle span or instant records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {

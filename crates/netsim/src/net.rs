@@ -1102,13 +1102,19 @@ impl Net {
     /// [`crate::lifecycle`] for the layout). With tracing disabled this
     /// returns an empty-but-valid trace document.
     pub fn chrome_trace_json(&self) -> String {
-        let mut w = JsonWriter::new();
         match &self.lifecycle {
             Some(t) => {
                 let names: Vec<String> = self.nodes.iter().map(|n| n.name.clone()).collect();
+                // One reservation: the span events, which are nearly all of
+                // the document, plus room for the metadata and summary.
+                let mut w = JsonWriter::with_capacity(
+                    t.spans().len() * crate::lifecycle::CHROME_TRACE_BYTES_PER_SPAN + 4096,
+                );
                 t.write_chrome_trace(&mut w, &self.chans, &names);
+                w.finish()
             }
             None => {
+                let mut w = JsonWriter::new();
                 w.begin_object();
                 w.key("traceEvents");
                 w.begin_array();
@@ -1116,9 +1122,9 @@ impl Net {
                 w.key("displayTimeUnit");
                 w.string("ms");
                 w.end_object();
+                w.finish()
             }
         }
-        w.finish()
     }
 
     // ------------------------------------------------------------------

@@ -18,6 +18,15 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
+    /// A writer whose output buffer holds `bytes` before it first grows:
+    /// a large document sized up front is written without reallocating.
+    pub fn with_capacity(bytes: usize) -> JsonWriter {
+        JsonWriter {
+            out: String::with_capacity(bytes),
+            stack: Vec::new(),
+        }
+    }
+
     fn pre_value(&mut self) {
         if let Some(has) = self.stack.last_mut() {
             if *has {
@@ -212,14 +221,21 @@ impl JsonValue {
     }
 }
 
+/// How deep [`parse`] lets containers nest. Far above anything the writer
+/// emits (the deepest, a trace summary's histogram buckets, nest seven
+/// deep); below it, recursive descent cannot run out of stack.
+const MAX_DEPTH: usize = 256;
+
 /// Parse a JSON document. Errors carry the byte offset of the problem.
 /// Recursive descent over the grammar [`JsonWriter`] emits (plus standard
 /// JSON it doesn't: `null`, bools, unicode escapes), so
-/// `parse(&w.finish())` always succeeds on writer output.
+/// `parse(&w.finish())` always succeeds on writer output; containers nested
+/// more than 256 deep are an error, not a stack overflow.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -233,6 +249,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -261,8 +279,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -526,6 +558,40 @@ mod parse_tests {
         assert_eq!(parse(&u64::MAX.to_string()), Ok(JsonValue::UInt(u64::MAX)));
         assert_eq!(parse(&i64::MIN.to_string()), Ok(JsonValue::Int(i64::MIN)));
         assert!(parse("-").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_an_error_not_a_stack_overflow() {
+        for deep in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 256 at byte"), "{err}");
+        }
+        // The cap itself still parses, from the writer, in both kinds of
+        // container; one more level does not.
+        let nested = |depth: usize| {
+            let mut w = JsonWriter::new();
+            for d in 0..depth {
+                if d % 2 == 0 {
+                    w.begin_array();
+                } else {
+                    w.begin_object();
+                    w.key("k");
+                }
+            }
+            w.u64(1);
+            for d in (0..depth).rev() {
+                if d % 2 == 0 {
+                    w.end_array();
+                } else {
+                    w.end_object();
+                }
+            }
+            w.finish()
+        };
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        // `[{"k":` is six bytes for two levels: the 257th opens at byte 768.
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 256 at byte 768");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 # form (--workload W --seed S --seconds N --trace 0) of two benchmark
 # binaries in interleaved pairs, one pair per seed, alternating which side
 # goes first, and prints each pair's wall_s / setup_s / peak_rss_mb, then,
-# for wall_s and for setup_s, both medians, how many pairs the change is
-# ahead in, the parent's q1/q3 and the median gap over the parent's
-# interquartile range. Exits non-zero if any run reports correct: false.
+# for each of the three, both medians, how many pairs the change is ahead
+# in, the parent's q1/q3 and the median gap over the parent's interquartile
+# range. Exits non-zero if any run reports correct: false.
 # Needs python3.
 #
 #   bash scripts/prof/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS SEED...
@@ -53,7 +53,7 @@ for seed in seeds:
     won = c["wall_s"] < p["wall_s"]
     cells = [f"{side[k]:>18.4f}" for side in (p, c) for k in keys]
     print(f"{seed:<4}  " + "  ".join(cells) + f"  {'yes' if won else 'no'}")
-for k in keys[:2]:
+for k in keys:
     pv = [runs["parent", s][k] for s in seeds]
     cv = [runs["change", s][k] for s in seeds]
     won = sum(c < p for p, c in zip(pv, cv))

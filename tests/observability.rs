@@ -7,7 +7,7 @@ use mpichgq_bench::{
     fig1_tcp_sawtooth_run, fig1_tcp_sawtooth_run_timeline, fig7_seq_trace_run_timeline, Fig1Cfg,
 };
 use mpichgq_obs::{parse, FlightRecorder, Histogram, JsonWriter};
-use mpichgq_sim::{SimDelta, SimTime};
+use mpichgq_sim::{fnv1a, SimDelta, SimTime};
 
 fn short_cfg() -> Fig1Cfg {
     Fig1Cfg {
@@ -203,4 +203,23 @@ fn histogram_snapshots_are_order_independent() {
     assert_eq!(snap(&fwd), snap(&rev));
     assert_eq!(snap(&fwd), snap(&split_b));
     assert_eq!(fwd.quantile(0.5), split_b.quantile(0.5));
+}
+
+/// The Chrome trace a small figure run exports, pinned by FNV-1a and
+/// length. `results/*/trace.json` is not tracked, so no `git diff` of the
+/// results would notice the export changing its bytes; this test does.
+#[test]
+fn fig7_chrome_trace_bytes_are_pinned() {
+    let (_, run) = fig7_seq_trace_run_timeline(30.0, SimTime::from_secs(4), 256, None);
+    let trace = run.trace_json.as_bytes();
+    assert_eq!(
+        (trace.len(), fnv1a(trace)),
+        (1_185_058, 14_044_250_067_781_046_561),
+        "fig7 trace export changed its bytes"
+    );
+    // `Net::chrome_trace_json` reserves 192 B per span plus 4 KB once; a
+    // real run's document fits, so the buffer never grows.
+    let spans = run.trace_json.matches(",\"tid\":1,").count();
+    assert!(spans > 1_000, "{spans} spans");
+    assert!(trace.len() <= spans * 192 + 4096);
 }
