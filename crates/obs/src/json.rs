@@ -3,7 +3,9 @@
 //! container already has a member; number formatting uses Rust's shortest
 //! round-trip `Display`, which is deterministic for identical values.
 
+use mpichgq_sim::FxHashMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Streaming JSON writer over an owned `String`.
 #[derive(Debug, Default)]
@@ -147,6 +149,11 @@ impl JsonWriter {
 /// negative) so round-trip tests can check `u64`/`i64` fields without f64
 /// precision loss; one too large for either reads as [`JsonValue::Float`].
 /// Object member order is preserved.
+///
+/// The payloads are sized for a parsed document, not for building one:
+/// containers are boxed slices of exactly their length, and a string value
+/// written without escapes shares one allocation with every occurrence of
+/// the same text in the document [`parse`] read it from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
@@ -156,10 +163,13 @@ pub enum JsonValue {
     /// Non-negative integer (exact).
     UInt(u64),
     Float(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
+    Str(Arc<str>),
+    Arr(Box<[JsonValue]>),
+    Obj(Box<[(String, JsonValue)]>),
 }
+
+// Three words: no payload is wider than a fat pointer.
+const _: () = assert!(std::mem::size_of::<JsonValue>() == 24);
 
 impl JsonValue {
     /// Look up a member of an object by key (first match).
@@ -228,14 +238,19 @@ const MAX_DEPTH: usize = 256;
 
 /// Parse a JSON document. Errors carry the byte offset of the problem.
 /// Recursive descent over the grammar [`JsonWriter`] emits (plus standard
-/// JSON it doesn't: `null`, bools, unicode escapes), so
+/// JSON it doesn't: `null`, bools, unicode escapes and surrogate pairs), so
 /// `parse(&w.finish())` always succeeds on writer output; containers nested
 /// more than 256 deep are an error, not a stack overflow.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
+        vals: Vec::new(),
+        members: Vec::new(),
+        unescaped: String::new(),
+        shared: FxHashMap::default(),
     };
     p.skip_ws();
     let v = p.value()?;
@@ -247,10 +262,22 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
     /// Containers open around `pos`.
     depth: usize,
+    /// Items of the arrays open around `pos`, outermost first: an array
+    /// pushes its items here and moves them into a slice of exactly their
+    /// number when it closes.
+    vals: Vec<JsonValue>,
+    /// Members of the open objects, in the same way.
+    members: Vec<(String, JsonValue)>,
+    /// The last string that held an escape, decoded.
+    unescaped: String,
+    /// Every escape-free string value read so far, by its text in the input.
+    shared: FxHashMap<&'a str, Arc<str>>,
 }
 
 impl<'a> Parser<'a> {
@@ -295,7 +322,15 @@ impl<'a> Parser<'a> {
                 self.depth -= 1;
                 v
             }
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'"') => {
+                let s = match self.string()? {
+                    Some(text) => {
+                        Arc::clone(self.shared.entry(text).or_insert_with(|| text.into()))
+                    }
+                    None => self.unescaped.as_str().into(),
+                };
+                Ok(JsonValue::Str(s))
+            }
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'n') => self.literal("null", JsonValue::Null),
@@ -315,25 +350,29 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<JsonValue, String> {
         self.expect(b'{')?;
-        let mut members = Vec::new();
+        let mark = self.members.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(members));
+            return Ok(JsonValue::Obj(Box::default()));
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = match self.string()? {
+                Some(text) => String::from(text),
+                None => String::from(self.unescaped.as_str()),
+            };
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            members.push((key, self.value()?));
+            let v = self.value()?;
+            self.members.push((key, v));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(members));
+                    return Ok(JsonValue::Obj(self.members.drain(mark..).collect()));
                 }
                 _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
             }
@@ -342,77 +381,104 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self) -> Result<JsonValue, String> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let mark = self.vals.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(JsonValue::Arr(Box::default()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let v = self.value()?;
+            self.vals.push(v);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+                    return Ok(JsonValue::Arr(self.vals.drain(mark..).collect()));
                 }
                 _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Read a string token. One without escapes is returned as the slice of
+    /// the input between its quotes; one with escapes is decoded into
+    /// `self.unescaped` and `None` is returned.
+    fn string(&mut self) -> Result<Option<&'a str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let len = self.bytes[start..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        self.pos += len;
+        if self.bytes[self.pos] == b'"' {
+            self.pos += 1;
+            return Ok(Some(&self.text[start..start + len]));
+        }
+        self.unescaped.clear();
+        self.unescaped.push_str(&self.text[start..self.pos]);
         loop {
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(None);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not produced by JsonWriter;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => self.unicode_escape()?,
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
+                    };
+                    self.unescaped.push(c);
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
+                    // One UTF-8 scalar: `pos` is on a character boundary,
+                    // since everything consumed before it was whole.
+                    let c = self.text[self.pos..].chars().next().unwrap();
+                    self.unescaped.push(c);
                     self.pos += c.len_utf8();
                 }
             }
         }
+    }
+
+    /// The character of the `\u` escape whose `u` is at `pos`, leaving
+    /// `pos` on its last hex digit. A high surrogate followed by a `\u`
+    /// low surrogate is one character, and both escapes are consumed; a
+    /// surrogate without its partner reads as U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        if (0xd800..0xdc00).contains(&code) && self.bytes[self.pos + 1..].starts_with(b"\\u") {
+            if let Ok(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 3) {
+                self.pos += 6;
+                let code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                return Ok(char::from_u32(code).unwrap());
+            }
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits at `at`, exactly: no sign, no fewer.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        hex.iter().try_fold(0, |code, &b| {
+            let digit = (b as char).to_digit(16).ok_or("bad \\u escape")?;
+            Ok(code << 4 | digit)
+        })
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
@@ -431,7 +497,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if !is_float {
             // Exact while it fits. JSON has one number type, so an integer
             // literal beyond `i64` / `u64` — what the writer prints for
@@ -595,10 +661,185 @@ mod parse_tests {
     }
 
     #[test]
-    fn rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("1 2").is_err());
-        assert!(parse("nul").is_err());
+    fn unicode_escapes_pair_surrogates_and_take_exactly_four_hex_digits() {
+        let text = |json: &str| parse(json).map(|v| v.as_str().unwrap().to_string());
+        // A pair is one scalar, in either case; so is a pair after a lone half.
+        assert_eq!(text(r#""\ud834\udd1e""#), Ok("𝄞".into()));
+        assert_eq!(text(r#""a\uD834\uDD1Eb""#), Ok("a𝄞b".into()));
+        assert_eq!(text(r#""\ud834\ud834\udd1e""#), Ok("\u{fffd}𝄞".into()));
+        // Lone halves, and a high half followed by a non-surrogate escape,
+        // which is still read as itself.
+        assert_eq!(text(r#""x\ud834""#), Ok("x\u{fffd}".into()));
+        assert_eq!(text(r#""\ud834y""#), Ok("\u{fffd}y".into()));
+        assert_eq!(text(r#""\udd1e""#), Ok("\u{fffd}".into()));
+        assert_eq!(text(r#""\udd1e\ud834""#), Ok("\u{fffd}\u{fffd}".into()));
+        assert_eq!(text(r#""\ud834\u0041""#), Ok("\u{fffd}A".into()));
+        assert_eq!(text(r#""\ud834\n""#), Ok("\u{fffd}\n".into()));
+        assert_eq!(text(r#""\u00e9\u0041\u2192""#), Ok("éA→".into()));
+        // Exactly four hex digits: no sign, no space, not fewer.
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\ud834\u+c00""#,
+        ] {
+            assert_eq!(parse(bad), Err("bad \\u escape".into()), "{bad}");
+        }
+        assert_eq!(parse(r#""\u04"#), Err("truncated \\u escape".into()));
+    }
+
+    #[test]
+    fn malformed_inputs_fail_with_the_messages_they_always_had() {
+        // Each message as the parser before the slice-and-share rewrite
+        // returned it, offsets included.
+        let table = [
+            ("\"abc", "unterminated string"),
+            ("\"a\\qb\"", "bad escape at byte 3"),
+            ("\"\\", "bad escape at byte 2"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"\\uZZZZ\"", "bad \\u escape"),
+            ("[1,]", "unexpected input at byte 3"),
+            ("[1 2]", "expected ',' or ']' at byte 3"),
+            ("[\"é\" 1]", "expected ',' or ']' at byte 6"),
+            ("{", "expected '\"' at byte 1"),
+            ("{\"a\" 1}", "expected ':' at byte 5"),
+            ("{1:2}", "expected '\"' at byte 1"),
+            ("{\"a\":1,}", "expected '\"' at byte 7"),
+            ("{\"a\":{\"b\":1", "expected ',' or '}' at byte 11"),
+            ("{\"é\":", "unexpected input at byte 6"),
+            ("[\"a\",{\"b\":[1,2,}]", "unexpected input at byte 15"),
+            ("1 2", "trailing data at byte 2"),
+            ("{\"a\":1}}", "trailing data at byte 7"),
+            ("-", "bad number at byte 0"),
+            ("1e", "bad number at byte 0"),
+            ("1.2.3", "bad number at byte 0"),
+            ("nul", "invalid literal at byte 0"),
+            ("tru", "invalid literal at byte 0"),
+            ("", "unexpected input at byte 0"),
+            ("  ", "unexpected input at byte 2"),
+            ("[", "unexpected input at byte 1"),
+        ];
+        for (input, err) in table {
+            assert_eq!(parse(input), Err(err.to_string()), "{input:?}");
+        }
+    }
+
+    /// Writes `v` back out the way a producer of it would.
+    fn write(w: &mut JsonWriter, v: &JsonValue) {
+        match v {
+            JsonValue::Null => w.raw("null"),
+            JsonValue::Bool(b) => w.raw(if *b { "true" } else { "false" }),
+            JsonValue::Int(i) => w.i64(*i),
+            JsonValue::UInt(u) => w.u64(*u),
+            JsonValue::Float(f) => w.f64(*f),
+            JsonValue::Str(s) => w.string(s),
+            JsonValue::Arr(items) => {
+                w.begin_array();
+                items.iter().for_each(|item| write(w, item));
+                w.end_array();
+            }
+            JsonValue::Obj(members) => {
+                w.begin_object();
+                for (k, v) in members.iter() {
+                    w.key(k);
+                    write(w, v);
+                }
+                w.end_object();
+            }
+        }
+    }
+
+    /// Random documents the writer can reproduce exactly: every variant,
+    /// containers (empty ones too) nested up to six deep, keys from a small
+    /// set so that objects repeat them, text that needs escaping, and only
+    /// non-integral floats (the writer prints `2.0` as `2`, an integer).
+    struct Docs;
+
+    impl proptest::Strategy for Docs {
+        type Value = JsonValue;
+        fn generate(&self, rng: &mut proptest::TestRng) -> JsonValue {
+            doc(rng, 0)
+        }
+    }
+
+    fn doc(rng: &mut proptest::TestRng, depth: u32) -> JsonValue {
+        // A container at the top, and none below the sixth level.
+        let kind = match depth {
+            0 => 6 + rng.below(4),
+            1..=5 => rng.below(10),
+            _ => rng.below(6),
+        };
+        match kind {
+            0 => JsonValue::Null,
+            1 => JsonValue::Bool(rng.below(2) == 1),
+            2 => JsonValue::Int(match rng.below(4) {
+                0 => i64::MIN,
+                _ => -1 - (rng.next_u64() >> (1 + rng.below(63))) as i64,
+            }),
+            3 => JsonValue::UInt(match rng.below(4) {
+                0 => u64::MAX,
+                _ => rng.next_u64() >> rng.below(64),
+            }),
+            4 => JsonValue::Float(loop {
+                let v = match rng.below(2) {
+                    0 => f64::from_bits(rng.next_u64()),
+                    _ => rng.below(1 << 20) as f64 / 64.0 - 8192.0,
+                };
+                if v.is_finite() && v.fract() != 0.0 {
+                    break v;
+                }
+            }),
+            5 => JsonValue::Str(text(rng).into()),
+            6 | 7 => JsonValue::Arr((0..rng.below(5)).map(|_| doc(rng, depth + 1)).collect()),
+            _ => JsonValue::Obj(
+                (0..rng.below(5))
+                    .map(|_| {
+                        const KEYS: [&str; 5] = ["a", "", "k\"ey", "\\é", "𝄞\u{1}"];
+                        let key = match rng.below(6) {
+                            5 => text(rng),
+                            i => KEYS[i as usize].to_string(),
+                        };
+                        (key, doc(rng, depth + 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    fn text(rng: &mut proptest::TestRng) -> String {
+        const CHARS: [char; 16] = [
+            'a',
+            'Z',
+            '0',
+            ' ',
+            '"',
+            '\\',
+            '/',
+            '\n',
+            '\t',
+            '\r',
+            '\u{0}',
+            '\u{1f}',
+            '\u{7f}',
+            'é',
+            '𝄞',
+            '\u{10ffff}',
+        ];
+        (0..rng.below(9))
+            .map(|_| CHARS[rng.below(16) as usize])
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+
+        #[test]
+        fn writer_output_parses_back_to_the_value_written(v in Docs) {
+            let mut w = JsonWriter::new();
+            write(&mut w, &v);
+            let text = w.finish();
+            proptest::prop_assert_eq!(parse(&text), Ok(v), "{}", text);
+        }
     }
 }
