@@ -7,8 +7,9 @@
 //! qcheck --inject-bug karn           arm a deliberate bug (must fail)
 //! qcheck --replay results/qcheck/repro-17.json
 //! qcheck --out DIR                   artifact directory (default results/qcheck)
-//! qcheck --threads 4                 determinism self-test: every seed must
-//!                                    fingerprint identically at 1 and N threads
+//! qcheck --threads 4                 determinism self-test: every seed's
+//!                                    partitioned scenario must fingerprint
+//!                                    identically at 1 and N threads
 //! ```
 //!
 //! On a violation: shrink to a minimal knob vector, write
@@ -17,8 +18,8 @@
 //! `scripts/check_metrics.py` validates its schema in CI.
 
 use mpichgq_qcheck::{
-    parse_repro, replay, repro_json, run_par_scenario, run_spec, run_spec_threads, shrink,
-    summary_json, Inject, RunOutcome, ScenarioSpec,
+    parse_repro, replay, repro_json, run_par_scenario, run_spec, shrink, summary_json, Inject,
+    RunOutcome, ScenarioSpec,
 };
 use std::process::ExitCode;
 
@@ -173,19 +174,10 @@ fn main() -> ExitCode {
     for seed in args.seeds.clone() {
         let spec = ScenarioSpec::from_seed(seed);
         let out = run_spec(&spec, &args.inject);
-        // Determinism self-test: the same seed driven through the parallel
-        // engine's windowed schedule must land on the same FNV fingerprint.
-        // Any divergence is a parallel-engine bug, not a scenario bug.
+        // Determinism self-test: the seed's partitioned scenario must land
+        // on the same FNV fingerprint at 1 and N threads. Any divergence
+        // is a parallel-engine bug, not a scenario bug.
         if args.threads > 1 {
-            let par = run_spec_threads(&spec, &args.inject, args.threads);
-            if par.fingerprint != out.fingerprint || par.events != out.events {
-                determinism_breaks += 1;
-                eprintln!(
-                    "seed {seed}: DETERMINISM BREAK — 1 thread {:#018x} ({} events) \
-                     vs {} threads {:#018x} ({} events)",
-                    out.fingerprint, out.events, args.threads, par.fingerprint, par.events
-                );
-            }
             let mono = run_par_scenario(seed, 1);
             let multi = run_par_scenario(seed, args.threads);
             if (mono.fingerprint, mono.events) != (multi.fingerprint, multi.events) {

@@ -10,39 +10,6 @@ use mpichgq_tcp::{Controller, Sim, Stack};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Worker-thread count requested via the `MPICHGQ_THREADS` environment
-/// variable (default 1). Lab experiments honor it by driving the
-/// simulation through the parallel engine's windowed schedule, so CI can
-/// diff a figure's CSV at 1 vs N threads byte-for-byte.
-pub fn env_threads() -> usize {
-    std::env::var("MPICHGQ_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Window width for [`run_env_windowed`] when `MPICHGQ_THREADS > 1`.
-const ENV_WINDOW_MS: u64 = 10;
-
-/// Advance `sim` to `t`, honoring `MPICHGQ_THREADS`: above one thread the
-/// run uses the parallel engine's lock-step lookahead windows — lab
-/// topologies are a single shard, so the event order (and thus every CSV
-/// and metric) must be bit-identical to the plain path. That equality is
-/// what the CI `parallel-smoke` job asserts.
-pub fn run_env_windowed(sim: &mut Sim, t: SimTime) {
-    if env_threads() > 1 {
-        mpichgq_netsim::run_windowed(
-            &mut sim.net,
-            &mut sim.stack,
-            SimDelta::from_millis(ENV_WINDOW_MS),
-            t,
-        );
-    } else {
-        sim.run_until(t);
-    }
-}
-
 /// One-shot actions scheduled at absolute times.
 type Action = Box<dyn FnOnce(&mut Net, &mut Stack)>;
 
@@ -176,7 +143,7 @@ impl GarnetLab {
     }
 
     pub fn run_until(&mut self, t: SimTime) {
-        run_env_windowed(&mut self.sim, t);
+        self.sim.run_until(t);
     }
 }
 

@@ -1,8 +1,8 @@
 //! The experiment implementations (paper §5).
 
 use mpichgq_apps::{
-    finish_viz, run_env_windowed, GarnetLab, MeteredTcpReceiver, PacedTcpSender, PingPong,
-    Scheduler, VizCfg, VizReceiver, VizSender,
+    finish_viz, GarnetLab, MeteredTcpReceiver, PacedTcpSender, PingPong, Scheduler, VizCfg,
+    VizReceiver, VizSender,
 };
 use mpichgq_core::{enable_qos, AdaptPolicy, AdaptState, AdaptiveFlow, QosAgentCfg, QosAttribute};
 use mpichgq_gara::{install as install_gara, CpuRequest, Gara, NetworkRequest, Request, StartSpec};
@@ -429,14 +429,6 @@ pub fn viz_run_under_contention_run(
         .cfg(mpi_cfg)
         .launch(&mut lab.sim);
     lab.run_until(cfg.duration);
-    if std::env::var("MPICHGQ_DEBUG").is_ok() {
-        eprintln!(
-            "DEBUG drops={:?} contention_delivered={} edge_rules={}",
-            lab.sim.net.drops,
-            lab.contention_delivered(),
-            lab.sim.net.node(lab.routers[0]).classifier.len()
-        );
-    }
     let metrics = collect_metrics(&mut lab);
     let half = SimTime::from_nanos(cfg.duration.as_nanos() / 2);
     (
@@ -1707,7 +1699,7 @@ pub fn sec3_finite_difference(cfg: Sec3Cfg) -> Sec3Out {
         builder = builder.rank(host, Box::new(rank));
     }
     builder.cfg(era_mpi()).launch(&mut ts.sim);
-    run_env_windowed(&mut ts.sim, horizon);
+    ts.sim.run_until(horizon);
 
     let iterations_done = log.borrow().len();
     // A run that never finished its iterations has no steady state: the
@@ -1987,33 +1979,11 @@ fn chaos_ranks_receiver(
     })
 }
 
-/// Run the chaos-ranks experiment with the standard (environment-driven)
-/// windowing; see [`chaos_ranks_run_windowed`] for the explicit-window
-/// variant the determinism tests compare against.
+/// Run the chaos-ranks experiment, sampling the timeline at
+/// [`env_timeline_interval`].
 pub fn chaos_ranks_run(
     cfg: ChaosRanksCfg,
     trace_capacity: usize,
-) -> (RunMetrics, ChaosRanksOutcome) {
-    chaos_ranks_inner(cfg, trace_capacity, env_timeline_interval(), None)
-}
-
-/// [`chaos_ranks_run`] driven through the parallel engine's lock-step
-/// lookahead windows of the given width. The lab topology is a single
-/// shard, so the result must be bit-identical to the plain run — the
-/// 1-vs-N-threads determinism guarantee the CI smoke job rides on.
-pub fn chaos_ranks_run_windowed(
-    cfg: ChaosRanksCfg,
-    trace_capacity: usize,
-    window: SimDelta,
-) -> (RunMetrics, ChaosRanksOutcome) {
-    chaos_ranks_inner(cfg, trace_capacity, env_timeline_interval(), Some(window))
-}
-
-fn chaos_ranks_inner(
-    cfg: ChaosRanksCfg,
-    trace_capacity: usize,
-    timeline: Option<SimDelta>,
-    window: Option<SimDelta>,
 ) -> (RunMetrics, ChaosRanksOutcome) {
     use mpichgq_apps::{UdpBlaster, UdpSink};
     use std::cell::RefCell;
@@ -2064,7 +2034,7 @@ fn chaos_ranks_inner(
         sim.net.obs.enable_trace(trace_capacity);
     }
     sim.net.enable_packet_tracing();
-    if let Some(interval) = timeline {
+    if let Some(interval) = env_timeline_interval() {
         sim.net.enable_timeline(interval);
     }
     for i in 0..cfg.pairs {
@@ -2183,10 +2153,7 @@ fn chaos_ranks_inner(
         })
         .collect();
 
-    match window {
-        Some(w) => mpichgq_netsim::run_windowed(&mut sim.net, &mut sim.stack, w, cfg.duration),
-        None => run_env_windowed(&mut sim, cfg.duration),
-    }
+    sim.run_until(cfg.duration);
 
     let at = sim.net.now();
     sim.net.timeline_finalize(&mut sim.stack, at);

@@ -51,6 +51,6 @@ pub use queue::{
     ClassCfg, DropperCfg, Enqueue, Queue, QueueCfg, QueueStats, RedCfg, SchedCfg, SchedKind,
 };
 pub use shaper::{ShapeOutcome, Shaper, ShaperStats};
-pub use shard::{run_partitioned, run_windowed, Partition, PartitionError};
+pub use shard::{run_partitioned, Partition, PartitionError};
 pub use tokenbucket::{depth_for, DepthRule, TokenBucket};
 pub use topology::{Dumbbell, Garnet, GarnetCfg};

@@ -650,7 +650,7 @@ impl Net {
 
     /// Earliest pending event time, if any — drives the shard engine's
     /// idle-window skip.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.engine.peek_time()
     }
 
@@ -1725,39 +1725,29 @@ impl Net {
 
     /// Run until `limit`, dispatching host-level events to `h`. The clock
     /// ends exactly at `limit` (or the last event, whichever is later).
+    ///
+    /// With the sampler armed the loop first stops at each timeline grid
+    /// boundary `<= limit`, samples there and advances the grid. The grid
+    /// is a pure function of the clock, not of call granularity: a shard's
+    /// windows or an audit's slices stopping at arbitrary limits sample
+    /// the instants one `run_until(t_end)` would.
     pub fn run_until<H: NetHandler>(&mut self, h: &mut H, limit: SimTime) {
-        if self.timeline.is_some() {
-            return self.run_until_sampled(h, limit);
-        }
-        while let Some((_, ev)) = self.engine.pop_until(limit) {
-            self.dispatch(ev, h);
-        }
-    }
-
-    /// [`Net::run_until`] with the sampler armed: drain events up to each
-    /// grid boundary `<= limit`, take one sample there, continue. The
-    /// catch-up loop makes the sampled grid a pure function of the clock,
-    /// not of call granularity — a windowed (or sharded) run stopping at
-    /// arbitrary intermediate limits samples the identical instants one
-    /// monolithic `run_until(t_end)` would.
-    fn run_until_sampled<H: NetHandler>(&mut self, h: &mut H, limit: SimTime) {
-        let limit_ns = limit.as_nanos();
         loop {
-            let next = match self.timeline.as_deref() {
-                Some(c) if c.next_ns <= limit_ns => c.next_ns,
-                _ => break,
+            let grid = match self.timeline.as_deref() {
+                Some(c) if c.next_ns <= limit.as_nanos() => Some(c.next_ns),
+                _ => None,
             };
-            let b = SimTime::from_nanos(next);
-            while let Some((_, ev)) = self.engine.pop_until(b) {
+            let stop = grid.map_or(limit, SimTime::from_nanos);
+            while let Some((_, ev)) = self.engine.pop_until(stop) {
                 self.dispatch(ev, h);
             }
-            self.timeline_sample_tick(h, next);
+            let Some(at_ns) = grid else {
+                return;
+            };
+            self.timeline_sample_tick(h, at_ns);
             if let Some(c) = self.timeline.as_deref_mut() {
-                c.next_ns = next + c.interval_ns;
+                c.next_ns = at_ns + c.interval_ns;
             }
-        }
-        while let Some((_, ev)) = self.engine.pop_until(limit) {
-            self.dispatch(ev, h);
         }
     }
 

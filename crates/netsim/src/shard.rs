@@ -49,7 +49,8 @@ use crate::net::{Net, NetHandler, TopoBuilder};
 use crate::packet::NodeId;
 use mpichgq_sim::{SimDelta, SimTime};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// Why a shard map was rejected.
@@ -225,31 +226,6 @@ fn bind_shard(net: &mut Net, shard: u32, part: &Partition) {
     }
 }
 
-/// Run a monolithic world through the parallel engine's window loop: pop
-/// in lock-step windows of `window`, skipping idle stretches. With one
-/// shard there is nothing to exchange, so this is bit-identical to
-/// `net.run_until(h, limit)` — the degenerate case the unit tests pin —
-/// while still exercising the exact window arithmetic the threaded path
-/// uses. Experiments route through this when `MPICHGQ_THREADS > 1` so a
-/// thread-count sweep genuinely executes the parallel engine's schedule.
-pub fn run_windowed<H: NetHandler>(net: &mut Net, h: &mut H, window: SimDelta, limit: SimTime) {
-    assert!(!window.is_zero(), "zero-width window cannot advance");
-    let limit_ns = limit.as_nanos();
-    let mut t_ns = net.now().as_nanos();
-    loop {
-        let end_ns = t_ns.saturating_add(window.as_nanos());
-        if end_ns > limit_ns {
-            net.run_until(h, limit);
-            return;
-        }
-        // Half-open window [t, end): integer nanoseconds make `end - 1`
-        // the exact inclusive bound.
-        net.run_until(h, SimTime::from_nanos(end_ns - 1));
-        let peek = net.peek_time().map_or(u64::MAX, |p| p.as_nanos());
-        t_ns = end_ns.max(peek.min(limit_ns));
-    }
-}
-
 /// Execute a partitioned world on `threads` OS threads until `limit`.
 ///
 /// `build(shard)` constructs that shard's complete `Net` (the full
@@ -263,6 +239,10 @@ pub fn run_windowed<H: NetHandler>(net: &mut Net, h: &mut H, window: SimDelta, l
 /// shards in ascending order; combined with the deterministic merge rule
 /// this makes the result a pure function of `(build, limit)`, independent
 /// of the thread count.
+///
+/// A panic in `build`, in a window (a handler's `assert!`, say) or in
+/// `finish` stops every worker by the next barrier and resumes on the
+/// caller with its original payload.
 pub fn run_partitioned<H, R, B, F>(
     part: &Partition,
     threads: usize,
@@ -292,94 +272,113 @@ where
         (0..k).map(|_| Mutex::new(Vec::new())).collect();
     let peeks: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
     let barrier = Barrier::new(threads);
-    let results: Vec<Mutex<Option<R>>> = (0..k).map(|_| Mutex::new(None)).collect();
-    let (inboxes, peeks, barrier, results, build, finish) =
-        (&inboxes, &peeks, &barrier, &results, &build, &finish);
+    // The index of the barrier a worker panic preceded. The panicking
+    // worker makes one more `barrier.wait()`, the one its peers are blocked
+    // on, and all stop once past it. (A bare flag could be seen by a peer
+    // still leaving the previous barrier: it would stop one barrier early.)
+    let failed = AtomicUsize::new(usize::MAX);
+    let (inboxes, peeks, barrier, failed, build, finish) =
+        (&inboxes, &peeks, &barrier, &failed, &build, &finish);
 
-    std::thread::scope(|s| {
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
         for w in 0..threads {
-            s.spawn(move || {
-                let mut mine: Vec<(usize, Net, H)> = (w..k)
-                    .step_by(threads)
-                    .map(|i| {
-                        let (mut net, h) = build(i as u32);
-                        bind_shard(&mut net, i as u32, part);
-                        (i, net, h)
-                    })
-                    .collect();
-                let mut t_ns = 0u64;
-                // Whole idle windows the schedule jumped before the current
-                // one (the idle-skip vote) — recorded per barrier via
-                // `shard_window_mark` for the parallel-engine self-profile.
-                let mut skipped = 0u64;
-                loop {
-                    let end_ns = t_ns.saturating_add(la_ns);
-                    let final_win = end_ns > limit_ns;
-                    let process_to = if final_win {
-                        limit
-                    } else {
-                        SimTime::from_nanos(end_ns - 1)
-                    };
-                    for (_, net, h) in mine.iter_mut() {
-                        net.run_until(h, process_to);
-                    }
-                    // Route this worker's outboxes. Inboxes are mutexed;
-                    // push order across workers is arbitrary, which is why
-                    // the drain below sorts by (at, src_shard, seq).
-                    for (_, net, _) in mine.iter_mut() {
-                        for m in net.take_outbox() {
-                            let dest = part.shard_of(net.chan(m.chan).to) as usize;
-                            inboxes[dest].lock().unwrap().push(m);
-                        }
-                    }
+            workers.push(s.spawn(move || -> Vec<(usize, R)> {
+                let mut passed = 0;
+                let mut sync = || {
                     barrier.wait();
-                    // All sends for this window are in. Drain own inboxes
-                    // under the merge rule and publish the next pending
-                    // event time for the idle-skip vote.
-                    for (i, net, _) in mine.iter_mut() {
-                        let mut msgs = std::mem::take(&mut *inboxes[*i].lock().unwrap());
-                        msgs.sort_unstable_by_key(|m| (m.at, m.src_shard, m.seq));
-                        let injected = msgs.len() as u64;
-                        for m in msgs {
-                            net.inject_cross(m);
+                    passed += 1;
+                    (failed.load(Ordering::SeqCst) >= passed).then_some(())
+                };
+                let run = || {
+                    let mut mine: Vec<(usize, Net, H)> = (w..k)
+                        .step_by(threads)
+                        .map(|i| {
+                            let (mut net, h) = build(i as u32);
+                            bind_shard(&mut net, i as u32, part);
+                            (i, net, h)
+                        })
+                        .collect();
+                    let mut t_ns = 0u64;
+                    // Whole idle windows the schedule jumped before the current
+                    // one (the idle-skip vote) — recorded per barrier via
+                    // `shard_window_mark` for the parallel-engine self-profile.
+                    let mut skipped = 0u64;
+                    loop {
+                        let end_ns = t_ns.saturating_add(la_ns);
+                        let final_win = end_ns > limit_ns;
+                        let process_to = if final_win {
+                            limit
+                        } else {
+                            SimTime::from_nanos(end_ns - 1)
+                        };
+                        for (_, net, h) in mine.iter_mut() {
+                            net.run_until(h, process_to);
                         }
-                        net.shard_window_mark(process_to.as_nanos(), injected, skipped);
-                        let peek = net.peek_time().map_or(u64::MAX, |p| p.as_nanos());
-                        peeks[*i].store(peek, Ordering::SeqCst);
+                        // Route this worker's outboxes. Inboxes are mutexed;
+                        // push order across workers is arbitrary, which is why
+                        // the drain below sorts by (at, src_shard, seq).
+                        for (_, net, _) in mine.iter_mut() {
+                            for m in net.take_outbox() {
+                                let dest = part.shard_of(net.chan(m.chan).to) as usize;
+                                inboxes[dest].lock().unwrap().push(m);
+                            }
+                        }
+                        sync()?;
+                        // All sends for this window are in. Drain own inboxes
+                        // under the merge rule and publish the next pending
+                        // event time for the idle-skip vote.
+                        for (i, net, _) in mine.iter_mut() {
+                            let mut msgs = std::mem::take(&mut *inboxes[*i].lock().unwrap());
+                            msgs.sort_unstable_by_key(|m| (m.at, m.src_shard, m.seq));
+                            let injected = msgs.len() as u64;
+                            for m in msgs {
+                                net.inject_cross(m);
+                            }
+                            net.shard_window_mark(process_to.as_nanos(), injected, skipped);
+                            let peek = net.peek_time().map_or(u64::MAX, |p| p.as_nanos());
+                            peeks[*i].store(peek, Ordering::SeqCst);
+                        }
+                        sync()?;
+                        if final_win {
+                            return Some(mine);
+                        }
+                        // Every worker computes the same minimum from the same
+                        // published peeks, so all take the same next window —
+                        // no third barrier needed: peeks are rewritten only
+                        // after the next window's barrier, which nobody can
+                        // reach before everyone has read them.
+                        let min_peek = peeks
+                            .iter()
+                            .map(|p| p.load(Ordering::SeqCst))
+                            .min()
+                            .expect("at least one shard");
+                        t_ns = end_ns.max(min_peek.min(limit_ns));
+                        skipped = (t_ns - end_ns) / la_ns;
                     }
-                    barrier.wait();
-                    if final_win {
-                        break;
+                };
+                match catch_unwind(AssertUnwindSafe(run)) {
+                    Ok(mine) => mine
+                        .into_iter()
+                        .flatten()
+                        .map(|(i, net, h)| (i, finish(i as u32, net, h)))
+                        .collect(),
+                    Err(payload) => {
+                        failed.fetch_min(passed, Ordering::SeqCst);
+                        barrier.wait();
+                        resume_unwind(payload)
                     }
-                    // Every worker computes the same minimum from the same
-                    // published peeks, so all take the same next window —
-                    // no third barrier needed: peeks are rewritten only
-                    // after the next window's barrier, which nobody can
-                    // reach before everyone has read them.
-                    let min_peek = peeks
-                        .iter()
-                        .map(|p| p.load(Ordering::SeqCst))
-                        .min()
-                        .expect("at least one shard");
-                    t_ns = end_ns.max(min_peek.min(limit_ns));
-                    skipped = (t_ns - end_ns) / la_ns;
                 }
-                for (i, net, h) in mine {
-                    *results[i].lock().unwrap() = Some(finish(i as u32, net, h));
-                }
-            });
+            }));
         }
+        // A panicking worker's payload reaches the caller unchanged.
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)))
+            .collect()
     });
-
-    results
-        .iter()
-        .map(|m| {
-            m.lock()
-                .unwrap()
-                .take()
-                .expect("a worker thread panicked before finishing its shards")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -462,11 +461,16 @@ mod tests {
     struct Count {
         got: u64,
     }
+    /// A host-timer token that makes [`Count`] panic.
+    const PANIC: u64 = u64::MAX;
     impl NetHandler for Count {
         fn deliver(&mut self, _net: &mut Net, _host: NodeId, _pkt: Packet) {
             self.got += 1;
         }
         fn host_timer(&mut self, net: &mut Net, host: NodeId, token: u64) {
+            if token == PANIC {
+                panic!("host timer on node {}", host.0);
+            }
             // Token encodes the destination; one packet per tick, 1 ms apart.
             let pkt = Packet {
                 src: host,
@@ -629,27 +633,75 @@ mod tests {
         );
     }
 
-    /// `run_windowed` with any window width is bit-identical to a plain
-    /// `run_until` on the same world.
+    /// `run_until` with the sampler armed reaches the same state and the
+    /// same timeline in one call as in steps that do and do not divide the
+    /// 7 ms sampling grid.
     #[test]
-    fn windowed_single_shard_run_is_bit_identical_to_plain_run() {
+    fn run_until_is_independent_of_call_granularity() {
         let limit = SimTime::from_millis(250);
-        for window_us in [37, 1000, 250_000] {
-            let mut a = two_island_topo(SimDelta::from_millis(5)).build();
-            let mut ah = Count { got: 0 };
-            a.set_host_timer(NodeId(0), SimTime::from_nanos(0), 2);
-            a.run_until(&mut ah, limit);
-
-            let mut b = two_island_topo(SimDelta::from_millis(5)).build();
-            let mut bh = Count { got: 0 };
-            b.set_host_timer(NodeId(0), SimTime::from_nanos(0), 2);
-            run_windowed(&mut b, &mut bh, SimDelta::from_micros(window_us), limit);
-
-            assert_eq!(a.state_fingerprint(), b.state_fingerprint());
-            assert_eq!(ah.got, bh.got);
-            assert_eq!(a.events_processed(), b.events_processed());
-            assert_eq!(a.now(), b.now());
+        let run = |step_us: u64| {
+            let mut net = two_island_topo(SimDelta::from_millis(5)).build();
+            net.enable_timeline(SimDelta::from_millis(7));
+            let mut h = Count { got: 0 };
+            net.set_host_timer(NodeId(0), SimTime::ZERO, 2);
+            let mut t = SimTime::ZERO;
+            while t < limit {
+                t = (t + SimDelta::from_micros(step_us)).min(limit);
+                net.run_until(&mut h, t);
+            }
+            net.timeline_finalize(&mut h, limit);
+            let tl = net.timeline_json();
+            (
+                net.state_fingerprint(),
+                h.got,
+                net.events_processed(),
+                net.now(),
+                tl,
+            )
+        };
+        let once = run(250_000);
+        assert!(once.1 > 0, "nothing delivered");
+        for step_us in [37, 1000, 7000] {
+            assert_eq!(run(step_us), once, "{step_us} us steps diverged");
         }
+    }
+
+    /// A panic in one shard — while building it or in a handler mid-window
+    /// — fails the whole run with its own payload instead of leaving the
+    /// other workers blocked at a barrier.
+    #[test]
+    fn a_panicking_shard_fails_the_run_instead_of_hanging() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runs = std::thread::spawn(move || {
+            let topo = two_island_topo(SimDelta::from_millis(5));
+            let part = Partition::by_min_delay(&topo, SimDelta::from_millis(1)).unwrap();
+            let limit = SimTime::from_millis(250);
+            for threads in [2, 1] {
+                for (victim, in_build) in [(0, true), (0, false), (1, true), (1, false)] {
+                    let build = |shard| {
+                        assert!(
+                            !(in_build && shard == victim),
+                            "build on node {}",
+                            2 * shard
+                        );
+                        let (mut net, h) = build_cross_traffic(shard, &part);
+                        if shard == victim {
+                            net.set_host_timer(NodeId(2 * shard), SimTime::from_millis(50), PANIC);
+                        }
+                        (net, h)
+                    };
+                    let run = || run_partitioned(&part, threads, limit, build, |_, _, h| h.got);
+                    let err = catch_unwind(AssertUnwindSafe(run)).expect_err("must fail");
+                    let stage = if in_build { "build" } else { "host timer" };
+                    let want = format!("{stage} on node {}", 2 * victim);
+                    assert_eq!(err.downcast_ref::<String>(), Some(&want));
+                }
+            }
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("run_partitioned hung on, or misreported, a panicking shard");
+        runs.join().expect("every case checked");
     }
 
     /// Cross-shard fault plans are rejected loudly.

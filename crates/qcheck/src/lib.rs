@@ -38,7 +38,7 @@ pub mod workload;
 pub use audit::audit_metrics_json;
 pub use parscen::{run_par_scenario, run_par_scenario_timeline, ParOutcome, ParTimelines};
 pub use repro::{parse_repro, replay, repro_json, summary_json, Replay, Repro};
-pub use run::{run_spec, run_spec_threads, RunOutcome, Violation};
+pub use run::{run_spec, RunOutcome, Violation};
 pub use scenario::{build, draw_gara_op, BuiltScenario, GaraOp};
 pub use shrink::{shrink, Shrunk};
 pub use spec::{Inject, Knobs, ScenarioSpec};

@@ -1,11 +1,11 @@
 //! Partitionable fuzz scenarios: the cross-thread determinism gate.
 //!
 //! The main fuzz corpus ([`crate::scenario`]) is deliberately monolithic —
-//! its GARA controller is global state — so it exercises the parallel
-//! engine only through the single-shard windowed schedule. The scenarios
-//! here are the complement: a seed expands into `2..=4` WAN-separated
-//! islands with island-local UDP plus cross-island TCP and UDP flows, the
-//! topology partitions on the WAN delay cut, and the world runs through
+//! its GARA controller is global state — so it never exercises the
+//! parallel engine. The scenarios here are the complement: a seed expands
+//! into `2..=4` WAN-separated islands with island-local UDP plus
+//! cross-island TCP and UDP flows, the topology partitions on the WAN
+//! delay cut, and the world runs through
 //! [`mpichgq_netsim::run_partitioned`] on a caller-chosen thread count.
 //!
 //! Every draw comes from a labeled fork of the seed's stream and every

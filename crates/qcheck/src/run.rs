@@ -57,27 +57,10 @@ impl RunOutcome {
     }
 }
 
-/// Window width used when a run is driven through the parallel engine's
-/// schedule ([`run_spec_threads`] with `threads > 1`). Fuzz scenarios are
-/// a single shard, so any positive width is bit-identical to the plain
-/// path; 5 ms keeps the loop genuinely windowed over every duration knob.
-const PAR_WINDOW_MS: u64 = 5;
-
 /// Expand and run one scenario, auditing at every slice boundary. Stops
 /// at the first slice that yields violations (the state is then frozen
 /// for fingerprinting, so a shrunk repro re-fails identically).
 pub fn run_spec(spec: &ScenarioSpec, inject: &Inject) -> RunOutcome {
-    run_spec_threads(spec, inject, 1)
-}
-
-/// [`run_spec`] driven through the parallel engine's windowed schedule
-/// when `threads > 1`: each slice advances via lock-step lookahead
-/// windows — the exact event order an N-thread shard worker executes.
-/// Fuzz scenarios are one shard (their GARA controller is global state),
-/// so the windowed schedule must be bit-identical to the plain one; the
-/// `--threads` determinism self-test asserts precisely that, guarding the
-/// window arithmetic the multi-shard engine shares.
-pub fn run_spec_threads(spec: &ScenarioSpec, inject: &Inject, threads: usize) -> RunOutcome {
     let built = scenario::build(spec, inject);
     let jobs = built.jobs;
     let mut sim = built.sim;
@@ -89,16 +72,7 @@ pub fn run_spec_threads(spec: &ScenarioSpec, inject: &Inject, threads: usize) ->
         } else {
             mpichgq_sim::SimTime::ZERO + slice * s
         };
-        if threads > 1 {
-            mpichgq_netsim::run_windowed(
-                &mut sim.net,
-                &mut sim.stack,
-                SimDelta::from_millis(PAR_WINDOW_MS),
-                t,
-            );
-        } else {
-            sim.run_until(t);
-        }
+        sim.run_until(t);
         check_instant(&mut sim, &mut violations);
         if !violations.is_empty() {
             break;

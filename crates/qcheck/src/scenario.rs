@@ -357,9 +357,8 @@ pub fn build(spec: &ScenarioSpec, inject: &Inject) -> BuiltScenario {
     // The sampler is part of the audited surface: every fuzz scenario
     // records a ~16-tick timeline so `timeline_consistency` (check_final)
     // cross-checks the final sample of each cumulative series against the
-    // registry on every seed — both on the plain schedule and through the
-    // windowed parallel one. Sampling reifies no events and draws no RNG,
-    // so the pinned corpus fingerprints are unaffected.
+    // registry on every seed. Sampling reifies no events and draws no
+    // RNG, so the pinned corpus fingerprints are unaffected.
     sim.net
         .enable_timeline(SimDelta::from_nanos((t_end.as_nanos() / 16).max(1_000_000)));
 

@@ -7,8 +7,7 @@
 //! figures job runs with `--fast` — so the asserted shape matches what
 //! `results/chaos_ranks/metrics.json` is generated from.
 
-use mpichgq_bench::{chaos_ranks_run, chaos_ranks_run_windowed, ChaosRanksCfg};
-use mpichgq_sim::SimDelta;
+use mpichgq_bench::{chaos_ranks_run, ChaosRanksCfg};
 
 #[test]
 fn chaos_ranks_survivors_hold_slo_through_rolling_failures() {
@@ -106,25 +105,17 @@ fn chaos_ranks_metrics_expose_the_failure_ledger() {
     }
 }
 
-/// Replays are bit-identical, and so is the parallel engine's lock-step
-/// window schedule (the 1-thread vs N-thread guarantee: lab topologies
-/// are a single shard, so the windowed event order must match the plain
-/// run byte for byte).
+/// Replays are bit-identical.
 #[test]
-fn chaos_ranks_is_bit_identical_across_replays_and_windows() {
+fn chaos_ranks_is_bit_identical_across_replays() {
     let cfg = ChaosRanksCfg::fast();
     let (a, oa) = chaos_ranks_run(cfg, 2048);
     let (b, ob) = chaos_ranks_run(cfg, 2048);
-    let (w, ow) = chaos_ranks_run_windowed(cfg, 2048, SimDelta::from_millis(10));
     assert_eq!(a.events, b.events, "replay event counts diverged");
     assert_eq!(a.metrics_json, b.metrics_json, "replay snapshots diverged");
     assert_eq!(a.timeline_json, b.timeline_json);
-    assert_eq!(a.events, w.events, "windowed event count diverged");
-    assert_eq!(a.metrics_json, w.metrics_json, "windowed snapshot diverged");
-    assert_eq!(a.timeline_json, w.timeline_json);
     let frames = |o: &mpichgq_bench::ChaosRanksOutcome| -> Vec<u64> {
         o.scores.iter().map(|s| s.frames).collect()
     };
     assert_eq!(frames(&oa), frames(&ob));
-    assert_eq!(frames(&oa), frames(&ow));
 }
