@@ -19,7 +19,7 @@ use mpichgq_tcp::{Sim, TcpCfg};
 
 /// The offered UDP contention load: enough to keep the best-effort queue
 /// of an OC3 trunk persistently full.
-pub const CONTENTION_BPS: u64 = 150_000_000;
+const CONTENTION_BPS: u64 = 150_000_000;
 
 fn secs(s: f64) -> SimTime {
     SimTime::from_secs_f64(s)
@@ -28,7 +28,7 @@ fn secs(s: f64) -> SimTime {
 /// Observability bundle every instrumented experiment returns alongside its
 /// series: the engine's processed-event count (for the determinism tests)
 /// and the full registry + flight-recorder snapshot
-/// (what the binaries write to `results/<experiment>/metrics.json`).
+/// (what `figs` writes to `results/<experiment>/metrics.json`).
 #[derive(Debug, Clone)]
 pub struct RunMetrics {
     pub events: u64,
@@ -37,60 +37,48 @@ pub struct RunMetrics {
     /// array when tracing was off); `qtrace` summarizes it.
     pub trace_json: String,
     /// Fixed-interval time-series document (`timeline.json`); `None` when
-    /// sampling was off (plain figure runs, `MPICHGQ_TIMELINE_MS=off`).
-    /// `qtop` summarizes it.
+    /// sampling was off ([`Observe::timeline`]). `qtop` summarizes it.
     pub timeline_json: Option<String>,
 }
 
-/// Flight-recorder ring size the figure binaries use; the interesting
-/// events (drops, CC transitions, reservation changes) are sparse, so a
-/// few thousand entries cover a whole figure run.
-pub const TRACE_CAPACITY: usize = 4096;
+/// How much of a run to observe: the flight-recorder ring and lifecycle
+/// tracing (`trace_capacity > 0`), and the timeline sampler's interval.
+/// Sweeps and shape tests run [`Observe::OFF`]; the `figs` binary runs
+/// each figure's instrumented pass at [`Observe::FIGURE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Observe {
+    pub trace_capacity: usize,
+    /// Sampling interval of `timeline.json`; `None` = sampler off. Only
+    /// read when tracing is on.
+    pub timeline: Option<SimDelta>,
+}
 
-/// Default figure-run sampling interval; overridable per run via the
-/// `MPICHGQ_TIMELINE_MS` environment variable.
-pub const TIMELINE_DEFAULT_MS: u64 = 100;
+impl Observe {
+    /// No recorder, no lifecycle tracing, no sampler.
+    pub const OFF: Observe = Observe {
+        trace_capacity: 0,
+        timeline: None,
+    };
+    /// What a figure run writes: the interesting events (drops, CC
+    /// transitions, reservation changes) are sparse, so a few thousand
+    /// ring entries cover a whole run; the timeline samples every 100 ms.
+    pub const FIGURE: Observe = Observe {
+        trace_capacity: 4096,
+        timeline: Some(SimDelta::from_millis(100)),
+    };
 
-/// Sampling interval the instrumented figure runs use: the
-/// `MPICHGQ_TIMELINE_MS` value in milliseconds, `None` for `0`/`off`
-/// (sampling disabled), and [`TIMELINE_DEFAULT_MS`] when unset or
-/// unparseable.
-pub fn env_timeline_interval() -> Option<SimDelta> {
-    match std::env::var("MPICHGQ_TIMELINE_MS") {
-        Err(_) => Some(SimDelta::from_millis(TIMELINE_DEFAULT_MS)),
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            if v == "0" || v == "off" {
-                None
-            } else {
-                Some(SimDelta::from_millis(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&ms| ms > 0)
-                        .unwrap_or(TIMELINE_DEFAULT_MS),
-                ))
-            }
-        }
+    pub fn on(self) -> bool {
+        self.trace_capacity > 0
     }
 }
 
-fn arm_trace(lab: &mut GarnetLab, trace_capacity: usize) {
-    arm_trace_with(lab, trace_capacity, env_timeline_interval());
-}
-
-/// [`arm_trace`] with the sampling interval passed explicitly instead of
-/// read from the environment (`None` = sampling off). The
-/// no-perturbation tests use the `*_run_timeline` figure variants built
-/// on this to compare sampled and unsampled runs inside one process
-/// without touching `MPICHGQ_TIMELINE_MS`.
-fn arm_trace_with(lab: &mut GarnetLab, trace_capacity: usize, timeline: Option<SimDelta>) {
-    if trace_capacity > 0 {
-        lab.sim.net.obs.enable_trace(trace_capacity);
+fn arm_trace(lab: &mut GarnetLab, obs: Observe) {
+    if obs.on() {
+        lab.sim.net.obs.enable_trace(obs.trace_capacity);
         lab.sim.net.enable_packet_tracing();
-        // Plain figure runs pass capacity 0 and stay sampler-free; the
-        // no-perturbation tests prove the figures come out bit-identical
-        // either way.
-        if let Some(interval) = timeline {
+        // Sweeps run unobserved; the no-perturbation tests prove the
+        // figures come out bit-identical either way.
+        if let Some(interval) = obs.timeline {
             lab.sim.net.enable_timeline(interval);
         }
     }
@@ -111,14 +99,14 @@ fn collect_metrics(lab: &mut GarnetLab) -> RunMetrics {
 /// comfortably above the premium path's queueing-free one-way delay, and
 /// comfortably below the delay a full best-effort trunk queue inflicts
 /// (so SLO misses track loss of QoS, not noise).
-pub const PREMIUM_DEADLINE: SimDelta = SimDelta::from_millis(10);
+const PREMIUM_DEADLINE: SimDelta = SimDelta::from_millis(10);
 
 /// TCP tuning of the paper's era: the premium end systems were Solaris
 /// Ultras with coarse retransmission timers (minimum RTO around half a
 /// second). The coarse minimum RTO is what makes bursty flows pay for
 /// shallow token buckets: every stall outlives the bucket's 0.2 s fill
 /// time and wastes refill (Table 1's burstiness penalty).
-pub fn era_tcp() -> TcpCfg {
+fn era_tcp() -> TcpCfg {
     TcpCfg {
         rto_min: SimDelta::from_millis(500),
         ..TcpCfg::default()
@@ -126,7 +114,7 @@ pub fn era_tcp() -> TcpCfg {
 }
 
 /// MPI configuration used by the paper-replica experiments.
-pub fn era_mpi() -> mpichgq_mpi::MpiCfg {
+fn era_mpi() -> mpichgq_mpi::MpiCfg {
     mpichgq_mpi::MpiCfg {
         tcp: era_tcp(),
         ..Default::default()
@@ -135,7 +123,7 @@ pub fn era_mpi() -> mpichgq_mpi::MpiCfg {
 
 /// Agent configuration for the reservation sweeps: the paper's reservation
 /// axis is the raw network premium bandwidth.
-pub fn sweep_agent_cfg() -> QosAgentCfg {
+fn sweep_agent_cfg() -> QosAgentCfg {
     QosAgentCfg {
         translate_overhead: false,
         ..QosAgentCfg::default()
@@ -167,27 +155,10 @@ impl Default for Fig1Cfg {
 
 /// Run Figure 1: a plain TCP flow paced at `app_rate_bps` under heavy
 /// contention, with a premium reservation of `reservation_bps`. Returns
-/// the receiver's 1-second bandwidth trace (Kb/s).
-pub fn fig1_tcp_sawtooth(cfg: Fig1Cfg) -> TimeSeries {
-    fig1_tcp_sawtooth_run(cfg, 0).0
-}
-
-/// [`fig1_tcp_sawtooth`] with full observability: a non-zero
-/// `trace_capacity` arms the flight recorder, and the returned
-/// [`RunMetrics`] carries the registry + trace snapshot.
-pub fn fig1_tcp_sawtooth_run(cfg: Fig1Cfg, trace_capacity: usize) -> (TimeSeries, RunMetrics) {
-    fig1_tcp_sawtooth_run_timeline(cfg, trace_capacity, env_timeline_interval())
-}
-
-/// [`fig1_tcp_sawtooth_run`] with the sampling interval passed explicitly
-/// (`None` = sampling off) instead of read from `MPICHGQ_TIMELINE_MS`.
-pub fn fig1_tcp_sawtooth_run_timeline(
-    cfg: Fig1Cfg,
-    trace_capacity: usize,
-    timeline: Option<SimDelta>,
-) -> (TimeSeries, RunMetrics) {
+/// the receiver's 1-second bandwidth trace (Kb/s) and what `obs` armed.
+pub fn fig1_tcp_sawtooth(cfg: Fig1Cfg, obs: Observe) -> (TimeSeries, RunMetrics) {
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace_with(&mut lab, trace_capacity, timeline);
+    arm_trace(&mut lab, obs);
     lab.add_contention(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
 
@@ -258,7 +229,7 @@ impl Fig5Cfg {
 /// GARNET with the wide-area extension delay used for the ping-pong
 /// experiment (round-trip in the paper's ~15 ms regime, putting the
 /// Figure 5 knees in the paper's 0–12 Mb/s reservation range).
-pub fn fig5_garnet() -> GarnetCfg {
+fn fig5_garnet() -> GarnetCfg {
     GarnetCfg {
         core_delay: SimDelta::from_millis(3),
         ..GarnetCfg::default()
@@ -268,15 +239,9 @@ pub fn fig5_garnet() -> GarnetCfg {
 /// One Figure 5 point: one-way ping-pong throughput (Kb/s) for a message
 /// size and reservation, with contention on both trunk directions.
 /// `reservation_kbps == 0` means no reservation.
-pub fn fig5_pingpong_point(cfg: Fig5Cfg) -> f64 {
-    fig5_pingpong_point_run(cfg, 0).0
-}
-
-/// [`fig5_pingpong_point`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn fig5_pingpong_point_run(cfg: Fig5Cfg, trace_capacity: usize) -> (f64, RunMetrics) {
+pub fn fig5_pingpong_point(cfg: Fig5Cfg, obs: Observe) -> (f64, RunMetrics) {
     let mut lab = GarnetLab::new(fig5_garnet(), 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm_trace(&mut lab, obs);
     lab.add_contention(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
     lab.add_contention_reverse(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
 
@@ -314,7 +279,7 @@ pub fn fig5_sweep(
             cfg.duration = SimTime::from_secs(8);
             cfg.warmup = SimTime::from_secs(3);
         }
-        fig5_pingpong_point(cfg)
+        fig5_pingpong_point(cfg, Observe::OFF).0
     })
 }
 
@@ -364,7 +329,9 @@ impl Fig6Cfg {
 /// One visualization run under contention; returns steady-state achieved
 /// bandwidth in Kb/s (mean of 1-s buckets over the second half).
 pub fn fig6_viz_point(cfg: Fig6Cfg) -> f64 {
-    viz_run_under_contention(cfg).achieved_kbps_steady
+    viz_run_under_contention(cfg, Observe::OFF)
+        .0
+        .achieved_kbps_steady
 }
 
 /// Fraction of the offered frames that were delivered by the end of the
@@ -372,23 +339,15 @@ pub fn fig6_viz_point(cfg: Fig6Cfg) -> f64 {
 /// merely accumulates latency does not count as achieving the rate).
 pub fn viz_delivery_ratio(cfg: Fig6Cfg) -> f64 {
     let offered = (cfg.fps * (cfg.duration.as_secs_f64() - 0.5)).floor();
-    let run = viz_run_under_contention(cfg);
+    let (run, _) = viz_run_under_contention(cfg, Observe::OFF);
     run.frames_received as f64 / offered
 }
 
-/// Full visualization run; returns the whole bandwidth series too.
-pub fn viz_run_under_contention(cfg: Fig6Cfg) -> mpichgq_apps::VizRun {
-    viz_run_under_contention_run(cfg, 0).0
-}
-
-/// [`viz_run_under_contention`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn viz_run_under_contention_run(
-    cfg: Fig6Cfg,
-    trace_capacity: usize,
-) -> (mpichgq_apps::VizRun, RunMetrics) {
+/// Full visualization run under contention, whole bandwidth series
+/// included.
+pub fn viz_run_under_contention(cfg: Fig6Cfg, obs: Observe) -> (mpichgq_apps::VizRun, RunMetrics) {
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm_trace(&mut lab, obs);
     lab.add_contention(cfg.contention_bps, SimTime::ZERO, cfg.duration);
 
     let agent_cfg = QosAgentCfg {
@@ -466,21 +425,38 @@ pub fn table1_min_reservation(
     fraction: f64,
     fast: bool,
 ) -> f64 {
+    let probe = Fig6Cfg {
+        depth_rule,
+        ..table1_probe(target_kbps, fps, fast)
+    };
+    min_reservation(probe, target_kbps, 3.0, fraction)
+}
+
+/// A Table 1 probe run: `target_kbps` sent as `fps` frames per second for
+/// 60 s (30 s under `fast`), with the reservation left for
+/// [`min_reservation`] to set.
+pub fn table1_probe(target_kbps: f64, fps: f64, fast: bool) -> Fig6Cfg {
     let frame_bytes = (target_kbps * 1000.0 / 8.0 / fps).round() as u32;
-    let achieves = |resv_kbps: f64| -> bool {
-        let mut cfg = Fig6Cfg::new(frame_bytes, fps, resv_kbps);
-        cfg.depth_rule = depth_rule;
-        cfg.duration = if fast {
-            SimTime::from_secs(30)
-        } else {
-            SimTime::from_secs(60)
-        };
-        viz_delivery_ratio(cfg) >= fraction
+    let mut cfg = Fig6Cfg::new(frame_bytes, fps, 0.0);
+    cfg.duration = SimTime::from_secs(if fast { 30 } else { 60 });
+    cfg
+}
+
+/// The least reservation (Kb/s, to ~2%) at which `probe` delivers
+/// ≥ `fraction` of its frames: bracket `[target/2, target·hi_factor]`,
+/// widen the top by 1.5× up to 10× the target (∞ past it), then bisect
+/// geometrically.
+pub fn min_reservation(probe: Fig6Cfg, target_kbps: f64, hi_factor: f64, fraction: f64) -> f64 {
+    let achieves = |reservation_kbps: f64| {
+        viz_delivery_ratio(Fig6Cfg {
+            reservation_kbps,
+            ..probe
+        }) >= fraction
     };
     // Bracket from below (a policer at half the target cannot pass 95% of
     // it) and expand upward until the target is achievable.
     let mut lo = target_kbps * 0.5;
-    let mut hi = target_kbps * 3.0;
+    let mut hi = target_kbps * hi_factor;
     if achieves(lo) {
         return lo;
     }
@@ -548,32 +524,11 @@ pub fn table1(targets_kbps: &[f64], fraction: f64, fast: bool) -> Vec<Table1Row>
 /// Trace `(t, seq)` of the viz flow's data segments over `window` seconds,
 /// for the given frame rate at a fixed 400 Kb/s application rate with an
 /// adequate reservation (no contention; the paper isolates burstiness).
-pub fn fig7_seq_trace(fps: f64, window: SimTime) -> TimeSeries {
-    fig7_seq_trace_run(fps, window, 0).0
-}
-
-/// [`fig7_seq_trace`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn fig7_seq_trace_run(
-    fps: f64,
-    window: SimTime,
-    trace_capacity: usize,
-) -> (TimeSeries, RunMetrics) {
-    fig7_seq_trace_run_timeline(fps, window, trace_capacity, env_timeline_interval())
-}
-
-/// [`fig7_seq_trace_run`] with the sampling interval passed explicitly
-/// (`None` = sampling off) instead of read from `MPICHGQ_TIMELINE_MS`.
-pub fn fig7_seq_trace_run_timeline(
-    fps: f64,
-    window: SimTime,
-    trace_capacity: usize,
-    timeline: Option<SimDelta>,
-) -> (TimeSeries, RunMetrics) {
+pub fn fig7_seq_trace(fps: f64, window: SimTime, obs: Observe) -> (TimeSeries, RunMetrics) {
     let target_kbps = 400.0;
     let frame_bytes = (target_kbps * 1000.0 / 8.0 / fps).round() as u32;
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace_with(&mut lab, trace_capacity, timeline);
+    arm_trace(&mut lab, obs);
     let (builder, env) = enable_qos(JobBuilder::new(), QosAgentCfg::default());
     let qos = Some((env, QosAttribute::premium(800.0, frame_bytes)));
     let end = window + SimDelta::from_secs(1);
@@ -612,7 +567,7 @@ pub fn fig7_seq_trace_run_timeline(
             Box::new(Traced {
                 inner: tx,
                 traced: false,
-                deadline: (trace_capacity > 0).then_some(PREMIUM_DEADLINE),
+                deadline: obs.on().then_some(PREMIUM_DEADLINE),
             }),
         )
         .rank(lab.premium_dst, Box::new(rx))
@@ -672,15 +627,9 @@ impl Default for Fig8Cfg {
 
 /// Figure 8: visualization bandwidth trace with CPU contention starting at
 /// `hog_at` and a DSRT reservation at `cpu_reservation_at`.
-pub fn fig8_cpu_reservation(cfg: Fig8Cfg) -> TimeSeries {
-    fig8_cpu_reservation_run(cfg, 0).0
-}
-
-/// [`fig8_cpu_reservation`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn fig8_cpu_reservation_run(cfg: Fig8Cfg, trace_capacity: usize) -> (TimeSeries, RunMetrics) {
+pub fn fig8_cpu_reservation(cfg: Fig8Cfg, obs: Observe) -> (TimeSeries, RunMetrics) {
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm_trace(&mut lab, obs);
     let frame_bytes = (cfg.target_mbps * 1e6 / 8.0 / cfg.fps).round() as u32;
     let interval = 1.0 / cfg.fps;
     let vcfg = VizCfg {
@@ -694,7 +643,7 @@ pub fn fig8_cpu_reservation_run(cfg: Fig8Cfg, trace_capacity: usize) -> (TimeSer
     let (tx, _stats, proc_out) = VizSender::new(vcfg, None);
     let (rx, meter, frames) = VizReceiver::new(SimDelta::from_secs(1), cfg.duration);
     let psrc = lab.premium_src;
-    if trace_capacity > 0 {
+    if obs.on() {
         let spec = FlowSpec::host_pair(psrc, lab.premium_dst, Proto::Tcp);
         lab.sim.net.set_deadline_matching(spec, PREMIUM_DEADLINE);
     }
@@ -772,15 +721,9 @@ impl Default for Fig9Cfg {
 
 /// Figure 9: the combined scenario — network congestion, then a network
 /// reservation, then CPU contention, then a CPU reservation.
-pub fn fig9_combined(cfg: Fig9Cfg) -> TimeSeries {
-    fig9_combined_run(cfg, 0).0
-}
-
-/// [`fig9_combined`] with full observability (see
-/// [`fig1_tcp_sawtooth_run`]).
-pub fn fig9_combined_run(cfg: Fig9Cfg, trace_capacity: usize) -> (TimeSeries, RunMetrics) {
+pub fn fig9_combined(cfg: Fig9Cfg, obs: Observe) -> (TimeSeries, RunMetrics) {
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm_trace(&mut lab, obs);
     lab.add_contention(cfg.contention_bps, cfg.congestion_at, cfg.duration);
     let frame_bytes = (cfg.target_mbps * 1e6 / 8.0 / cfg.fps).round() as u32;
     let interval = 1.0 / cfg.fps;
@@ -1034,12 +977,12 @@ fn squat_request(src: NodeId, dst: NodeId, rate_bps: u64) -> Request {
 
 /// Run the chaos experiment; returns the receiver's 1-second bandwidth
 /// series (Kb/s), the observability snapshot, and the adaptation summary.
-pub fn chaos_run(cfg: ChaosCfg, trace_capacity: usize) -> (TimeSeries, RunMetrics, ChaosOutcome) {
+pub fn chaos_run(cfg: ChaosCfg, obs: Observe) -> (TimeSeries, RunMetrics, ChaosOutcome) {
     use std::cell::RefCell;
     use std::rc::Rc;
 
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm_trace(&mut lab, obs);
     lab.add_contention(cfg.contention_bps, cfg.contention_at, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
     let (csrc, cdst) = (lab.competitive_src, lab.competitive_dst);
@@ -1067,7 +1010,7 @@ pub fn chaos_run(cfg: ChaosCfg, trace_capacity: usize) -> (TimeSeries, RunMetric
     let (builder, _env) = enable_qos(JobBuilder::new(), QosAgentCfg::default());
     let (tx, _stats, _proc) = VizSender::new(vcfg, None);
     let (rx, meter, frames) = VizReceiver::new(SimDelta::from_secs(1), cfg.duration);
-    if trace_capacity > 0 {
+    if obs.on() {
         let spec = FlowSpec::host_pair(psrc, pdst, Proto::Tcp);
         lab.sim.net.set_deadline_matching(spec, PREMIUM_DEADLINE);
     }
@@ -1287,7 +1230,7 @@ pub struct AfConformanceOut {
 /// best-effort — which puts AF's service rate between its committed and
 /// offered rates, so the WRED precedence ramp (not the scheduler alone)
 /// decides which AF packets survive. WRED runs on AF, plain RED on BE.
-pub fn af_conformance_queue() -> QueueCfg {
+fn af_conformance_queue() -> QueueCfg {
     QueueCfg::Sched(
         SchedCfg::wfq()
             .af(ClassCfg::new(150_000)
@@ -1304,16 +1247,13 @@ pub fn af_conformance_queue() -> QueueCfg {
 /// weight-protected), AF lands between its committed and offered rates
 /// (the in-profile fraction survives, the escalated excess takes the RED
 /// drops), best-effort absorbs the rest of the starvation.
-pub fn af_conformance_run(
-    cfg: AfConformanceCfg,
-    trace_capacity: usize,
-) -> (AfConformanceOut, RunMetrics) {
+pub fn af_conformance_run(cfg: AfConformanceCfg, obs: Observe) -> (AfConformanceOut, RunMetrics) {
     let garnet = GarnetCfg {
         core_queue: af_conformance_queue(),
         ..GarnetCfg::default()
     };
     let mut lab = GarnetLab::new(garnet, 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm_trace(&mut lab, obs);
     lab.add_contention(cfg.be_rate_bps, SimTime::ZERO, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
 
@@ -1358,7 +1298,7 @@ pub fn af_conformance_run(
         PolicingAction::Remark,
     );
 
-    if trace_capacity > 0 {
+    if obs.on() {
         let ef_spec = FlowSpec {
             proto: Some(Proto::Udp),
             dst_port: Some(6000),
@@ -1481,7 +1421,7 @@ pub fn qdisc_cell_labels(sched: SchedKind, red: bool) -> (&'static str, &'static
 /// The trunk discipline of one ablation cell: the chosen scheduler with
 /// default 8/3/1 weights, and optionally RED on best-effort plus the WRED
 /// precedence ramp on AF.
-pub fn qdisc_cell_queue(sched: SchedKind, red: bool) -> QueueCfg {
+fn qdisc_cell_queue(sched: SchedKind, red: bool) -> QueueCfg {
     let mut sc = match sched {
         SchedKind::Sp => SchedCfg::sp(),
         SchedKind::Wfq => SchedCfg::wfq(),
@@ -1502,18 +1442,18 @@ pub fn qdisc_cell_queue(sched: SchedKind, red: bool) -> QueueCfg {
 /// Run one ablation cell. The workload is identical across the matrix;
 /// only `GarnetCfg::core_queue` varies, so differences in goodput and SLO
 /// misses are attributable to the discipline alone.
-pub fn qdisc_ablation_cell(
+fn qdisc_ablation_cell(
     sched: SchedKind,
     red: bool,
     cfg: QdiscAblationCfg,
-    trace_capacity: usize,
+    obs: Observe,
 ) -> (QdiscCell, RunMetrics) {
     let garnet = GarnetCfg {
         core_queue: qdisc_cell_queue(sched, red),
         ..GarnetCfg::default()
     };
     let mut lab = GarnetLab::new(garnet, 0.7);
-    arm_trace(&mut lab, trace_capacity);
+    arm_trace(&mut lab, obs);
     lab.add_contention(cfg.contention_bps, SimTime::ZERO, cfg.duration);
     let (psrc, pdst) = (lab.premium_src, lab.premium_dst);
     lab.with_gara(|g, net| {
@@ -1535,7 +1475,7 @@ pub fn qdisc_ablation_cell(
         )
         .expect("ablation reservation admitted");
     });
-    if trace_capacity > 0 {
+    if obs.on() {
         lab.sim.net.set_deadline_matching(
             FlowSpec::host_pair(psrc, pdst, Proto::Tcp),
             PREMIUM_DEADLINE,
@@ -1572,15 +1512,16 @@ pub fn qdisc_ablation_cell(
     (cell, metrics)
 }
 
-/// The full SP/WFQ/DRR × drop-tail/RED matrix, in a fixed order. Returns
-/// the six cells plus the metrics snapshot of the WFQ × RED cell (the
-/// matrix's designated `results/qdisc_ablation/metrics.json` source).
-pub fn qdisc_ablation_matrix(cfg: QdiscAblationCfg) -> (Vec<QdiscCell>, RunMetrics) {
+/// The full SP/WFQ/DRR × drop-tail/RED matrix, in a fixed order, every
+/// cell observed per `obs`. Returns the six cells plus the metrics
+/// snapshot of the WFQ × RED cell (the matrix's designated
+/// `results/qdisc_ablation/metrics.json` source).
+pub fn qdisc_ablation_matrix(cfg: QdiscAblationCfg, obs: Observe) -> (Vec<QdiscCell>, RunMetrics) {
     let mut cells = Vec::new();
     let mut designated = None;
     for sched in [SchedKind::Sp, SchedKind::Wfq, SchedKind::Drr] {
         for red in [false, true] {
-            let (cell, metrics) = qdisc_ablation_cell(sched, red, cfg, TRACE_CAPACITY);
+            let (cell, metrics) = qdisc_ablation_cell(sched, red, cfg, obs);
             if sched == SchedKind::Wfq && red {
                 designated = Some(metrics);
             }
@@ -1732,7 +1673,7 @@ pub fn sec3_finite_difference(cfg: Sec3Cfg) -> Sec3Out {
 /// [`ChaosRanksCfg::rolling_crashes`] sender hosts one at a time, then
 /// one *correlated* outage takes both hosts of the last pair down at
 /// once (a site dropping off the grid). Every pair holds a GARA premium
-/// reservation and a [`PREMIUM_DEADLINE`] delivery deadline scored by
+/// reservation and a 10 ms delivery deadline scored by
 /// the SLO layer; the first pair's reservation is owned by an
 /// [`AdaptiveFlow`] bound to its sender host, so the run exercises the
 /// crash-release → restart-re-reserve adaptation path end to end.
@@ -1979,12 +1920,10 @@ fn chaos_ranks_receiver(
     })
 }
 
-/// Run the chaos-ranks experiment, sampling the timeline at
-/// [`env_timeline_interval`].
-pub fn chaos_ranks_run(
-    cfg: ChaosRanksCfg,
-    trace_capacity: usize,
-) -> (RunMetrics, ChaosRanksOutcome) {
+/// Run the chaos-ranks experiment. Lifecycle tracing is always on (the
+/// scorecard is read from it); `obs` sizes the flight recorder and sets
+/// the timeline interval.
+pub fn chaos_ranks_run(cfg: ChaosRanksCfg, obs: Observe) -> (RunMetrics, ChaosRanksOutcome) {
     use mpichgq_apps::{UdpBlaster, UdpSink};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -2030,11 +1969,11 @@ pub fn chaos_ranks_run(
     // Observability: flight recorder + timeline sampler as configured,
     // and lifecycle tracing unconditionally — the SLO scorecard *is*
     // this experiment's figure of merit.
-    if trace_capacity > 0 {
-        sim.net.obs.enable_trace(trace_capacity);
+    if obs.on() {
+        sim.net.obs.enable_trace(obs.trace_capacity);
     }
     sim.net.enable_packet_tracing();
-    if let Some(interval) = env_timeline_interval() {
+    if let Some(interval) = obs.timeline {
         sim.net.enable_timeline(interval);
     }
     for i in 0..cfg.pairs {

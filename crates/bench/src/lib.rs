@@ -1,16 +1,16 @@
 //! # mpichgq-bench — experiment harnesses for every table and figure
 //!
 //! Each `figN_*`/`table1_*` function regenerates one piece of the paper's
-//! evaluation (§5) on the simulated GARNET testbed; the binaries in
-//! `src/bin/` print the same series/rows the paper reports, and the
-//! integration tests in the workspace root assert the qualitative shapes.
+//! evaluation (§5) on the simulated GARNET testbed, observed as its
+//! [`Observe`] argument says; the `figs` binary prints the same
+//! series/rows the paper reports, and the integration tests in the
+//! workspace root assert the qualitative shapes.
 //! Absolute numbers differ from the paper (its substrate was a physical
 //! Cisco/ATM testbed); the shapes — who wins, where the knees fall, the
 //! burstiness penalty — are the reproduction targets (see EXPERIMENTS.md).
 
 pub mod experiments;
 pub mod output;
-pub mod par;
+mod par;
 
 pub use experiments::*;
-pub use par::{par_grid, par_map};

@@ -1,7 +1,8 @@
-//! Console output helpers for the experiment binaries: CSV series and
-//! aligned tables, so each binary prints the same rows/series the paper's
-//! figures and tables report.
+//! Output helpers for the `figs` binary: CSV series and aligned tables,
+//! so each figure prints the same rows/series the paper reports, plus the
+//! per-run observability files under `results/<experiment>/`.
 
+use crate::RunMetrics;
 use mpichgq_sim::TimeSeries;
 
 /// Print a `(t, value)` series as CSV with a header.
@@ -54,62 +55,39 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// `--fast` flag helper for experiment binaries.
-pub fn fast_mode() -> bool {
-    std::env::args().any(|a| a == "--fast")
-}
-
 /// Write an experiment's registry snapshot to
 /// `results/<experiment>/metrics.json` (relative to the invocation
-/// directory, like the `results/*.txt` series the binaries print). The
-/// path is echoed on stderr so figure logs stay clean CSV.
+/// directory, like the `results/*.txt` series the figures print).
 pub fn write_metrics(experiment: &str, metrics_json: &str) {
-    let dir = std::path::Path::new("results").join(experiment);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
+    write_json(experiment, "metrics", metrics_json);
+}
+
+/// Write a run's observability files under `results/<experiment>/`:
+/// `metrics.json`, then `trace.json` when `trace` is set (the
+/// packet-lifecycle Chrome trace; `qtrace` summarizes it, and it is
+/// gitignored), then `timeline.json` when the run was sampled (`qtop`
+/// summarizes it).
+pub fn write_run(experiment: &str, run: &RunMetrics, trace: bool) {
+    write_metrics(experiment, &run.metrics_json);
+    if trace {
+        write_json(experiment, "trace", &run.trace_json);
     }
-    let path = dir.join("metrics.json");
-    match std::fs::write(&path, metrics_json) {
-        Ok(()) => eprintln!("# metrics: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    if let Some(doc) = &run.timeline_json {
+        write_json(experiment, "timeline", doc);
     }
 }
 
-/// Write an experiment's sampled time-series document to
-/// `results/<experiment>/timeline.json` (a no-op when sampling was off
-/// and `timeline_json` is `None`). `qtop` summarizes it and
-/// `qtop --check` gates its shape in CI; like `metrics.json`, committed
-/// timelines are regenerated by `scripts/regenerate_results.sh`.
-pub fn write_timeline(experiment: &str, timeline_json: Option<&str>) {
-    let Some(doc) = timeline_json else {
-        return;
-    };
+/// Write `results/<experiment>/<name>.json`, echoing the path on stderr so
+/// figure logs stay clean CSV.
+fn write_json(experiment: &str, name: &str, doc: &str) {
     let dir = std::path::Path::new("results").join(experiment);
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
-    let path = dir.join("timeline.json");
+    let path = dir.join(format!("{name}.json"));
     match std::fs::write(&path, doc) {
-        Ok(()) => eprintln!("# timeline: {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-}
-
-/// Write an experiment's packet-lifecycle Chrome trace to
-/// `results/<experiment>/trace.json`. Load it in Perfetto or summarize it
-/// with `qtrace`; `qtrace --check` gates its shape in CI. Traces are
-/// regenerated artifacts (gitignored), unlike the committed metrics.
-pub fn write_trace(experiment: &str, trace_json: &str) {
-    let dir = std::path::Path::new("results").join(experiment);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join("trace.json");
-    match std::fs::write(&path, trace_json) {
-        Ok(()) => eprintln!("# trace: {}", path.display()),
+        Ok(()) => eprintln!("# {name}: {}", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
 }

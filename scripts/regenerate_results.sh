@@ -3,28 +3,32 @@
 # Full-resolution runs; pass --fast through for reduced sweeps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cargo build --release -p mpichgq-bench
+cargo build --release -p mpichgq-bench --bin figs
 mkdir -p results
-BIN=target/release
 FAST="${1:-}"
-$BIN/garnet_info                > results/fig4.txt
-$BIN/fig1_tcp_sawtooth   $FAST  > results/fig1.txt &
-$BIN/fig7_seq_traces     $FAST  > results/fig7.txt &
-$BIN/fig8_cpu_reservation $FAST > results/fig8.txt &
-$BIN/fig9_combined       $FAST  > results/fig9.txt &
-wait
-$BIN/fig5_pingpong_sweep $FAST  > results/fig5.txt &
-$BIN/fig6_viz_sweep      $FAST  > results/fig6.txt &
-$BIN/table1_burstiness   $FAST  > results/table1.txt &
-wait
-$BIN/sec3_finite_difference $FAST > results/sec3.txt &
-$BIN/ablations           $FAST  > results/ablations.txt &
-$BIN/fig_chaos           $FAST  > results/chaos.txt &
-wait
-$BIN/fig_af_conformance  $FAST  > results/af_conformance.txt &
-$BIN/fig_qdisc_ablation  $FAST  > results/qdisc_ablation.txt &
-$BIN/fig_chaos_ranks     $FAST  > results/chaos_ranks.txt &
-wait
+# Each batch runs its figures in parallel; a bare `wait` would return 0
+# even when one of them failed, so wait on every PID and stop on the
+# first batch with a failed figure, naming it.
+running=()
+fig() {
+  target/release/figs "$1" $FAST > "results/$1.txt" &
+  running+=("$!:$1")
+}
+batch() {
+  local failed=()
+  for j in "${running[@]}"; do
+    wait "${j%%:*}" || failed+=("${j#*:}")
+  done
+  running=()
+  if [ ${#failed[@]} -gt 0 ]; then
+    echo "regenerate_results: failed: ${failed[*]}" >&2
+    exit 1
+  fi
+}
+fig fig4; fig fig1; fig fig7; fig fig8; fig fig9; batch
+fig fig5; fig fig6; fig table1; batch
+fig sec3; fig ablations; fig chaos; batch
+fig af_conformance; fig qdisc_ablation; fig chaos_ranks; batch
 echo "results/ refreshed:"
 grep -H "^#" results/*.txt | grep -iE "summary|phases|adequate|penalty|saturate" || true
 if command -v python3 >/dev/null; then

@@ -6,13 +6,21 @@
 //! figures job runs with `--fast` — so the asserted windows match what
 //! `results/chaos/metrics.json` is generated from.
 
-use mpichgq_bench::{chaos_run, phase_mean, ChaosCfg};
+use mpichgq_bench::{chaos_run, phase_mean, ChaosCfg, Observe};
+
+/// A flight-recorder ring of `trace_capacity`, sampled every 100 ms.
+fn observed(trace_capacity: usize) -> Observe {
+    Observe {
+        trace_capacity,
+        ..Observe::FIGURE
+    }
+}
 use mpichgq_core::AdaptState;
 
 #[test]
 fn chaos_bandwidth_recovers_after_fault_clearance() {
     let cfg = ChaosCfg::fast();
-    let (series, _metrics, outcome) = chaos_run(cfg, 2048);
+    let (series, _metrics, outcome) = chaos_run(cfg, observed(2048));
 
     let (pre_lo, pre_hi) = cfg.pre_fault_window();
     let (deg_lo, deg_hi) = cfg.degraded_window();
@@ -46,7 +54,7 @@ fn chaos_adaptation_transitions_match_the_plan() {
     // events would be evicted by the tens of thousands of per-packet
     // drop events that follow, so this test arms a ring large enough to
     // retain the entire run.
-    let (_series, metrics, outcome) = chaos_run(cfg, 65_536);
+    let (_series, metrics, outcome) = chaos_run(cfg, observed(65_536));
 
     // reject -> backoff retry -> grant -> revoke -> renegotiate ->
     // revoke -> degrade -> probe -> recover, each counted.
@@ -112,8 +120,8 @@ fn chaos_adaptation_transitions_match_the_plan() {
 #[test]
 fn chaos_run_is_bit_identical_across_invocations() {
     let cfg = ChaosCfg::fast();
-    let (series_a, a, _) = chaos_run(cfg, 2048);
-    let (series_b, b, _) = chaos_run(cfg, 2048);
+    let (series_a, a, _) = chaos_run(cfg, observed(2048));
+    let (series_b, b, _) = chaos_run(cfg, observed(2048));
     assert_eq!(a.events, b.events, "event counts diverged");
     assert_eq!(
         a.metrics_json, b.metrics_json,

@@ -7,12 +7,20 @@
 //! figures job runs with `--fast` — so the asserted shape matches what
 //! `results/chaos_ranks/metrics.json` is generated from.
 
-use mpichgq_bench::{chaos_ranks_run, ChaosRanksCfg};
+use mpichgq_bench::{chaos_ranks_run, ChaosRanksCfg, Observe};
+
+/// A flight-recorder ring of `trace_capacity`, sampled every 100 ms.
+fn observed(trace_capacity: usize) -> Observe {
+    Observe {
+        trace_capacity,
+        ..Observe::FIGURE
+    }
+}
 
 #[test]
 fn chaos_ranks_survivors_hold_slo_through_rolling_failures() {
     let cfg = ChaosRanksCfg::fast();
-    let (_metrics, out) = chaos_ranks_run(cfg, 2048);
+    let (_metrics, out) = chaos_ranks_run(cfg, observed(2048));
 
     // The acceptance bar: ≥90% of surviving premium pairs meet their
     // SLO through the whole plan (every pair survives — all crashed
@@ -80,7 +88,7 @@ fn chaos_ranks_metrics_expose_the_failure_ledger() {
     // The flight recorder is a bounded ring; arm it large enough that
     // the contention blaster's per-packet drop events cannot evict the
     // sparse crash/restart markers.
-    let (metrics, _out) = chaos_ranks_run(ChaosRanksCfg::fast(), 65_536);
+    let (metrics, _out) = chaos_ranks_run(ChaosRanksCfg::fast(), observed(65_536));
     for key in [
         "faults.drops.host_down",
         "faults.host_crashes",
@@ -109,10 +117,11 @@ fn chaos_ranks_metrics_expose_the_failure_ledger() {
 #[test]
 fn chaos_ranks_is_bit_identical_across_replays() {
     let cfg = ChaosRanksCfg::fast();
-    let (a, oa) = chaos_ranks_run(cfg, 2048);
-    let (b, ob) = chaos_ranks_run(cfg, 2048);
+    let (a, oa) = chaos_ranks_run(cfg, observed(2048));
+    let (b, ob) = chaos_ranks_run(cfg, observed(2048));
     assert_eq!(a.events, b.events, "replay event counts diverged");
     assert_eq!(a.metrics_json, b.metrics_json, "replay snapshots diverged");
+    assert!(a.timeline_json.is_some(), "the replay runs sampled");
     assert_eq!(a.timeline_json, b.timeline_json);
     let frames = |o: &mpichgq_bench::ChaosRanksOutcome| -> Vec<u64> {
         o.scores.iter().map(|s| s.frames).collect()

@@ -14,7 +14,7 @@ fn fig1_sawtooth_oscillates_below_reservation() {
         reservation_bps: 40_000_000,
         duration: SimTime::from_secs(30),
     };
-    let s = fig1_tcp_sawtooth(cfg);
+    let (s, _) = fig1_tcp_sawtooth(cfg, Observe::OFF);
     // Steady portion (skip slow start).
     let steady = s.mean_in(SimTime::from_secs(5), SimTime::from_secs(30));
     // Mean sits well below the 50 Mb/s send rate and below the reservation.
@@ -118,8 +118,8 @@ fn table1_burstiness_penalty_and_large_bucket_cure() {
 #[test]
 fn fig7_traces_show_burstiness_difference() {
     let window = SimTime::from_secs(1);
-    let smooth = fig7_seq_trace(10.0, window);
-    let bursty = fig7_seq_trace(1.0, window);
+    let (smooth, _) = fig7_seq_trace(10.0, window, Observe::OFF);
+    let (bursty, _) = fig7_seq_trace(1.0, window, Observe::OFF);
     assert!(!smooth.is_empty() && !bursty.is_empty());
     // Both send ~400 Kb/s of data overall; the bursty one emits its
     // segments in a far smaller fraction of the time. Measure dispersion:
@@ -144,7 +144,7 @@ fn fig7_traces_show_burstiness_difference() {
 #[test]
 fn fig8_cpu_contention_and_reservation() {
     let cfg = Fig8Cfg::default();
-    let s = fig8_cpu_reservation(cfg);
+    let (s, _) = fig8_cpu_reservation(cfg, Observe::OFF);
     let clean = phase_mean(&s, 2.0, 10.0);
     let hog = phase_mean(&s, 11.0, 20.0);
     let reserved = phase_mean(&s, 22.0, 30.0);
@@ -162,7 +162,7 @@ fn fig8_cpu_contention_and_reservation() {
 #[test]
 fn fig9_both_reservations_needed() {
     let cfg = Fig9Cfg::default();
-    let s = fig9_combined(cfg);
+    let (s, _) = fig9_combined(cfg, Observe::OFF);
     let clean = phase_mean(&s, 2.0, 10.0);
     let congested = phase_mean(&s, 12.0, 21.0);
     let net_reserved = phase_mean(&s, 23.0, 31.0);

@@ -3,11 +3,17 @@
 //! sections the `metrics.json` schema promises (DESIGN.md §9), and
 //! arming the flight recorder must not perturb the simulation itself.
 
-use mpichgq_bench::{
-    fig1_tcp_sawtooth_run, fig1_tcp_sawtooth_run_timeline, fig7_seq_trace_run_timeline, Fig1Cfg,
-};
+use mpichgq_bench::{fig1_tcp_sawtooth, fig7_seq_trace, Fig1Cfg, Observe};
 use mpichgq_obs::{parse, FlightRecorder, Histogram, JsonWriter};
 use mpichgq_sim::{fnv1a, SimDelta, SimTime};
+
+/// A 256-entry ring, sampled every 100 ms (`sampled`) or not at all.
+fn observed(sampled: bool) -> Observe {
+    Observe {
+        trace_capacity: 256,
+        timeline: sampled.then_some(SimDelta::from_millis(100)),
+    }
+}
 
 fn short_cfg() -> Fig1Cfg {
     Fig1Cfg {
@@ -18,8 +24,8 @@ fn short_cfg() -> Fig1Cfg {
 
 #[test]
 fn fig1_metrics_snapshot_is_deterministic() {
-    let (series_a, a) = fig1_tcp_sawtooth_run(short_cfg(), 256);
-    let (series_b, b) = fig1_tcp_sawtooth_run(short_cfg(), 256);
+    let (series_a, a) = fig1_tcp_sawtooth(short_cfg(), observed(true));
+    let (series_b, b) = fig1_tcp_sawtooth(short_cfg(), observed(true));
     assert_eq!(a.events, b.events, "event counts diverged between runs");
     assert_eq!(
         a.metrics_json, b.metrics_json,
@@ -30,7 +36,7 @@ fn fig1_metrics_snapshot_is_deterministic() {
 
 #[test]
 fn fig1_metrics_carry_the_documented_schema() {
-    let (_, m) = fig1_tcp_sawtooth_run(short_cfg(), 256);
+    let (_, m) = fig1_tcp_sawtooth(short_cfg(), observed(true));
     let j = &m.metrics_json;
     for key in [
         "\"counters\"",
@@ -65,8 +71,14 @@ fn fig1_metrics_carry_the_documented_schema() {
 
 #[test]
 fn arming_the_flight_recorder_does_not_perturb_the_simulation() {
-    let (series_off, off) = fig1_tcp_sawtooth_run(short_cfg(), 0);
-    let (series_on, on) = fig1_tcp_sawtooth_run(short_cfg(), 1024);
+    let (series_off, off) = fig1_tcp_sawtooth(short_cfg(), Observe::OFF);
+    let (series_on, on) = fig1_tcp_sawtooth(
+        short_cfg(),
+        Observe {
+            trace_capacity: 1024,
+            ..Observe::FIGURE
+        },
+    );
     assert_eq!(
         off.events, on.events,
         "tracing changed the number of simulated events"
@@ -86,9 +98,8 @@ fn arming_the_flight_recorder_does_not_perturb_the_simulation() {
 /// while carrying the series the instrumented layers promise.
 #[test]
 fn fig1_timeline_is_byte_stable_and_passes_qtop_check() {
-    let interval = Some(SimDelta::from_millis(100));
-    let (_, a) = fig1_tcp_sawtooth_run_timeline(short_cfg(), 256, interval);
-    let (_, b) = fig1_tcp_sawtooth_run_timeline(short_cfg(), 256, interval);
+    let (_, a) = fig1_tcp_sawtooth(short_cfg(), observed(true));
+    let (_, b) = fig1_tcp_sawtooth(short_cfg(), observed(true));
     let ta = a.timeline_json.expect("sampling was armed");
     let tb = b.timeline_json.expect("sampling was armed");
     assert_eq!(ta, tb, "timeline snapshot is not byte-stable");
@@ -120,9 +131,8 @@ fn fig1_timeline_is_byte_stable_and_passes_qtop_check() {
 /// event count — is bit-identical to a sampled run's.
 #[test]
 fn sampling_off_is_bit_identical_for_fig1() {
-    let (series_off, off) = fig1_tcp_sawtooth_run_timeline(short_cfg(), 256, None);
-    let (series_on, on) =
-        fig1_tcp_sawtooth_run_timeline(short_cfg(), 256, Some(SimDelta::from_millis(100)));
+    let (series_off, off) = fig1_tcp_sawtooth(short_cfg(), observed(false));
+    let (series_on, on) = fig1_tcp_sawtooth(short_cfg(), observed(true));
     assert_eq!(off.events, on.events, "sampling changed the event count");
     assert_eq!(series_off.points(), series_on.points());
     assert_eq!(off.metrics_json, on.metrics_json);
@@ -134,9 +144,8 @@ fn sampling_off_is_bit_identical_for_fig1() {
 #[test]
 fn sampling_off_is_bit_identical_for_fig7() {
     let window = SimTime::from_secs(4);
-    let (series_off, off) = fig7_seq_trace_run_timeline(30.0, window, 256, None);
-    let (series_on, on) =
-        fig7_seq_trace_run_timeline(30.0, window, 256, Some(SimDelta::from_millis(100)));
+    let (series_off, off) = fig7_seq_trace(30.0, window, observed(false));
+    let (series_on, on) = fig7_seq_trace(30.0, window, observed(true));
     assert_eq!(off.events, on.events, "sampling changed the event count");
     assert_eq!(series_off.points(), series_on.points());
     assert_eq!(off.metrics_json, on.metrics_json);
@@ -210,7 +219,7 @@ fn histogram_snapshots_are_order_independent() {
 /// results would notice the export changing its bytes; this test does.
 #[test]
 fn fig7_chrome_trace_bytes_are_pinned() {
-    let (_, run) = fig7_seq_trace_run_timeline(30.0, SimTime::from_secs(4), 256, None);
+    let (_, run) = fig7_seq_trace(30.0, SimTime::from_secs(4), observed(false));
     let trace = run.trace_json.as_bytes();
     assert_eq!(
         (trace.len(), fnv1a(trace)),

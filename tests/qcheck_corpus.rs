@@ -12,10 +12,18 @@ use mpichgq::qcheck::{
     audit_metrics_json, parse_repro, replay, repro_json, run_spec, shrink, Inject, ScenarioSpec,
 };
 use mpichgq_bench::{
-    chaos_ranks_run, chaos_run, fig1_tcp_sawtooth_run, fig7_seq_trace_run, ChaosCfg, ChaosRanksCfg,
-    Fig1Cfg,
+    chaos_ranks_run, chaos_run, fig1_tcp_sawtooth, fig7_seq_trace, ChaosCfg, ChaosRanksCfg,
+    Fig1Cfg, Observe,
 };
 use mpichgq_sim::SimTime;
+
+/// A flight-recorder ring of `trace_capacity`, sampled every 100 ms.
+fn observed(trace_capacity: usize) -> Observe {
+    Observe {
+        trace_capacity,
+        ..Observe::FIGURE
+    }
+}
 
 fn fig1_cfg() -> Fig1Cfg {
     Fig1Cfg {
@@ -26,28 +34,28 @@ fn fig1_cfg() -> Fig1Cfg {
 
 #[test]
 fn fig1_snapshot_satisfies_the_conservation_battery() {
-    let (_, m) = fig1_tcp_sawtooth_run(fig1_cfg(), 256);
+    let (_, m) = fig1_tcp_sawtooth(fig1_cfg(), observed(256));
     let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
     assert!(viols.is_empty(), "fig1 snapshot violations: {viols:?}");
 }
 
 #[test]
 fn fig7_snapshot_satisfies_the_conservation_battery() {
-    let (_, m) = fig7_seq_trace_run(10.0, SimTime::from_secs(3), 256);
+    let (_, m) = fig7_seq_trace(10.0, SimTime::from_secs(3), observed(256));
     let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
     assert!(viols.is_empty(), "fig7 snapshot violations: {viols:?}");
 }
 
 #[test]
 fn chaos_snapshot_satisfies_the_conservation_battery() {
-    let (_, m, _) = chaos_run(ChaosCfg::fast(), 2048);
+    let (_, m, _) = chaos_run(ChaosCfg::fast(), observed(2048));
     let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
     assert!(viols.is_empty(), "chaos snapshot violations: {viols:?}");
 }
 
 #[test]
 fn chaos_ranks_snapshot_satisfies_the_conservation_battery() {
-    let (m, _) = chaos_ranks_run(ChaosRanksCfg::fast(), 2048);
+    let (m, _) = chaos_ranks_run(ChaosRanksCfg::fast(), observed(2048));
     let viols = audit_metrics_json(&m.metrics_json).expect("snapshot parses");
     assert!(
         viols.is_empty(),

@@ -4,12 +4,12 @@
 //! rendered report must decompose delay per hop and carry the SLO table.
 
 use mpichgq_apps::qtrace;
-use mpichgq_bench::{fig7_seq_trace_run, TRACE_CAPACITY};
+use mpichgq_bench::{fig7_seq_trace, Observe};
 use mpichgq_obs::parse;
 use mpichgq_sim::SimTime;
 
 fn fig7_trace() -> String {
-    let (_, m) = fig7_seq_trace_run(10.0, SimTime::from_secs(1), TRACE_CAPACITY);
+    let (_, m) = fig7_seq_trace(10.0, SimTime::from_secs(1), Observe::FIGURE);
     m.trace_json
 }
 
