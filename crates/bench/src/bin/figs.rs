@@ -121,7 +121,10 @@ fn fig5(fast: bool) {
     } else {
         (0..=12).map(|i| i as f64 * 1000.0).collect()
     };
-    let rows = fig5_sweep(&msgs, &reservations, fast);
+    // The metrics snapshot comes from one representative cell (80 Kb
+    // messages, 6 Mb/s reservation — mid-sweep, reservation active), so it
+    // stays attributable to one simulation.
+    let (rows, metrics) = fig5_sweep(&msgs, &reservations, fast, Some((80, 6000.0)));
     print_sweep(
         "Figure 5: one-way ping-pong throughput vs one-way reservation, under heavy UDP contention",
         "msg_kbits",
@@ -133,17 +136,11 @@ fn fig5(fast: bool) {
         let max = pts.iter().map(|&(_, v)| v).fold(0.0, f64::max);
         println!("# {msg} Kb messages saturate at {max:.0} Kb/s");
     }
-    // Metrics for one representative point (80 Kb messages, 6 Mb/s
-    // reservation — mid-sweep, reservation active): the sweep itself runs
-    // across threads, so a single instrumented rerun keeps the snapshot
-    // attributable to one simulation.
-    let mut cfg = Fig5Cfg::new(80 * 1000 / 8, 6000.0);
-    if fast {
-        cfg.duration = SimTime::from_secs(8);
-        cfg.warmup = SimTime::from_secs(3);
-    }
-    let (_, metrics) = fig5_pingpong_point(cfg, Observe::FIGURE);
-    write_run("fig5", &metrics, false);
+    write_run(
+        "fig5",
+        &metrics.expect("the grid holds the observed cell"),
+        false,
+    );
 }
 
 /// Figure 6: "The effect of different reservations on the visualization
@@ -157,7 +154,9 @@ fn fig6(fast: bool) {
     } else {
         (0..=14).map(|i| i as f64 * 200.0).collect()
     };
-    let rows = fig6_sweep(&frames_kb, &reservations, fast);
+    // The metrics snapshot comes from one representative cell (20 KB
+    // frames, 1600 Kb/s reservation — at the knee).
+    let (rows, metrics) = fig6_sweep(&frames_kb, &reservations, fast, Some((20, 1600.0)));
     print_sweep(
         "Figure 6: visualization throughput vs reservation (10 frames/s), under contention",
         "frame_kbytes",
@@ -179,14 +178,11 @@ fn fig6(fast: bool) {
             None => println!("# {target} Kb/s attempted: not achieved in the sweep range"),
         }
     }
-    // Representative instrumented rerun (20 KB frames, 1600 Kb/s
-    // reservation — at the knee) for the metrics snapshot.
-    let mut cfg = Fig6Cfg::new(20 * 1000, 10.0, 1600.0);
-    if fast {
-        cfg.duration = SimTime::from_secs(10);
-    }
-    let (_, metrics) = viz_run_under_contention(cfg, Observe::FIGURE);
-    write_run("fig6", &metrics, false);
+    write_run(
+        "fig6",
+        &metrics.expect("the grid holds the observed cell"),
+        false,
+    );
 }
 
 /// Table 1: "The reservation required to achieve a specified throughput,

@@ -16,6 +16,7 @@ use mpichgq_netsim::{
 };
 use mpichgq_sim::{SimDelta, SimTime, TimeSeries};
 use mpichgq_tcp::{Sim, TcpCfg};
+use std::sync::OnceLock;
 
 /// The offered UDP contention load: enough to keep the best-effort queue
 /// of an OC3 trunk persistently full.
@@ -266,21 +267,35 @@ pub fn fig5_pingpong_point(cfg: Fig5Cfg, obs: Observe) -> (f64, RunMetrics) {
     (r.one_way_kbps(), metrics)
 }
 
+/// A sweep's rows: one per row key (message or frame size), each with
+/// its `(reservation, value)` points.
+pub type SweepRows = Vec<(u32, Vec<(f64, f64)>)>;
+
 /// The full Figure 5 sweep: message sizes in kilobits (paper: 8, 40, 80,
-/// 120 Kb) × reservation values (Kb/s). Returns `(msg_kbits, points)`.
+/// 120 Kb) × reservation values (Kb/s). Returns `(msg_kbits, points)`, and
+/// the metrics of the `observed` cell `(msg_kbits, reservation)`: that one
+/// cell runs at [`Observe::FIGURE`], every other at [`Observe::OFF`].
 pub fn fig5_sweep(
     msg_kbits: &[u32],
     reservations_kbps: &[f64],
     fast: bool,
-) -> Vec<(u32, Vec<(f64, f64)>)> {
-    crate::par::par_grid(msg_kbits, reservations_kbps, move |&mk, &resv| {
+    observed: Option<(u32, f64)>,
+) -> (SweepRows, Option<RunMetrics>) {
+    let kept = OnceLock::new();
+    let rows = crate::par::par_grid(msg_kbits, reservations_kbps, |&mk, &resv| {
         let mut cfg = Fig5Cfg::new(mk * 1000 / 8, resv);
         if fast {
             cfg.duration = SimTime::from_secs(8);
             cfg.warmup = SimTime::from_secs(3);
         }
-        fig5_pingpong_point(cfg, Observe::OFF).0
-    })
+        if observed != Some((mk, resv)) {
+            return fig5_pingpong_point(cfg, Observe::OFF).0;
+        }
+        let (kbps, metrics) = fig5_pingpong_point(cfg, Observe::FIGURE);
+        kept.set(metrics).expect("one observed cell");
+        kbps
+    });
+    (rows, kept.into_inner())
 }
 
 // ---------------------------------------------------------------------
@@ -397,19 +412,29 @@ pub fn viz_run_under_contention(cfg: Fig6Cfg, obs: Observe) -> (mpichgq_apps::Vi
 }
 
 /// The Figure 6 sweep: attempted rates via (frame size, 10 fps) as in the
-/// paper (5/10/20/30 KB frames → 400/800/1600/2400 Kb/s).
+/// paper (5/10/20/30 KB frames → 400/800/1600/2400 Kb/s). The `observed`
+/// cell `(frame_kb, reservation)` runs at [`Observe::FIGURE`] and its
+/// metrics come back with the rows, as in [`fig5_sweep`].
 pub fn fig6_sweep(
     frame_kb: &[u32],
     reservations_kbps: &[f64],
     fast: bool,
-) -> Vec<(u32, Vec<(f64, f64)>)> {
-    crate::par::par_grid(frame_kb, reservations_kbps, move |&fk, &resv| {
+    observed: Option<(u32, f64)>,
+) -> (SweepRows, Option<RunMetrics>) {
+    let kept = OnceLock::new();
+    let rows = crate::par::par_grid(frame_kb, reservations_kbps, |&fk, &resv| {
         let mut cfg = Fig6Cfg::new(fk * 1000, 10.0, resv);
         if fast {
             cfg.duration = SimTime::from_secs(10);
         }
-        fig6_viz_point(cfg)
-    })
+        if observed != Some((fk, resv)) {
+            return fig6_viz_point(cfg);
+        }
+        let (run, metrics) = viz_run_under_contention(cfg, Observe::FIGURE);
+        kept.set(metrics).expect("one observed cell");
+        run.achieved_kbps_steady
+    });
+    (rows, kept.into_inner())
 }
 
 // ---------------------------------------------------------------------

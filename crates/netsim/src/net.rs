@@ -1224,9 +1224,6 @@ impl Net {
         gated_counter(sink, "qdisc.early_drops.be", early[2]);
         gated_counter(sink, "qdisc.sched_violations", sched_violations);
 
-        // A token bucket's fill projected to `at`, never committed: a
-        // refill split in two float steps is not bit-identical to one, so a
-        // reader that refilled would move later conformance decisions.
         let bucket_level = |sink: &mut S, p: Scope, tb: &TokenBucket| {
             sink.gauge_in(p, "bucket_level_bytes", tb.peek_available(at));
         };
@@ -1486,8 +1483,7 @@ impl Net {
         let mut shaper_pkts = 0u64;
         let mut bucket_violations = 0u64;
         let mut check = |tb: &TokenBucket| {
-            const EPS: f64 = 1e-6;
-            if !(-EPS..=tb.depth_bytes() as f64 + EPS).contains(&tb.peek_available(now)) {
+            if !(0.0..=tb.depth_bytes() as f64).contains(&tb.peek_available(now)) {
                 bucket_violations += 1;
             }
         };

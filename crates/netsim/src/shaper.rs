@@ -128,13 +128,6 @@ impl Shaper {
             Some(self.next_release(now))
         }
     }
-
-    /// Allocating convenience wrapper around [`Shaper::release_into`].
-    pub fn release(&mut self, now: SimTime, gen: u64) -> (Vec<Packet>, Option<SimTime>) {
-        let mut out = Vec::new();
-        let next = self.release_into(now, gen, &mut out);
-        (out, next)
-    }
 }
 
 #[cfg(test)]
@@ -191,10 +184,12 @@ mod tests {
         ));
         assert_eq!(s.backlog_bytes(), 2_000);
         // Release at t=1s frees exactly one packet, re-arms for the next.
-        let (pkts, next) = s.release(arm, s.gen);
+        let mut pkts = Vec::new();
+        let next = s.release_into(arm, s.gen, &mut pkts);
         assert_eq!(pkts.len(), 1);
         assert_eq!(next.unwrap(), t(2_000));
-        let (pkts, next) = s.release(t(2_000), s.gen);
+        pkts.clear();
+        let next = s.release_into(t(2_000), s.gen, &mut pkts);
         assert_eq!(pkts.len(), 1);
         assert!(next.is_none());
         assert_eq!(s.backlog_bytes(), 0);
@@ -208,10 +203,12 @@ mod tests {
         let _ = s.offer(t(0), pkt(972));
         let old_gen = s.gen;
         // Force a re-arm by draining with the correct gen first.
-        let (got, _) = s.release(t(1_000), old_gen);
+        let mut got = Vec::new();
+        let _ = s.release_into(t(1_000), old_gen, &mut got);
         assert_eq!(got.len(), 1);
         // The old generation no longer matches.
-        let (got, next) = s.release(t(1_000), old_gen);
+        got.clear();
+        let next = s.release_into(t(1_000), old_gen, &mut got);
         assert!(got.is_empty() && next.is_none());
     }
 
@@ -224,7 +221,8 @@ mod tests {
         second.id = 2;
         let _ = s.offer(t(0), first);
         let _ = s.offer(t(0), second);
-        let (got, _) = s.release(t(10_000), s.gen);
+        let mut got = Vec::new();
+        let _ = s.release_into(t(10_000), s.gen, &mut got);
         let ids: Vec<u64> = got.iter().map(|p| p.id).collect();
         assert_eq!(ids, vec![2]); // first passed through; queue holds second
     }

@@ -8,15 +8,29 @@
 //! MPICH-GQ's DS module sizes the bucket as `depth = bandwidth × delay`
 //! bytes, in practice `bandwidth/40` ("normal") or `bandwidth/4` ("large",
 //! §5.4); [`depth_for`] implements these rules.
+//!
+//! The bucket is exact integer arithmetic. Its fill is one credit in
+//! bit·ns — bytes × 8·10⁹ — so a refill over `dt` nanoseconds at
+//! `rate_bps` adds exactly `rate_bps · dt`, with no rounding anywhere.
+//! Refill is therefore idempotent: refilling at any intermediate instant
+//! yields the same credit as one refill at the end, so reading a level
+//! ([`TokenBucket::peek_available`]) or committing an empty consume never
+//! moves a later conformance decision.
 
+use mpichgq_sim::time::NANOS_PER_SEC;
 use mpichgq_sim::SimTime;
+
+/// Credit units per byte: 8 bits × 10⁹ ns.
+const UNITS_PER_BYTE: u128 = 8 * NANOS_PER_SEC as u128;
 
 /// A token bucket with lazy refill (no timer events needed).
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
-    rate_bps: f64,
-    depth_bytes: f64,
-    tokens: f64,
+    rate_bps: u64,
+    depth_bytes: u64,
+    /// Fill level in bit·ns (bytes × [`UNITS_PER_BYTE`]), at most
+    /// `depth_bytes × UNITS_PER_BYTE`.
+    credit: u128,
     last: SimTime,
 }
 
@@ -56,42 +70,46 @@ impl TokenBucket {
         assert!(rate_bps > 0, "token bucket with zero rate");
         assert!(depth_bytes > 0, "token bucket with zero depth");
         TokenBucket {
-            rate_bps: rate_bps as f64,
-            depth_bytes: depth_bytes as f64,
-            tokens: depth_bytes as f64,
+            rate_bps,
+            depth_bytes,
+            credit: depth_bytes as u128 * UNITS_PER_BYTE,
             last: SimTime::ZERO,
         }
     }
 
     pub fn rate_bps(&self) -> u64 {
-        self.rate_bps as u64
+        self.rate_bps
     }
 
     pub fn depth_bytes(&self) -> u64 {
-        self.depth_bytes as u64
+        self.depth_bytes
     }
 
+    /// The credit at `now`: the stored credit plus `rate · dt`, capped at
+    /// the depth. An instant before the last refill adds nothing.
+    #[inline]
+    fn credit_at(&self, now: SimTime) -> u128 {
+        let dt = now.since(self.last).as_nanos();
+        let cap = self.depth_bytes as u128 * UNITS_PER_BYTE;
+        self.credit
+            .saturating_add(self.rate_bps as u128 * dt as u128)
+            .min(cap)
+    }
+
+    #[inline]
     fn refill(&mut self, now: SimTime) {
-        let dt = now.since(self.last).as_secs_f64();
+        self.credit = self.credit_at(now);
         self.last = self.last.max(now);
-        if dt > 0.0 && self.rate_bps > 0.0 {
-            self.tokens = (self.tokens + dt * self.rate_bps / 8.0).min(self.depth_bytes);
-        }
     }
 
-    /// Token count in bytes at `now`, without committing the refill: the
-    /// only level read there is, for snapshots, samplers and audits. A
-    /// lazy refill in two float steps is not bit-identical to one step, so
-    /// a reader that refilled would perturb later conformance decisions —
-    /// a read-only projection cannot.
+    /// Token count in bytes at `now`, for snapshots, samplers and audits:
+    /// whole bytes plus the fraction, so a level of 671 650.33 bytes reads
+    /// as that decimal.
     #[inline]
     pub fn peek_available(&self, now: SimTime) -> f64 {
-        let dt = now.since(self.last).as_secs_f64();
-        if dt > 0.0 && self.rate_bps > 0.0 {
-            (self.tokens + dt * self.rate_bps / 8.0).min(self.depth_bytes)
-        } else {
-            self.tokens
-        }
+        let credit = self.credit_at(now);
+        let (whole, frac) = (credit / UNITS_PER_BYTE, credit % UNITS_PER_BYTE);
+        whole as f64 + frac as f64 / UNITS_PER_BYTE as f64
     }
 
     /// Try to consume `bytes` tokens; returns whether the packet conforms.
@@ -100,8 +118,9 @@ impl TokenBucket {
     #[inline]
     pub fn try_consume(&mut self, now: SimTime, bytes: u32) -> bool {
         self.refill(now);
-        if self.tokens >= bytes as f64 {
-            self.tokens -= bytes as f64;
+        let need = bytes as u128 * UNITS_PER_BYTE;
+        if self.credit >= need {
+            self.credit -= need;
             true
         } else {
             false
@@ -109,21 +128,24 @@ impl TokenBucket {
     }
 
     /// The earliest time at which `bytes` tokens will be available (used by
-    /// the end-system shaper to *delay* rather than drop). A frozen
-    /// (zero-rate) bucket that cannot cover `bytes` reports
-    /// [`SimTime::MAX`]: the deficit never clears.
+    /// the end-system shaper to *delay* rather than drop): the deficit in
+    /// bit·ns divided by the rate, rounded up to the next nanosecond. A
+    /// frozen (zero-rate) bucket that cannot cover `bytes`, or a wait past
+    /// the end of time, reports [`SimTime::MAX`].
     #[inline]
     pub fn time_until_conformant(&mut self, now: SimTime, bytes: u32) -> SimTime {
         self.refill(now);
-        let deficit = bytes as f64 - self.tokens;
-        if deficit <= 0.0 {
+        let deficit = (bytes as u128 * UNITS_PER_BYTE).saturating_sub(self.credit);
+        if deficit == 0 {
             return now;
         }
-        if self.rate_bps <= 0.0 {
+        if self.rate_bps == 0 {
             return SimTime::MAX;
         }
-        let secs = deficit * 8.0 / self.rate_bps;
-        now + mpichgq_sim::SimDelta::from_nanos((secs * 1e9).ceil() as u64)
+        u64::try_from(deficit.div_ceil(self.rate_bps as u128))
+            .ok()
+            .and_then(|ns| now.as_nanos().checked_add(ns))
+            .map_or(SimTime::MAX, SimTime::from_nanos)
     }
 
     /// Reconfigure rate/depth in place (reservation modification); keeps the
@@ -135,9 +157,9 @@ impl TokenBucket {
     /// the rule has not yet been torn down.
     pub fn reconfigure(&mut self, now: SimTime, rate_bps: u64, depth_bytes: u64) {
         self.refill(now);
-        self.rate_bps = rate_bps as f64;
-        self.depth_bytes = depth_bytes as f64;
-        self.tokens = self.tokens.min(self.depth_bytes);
+        self.rate_bps = rate_bps;
+        self.depth_bytes = depth_bytes;
+        self.credit = self.credit.min(depth_bytes as u128 * UNITS_PER_BYTE);
     }
 }
 
@@ -166,7 +188,7 @@ mod tests {
         let mut tb = TokenBucket::new(8_000, 500);
         assert!(tb.try_consume(t(0), 500));
         // 10 seconds would refill 10_000 bytes; capped at 500.
-        assert!((tb.peek_available(t(10_000)) - 500.0).abs() < 1e-6);
+        assert_eq!(tb.peek_available(t(10_000)), 500.0);
     }
 
     #[test]
@@ -225,7 +247,7 @@ mod tests {
     fn reconfigure_clamps_tokens() {
         let mut tb = TokenBucket::new(8_000, 1_000);
         tb.reconfigure(t(0), 16_000, 200);
-        assert!(tb.peek_available(t(0)) <= 200.0);
+        assert_eq!(tb.peek_available(t(0)), 200.0);
         assert_eq!(tb.rate_bps(), 16_000);
     }
 
@@ -243,7 +265,7 @@ mod tests {
         let residual = tb.peek_available(t(100));
         assert!(tb.try_consume(t(100), residual as u32));
         // Hours later, still empty.
-        assert!((tb.peek_available(t(10_000_000))).abs() < 1e-6);
+        assert_eq!(tb.peek_available(t(10_000_000)), 0.0);
         assert!(!tb.try_consume(t(10_000_000), 1));
         assert_eq!(tb.rate_bps(), 0);
     }
@@ -269,7 +291,7 @@ mod tests {
         assert!(tb.try_consume(t(0), 500));
         // 60 s outage would nominally refill 60_000 bytes.
         let gap_end = t(60_000);
-        assert!((tb.peek_available(gap_end) - 500.0).abs() < 1e-6);
+        assert_eq!(tb.peek_available(gap_end), 500.0);
         assert!(tb.try_consume(gap_end, 500));
         assert!(!tb.try_consume(gap_end, 1));
         // And the refill clock restarts from the gap's end, not its start.
@@ -286,7 +308,149 @@ mod tests {
         // the failed attempt leaves the level untouched.
         let mut tb2 = TokenBucket::new(8_000, 1_500);
         assert!(!tb2.try_consume(t(0), 1_501));
-        assert!((tb2.peek_available(t(0)) - 1_500.0).abs() < 1e-6);
+        assert_eq!(tb2.peek_available(t(0)), 1_500.0);
         assert!(tb2.try_consume(t(0), 1_500));
+    }
+
+    #[test]
+    fn fractional_level_reads_as_its_decimal() {
+        // 8 b/s = 1 B/s: 330 ms after spending one byte of a full bucket,
+        // the level is 671 650.33 bytes, and the gauge prints exactly that.
+        let mut tb = TokenBucket::new(8, 671_651);
+        assert!(tb.try_consume(t(0), 1));
+        assert_eq!(tb.peek_available(t(330)), 671_650.33);
+        assert_eq!(format!("{}", tb.peek_available(t(330))), "671650.33");
+    }
+
+    #[test]
+    fn unreachable_release_saturates_at_max() {
+        // 1 b/s needs 8·10⁹ ns per byte: 4 GB of deficit is past u64 ns.
+        let mut tb = TokenBucket::new(1, u32::MAX as u64);
+        assert!(tb.try_consume(t(0), u32::MAX));
+        assert_eq!(tb.time_until_conformant(t(0), u32::MAX), SimTime::MAX);
+        // A deficit that fits lands on the exact nanosecond.
+        assert_eq!(tb.time_until_conformant(t(0), 1), SimTime::from_secs(8));
+    }
+
+    /// One step of a random bucket program: a send of `bytes` after `gap`
+    /// ns, where `bytes == 0` stands for an idle read.
+    type Step = (u64, u32);
+
+    /// Half the gaps are zero and a third of the sends are tiny, so bursts
+    /// drain the bucket to its last bytes and the bound is met, not only
+    /// approached.
+    fn steps() -> impl Strategy<Value = Vec<Step>> {
+        let step = (0u64..10_000_000, 0u32..3_000).prop_map(|(gap, bytes)| {
+            let gap = if gap % 2 == 0 { 0 } else { gap };
+            let bytes = if bytes % 3 == 0 { bytes % 8 } else { bytes };
+            (gap, bytes)
+        });
+        proptest::collection::vec(step, 1..150)
+    }
+
+    use proptest::prelude::*;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..proptest::ProptestConfig::default() })]
+
+        /// The token-bucket bound, in integers with no tolerance: over every
+        /// window `[s, t]` from one conformant send to a later one, the
+        /// bytes sent satisfy `Σ·8·10⁹ ≤ ∫rate dt + depth(s)·8·10⁹` (bit·ns),
+        /// across a reconfiguration that may raise, lower or freeze the rate.
+        #[test]
+        fn conformant_sends_obey_the_bound_exactly(
+            rate in 1u64..20_000_000,
+            depth in 1u64..50_000,
+            reconf in (0u64..20_000_000, 1u64..50_000, 0u64..300_000_000),
+            prog in steps(),
+        ) {
+            let (rate2, depth2, at) = reconf;
+            let mut tb = TokenBucket::new(rate, depth);
+            let mut now = 0u64;
+            let mut moved = false;
+            let mut sends: Vec<(u64, u128)> = Vec::new();
+            for (gap, bytes) in prog {
+                now += gap;
+                if !moved && now >= at {
+                    tb.reconfigure(SimTime::from_nanos(at), rate2, depth2);
+                    moved = true;
+                }
+                if tb.try_consume(SimTime::from_nanos(now), bytes) {
+                    sends.push((now, bytes as u128 * UNITS_PER_BYTE));
+                }
+            }
+            // ∫ rate over [s, t], the reconfiguration taking effect at `at`.
+            let refill = |s: u64, t: u64| -> u128 {
+                let before = at.clamp(s, t) - s;
+                let after = t - at.clamp(s, t);
+                rate as u128 * before as u128 + rate2 as u128 * after as u128
+            };
+            for (i, &(s, _)) in sends.iter().enumerate() {
+                let depth_s = if s >= at { depth2 } else { depth };
+                let mut sum = 0u128;
+                for &(t, units) in &sends[i..] {
+                    sum += units;
+                    let bound = refill(s, t) + depth_s as u128 * UNITS_PER_BYTE;
+                    prop_assert!(sum <= bound, "window [{s}, {t}]: {sum} > {bound} bit·ns");
+                }
+            }
+        }
+
+        /// Refill is idempotent: a bucket that also commits refills at
+        /// arbitrary instants (empty consumes) makes every decision the
+        /// plain one does, and reads bit-equal levels throughout.
+        #[test]
+        fn committed_refills_change_nothing(
+            rate in 0u64..20_000_000,
+            depth in 1u64..200_000,
+            prog in proptest::collection::vec((0u64..5_000_000, 0u32..3_000, 0u64..5_000_000), 1..150),
+        ) {
+            let mut plain = TokenBucket::new(rate.max(1), depth);
+            let mut poked = plain.clone();
+            if rate == 0 {
+                plain.reconfigure(SimTime::ZERO, 0, depth);
+                poked.reconfigure(SimTime::ZERO, 0, depth);
+            }
+            let mut now = 0u64;
+            for (gap, bytes, poke) in prog {
+                // The extra refill lands anywhere in the gap, ends included.
+                let mid = SimTime::from_nanos(now + poke % (gap + 1));
+                prop_assert!(poked.try_consume(mid, 0));
+                now += gap;
+                let at = SimTime::from_nanos(now);
+                prop_assert_eq!(plain.peek_available(at), poked.peek_available(at));
+                prop_assert_eq!(plain.try_consume(at, bytes), poked.try_consume(at, bytes));
+                prop_assert_eq!(
+                    plain.clone().time_until_conformant(at, bytes),
+                    poked.clone().time_until_conformant(at, bytes)
+                );
+            }
+        }
+
+        /// `time_until_conformant` names the first conformant nanosecond: a
+        /// consume succeeds at `when` and fails at `when − 1 ns`.
+        #[test]
+        fn time_until_conformant_is_minimal(
+            rate in 1u64..20_000_000,
+            depth in 1u64..200_000,
+            prog in steps(),
+            want in 0u64..200_000,
+        ) {
+            let mut tb = TokenBucket::new(rate, depth);
+            let mut now = 0u64;
+            for (gap, bytes) in prog {
+                now += gap;
+                tb.try_consume(SimTime::from_nanos(now), bytes);
+            }
+            let now = SimTime::from_nanos(now);
+            let bytes = (want % depth + 1) as u32;
+            let when = tb.clone().time_until_conformant(now, bytes);
+            prop_assert!(when >= now);
+            prop_assert!(tb.clone().try_consume(when, bytes));
+            if when > now {
+                let before = SimTime::from_nanos(when.as_nanos() - 1);
+                prop_assert!(!tb.clone().try_consume(before, bytes));
+            }
+        }
     }
 }

@@ -98,7 +98,7 @@ pub fn audit_metrics_json(s: &str) -> Result<Vec<Violation>, String> {
             }
             if name.ends_with(".bucket_level_bytes") {
                 if let Some(level) = g.get("value").and_then(JsonValue::as_f64) {
-                    if level < -1e-6 {
+                    if level < 0.0 {
                         out.push(Violation {
                             invariant: "token_bucket".into(),
                             detail: format!("{name}: negative bucket level {level}"),

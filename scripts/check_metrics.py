@@ -51,7 +51,8 @@ simulated, which is removed from both sides first:
   of the qcheck summary;
 - `*.admission_ns` histograms (bench_gara's host wall-clock latencies).
 `trace.json` lifecycle exports are regenerated but never committed, so
-one that exists on one side only is not an error.
+one that exists on one side only is not an error. The tree's top-level
+README.md is written by hand, not by a run, and is not compared.
 """
 
 import json
@@ -519,7 +520,7 @@ def physics_equal(old_root, new_root):
             os.path.relpath(os.path.join(d, f), root)
             for d, _, fs in os.walk(root)
             for f in fs
-        }
+        } - {"README.md"}
 
     old, new = files(old_root), files(new_root)
     problems = [

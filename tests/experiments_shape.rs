@@ -38,7 +38,7 @@ fn fig1_sawtooth_oscillates_below_reservation() {
 fn fig5_throughput_rises_with_reservation_and_saturates() {
     let msgs = [8u32, 120];
     let reservations = [0.0, 2000.0, 9000.0, 12000.0];
-    let rows = fig5_sweep(&msgs, &reservations, true);
+    let (rows, _) = fig5_sweep(&msgs, &reservations, true, None);
 
     for (msg, pts) in &rows {
         // No reservation under heavy contention: (near) starvation.
