@@ -68,7 +68,7 @@ impl Observe {
         timeline: Some(SimDelta::from_millis(100)),
     };
 
-    pub fn on(self) -> bool {
+    pub(crate) fn on(self) -> bool {
         self.trace_capacity > 0
     }
 }
@@ -209,15 +209,15 @@ pub fn fig1_tcp_sawtooth(cfg: Fig1Cfg, obs: Observe) -> (TimeSeries, RunMetrics)
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
-pub struct Fig5Cfg {
+pub(crate) struct Fig5Cfg {
     pub msg_bytes: u32,
-    pub reservation_kbps: f64,
+    pub(crate) reservation_kbps: f64,
     pub duration: SimTime,
     pub warmup: SimTime,
 }
 
 impl Fig5Cfg {
-    pub fn new(msg_bytes: u32, reservation_kbps: f64) -> Fig5Cfg {
+    pub(crate) fn new(msg_bytes: u32, reservation_kbps: f64) -> Fig5Cfg {
         Fig5Cfg {
             msg_bytes,
             reservation_kbps,
@@ -240,7 +240,7 @@ fn fig5_garnet() -> GarnetCfg {
 /// One Figure 5 point: one-way ping-pong throughput (Kb/s) for a message
 /// size and reservation, with contention on both trunk directions.
 /// `reservation_kbps == 0` means no reservation.
-pub fn fig5_pingpong_point(cfg: Fig5Cfg, obs: Observe) -> (f64, RunMetrics) {
+pub(crate) fn fig5_pingpong_point(cfg: Fig5Cfg, obs: Observe) -> (f64, RunMetrics) {
     let mut lab = GarnetLab::new(fig5_garnet(), 0.7);
     arm_trace(&mut lab, obs);
     lab.add_contention(CONTENTION_BPS, SimTime::ZERO, cfg.duration);
@@ -269,7 +269,7 @@ pub fn fig5_pingpong_point(cfg: Fig5Cfg, obs: Observe) -> (f64, RunMetrics) {
 
 /// A sweep's rows: one per row key (message or frame size), each with
 /// its `(reservation, value)` points.
-pub type SweepRows = Vec<(u32, Vec<(f64, f64)>)>;
+pub(crate) type SweepRows = Vec<(u32, Vec<(f64, f64)>)>;
 
 /// The full Figure 5 sweep: message sizes in kilobits (paper: 8, 40, 80,
 /// 120 Kb) × reservation values (Kb/s). Returns `(msg_kbits, points)`, and
@@ -360,7 +360,10 @@ pub fn viz_delivery_ratio(cfg: Fig6Cfg) -> f64 {
 
 /// Full visualization run under contention, whole bandwidth series
 /// included.
-pub fn viz_run_under_contention(cfg: Fig6Cfg, obs: Observe) -> (mpichgq_apps::VizRun, RunMetrics) {
+pub(crate) fn viz_run_under_contention(
+    cfg: Fig6Cfg,
+    obs: Observe,
+) -> (mpichgq_apps::VizRun, RunMetrics) {
     let mut lab = GarnetLab::new(GarnetCfg::default(), 0.7);
     arm_trace(&mut lab, obs);
     lab.add_contention(cfg.contention_bps, SimTime::ZERO, cfg.duration);
@@ -880,7 +883,7 @@ pub struct ChaosCfg {
     pub loss_per_mille: u16,
     pub loss_duration: SimDelta,
     /// First revocation: a squatter takes *most* capacity → renegotiation.
-    pub revoke_at: SimTime,
+    pub(crate) revoke_at: SimTime,
     /// Second revocation: a squatter takes *all* capacity → degradation.
     pub second_revoke_at: SimTime,
     pub cpu_throttle_at: SimTime,
@@ -1393,7 +1396,7 @@ pub fn af_conformance_run(cfg: AfConformanceCfg, obs: Observe) -> (AfConformance
 #[derive(Debug, Clone, Copy)]
 pub struct QdiscAblationCfg {
     pub app_rate_bps: u64,
-    pub reservation_bps: u64,
+    pub(crate) reservation_bps: u64,
     pub contention_bps: u64,
     pub duration: SimTime,
 }
@@ -1718,7 +1721,7 @@ pub struct ChaosRanksCfg {
     /// peer is down).
     pub frame_interval: SimDelta,
     /// Per-pair premium reservation.
-    pub reserve_bps: u64,
+    pub(crate) reserve_bps: u64,
     pub trunk_bps: u64,
     pub trunk_delay: SimDelta,
     /// Offered best-effort contention load (over trunk capacity).

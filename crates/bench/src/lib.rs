@@ -9,7 +9,9 @@
 //! Cisco/ATM testbed); the shapes — who wins, where the knees fall, the
 //! burstiness penalty — are the reproduction targets (see EXPERIMENTS.md).
 
-pub mod experiments;
+#![warn(unreachable_pub)]
+
+pub(crate) mod experiments;
 pub mod output;
 mod par;
 

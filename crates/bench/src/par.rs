@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Map `f` over `items` on a pool of scoped worker threads (at most one
 /// per available core). Results come back in input order.
-pub fn par_map<A, R, F>(items: &[A], f: F) -> Vec<R>
+pub(crate) fn par_map<A, R, F>(items: &[A], f: F) -> Vec<R>
 where
     A: Sync,
     R: Send,
@@ -54,7 +54,7 @@ where
 /// Evaluate `f` over the full `rows × cols` grid, all cells in parallel,
 /// returning one `(row, Vec<(col as f64, value)>)` entry per row — the
 /// shape every figure sweep consumes.
-pub fn par_grid<A, B, F>(rows: &[A], cols: &[B], f: F) -> Vec<(A, Vec<(f64, f64)>)>
+pub(crate) fn par_grid<A, B, F>(rows: &[A], cols: &[B], f: F) -> Vec<(A, Vec<(f64, f64)>)>
 where
     A: Sync + Send + Copy,
     B: Sync + Send + Copy + Into<f64>,
