@@ -33,13 +33,8 @@ pub struct VizCfg {
 }
 
 impl VizCfg {
-    pub fn interval(&self) -> SimDelta {
+    pub(crate) fn interval(&self) -> SimDelta {
         SimDelta::from_secs_f64(1.0 / self.fps)
-    }
-
-    /// Attempted application bandwidth in bits/s.
-    pub fn target_bps(&self) -> u64 {
-        (self.frame_bytes as f64 * 8.0 * self.fps).round() as u64
     }
 }
 
