@@ -61,7 +61,7 @@ impl QosAttribute {
     }
 
     /// Application bandwidth in bits per second.
-    pub fn bandwidth_bps(&self) -> u64 {
+    pub(crate) fn bandwidth_bps(&self) -> u64 {
         (self.bandwidth_kbps * 1000.0).round() as u64
     }
 }
@@ -88,15 +88,6 @@ impl QosOutcome {
     pub fn is_granted(&self) -> bool {
         matches!(self, QosOutcome::Granted { .. })
     }
-
-    /// The premium rate currently installed, if any (full or degraded).
-    pub fn installed_rate_bps(&self) -> Option<u64> {
-        match self {
-            QosOutcome::Granted { network_rate_bps }
-            | QosOutcome::Degraded { network_rate_bps } => Some(*network_rate_bps),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -121,11 +112,9 @@ mod tests {
         .is_granted());
         assert!(!QosOutcome::None.is_granted());
         assert!(!QosOutcome::Denied { reason: "x".into() }.is_granted());
-        let d = QosOutcome::Degraded {
+        assert!(!QosOutcome::Degraded {
             network_rate_bps: 5,
-        };
-        assert!(!d.is_granted());
-        assert_eq!(d.installed_rate_bps(), Some(5));
-        assert_eq!(QosOutcome::None.installed_rate_bps(), None);
+        }
+        .is_granted());
     }
 }
