@@ -26,17 +26,19 @@
 //! with a bit-identical state fingerprint. The `qcheck` binary lives in
 //! `mpichgq-apps`; a CI smoke job runs a few hundred seeds per push.
 
-pub mod audit;
-pub mod parscen;
-pub mod repro;
-pub mod run;
-pub mod scenario;
-pub mod shrink;
-pub mod spec;
-pub mod workload;
+#![warn(unreachable_pub)]
+
+pub(crate) mod audit;
+pub(crate) mod parscen;
+pub(crate) mod repro;
+pub(crate) mod run;
+pub(crate) mod scenario;
+pub(crate) mod shrink;
+pub(crate) mod spec;
+pub(crate) mod workload;
 
 pub use audit::audit_metrics_json;
-pub use parscen::{run_par_scenario, run_par_scenario_timeline, ParOutcome, ParTimelines};
+pub use parscen::{run_par_scenario, ParOutcome};
 pub use repro::{parse_repro, replay, repro_json, summary_json, Replay, Repro};
 pub use run::{run_spec, RunOutcome, Violation};
 pub use scenario::{build, draw_gara_op, BuiltScenario, GaraOp};

@@ -13,9 +13,9 @@ use crate::spec::{Inject, Knobs, ScenarioSpec};
 use mpichgq_obs::{parse, JsonValue, JsonWriter};
 
 /// Schema version written into every artifact.
-pub const REPRO_SCHEMA: u64 = 1;
+pub(crate) const REPRO_SCHEMA: u64 = 1;
 /// Schema version of the summary document.
-pub const SUMMARY_SCHEMA: u64 = 1;
+pub(crate) const SUMMARY_SCHEMA: u64 = 1;
 
 /// A parsed repro artifact.
 #[derive(Debug, Clone, PartialEq, Eq)]

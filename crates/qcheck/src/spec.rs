@@ -11,10 +11,10 @@ use mpichgq_obs::{JsonValue, JsonWriter};
 use mpichgq_sim::SimRng;
 
 /// A named mutable accessor for one [`Knobs`] field (shrinker plumbing).
-pub type KnobField = fn(&mut Knobs) -> &mut u64;
+pub(crate) type KnobField = fn(&mut Knobs) -> &mut u64;
 
 /// Scenario size/shape parameters. Every field is a count or a duration;
-/// the shrinker only ever lowers them (toward [`Knobs::min`]), which keeps
+/// the shrinker only ever lowers them (toward `Knobs::min`), which keeps
 /// a shrunk spec inside the space the generator can expand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Knobs {
@@ -24,7 +24,7 @@ pub struct Knobs {
     /// pinned to opposite ends so cross-network paths always exist).
     pub hosts: u64,
     /// Routers in the core line (≥ 1).
-    pub routers: u64,
+    pub(crate) routers: u64,
     pub tcp_flows: u64,
     pub udp_flows: u64,
     /// Two-rank MPI ping-pong jobs.
@@ -51,7 +51,7 @@ pub struct Knobs {
 impl Knobs {
     /// The smallest scenario the generator accepts: two hosts, one router,
     /// no traffic, no faults.
-    pub fn min() -> Knobs {
+    pub(crate) fn min() -> Knobs {
         Knobs {
             duration_ms: 100,
             hosts: 2,
@@ -69,7 +69,7 @@ impl Knobs {
     /// Draw a knob vector from `rng` (the seed's stream 0 fork). New knobs
     /// are always drawn *after* the existing ones so every pre-existing
     /// dimension keeps its historical value for a given seed.
-    pub fn sample(rng: &mut SimRng) -> Knobs {
+    pub(crate) fn sample(rng: &mut SimRng) -> Knobs {
         Knobs {
             duration_ms: rng.range(150, 900),
             hosts: rng.range(2, 7),
@@ -88,7 +88,7 @@ impl Knobs {
 
     /// Named accessors used by the shrinker, in shrink-priority order:
     /// cheapest dimensions to remove first.
-    pub fn fields() -> &'static [(&'static str, KnobField)] {
+    pub(crate) fn fields() -> &'static [(&'static str, KnobField)] {
         &[
             ("host_faults", |k| &mut k.host_faults),
             ("qdisc", |k| &mut k.qdisc),
@@ -104,7 +104,7 @@ impl Knobs {
     }
 
     /// Floor for the named field.
-    pub fn floor(name: &str) -> u64 {
+    pub(crate) fn floor(name: &str) -> u64 {
         let min = Knobs::min();
         match name {
             "duration_ms" => min.duration_ms,
@@ -116,7 +116,7 @@ impl Knobs {
 
     /// Append this knob vector as a JSON object under the writer's current
     /// position (caller opens/keys the object).
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("duration_ms");
         w.u64(self.duration_ms);
@@ -142,7 +142,7 @@ impl Knobs {
     }
 
     /// Parse a knob vector from a JSON object.
-    pub fn from_json(v: &JsonValue) -> Result<Knobs, String> {
+    pub(crate) fn from_json(v: &JsonValue) -> Result<Knobs, String> {
         let field = |name: &str| -> Result<u64, String> {
             v.get(name)
                 .and_then(|x| x.as_u64())

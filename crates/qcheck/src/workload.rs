@@ -15,7 +15,7 @@ use mpichgq_sim::SimDelta;
 use mpichgq_tcp::{App, Ctx, DataMode, SockId, TcpCfg};
 
 /// Sends `total` counted bytes to `dst:dport`, starting after `start`.
-pub struct QcTcpSender {
+pub(crate) struct QcTcpSender {
     pub dst: NodeId,
     pub dport: u16,
     pub cfg: TcpCfg,
@@ -31,7 +31,7 @@ pub struct QcTcpSender {
 }
 
 impl QcTcpSender {
-    pub fn new(
+    pub(crate) fn new(
         dst: NodeId,
         dport: u16,
         cfg: TcpCfg,
@@ -86,7 +86,7 @@ impl App for QcTcpSender {
 }
 
 /// Accepts connections on `port` and drains whatever arrives.
-pub struct QcTcpSink {
+pub(crate) struct QcTcpSink {
     pub port: u16,
     pub cfg: TcpCfg,
 }
@@ -107,7 +107,7 @@ impl App for QcTcpSink {
 
 /// Timer-paced constant-bit-rate UDP source: `count` datagrams of
 /// `payload` bytes every `interval`, starting after `start`.
-pub struct QcUdpPulse {
+pub(crate) struct QcUdpPulse {
     pub dst: NodeId,
     pub dport: u16,
     pub sport: u16,
@@ -121,7 +121,7 @@ pub struct QcUdpPulse {
 
 impl QcUdpPulse {
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         dst: NodeId,
         dport: u16,
         sport: u16,
@@ -164,7 +164,7 @@ impl App for QcUdpPulse {
 
 /// Binds `port` and absorbs datagrams (delivery is what the ledger needs;
 /// the payload is not interpreted).
-pub struct QcUdpSink {
+pub(crate) struct QcUdpSink {
     pub port: u16,
 }
 
@@ -184,7 +184,7 @@ enum PpState {
 /// job is not required to finish within the scenario window — a run cut
 /// off mid-rendezvous is exactly the kind of state the conservation audit
 /// must still balance.
-pub struct QcPingPong {
+pub(crate) struct QcPingPong {
     pub iters: u32,
     pub len: u32,
     done: u32,
@@ -192,7 +192,7 @@ pub struct QcPingPong {
 }
 
 impl QcPingPong {
-    pub fn new(iters: u32, len: u32) -> QcPingPong {
+    pub(crate) fn new(iters: u32, len: u32) -> QcPingPong {
         QcPingPong {
             iters,
             len,
