@@ -117,10 +117,6 @@ impl Barrier {
             }
         }
     }
-
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
 }
 
 /// Binomial-tree broadcast from `root`. The payload ends up in
@@ -247,14 +243,6 @@ impl Bcast {
     pub fn take_data(&mut self) -> Option<Vec<u8>> {
         self.data.take().flatten()
     }
-
-    pub fn len(&self) -> u32 {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 fn false_on_done(mpi: &mut Mpi, r: ReqId) -> bool {
@@ -355,7 +343,7 @@ impl Gather {
 }
 
 /// Binary element-wise reduction operator.
-pub type ReduceOp = fn(&[u8], &[u8]) -> Vec<u8>;
+pub(crate) type ReduceOp = fn(&[u8], &[u8]) -> Vec<u8>;
 
 /// Binomial-tree reduce to `root`.
 pub struct Reduce {

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 /// Identifies a communicator within one rank's engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CommId(pub u32);
+pub struct CommId(pub(crate) u32);
 
 /// `MPI_COMM_WORLD`.
 pub const COMM_WORLD: CommId = CommId(0);
@@ -63,20 +63,12 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.group.size()
     }
 
-    /// Size of the group that `send(dest)` addresses.
-    pub fn remote_size(&self) -> usize {
-        match &self.kind {
-            CommKind::Intra => self.group.size(),
-            CommKind::Inter { remote } => remote.size(),
-        }
-    }
-
     /// World rank that peer-rank `r` of this communicator denotes.
-    pub fn peer_world_rank(&self, r: usize) -> usize {
+    pub(crate) fn peer_world_rank(&self, r: usize) -> usize {
         match &self.kind {
             CommKind::Intra => self.group.world_rank(r),
             CommKind::Inter { remote } => remote.world_rank(r),
@@ -85,7 +77,7 @@ impl Comm {
 
     /// Communicator rank a world-rank peer appears as (for incoming
     /// envelope translation).
-    pub fn rank_of_world(&self, world: usize) -> Option<usize> {
+    pub(crate) fn rank_of_world(&self, world: usize) -> Option<usize> {
         match &self.kind {
             CommKind::Intra => self.group.rank_of(world),
             CommKind::Inter { remote } => remote.rank_of(world),
@@ -95,7 +87,7 @@ impl Comm {
     /// World ranks of members (local and, for intercommunicators, remote)
     /// that are currently failed, ascending. `failed[world_rank]` is the
     /// job's failure vector.
-    pub fn failed_members(&self, failed: &[bool]) -> Vec<usize> {
+    pub(crate) fn failed_members(&self, failed: &[bool]) -> Vec<usize> {
         let remote: &[usize] = match &self.kind {
             CommKind::Intra => &[],
             CommKind::Inter { remote } => remote.members(),
@@ -145,7 +137,6 @@ mod tests {
     fn intra_addressing() {
         let c = comm(CommKind::Intra);
         assert_eq!(c.size(), 2);
-        assert_eq!(c.remote_size(), 2);
         assert_eq!(c.peer_world_rank(1), 7);
         assert_eq!(c.rank_of_world(4), Some(0));
         assert_eq!(c.rank_of_world(5), None);
@@ -156,7 +147,6 @@ mod tests {
         let c = comm(CommKind::Inter {
             remote: Group::from_members(vec![9]),
         });
-        assert_eq!(c.remote_size(), 1);
         assert_eq!(c.peer_world_rank(0), 9);
         assert_eq!(c.rank_of_world(9), Some(0));
         assert_eq!(c.rank_of_world(4), None);

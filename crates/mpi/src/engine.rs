@@ -45,7 +45,7 @@ impl Default for MpiCfg {
 
 /// A request handle (as from `MPI_Isend`/`MPI_Irecv`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReqId(pub u32);
+pub struct ReqId(pub(crate) u32);
 
 /// Completion information (the `MPI_Status` analog).
 #[derive(Debug, Clone)]
@@ -168,7 +168,7 @@ impl<F: FnMut(&mut Mpi) -> Poll> MpiProgram for F {
 }
 
 /// Hook invoked when `attr_put` stores a value under a hooked keyval.
-pub type PutHook = Rc<RefCell<dyn FnMut(&mut Mpi, CommId, &AttrValue)>>;
+pub(crate) type PutHook = Rc<RefCell<dyn FnMut(&mut Mpi, CommId, &AttrValue)>>;
 
 /// Per-rank initialization hook (register keyvals, services, ...).
 pub type InitHook = Rc<RefCell<dyn FnMut(&mut Mpi)>>;
@@ -176,7 +176,7 @@ pub type InitHook = Rc<RefCell<dyn FnMut(&mut Mpi)>>;
 const TOKEN_WIREUP: u32 = u32::MAX;
 
 /// The engine driving one rank.
-pub struct RankEngine {
+pub(crate) struct RankEngine {
     rank: usize,
     size: usize,
     cfg: MpiCfg,
@@ -203,12 +203,10 @@ pub struct RankEngine {
     /// Set when `test` hit a failed request under the `Abort` handler; the
     /// engine stops the rank after the current poll returns.
     abort_on: Option<usize>,
-    /// Peers whose hosts restarted, not yet consumed by the program.
-    peer_restarts: VecDeque<usize>,
 }
 
 impl RankEngine {
-    pub fn new(
+    pub(crate) fn new(
         rank: usize,
         shared: Rc<RefCell<JobShared>>,
         cfg: MpiCfg,
@@ -258,7 +256,6 @@ impl RankEngine {
             conns_ready: 0,
             restarted,
             abort_on: None,
-            peer_restarts: VecDeque::new(),
         }
     }
 
@@ -726,8 +723,7 @@ impl App for RankEngine {
             return; // our own (re)spawn notification
         }
         // The new incarnation dials us; on_accept rewires the socket. Here
-        // we only surface the event to the program.
-        self.peer_restarts.push_back(r);
+        // we only give the program a chance to make progress.
         self.poll_program(ctx);
     }
 
@@ -766,11 +762,6 @@ impl Mpi<'_, '_> {
     /// World rank of this process.
     pub fn rank(&self) -> usize {
         self.eng.rank
-    }
-
-    /// World size.
-    pub fn size(&self) -> usize {
-        self.eng.size
     }
 
     pub fn now(&self) -> SimTime {
@@ -1051,10 +1042,6 @@ impl Mpi<'_, '_> {
         self.eng.comms[comm.0 as usize].errhandler = h;
     }
 
-    pub fn errhandler(&self, comm: CommId) -> ErrorHandler {
-        self.eng.comms[comm.0 as usize].errhandler
-    }
-
     /// Lowest failed world rank in the communicator (local or remote
     /// group), if any.
     pub fn comm_failed(&self, comm: CommId) -> Option<usize> {
@@ -1090,17 +1077,6 @@ impl Mpi<'_, '_> {
         } else {
             None
         }
-    }
-
-    /// This rank's incarnation number (0 = original launch).
-    pub fn epoch(&self) -> u32 {
-        self.eng.shared.borrow().epoch[self.eng.rank]
-    }
-
-    /// Consume a peer-restart notification, if one is pending: the world
-    /// rank whose host came back (its new incarnation is wiring up).
-    pub fn take_peer_restarted(&mut self) -> Option<usize> {
-        self.eng.peer_restarts.pop_front()
     }
 
     /// Duplicate a communicator with a fresh context (`MPI_Comm_dup`).
@@ -1146,7 +1122,7 @@ impl Mpi<'_, '_> {
     /// Create an intracommunicator over a subset of world ranks (a local
     /// shortcut for `MPI_Comm_create`; every member must call it with the
     /// same member list, in matching creation order).
-    pub fn comm_create(&mut self, members: Vec<usize>) -> CommId {
+    pub(crate) fn comm_create(&mut self, members: Vec<usize>) -> CommId {
         let group = Group::from_members(members);
         let my_rank = group
             .rank_of(self.eng.rank)

@@ -17,14 +17,14 @@ pub struct Group {
 
 impl Group {
     /// The group of all `n` world ranks, in rank order.
-    pub fn world(n: usize) -> Group {
+    pub(crate) fn world(n: usize) -> Group {
         Group {
             members: (0..n).collect(),
         }
     }
 
     /// Build from an explicit member list. Panics on duplicates.
-    pub fn from_members(members: Vec<usize>) -> Group {
+    pub(crate) fn from_members(members: Vec<usize>) -> Group {
         let mut seen = std::collections::HashSet::new();
         for &m in &members {
             assert!(seen.insert(m), "duplicate world rank {m} in group");
@@ -32,84 +32,22 @@ impl Group {
         Group { members }
     }
 
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.members.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// World rank of group member `i` (MPI_Group_translate_ranks, outward).
-    pub fn world_rank(&self, group_rank: usize) -> usize {
+    pub(crate) fn world_rank(&self, group_rank: usize) -> usize {
         self.members[group_rank]
     }
 
     /// Group rank of a world rank, if a member (inward translation).
-    pub fn rank_of(&self, world_rank: usize) -> Option<usize> {
+    pub(crate) fn rank_of(&self, world_rank: usize) -> Option<usize> {
         self.members.iter().position(|&m| m == world_rank)
-    }
-
-    pub fn contains(&self, world_rank: usize) -> bool {
-        self.rank_of(world_rank).is_some()
     }
 
     pub fn members(&self) -> &[usize] {
         &self.members
-    }
-
-    /// Subgroup of the listed group ranks, in the given order (MPI_Group_incl).
-    pub fn incl(&self, ranks: &[usize]) -> Group {
-        Group::from_members(ranks.iter().map(|&r| self.members[r]).collect())
-    }
-
-    /// Subgroup excluding the listed group ranks (MPI_Group_excl).
-    pub fn excl(&self, ranks: &[usize]) -> Group {
-        let out: Vec<usize> = self
-            .members
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !ranks.contains(i))
-            .map(|(_, &m)| m)
-            .collect();
-        Group { members: out }
-    }
-
-    /// Members of `self` followed by members of `other` not in `self`
-    /// (MPI_Group_union).
-    pub fn union(&self, other: &Group) -> Group {
-        let mut out = self.members.clone();
-        for &m in &other.members {
-            if !out.contains(&m) {
-                out.push(m);
-            }
-        }
-        Group { members: out }
-    }
-
-    /// Members of `self` that are also in `other`, in `self`'s order
-    /// (MPI_Group_intersection).
-    pub fn intersection(&self, other: &Group) -> Group {
-        Group {
-            members: self
-                .members
-                .iter()
-                .copied()
-                .filter(|m| other.contains(*m))
-                .collect(),
-        }
-    }
-
-    /// Members of `self` not in `other` (MPI_Group_difference).
-    pub fn difference(&self, other: &Group) -> Group {
-        Group {
-            members: self
-                .members
-                .iter()
-                .copied()
-                .filter(|m| !other.contains(*m))
-                .collect(),
-        }
     }
 }
 
@@ -126,29 +64,6 @@ mod tests {
             assert_eq!(g.rank_of(r), Some(r));
         }
         assert_eq!(g.rank_of(4), None);
-    }
-
-    #[test]
-    fn incl_reorders() {
-        let g = Group::world(4).incl(&[3, 1]);
-        assert_eq!(g.members(), &[3, 1]);
-        assert_eq!(g.rank_of(3), Some(0));
-        assert_eq!(g.rank_of(1), Some(1));
-    }
-
-    #[test]
-    fn excl_preserves_order() {
-        let g = Group::world(5).excl(&[0, 2]);
-        assert_eq!(g.members(), &[1, 3, 4]);
-    }
-
-    #[test]
-    fn set_operations() {
-        let a = Group::from_members(vec![0, 1, 2]);
-        let b = Group::from_members(vec![2, 3]);
-        assert_eq!(a.union(&b).members(), &[0, 1, 2, 3]);
-        assert_eq!(a.intersection(&b).members(), &[2]);
-        assert_eq!(a.difference(&b).members(), &[0, 1]);
     }
 
     #[test]

@@ -66,16 +66,6 @@ impl JobHandle {
     pub fn aborted(&self) -> bool {
         self.shared.borrow().aborted
     }
-
-    /// Host of rank `r`.
-    pub fn host_of(&self, r: usize) -> NodeId {
-        self.shared.borrow().hosts[r]
-    }
-
-    /// The TCP port rank `r` listens on.
-    pub fn port_of(&self, r: usize) -> u16 {
-        self.shared.borrow().port_of(r)
-    }
 }
 
 /// Factory producing a fresh program incarnation for a restartable rank.

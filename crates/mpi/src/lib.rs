@@ -2,32 +2,29 @@
 //!
 //! A from-scratch MPI implementation over the simulated TCP stack, modeled
 //! on MPICH's layering: groups and communicators with context isolation
-//! ([`group`], [`comm`]), the standard *attribute* mechanism with
+//! ([`Group`], [`Comm`]), the standard *attribute* mechanism with
 //! put-triggered hooks — the paper's standards-compliant extension point
 //! (§4.1) — eager/rendezvous point-to-point with envelope matching
-//! ([`engine`], [`wire`]), poll-able collectives ([`coll`]), and a job
-//! launcher ([`job`]).
+//! ([`Mpi::isend`], [`Mpi::irecv`]), poll-able collectives ([`Barrier`],
+//! [`Allreduce`], …), and a job launcher ([`JobBuilder`]).
 //!
 //! Programs implement [`MpiProgram`] as explicit state machines driven by
 //! the engine's progress events, using the nonblocking [`Mpi`] API
 //! (`isend`/`irecv`/`test`) — the same structure an `MPI_Isend`/`MPI_Test`
 //! application has.
 
-pub mod coll;
-pub mod comm;
-pub mod engine;
-pub mod group;
-pub mod job;
-pub mod wire;
+#![warn(unreachable_pub)]
 
-pub use coll::{
-    Allgather, Allreduce, Barrier, Bcast, CollState, CommSplit, Gather, Reduce, ReduceOp,
-};
+pub(crate) mod coll;
+pub(crate) mod comm;
+pub(crate) mod engine;
+pub(crate) mod group;
+pub(crate) mod job;
+pub(crate) mod wire;
+
+pub use coll::{Allgather, Allreduce, Barrier, Bcast, CollState, CommSplit, Gather, Reduce};
 pub use comm::{AttrValue, Comm, CommEndpoints, CommId, CommKind, Keyval, COMM_WORLD};
-pub use engine::{
-    ErrorHandler, InitHook, Mpi, MpiCfg, MpiError, MpiProgram, MsgInfo, Poll, PutHook, RankEngine,
-    ReqId,
-};
+pub use engine::{ErrorHandler, InitHook, Mpi, MpiCfg, MpiError, MpiProgram, MsgInfo, Poll, ReqId};
 pub use group::Group;
 pub use job::{JobBuilder, JobHandle, ProgramFactory};
-pub use wire::{JobShared, WireKind, WireMsg, HEADER_BYTES};
+pub use wire::HEADER_BYTES;

@@ -23,7 +23,7 @@ pub const HEADER_BYTES: u64 = 32;
 
 /// Record type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireKind {
+pub(crate) enum WireKind {
     /// Envelope + full payload.
     Eager,
     /// Request-to-send: envelope only; payload follows after CTS.
@@ -36,7 +36,7 @@ pub enum WireKind {
 
 /// One framed record.
 #[derive(Debug, Clone)]
-pub struct WireMsg {
+pub(crate) struct WireMsg {
     pub kind: WireKind,
     pub ctx: u32,
     pub tag: u32,
@@ -47,14 +47,14 @@ pub struct WireMsg {
     /// Sender-side request id (rendezvous bookkeeping).
     pub sender_req: u32,
     /// Receiver-side request id (carried by CTS and DATA).
-    pub receiver_req: u32,
+    pub(crate) receiver_req: u32,
     /// Real payload bytes, if the message carries them.
     pub payload: Option<Vec<u8>>,
 }
 
 impl WireMsg {
     /// Bytes this record occupies on the TCP stream.
-    pub fn wire_len(&self) -> u64 {
+    pub(crate) fn wire_len(&self) -> u64 {
         HEADER_BYTES
             + match self.kind {
                 WireKind::Eager | WireKind::RndvData => self.len as u64,
@@ -64,7 +64,7 @@ impl WireMsg {
 }
 
 /// State shared by all ranks of one MPI job.
-pub struct JobShared {
+pub(crate) struct JobShared {
     /// `hosts[world_rank]` — the node each rank runs on.
     pub hosts: Vec<NodeId>,
     /// Rank r listens on `base_port + r`.
@@ -92,7 +92,7 @@ pub struct JobShared {
 }
 
 impl JobShared {
-    pub fn new(hosts: Vec<NodeId>, base_port: u16) -> JobShared {
+    pub(crate) fn new(hosts: Vec<NodeId>, base_port: u16) -> JobShared {
         let n = hosts.len();
         JobShared {
             hosts,
@@ -111,7 +111,7 @@ impl JobShared {
     /// or from a dead process will never move, and leaving the record
     /// metadata queued would leak it across a restart (the restarted
     /// incarnation starts from an empty stream).
-    pub fn mark_failed(&mut self, rank: usize) -> bool {
+    pub(crate) fn mark_failed(&mut self, rank: usize) -> bool {
         if self.failed[rank] {
             return false;
         }
@@ -121,7 +121,7 @@ impl JobShared {
     }
 
     /// Reset rank state for a fresh incarnation (respawn hook).
-    pub fn mark_restarted(&mut self, rank: usize) {
+    pub(crate) fn mark_restarted(&mut self, rank: usize) {
         self.failed[rank] = false;
         self.finished[rank] = false;
         self.errors[rank] = None;
@@ -129,38 +129,43 @@ impl JobShared {
     }
 
     /// True once every rank that is not currently failed has finished.
-    pub fn all_surviving_finished(&self) -> bool {
+    pub(crate) fn all_surviving_finished(&self) -> bool {
         self.finished
             .iter()
             .zip(&self.failed)
             .all(|(&fin, &fail)| fin || fail)
     }
 
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.hosts.len()
     }
 
-    pub fn rank_of_host(&self, host: NodeId) -> Option<usize> {
+    pub(crate) fn rank_of_host(&self, host: NodeId) -> Option<usize> {
         self.hosts.iter().position(|&h| h == host)
     }
 
-    pub fn port_of(&self, rank: usize) -> u16 {
+    pub(crate) fn port_of(&self, rank: usize) -> u16 {
         self.base_port + rank as u16
     }
 
-    pub fn all_finished(&self) -> bool {
+    pub(crate) fn all_finished(&self) -> bool {
         self.finished.iter().all(|&f| f)
     }
 
     /// Append a record to the (from → to) stream; returns its wire length.
-    pub fn push_record(&mut self, from: usize, to: usize, msg: WireMsg) -> u64 {
+    pub(crate) fn push_record(&mut self, from: usize, to: usize, msg: WireMsg) -> u64 {
         let len = msg.wire_len();
         self.streams.entry((from, to)).or_default().push_back(msg);
         len
     }
 
     /// Pop the head record of (from → to) if `available_bytes` covers it.
-    pub fn pop_record(&mut self, from: usize, to: usize, available_bytes: u64) -> Option<WireMsg> {
+    pub(crate) fn pop_record(
+        &mut self,
+        from: usize,
+        to: usize,
+        available_bytes: u64,
+    ) -> Option<WireMsg> {
         let q = self.streams.get_mut(&(from, to))?;
         let head_len = q.front()?.wire_len();
         if available_bytes >= head_len {
