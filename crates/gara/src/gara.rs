@@ -72,7 +72,7 @@ pub struct NetworkRequest {
 }
 
 impl NetworkRequest {
-    pub fn flow_spec(&self) -> FlowSpec {
+    pub(crate) fn flow_spec(&self) -> FlowSpec {
         FlowSpec {
             src: Some(self.src),
             dst: Some(self.dst),

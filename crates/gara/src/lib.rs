@@ -13,8 +13,10 @@
 //! `mpichgq-core`'s QoS agent, which translates communicator-level QoS
 //! attributes into [`Request`]s.
 
-pub mod gara;
-pub mod slot_table;
+#![warn(unreachable_pub)]
+
+pub(crate) mod gara;
+pub(crate) mod slot_table;
 
 pub use gara::{
     install, CpuRequest, Gara, NetworkRequest, Request, ReserveError, ResvId, StartSpec, Status,
