@@ -107,7 +107,7 @@ impl Default for TcpCfg {
 
 /// Connection lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum State {
+pub(crate) enum State {
     SynSent,
     SynRcvd,
     Established,
@@ -125,7 +125,7 @@ pub struct SegFlags {
     pub syn: bool,
     pub ack: bool,
     pub fin: bool,
-    pub rst: bool,
+    pub(crate) rst: bool,
 }
 
 /// An incoming segment, as seen by the connection.
@@ -147,7 +147,7 @@ pub struct SegOut {
     pub len: u32,
     pub flags: SegFlags,
     /// True if this is a retransmission (for tracing).
-    pub rtx: bool,
+    pub(crate) rtx: bool,
 }
 
 /// Actions the socket layer must apply.
@@ -384,29 +384,33 @@ impl Connection {
         }
     }
 
-    pub fn state(&self) -> State {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> State {
         self.state
     }
 
     /// Unacknowledged bytes in flight.
-    pub fn flight(&self) -> u64 {
+    pub(crate) fn flight(&self) -> u64 {
         self.snd_nxt - self.snd_una
     }
 
-    pub fn cwnd_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cwnd_bytes(&self) -> u64 {
         self.cwnd as u64
     }
 
-    pub fn srtt(&self) -> Option<SimDelta> {
+    #[cfg(test)]
+    pub(crate) fn srtt(&self) -> Option<SimDelta> {
         self.srtt
     }
 
-    pub fn rto(&self) -> SimDelta {
+    #[cfg(test)]
+    pub(crate) fn rto(&self) -> SimDelta {
         self.rto
     }
 
     /// Bytes of in-order data available to read.
-    pub fn readable_bytes(&self) -> u64 {
+    pub(crate) fn readable_bytes(&self) -> u64 {
         let mut end = self.rcv_nxt;
         // The FIN consumes a sequence number but carries no data.
         if let Some(f) = self.peer_fin {
@@ -424,7 +428,7 @@ impl Connection {
     }
 
     /// True once the peer's FIN has been delivered and drained.
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         matches!(self.peer_fin, Some(f) if self.delivered >= f && self.rcv_nxt > f)
     }
 
@@ -445,7 +449,7 @@ impl Connection {
     }
 
     /// [`Connection::write`], appending the actions to `outs`.
-    pub fn write_into(&mut self, len: u64, now: SimTime, outs: &mut Vec<Out>) -> u64 {
+    pub(crate) fn write_into(&mut self, len: u64, now: SimTime, outs: &mut Vec<Out>) -> u64 {
         assert!(
             matches!(self.state, State::Established | State::CloseWait),
             "write in state {:?}",
@@ -469,7 +473,7 @@ impl Connection {
     }
 
     /// [`Connection::read`], appending the actions to `outs`.
-    pub fn read_into(&mut self, len: u64, outs: &mut Vec<Out>) -> u64 {
+    pub(crate) fn read_into(&mut self, len: u64, outs: &mut Vec<Out>) -> u64 {
         let n = len.min(self.readable_bytes());
         let old_wnd = self.advertised_wnd;
         self.delivered += n;
@@ -485,7 +489,7 @@ impl Connection {
     }
 
     /// Close the sending direction (queues a FIN after pending data).
-    pub fn close(&mut self, now: SimTime) -> Vec<Out> {
+    pub(crate) fn close(&mut self, now: SimTime) -> Vec<Out> {
         if self.fin_queued || self.state == State::Closed {
             return Vec::new();
         }
@@ -506,7 +510,7 @@ impl Connection {
     }
 
     /// [`Connection::on_segment`], appending the actions to `outs`.
-    pub fn on_segment_into(&mut self, seg: &SegIn, now: SimTime, outs: &mut Vec<Out>) {
+    pub(crate) fn on_segment_into(&mut self, seg: &SegIn, now: SimTime, outs: &mut Vec<Out>) {
         self.on_segment_inner(seg, now, outs);
         self.audit();
     }
@@ -1035,15 +1039,8 @@ impl Connection {
     }
 
     /// A timer fired: the retransmission timer (even generations) or the
-    /// delayed-ACK timer (odd generations).
-    pub fn on_timer(&mut self, gen: u64, now: SimTime) -> Vec<Out> {
-        let mut outs = Vec::new();
-        self.on_timer_into(gen, now, &mut outs);
-        outs
-    }
-
-    /// [`Connection::on_timer`], appending the actions to `outs`.
-    pub fn on_timer_into(&mut self, gen: u64, now: SimTime, outs: &mut Vec<Out>) {
+    /// delayed-ACK timer (odd generations). Appends the actions to `outs`.
+    pub(crate) fn on_timer_into(&mut self, gen: u64, now: SimTime, outs: &mut Vec<Out>) {
         self.on_timer_inner(gen, now, outs);
         self.audit();
     }

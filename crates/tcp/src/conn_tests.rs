@@ -8,6 +8,13 @@ fn t(ms: u64) -> SimTime {
     SimTime::from_millis(ms)
 }
 
+/// Fire a timer and collect the connection's actions.
+fn on_timer(c: &mut Connection, gen: u64, now: SimTime) -> Vec<Out> {
+    let mut outs = Vec::new();
+    c.on_timer_into(gen, now, &mut outs);
+    outs
+}
+
 fn segs(outs: &[Out]) -> Vec<SegOut> {
     outs.iter()
         .filter_map(|o| match o {
@@ -97,7 +104,7 @@ fn syn_retransmits_on_timeout_with_backoff() {
         })
         .expect("SYN must arm a timer");
     assert_eq!(gen.1, t(1000)); // initial RTO 1 s
-    let outs = c.on_timer(gen.0, t(1000));
+    let outs = on_timer(&mut c, gen.0, t(1000));
     let s = segs(&outs);
     assert!(s[0].flags.syn && s[0].rtx);
     // Backed-off rearm at +2 s.
@@ -195,7 +202,7 @@ fn zero_window_probe_after_stall() {
             _ => None,
         })
         .expect("zero-window stall must arm a timer");
-    let outs = c.on_timer(gen, t(1200));
+    let outs = on_timer(&mut c, gen, t(1200));
     let d = data_segs(&outs);
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].len, 1);
@@ -329,7 +336,7 @@ fn rto_goes_back_n_and_backs_off() {
         })
         .unwrap();
     let before = c.rto();
-    let outs = c.on_timer(gen, t(2) + before);
+    let outs = on_timer(&mut c, gen, t(2) + before);
     assert_eq!(c.stats.rtos, 1);
     // Go-back-N: snd_nxt rewound, one segment (cwnd = 1 MSS) retransmitted.
     let d = data_segs(&outs);
@@ -574,12 +581,12 @@ fn delack_timer_flushes_lone_segment() {
         })
         .unwrap();
     assert_eq!(gen % 2, 1, "delack timers use odd generations");
-    let outs = c.on_timer(gen, t(202));
+    let outs = on_timer(&mut c, gen, t(202));
     let a = segs(&outs);
     assert_eq!(a.len(), 1);
     assert_eq!(a[0].ack, 1001);
     // A stale delack firing later does nothing.
-    assert!(c.on_timer(gen, t(400)).is_empty());
+    assert!(on_timer(&mut c, gen, t(400)).is_empty());
 }
 
 #[test]
@@ -603,7 +610,7 @@ fn delack_piggybacks_on_data() {
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].ack, 1001);
     // The old delack timer is stale now.
-    let outs = c.on_timer(1, t(202));
+    let outs = on_timer(&mut c, 1, t(202));
     assert!(segs(&outs).is_empty());
 }
 
@@ -647,7 +654,7 @@ fn primed_then_rto(cfg: TcpCfg) -> (Connection, u64) {
     let (gen, at) = rtx_timer(&outs);
     // srtt 100 ms, rttvar 50 ms -> RTO 300 ms.
     assert_eq!(at, t(500));
-    let outs = c.on_timer(gen, t(500));
+    let outs = on_timer(&mut c, gen, t(500));
     let rtx = data_segs(&outs);
     assert_eq!(rtx.len(), 1, "go-back-N re-sends the lost segment");
     assert!(

@@ -8,7 +8,7 @@
 //! (sockets, timers, CPU work, services). This mirrors the role of the
 //! hosts' kernels plus the globus-io library in the paper's architecture.
 
-use crate::conn::{CcKind, Connection, Out, SegFlags, SegIn, SegOut, State, TcpCfg};
+use crate::conn::{CcKind, Connection, Out, SegFlags, SegIn, SegOut, TcpCfg};
 use mpichgq_dsrt::ProcId;
 use mpichgq_netsim::{
     FlowSpec, MetricSink, Net, NetHandler, NodeId, Packet, Proto, TcpFlags, TcpHeader,
@@ -25,7 +25,7 @@ pub struct SockId(pub u32);
 
 /// Identifies an application.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AppId(pub u32);
+pub struct AppId(pub(crate) u32);
 
 /// Whether a socket carries real bytes (integrity-checked transfers) or
 /// counted bytes only (bulk experiments, where copying real payloads
@@ -70,7 +70,7 @@ pub trait Controller {
 
 /// Identifies a registered [`Controller`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControllerId(pub u8);
+pub struct ControllerId(pub(crate) u8);
 
 /// Compose a control token for [`mpichgq_netsim::Net::schedule_control`]
 /// from a controller id and a 56-bit payload.
@@ -200,7 +200,7 @@ pub struct Stack {
 
 /// A host-restart hook: `(net, stack, host)` — free to spawn apps, open
 /// sockets, or touch services.
-pub type RespawnHook = Box<dyn FnMut(&mut Net, &mut Stack, NodeId)>;
+pub(crate) type RespawnHook = Box<dyn FnMut(&mut Net, &mut Stack, NodeId)>;
 
 impl Default for Stack {
     fn default() -> Self {
@@ -260,7 +260,7 @@ impl Stack {
 
     /// Register a controller built from its own id (for controllers that
     /// schedule events to themselves).
-    pub fn add_controller_with(
+    pub(crate) fn add_controller_with(
         &mut self,
         f: impl FnOnce(ControllerId) -> Box<dyn Controller>,
     ) -> ControllerId {
@@ -328,21 +328,14 @@ impl Stack {
             .collect()
     }
 
-    pub fn conn_state(&self, sock: SockId) -> Option<State> {
-        match &self.socks[sock.0 as usize].kind {
-            SockKind::Tcp(c) => Some(c.state()),
-            _ => None,
-        }
-    }
-
     /// The local (host, port) of a socket — what the paper's communicator
     /// introspection function extracts for external QoS agents.
-    pub fn sock_name(&self, sock: SockId) -> (NodeId, u16) {
+    pub(crate) fn sock_name(&self, sock: SockId) -> (NodeId, u16) {
         let s = &self.socks[sock.0 as usize];
         (s.host, s.lport)
     }
 
-    pub fn sock_peer(&self, sock: SockId) -> Option<(NodeId, u16)> {
+    pub(crate) fn sock_peer(&self, sock: SockId) -> Option<(NodeId, u16)> {
         self.socks[sock.0 as usize].peer
     }
 
@@ -889,22 +882,6 @@ impl Ctx<'_> {
         out
     }
 
-    /// In-order bytes ready to read.
-    pub fn readable_bytes(&self, sock: SockId) -> u64 {
-        match &self.stack.socks[sock.0 as usize].kind {
-            SockKind::Tcp(c) => c.readable_bytes(),
-            _ => 0,
-        }
-    }
-
-    /// Free space in the socket's send buffer.
-    pub fn send_buffer_free(&self, sock: SockId) -> u64 {
-        match &self.stack.socks[sock.0 as usize].kind {
-            SockKind::Tcp(c) => c.send_buffer_free(),
-            _ => 0,
-        }
-    }
-
     /// True when the peer has closed and all data has been drained.
     pub fn at_eof(&self, sock: SockId) -> bool {
         match &self.stack.socks[sock.0 as usize].kind {
@@ -935,7 +912,7 @@ impl Ctx<'_> {
     /// The 5-tuple spec of this socket's outgoing data direction — what
     /// the QoS agent extracts from a communicator ("basically port and
     /// machine names"). Unconnected sockets wildcard the peer side.
-    pub fn flow_spec(&self, sock: SockId) -> FlowSpec {
+    pub(crate) fn flow_spec(&self, sock: SockId) -> FlowSpec {
         let s = &self.stack.socks[sock.0 as usize];
         let proto = match s.kind {
             SockKind::Tcp(_) => Proto::Tcp,
@@ -1084,10 +1061,6 @@ impl Sim {
 
     pub fn run_until(&mut self, t: SimTime) {
         self.net.run_until(&mut self.stack, t);
-    }
-
-    pub fn run_to_quiescence(&mut self) {
-        self.net.run_to_quiescence(&mut self.stack);
     }
 
     pub fn now(&self) -> SimTime {
