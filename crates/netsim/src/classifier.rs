@@ -71,7 +71,7 @@ impl FlowSpec {
     }
 
     #[inline]
-    pub fn matches(&self, p: &Packet) -> bool {
+    pub(crate) fn matches(&self, p: &Packet) -> bool {
         self.src.is_none_or(|v| v == p.src)
             && self.dst.is_none_or(|v| v == p.dst)
             && self.proto.is_none_or(|v| v == p.proto())
@@ -91,7 +91,7 @@ pub enum PolicingAction {
     Demote,
     /// Keep the rule's class but escalate the drop precedence (RFC 2597
     /// style): an out-of-profile packet under an AF mark is forwarded as
-    /// AF with [`AfPrec::escalated`](crate::packet::AfPrec::escalated)
+    /// AF with the next-higher [`AfPrec`](crate::packet::AfPrec)
     /// precedence, so WRED discards it
     /// first under congestion. Under a non-AF mark this behaves like
     /// [`Demote`](PolicingAction::Demote).
@@ -130,7 +130,7 @@ pub enum Verdict {
 
 /// Aggregate marking/policing counters across all of a classifier's rules.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ClassifierStats {
+pub(crate) struct ClassifierStats {
     /// Packets whose DS field was newly set to EF by a rule.
     pub marked_ef: u64,
     /// Packets whose DS field was newly set to an AF codepoint by a rule.
@@ -139,7 +139,7 @@ pub struct ClassifierStats {
     pub demoted: u64,
     /// Out-of-profile packets kept in class at escalated drop precedence
     /// (Remark action on an AF mark).
-    pub remarked: u64,
+    pub(crate) remarked: u64,
 }
 
 /// An ordered list of rules applied at a router's edge ingress.
@@ -193,12 +193,8 @@ impl Classifier {
         }
     }
 
-    pub fn rule_stats(&self, id: u64) -> Option<RuleStats> {
-        self.rules.iter().find(|r| r.id == id).map(|r| r.stats)
-    }
-
     /// Aggregate mark/demote counters (observability snapshots).
-    pub fn stats(&self) -> ClassifierStats {
+    pub(crate) fn stats(&self) -> ClassifierStats {
         self.stats
     }
 
@@ -322,7 +318,7 @@ mod tests {
         }
         let mut p = pkt(1, 2, 1, 1);
         assert_eq!(c.classify(now, &mut p), Verdict::Drop);
-        let st = c.rule_stats(id).unwrap();
+        let st = c.rules().find(|r| r.id == id).unwrap().stats;
         assert_eq!(st.conformant_pkts, 2);
         assert_eq!(st.policed_pkts, 1);
     }

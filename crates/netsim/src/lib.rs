@@ -5,14 +5,15 @@
 //! links, with the full DiffServ edge tool-kit the paper's Cisco 7500 MQC
 //! configuration used (§5.1):
 //!
-//! * a **packet classifier** on edge-ingress interfaces ([`classifier`]);
-//! * **token-bucket** marking and policing of premium flows ([`tokenbucket`]);
-//! * **per-interface queue disciplines** ([`queue`]): the paper's strict-
+//! * a **packet classifier** on edge-ingress interfaces ([`Classifier`]);
+//! * **token-bucket** marking and policing of premium flows
+//!   ([`TokenBucket`]);
+//! * **per-interface queue disciplines**: the paper's strict-
 //!   priority EF queuing by default, drop-tail, and WFQ/DRR schedulers
 //!   with RED/WRED droppers and an Assured Forwarding class, selected by
 //!   [`QueueCfg`] and dispatched by one concrete [`Queue`] type (an enum
 //!   inside, no trait objects);
-//! * optional **end-system traffic shaping** ([`shaper`]) — the paper's
+//! * optional **end-system traffic shaping** ([`Shaper`]) — the paper's
 //!   proposed remedy for bursty MPI traffic (§5.4);
 //! * a per-host **CPU model** (via `mpichgq-dsrt`) so CPU contention and
 //!   reservations (Figures 8–9) live in the same event timeline;
@@ -23,16 +24,18 @@
 //! Transport protocols (TCP/UDP state machines) and applications sit above
 //! this crate behind the [`net::NetHandler`] trait.
 
-pub mod classifier;
+#![warn(unreachable_pub)]
+
+pub(crate) mod classifier;
 pub mod faults;
-pub mod lifecycle;
-pub mod link;
-pub mod net;
-pub mod packet;
-pub mod queue;
-pub mod shaper;
-pub mod shard;
-pub mod tokenbucket;
+pub(crate) mod lifecycle;
+pub(crate) mod link;
+pub(crate) mod net;
+pub(crate) mod packet;
+pub(crate) mod queue;
+pub(crate) mod shaper;
+pub(crate) mod shard;
+pub(crate) mod tokenbucket;
 pub mod topology;
 
 pub use classifier::{Classifier, FlowSpec, PolicingAction, Verdict};

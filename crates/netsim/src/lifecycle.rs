@@ -34,7 +34,7 @@ use mpichgq_sim::{FxHashMap, SimTime};
 use std::collections::VecDeque;
 
 /// Default bound on retained lifecycle spans (~3 MB of span log).
-pub const DEFAULT_MAX_SPANS: usize = 65_536;
+pub(crate) const DEFAULT_MAX_SPANS: usize = 65_536;
 
 /// How many consecutive packet ids the in-flight ring covers. A packet
 /// still in flight when one this many ids younger is sent — one parked in
@@ -76,7 +76,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Stable label used in trace exports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             SpanKind::Queue => "queue",
             SpanKind::Tx => "tx",
@@ -93,7 +93,7 @@ impl SpanKind {
     }
 
     /// Complete spans export as Chrome `"X"` events; the rest as `"i"`.
-    pub fn is_complete(self) -> bool {
+    pub(crate) fn is_complete(self) -> bool {
         matches!(
             self,
             SpanKind::Queue | SpanKind::Tx | SpanKind::Wire | SpanKind::E2e
@@ -109,8 +109,8 @@ pub struct Span {
     /// Duration in nanoseconds (0 for instants).
     pub dur_ns: u64,
     pub kind: SpanKind,
-    /// The channel this span happened on, or [`Span::NO_CHAN`] for
-    /// flow-scoped spans (e2e, shaped, SLO misses).
+    /// The channel this span happened on, or `u32::MAX` for flow-scoped
+    /// spans (e2e, shaped, SLO misses).
     pub chan: u32,
     /// Packet trace id.
     pub pkt: u64,
@@ -120,7 +120,7 @@ pub struct Span {
 
 impl Span {
     /// `chan` value for spans not tied to a channel.
-    pub const NO_CHAN: u32 = u32::MAX;
+    pub(crate) const NO_CHAN: u32 = u32::MAX;
 }
 
 /// Per-flow latency and conformance state.
@@ -303,7 +303,7 @@ impl PacketTracer {
     }
 
     /// Total deadline misses across all flows.
-    pub fn total_misses(&self) -> u64 {
+    pub(crate) fn total_misses(&self) -> u64 {
         self.total_misses
     }
 

@@ -109,7 +109,10 @@ impl Partition {
     /// must cover every node (there must be at least one) with contiguous
     /// shard ids, and every channel that crosses shards must have nonzero
     /// propagation delay (that minimum becomes the lookahead window).
-    pub fn from_map(topo: &TopoBuilder, shard_of: Vec<u32>) -> Result<Partition, PartitionError> {
+    pub(crate) fn from_map(
+        topo: &TopoBuilder,
+        shard_of: Vec<u32>,
+    ) -> Result<Partition, PartitionError> {
         let nodes = topo.node_count();
         if shard_of.len() != nodes {
             return Err(PartitionError::WrongLength {
@@ -196,12 +199,6 @@ impl Partition {
     /// Number of shards.
     pub fn shards(&self) -> u32 {
         self.shards
-    }
-
-    /// The conservative lookahead window, i.e. the minimum cross-shard
-    /// propagation delay (`None` when nothing crosses shards).
-    pub fn lookahead(&self) -> Option<SimDelta> {
-        self.lookahead
     }
 
     /// Which shard owns `node`.
@@ -412,7 +409,7 @@ mod tests {
         assert_eq!(p.shard_of(NodeId(0)), p.shard_of(NodeId(1)));
         assert_eq!(p.shard_of(NodeId(2)), p.shard_of(NodeId(3)));
         assert_ne!(p.shard_of(NodeId(0)), p.shard_of(NodeId(2)));
-        assert_eq!(p.lookahead(), Some(SimDelta::from_millis(5)));
+        assert_eq!(p.lookahead, Some(SimDelta::from_millis(5)));
     }
 
     #[test]

@@ -122,15 +122,6 @@ impl Garnet {
             routers: [r1, r2, r3],
         }
     }
-
-    /// The edge router whose ingress classifies traffic from `host`.
-    pub fn edge_router_of(&self, host: NodeId) -> NodeId {
-        if host == self.premium_src || host == self.competitive_src {
-            self.routers[0]
-        } else {
-            self.routers[2]
-        }
-    }
 }
 
 /// A minimal dumbbell for unit tests: `src — r1 — r2 — dst`.
@@ -139,7 +130,6 @@ pub struct Dumbbell {
     pub src: NodeId,
     pub dst: NodeId,
     pub r1: NodeId,
-    pub r2: NodeId,
 }
 
 impl Dumbbell {
@@ -167,7 +157,6 @@ impl Dumbbell {
             src,
             dst,
             r1,
-            r2,
         }
     }
 }
@@ -192,13 +181,6 @@ mod tests {
         // Premium path crosses both trunks: delay = 25us + 1ms + 1ms + 25us.
         let d = g.net.path_delay(g.premium_src, g.premium_dst).unwrap();
         assert_eq!(d, SimDelta::from_micros(25 + 1000 + 1000 + 25));
-    }
-
-    #[test]
-    fn edge_router_mapping() {
-        let g = Garnet::build(GarnetCfg::default());
-        assert_eq!(g.edge_router_of(g.premium_src), g.routers[0]);
-        assert_eq!(g.edge_router_of(g.premium_dst), g.routers[2]);
     }
 
     #[test]
