@@ -140,27 +140,13 @@ impl Histogram {
         self.count
     }
 
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observed value (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest observed value (`None` when empty).
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Mean of all observations (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
 
     /// The quantile `q` in `[0, 1]`: the lower bound of the bucket holding
@@ -184,7 +170,7 @@ impl Histogram {
     }
 
     /// Non-empty buckets as `(lower_bound, count)`, index order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub(crate) fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()
             .enumerate()
@@ -284,7 +270,7 @@ mod tests {
             h.observe(v); // all < 16 → exact buckets
         }
         assert_eq!(h.count(), 10);
-        assert_eq!(h.min(), Some(0));
+        assert_eq!(h.min, 0);
         assert_eq!(h.max(), Some(9));
         assert_eq!(h.quantile(0.0), Some(0));
         assert_eq!(h.quantile(0.5), Some(4)); // rank 5 → value 4
@@ -313,7 +299,7 @@ mod tests {
             assert_eq!(ab.quantile(q), all.quantile(q), "q={q}");
         }
         assert_eq!(ab.count(), all.count());
-        assert_eq!(ab.sum(), all.sum());
+        assert_eq!(ab.sum, all.sum);
         let json = |h: &Histogram| {
             let mut w = JsonWriter::new();
             h.write_json(&mut w);
@@ -357,7 +343,6 @@ mod tests {
         let h = Histogram::new();
         assert!(h.is_empty());
         assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.min(), None);
         let mut w = JsonWriter::new();
         h.write_json(&mut w);
         assert_eq!(

@@ -15,11 +15,11 @@ pub struct CounterId(u32);
 
 /// Handle to a registered gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(u32);
+pub(crate) struct GaugeId(u32);
 
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(u32);
+pub(crate) struct HistId(u32);
 
 #[derive(Debug)]
 struct Gauge {
@@ -160,7 +160,7 @@ impl Registry {
     }
 
     /// Register (or look up) a gauge.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
+    pub(crate) fn gauge(&mut self, name: &str) -> GaugeId {
         let (i, new) = self.gauge_names.intern(name);
         if new {
             self.gauges.push(Gauge {
@@ -174,7 +174,7 @@ impl Registry {
 
     /// Set a gauge's current value, updating its high-water mark.
     #[inline]
-    pub fn gauge_set(&mut self, id: GaugeId, v: f64) {
+    pub(crate) fn gauge_set(&mut self, id: GaugeId, v: f64) {
         let g = &mut self.gauges[id.0 as usize];
         g.value = v;
         g.touched = true;
@@ -204,24 +204,12 @@ impl Registry {
 
     /// Register (or look up) a histogram; observations via the returned id
     /// are one bucket increment.
-    pub fn hist(&mut self, name: &str) -> HistId {
+    pub(crate) fn hist(&mut self, name: &str) -> HistId {
         let (i, new) = self.hist_names.intern(name);
         if new {
             self.hists.push(Histogram::new());
         }
         HistId(i as u32)
-    }
-
-    /// Record one observation into a histogram.
-    #[inline]
-    pub fn hist_observe(&mut self, id: HistId, v: u64) {
-        self.hists[id.0 as usize].observe(v);
-    }
-
-    /// Record one observation by name (registration on first use).
-    pub fn observe(&mut self, name: &str, v: u64) {
-        let id = self.hist(name);
-        self.hist_observe(id, v);
     }
 
     /// Publish an externally maintained histogram into the registry by
@@ -234,11 +222,6 @@ impl Registry {
     pub fn record_hist(&mut self, name: &str, h: &Histogram) {
         let id = self.hist(name);
         self.hists[id.0 as usize] = h.clone();
-    }
-
-    /// Read access to a registered histogram.
-    pub fn hist_value(&self, name: &str) -> Option<&Histogram> {
-        self.hist_names.get(name).map(|i| &self.hists[i])
     }
 
     /// Counters in registration order, as `(name, value)` pairs.
@@ -333,7 +316,7 @@ impl Registry {
     }
 
     /// Write `{"name": value, ...}` for all counters, name-sorted.
-    pub fn write_counters(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_counters(&self, w: &mut JsonWriter) {
         w.begin_object();
         for i in self.counter_names.sorted() {
             w.key(self.counter_names.at(i));
@@ -344,7 +327,7 @@ impl Registry {
 
     /// Write `{"name": {"value": v, "high_water": h}, ...}`, name-sorted.
     /// Gauges that were registered but never set are omitted.
-    pub fn write_gauges(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_gauges(&self, w: &mut JsonWriter) {
         w.begin_object();
         for i in self.gauge_names.sorted() {
             let g = &self.gauges[i];
@@ -366,7 +349,7 @@ impl Registry {
     /// were registered but never observed are omitted (so snapshots with
     /// tracing disabled stay free of empty sections). The per-histogram
     /// schema is documented on [`Histogram::write_json`].
-    pub fn write_histograms(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_histograms(&self, w: &mut JsonWriter) {
         w.begin_object();
         for i in self.hist_names.sorted() {
             let h = &self.hists[i];

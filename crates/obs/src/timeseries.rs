@@ -200,11 +200,6 @@ impl Timeline {
         }
     }
 
-    /// The sampling grid spacing in nanoseconds.
-    pub fn interval_ns(&self) -> u64 {
-        self.interval_ns
-    }
-
     /// Number of named series recorded so far.
     pub fn series_count(&self) -> usize {
         self.series.len()
@@ -434,7 +429,7 @@ impl Timeline {
     /// Series are name-sorted; `dt_ns`/`dv` are successive deltas (one
     /// fewer entry than samples). Empty series serialize with `t0_ns`
     /// null and empty delta arrays.
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("timeline");
         w.u64(1);
@@ -492,7 +487,7 @@ impl Timeline {
         w.end_object();
     }
 
-    /// [`Timeline::write_json`] into a fresh string.
+    /// The timeline document (`{"timeline":1,…}`) as a fresh string.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         self.write_json(&mut w);

@@ -37,7 +37,7 @@ impl Series {
 
 /// A set of named series on one sampling grid. See the module docs.
 #[derive(Debug, Default)]
-pub struct Timeline {
+pub(crate) struct Timeline {
     interval_ns: u64,
     names: Vec<String>,
     series: Vec<Series>,
@@ -49,7 +49,7 @@ pub struct Timeline {
 /// One sampling instant of a [`Timeline`] ([`Timeline::tick`]): the
 /// [`MetricSink`] that appends whatever it is handed as that instant's
 /// sample of the named series.
-pub struct Tick<'a> {
+pub(crate) struct Tick<'a> {
     tl: &'a mut Timeline,
     t_ns: u64,
 }
@@ -73,7 +73,7 @@ impl MetricSink for Tick<'_> {
 
 impl Timeline {
     /// An empty timeline sampling every `interval_ns` nanoseconds.
-    pub fn new(interval_ns: u64) -> Timeline {
+    pub(crate) fn new(interval_ns: u64) -> Timeline {
         assert!(interval_ns > 0, "sampling interval must be positive");
         Timeline {
             interval_ns,
@@ -86,7 +86,7 @@ impl Timeline {
     /// [`Timeline::push_counter`] / [`Timeline::push_gauge`] (the series
     /// becomes sampler-owned; its time must advance, a counter must not
     /// regress).
-    pub fn tick(&mut self, t_ns: u64) -> Tick<'_> {
+    pub(crate) fn tick(&mut self, t_ns: u64) -> Tick<'_> {
         Tick { tl: self, t_ns }
     }
 
@@ -143,7 +143,7 @@ impl Timeline {
     /// Record a counter sample from a dedicated sampler. Marks the series
     /// live (the registry sweep will skip it from now on). Panics if the
     /// timestamp does not advance or the value regresses.
-    pub fn push_counter(&mut self, name: &str, t_ns: u64, v: u64) {
+    pub(crate) fn push_counter(&mut self, name: &str, t_ns: u64, v: u64) {
         let idx = self.index_of(name, SeriesKind::Counter, true);
         self.push_counter_at(idx, t_ns, v);
     }
@@ -160,7 +160,7 @@ impl Timeline {
 
     /// Record a gauge sample from a dedicated sampler (marks the series
     /// live). Panics if the timestamp does not advance.
-    pub fn push_gauge(&mut self, name: &str, t_ns: u64, v: f64) {
+    pub(crate) fn push_gauge(&mut self, name: &str, t_ns: u64, v: f64) {
         let idx = self.index_of(name, SeriesKind::Gauge, true);
         self.push_gauge_at(idx, t_ns, v);
     }
@@ -175,7 +175,7 @@ impl Timeline {
     /// Record a counter sample from the registry sweep. No-op when a
     /// dedicated sampler owns the series (see [`Timeline::push_counter`])
     /// or when `t_ns` was already sampled.
-    pub fn sweep_counter(&mut self, name: &str, t_ns: u64, v: u64) {
+    pub(crate) fn sweep_counter(&mut self, name: &str, t_ns: u64, v: u64) {
         let s = self.series_mut(name, SeriesKind::Counter, false);
         if s.live || s.t_ns.last() == Some(&t_ns) {
             return;
@@ -189,7 +189,7 @@ impl Timeline {
 
     /// Record a gauge sample from the registry sweep (see
     /// [`Timeline::sweep_counter`] for the live-series rule).
-    pub fn sweep_gauge(&mut self, name: &str, t_ns: u64, v: f64) {
+    pub(crate) fn sweep_gauge(&mut self, name: &str, t_ns: u64, v: f64) {
         let s = self.series_mut(name, SeriesKind::Gauge, false);
         if s.live || s.t_ns.last() == Some(&t_ns) {
             return;
@@ -199,18 +199,18 @@ impl Timeline {
     }
 
     /// Series names in registration order (JSON output sorts them).
-    pub fn names(&self) -> impl Iterator<Item = &str> {
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> {
         self.names.iter().map(String::as_str)
     }
 
     /// A counter series' `(timestamps, values)` columns, if it exists.
-    pub fn counter(&self, name: &str) -> Option<(&[u64], &[u64])> {
+    pub(crate) fn counter(&self, name: &str) -> Option<(&[u64], &[u64])> {
         let s = &self.series[*self.ids.get(name)? as usize];
         (s.kind == SeriesKind::Counter).then_some((&s.t_ns[..], &s.u[..]))
     }
 
     /// A gauge series' `(timestamps, values)` columns, if it exists.
-    pub fn gauge(&self, name: &str) -> Option<(&[u64], &[f64])> {
+    pub(crate) fn gauge(&self, name: &str) -> Option<(&[u64], &[f64])> {
         let s = &self.series[*self.ids.get(name)? as usize];
         (s.kind == SeriesKind::Gauge).then_some((&s.t_ns[..], &s.f[..]))
     }
@@ -218,7 +218,7 @@ impl Timeline {
     /// The counter's value at `t_ns` under step semantics: the most recent
     /// sample at or before `t_ns`, or 0 before the first sample. The burn
     /// calculator uses this to read rates over trailing windows.
-    pub fn counter_at(&self, name: &str, t_ns: u64) -> u64 {
+    pub(crate) fn counter_at(&self, name: &str, t_ns: u64) -> u64 {
         let Some((t, v)) = self.counter(name) else {
             return 0;
         };
@@ -233,7 +233,7 @@ impl Timeline {
     /// sample timestamps (a side contributes 0 before its first sample).
     /// Order-independent, like [`crate::Registry::merge_from`]; both
     /// timelines must share a grid.
-    pub fn merge_from(&mut self, other: &Timeline) {
+    pub(crate) fn merge_from(&mut self, other: &Timeline) {
         assert_eq!(
             self.interval_ns, other.interval_ns,
             "cannot merge timelines with different sampling grids"
@@ -257,7 +257,7 @@ impl Timeline {
     /// Series are name-sorted; `dt_ns`/`dv` are successive deltas (one
     /// fewer entry than samples). Empty series serialize with `t0_ns`
     /// null and empty delta arrays.
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("timeline");
         w.u64(1);
@@ -317,7 +317,7 @@ impl Timeline {
     }
 
     /// [`Timeline::write_json`] into a fresh string.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         self.write_json(&mut w);
         w.finish()

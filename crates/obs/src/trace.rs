@@ -43,30 +43,8 @@ impl FlightRecorder {
         self.enabled = true;
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Total events offered while enabled.
-    pub fn recorded(&self) -> u64 {
-        self.total
-    }
-
     /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.total - self.ring.len() as u64
     }
 
@@ -158,5 +136,39 @@ impl FlightRecorder {
         }
         w.end_array();
         w.end_object();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ring_buffer_wraps_and_counts_drops() {
+        let mut fr = FlightRecorder::default();
+        fr.enable(3);
+        for i in 0..5u64 {
+            fr.record(SimTime::from_nanos(i), "ev", i, i as i64);
+        }
+        assert_eq!(fr.total, 5);
+        assert_eq!(fr.ring.len(), 3);
+        assert_eq!(fr.dropped(), 2);
+        // The ring holds the *newest* events, oldest first.
+        let keys: Vec<u64> = fr.events().map(|e| e.key).collect();
+        assert_eq!(keys, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn disabled_recorder_is_a_no_op() {
+        // The disabled path must not allocate or retain anything: the ring
+        // stays empty and nothing is counted, so instrumentation sites can
+        // call record() unconditionally.
+        let mut fr = FlightRecorder::default();
+        for i in 0..1000u64 {
+            fr.record(SimTime::from_nanos(i), "ev", i, 0);
+        }
+        assert_eq!(fr.total, 0);
+        assert_eq!(fr.ring.len(), 0);
+        assert_eq!(fr.ring.capacity(), 0);
     }
 }
