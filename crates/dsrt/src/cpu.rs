@@ -8,11 +8,11 @@ pub const MAX_RESERVABLE: f64 = 0.95;
 
 /// Identifies a process registered with a [`Cpu`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProcId(pub u32);
+pub struct ProcId(pub(crate) u32);
 
 /// Identifies a unit of CPU work started by a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WorkId(pub u32);
+pub struct WorkId(pub(crate) u32);
 
 /// A refreshed completion estimate for an in-flight work item.
 ///
@@ -28,7 +28,7 @@ pub struct Update {
 /// Reservation request rejected by admission control.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionError {
-    pub requested: f64,
+    pub(crate) requested: f64,
     pub available: f64,
 }
 
@@ -112,11 +112,6 @@ impl Cpu {
         self.reschedule(now)
     }
 
-    /// The current whole-CPU throttle factor.
-    pub fn throttle(&self) -> f64 {
-        self.throttle
-    }
-
     /// Register a best-effort process.
     pub fn add_process(&mut self) -> ProcId {
         let id = ProcId(self.procs.len() as u32);
@@ -193,10 +188,6 @@ impl Cpu {
         Ok(self.reschedule(now))
     }
 
-    pub fn reservation_of(&self, pid: ProcId) -> Option<f64> {
-        self.procs[pid.0 as usize].reservation
-    }
-
     /// Begin `cpu_time` of work for `pid`. The returned [`Update`]s include
     /// the new item and any other items whose shares changed.
     pub fn start_work(
@@ -217,20 +208,6 @@ impl Cpu {
         });
         self.procs[pid.0 as usize].active_works += 1;
         (wid, self.reschedule(now))
-    }
-
-    /// Abandon an in-flight work item.
-    pub fn cancel_work(&mut self, now: SimTime, wid: WorkId) -> Vec<Update> {
-        self.advance(now);
-        let w = &mut self.works[wid.0 as usize];
-        if !w.done {
-            w.done = true;
-            w.gen = self.next_gen;
-            self.next_gen += 1;
-            let pid = w.proc;
-            self.procs[pid.0 as usize].active_works -= 1;
-        }
-        self.reschedule(now)
     }
 
     /// A scheduled wake-up fired. Completes the work if the generation is
@@ -267,22 +244,6 @@ impl Cpu {
             .unwrap_or(0.0)
     }
 
-    /// How long `cpu_time` of work would take for `pid` under current shares
-    /// (used by apps for planning; actual completion still tracks changes).
-    pub fn estimate(&self, pid: ProcId, cpu_time: SimDelta) -> Option<SimDelta> {
-        // Estimate as if the work had been started: a non-runnable process
-        // becomes runnable once it has work.
-        let mut shares = self.shares_with_extra_runnable(pid);
-        shares.retain(|&(p, _)| p == pid);
-        let share = shares.first().map(|&(_, s)| s)?;
-        if share <= 0.0 {
-            return None;
-        }
-        Some(SimDelta::from_nanos(
-            (cpu_time.as_nanos() as f64 / share).ceil() as u64,
-        ))
-    }
-
     fn bump_gen(&mut self) -> u64 {
         let g = self.next_gen;
         self.next_gen += 1;
@@ -291,20 +252,12 @@ impl Cpu {
 
     /// Shares for currently runnable processes.
     fn shares(&self) -> Vec<(ProcId, f64)> {
-        self.shares_inner(None)
-    }
-
-    fn shares_with_extra_runnable(&self, extra: ProcId) -> Vec<(ProcId, f64)> {
-        self.shares_inner(Some(extra))
-    }
-
-    fn shares_inner(&self, extra: Option<ProcId>) -> Vec<(ProcId, f64)> {
         let runnable: Vec<(ProcId, &Proc)> = self
             .procs
             .iter()
             .enumerate()
             .map(|(i, p)| (ProcId(i as u32), p))
-            .filter(|&(id, p)| p.alive && (p.hog || p.active_works > 0 || extra == Some(id)))
+            .filter(|(_, p)| p.alive && (p.hog || p.active_works > 0))
             .collect();
         if runnable.is_empty() {
             return Vec::new();
@@ -550,29 +503,6 @@ mod tests {
         // p gets exactly its 80%; hogs share the remaining 20%.
         assert_eq!(eta_of(&ups, w), t(1.0));
         assert!((cpu.share_of(p) - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cancel_work_frees_share() {
-        let mut cpu = Cpu::new();
-        let a = cpu.add_process();
-        let b = cpu.add_process();
-        let (wa, _) = cpu.start_work(t(0.0), a, d(1.0));
-        let (wb, _) = cpu.start_work(t(0.0), b, d(1.0));
-        // Both at 50%. Cancel a's at t=1 (0.5 cpu-s done for each).
-        let ups = cpu.cancel_work(t(1.0), wa);
-        assert_eq!(eta_of(&ups, wb), t(1.5));
-    }
-
-    #[test]
-    fn estimate_matches_schedule_for_new_work() {
-        let mut cpu = Cpu::new();
-        let p = cpu.add_process();
-        cpu.spawn_hog(t(0.0));
-        let est = cpu.estimate(p, d(1.0)).unwrap();
-        assert_eq!(est, d(2.0));
-        let (w, ups) = cpu.start_work(t(0.0), p, d(1.0));
-        assert_eq!(eta_of(&ups, w), t(0.0) + est);
     }
 
     #[test]

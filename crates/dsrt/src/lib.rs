@@ -22,6 +22,8 @@
 //! and ignores stale generations (lazy cancellation). This keeps the crate
 //! independently testable and free of event-engine coupling.
 
-pub mod cpu;
+#![warn(unreachable_pub)]
+
+pub(crate) mod cpu;
 
 pub use cpu::{AdmissionError, CompleteOutcome, Cpu, ProcId, Update, WorkId, MAX_RESERVABLE};
