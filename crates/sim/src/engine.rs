@@ -27,7 +27,7 @@
 //! inserted entry carries the key it would have had, so the pop order of
 //! the events that do something is unchanged — only the no-ops are gone.
 
-use crate::time::{SimDelta, SimTime};
+use crate::time::SimTime;
 use std::collections::VecDeque;
 
 struct Entry<E> {
@@ -394,12 +394,6 @@ impl<E> Engine<E> {
         (self.now, self.cur_seq)
     }
 
-    /// Schedule `ev` after delay `d` from the current time.
-    #[inline]
-    pub fn schedule_in(&mut self, d: SimDelta, ev: E) {
-        self.schedule(self.now + d, ev);
-    }
-
     /// Timestamp of the next pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
@@ -442,6 +436,7 @@ impl<E> Engine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDelta;
     use proptest::prelude::*;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -721,15 +716,6 @@ mod tests {
         e.schedule(SimTime::from_secs(2), 1);
         e.pop();
         e.schedule(SimTime::from_secs(1), 2);
-    }
-
-    #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut e = Engine::new();
-        e.schedule(SimTime::from_secs(1), 1);
-        e.pop();
-        e.schedule_in(SimDelta::from_secs(1), 2);
-        assert_eq!(e.pop().unwrap().0, SimTime::from_secs(2));
     }
 
     #[test]

@@ -66,9 +66,9 @@ impl Hasher for FxHasher {
     }
 }
 
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` keyed by the deterministic [`FxHasher`].
+/// A `HashMap` keyed by the deterministic Fx hash (no random seed).
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]

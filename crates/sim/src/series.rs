@@ -95,17 +95,9 @@ impl Recorder {
         self.series.entry_mut(name).push(t, v);
     }
 
-    pub fn get(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
-    }
-
     /// The series with the given name, or an empty one if never recorded.
     pub fn series(&self, name: &str) -> TimeSeries {
         self.series.get(name).cloned().unwrap_or_default()
-    }
-
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(|s| s.as_str())
     }
 }
 
@@ -184,16 +176,6 @@ impl ThroughputMeter {
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
-
-    /// Average goodput in Kb/s between the first and `end`.
-    pub fn average_kbps(&self, end: SimTime) -> f64 {
-        let Some(first) = self.first else { return 0.0 };
-        let dur = end.since(first).as_secs_f64();
-        if dur <= 0.0 {
-            return 0.0;
-        }
-        self.total_bytes as f64 * 8.0 / 1_000.0 / dur
-    }
 }
 
 #[cfg(test)]
@@ -206,9 +188,8 @@ mod tests {
         r.add("bw", SimTime::from_secs(1), 10.0);
         r.add("bw", SimTime::from_secs(2), 20.0);
         r.add("other", SimTime::from_secs(1), 1.0);
-        assert_eq!(r.get("bw").unwrap().len(), 2);
+        assert_eq!(r.series("bw").len(), 2);
         assert_eq!(r.series("bw").mean(), 15.0);
-        assert!(r.get("missing").is_none());
         assert_eq!(r.series("missing").len(), 0);
     }
 
@@ -238,15 +219,6 @@ mod tests {
         assert_eq!(ts.len(), 2);
         assert!((ts.points()[0].1 - 10.0).abs() < 1e-9);
         assert!((ts.points()[1].1 - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_meter_average() {
-        let mut m = ThroughputMeter::new(SimDelta::from_millis(100));
-        m.on_bytes(SimTime::from_secs(0), 12_500); // 100 Kb
-        assert_eq!(m.total_bytes(), 12_500);
-        let avg = m.average_kbps(SimTime::from_secs(10));
-        assert!((avg - 10.0).abs() < 1e-9, "avg {avg}");
     }
 
     #[test]

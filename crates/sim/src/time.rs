@@ -57,14 +57,6 @@ impl SimTime {
     pub fn since(self, earlier: SimTime) -> SimDelta {
         SimDelta(self.0.saturating_sub(earlier.0))
     }
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
-    #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
 }
 
 impl SimDelta {
