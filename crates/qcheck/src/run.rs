@@ -11,7 +11,7 @@
 use crate::scenario;
 use crate::spec::{Inject, ScenarioSpec};
 use mpichgq_gara::Gara;
-use mpichgq_sim::SimDelta;
+use mpichgq_sim::{Fnv, SimDelta};
 use mpichgq_tcp::Sim;
 
 /// Slice boundaries per run at which the instant-level battery fires.
@@ -304,24 +304,6 @@ fn check_timeline(sim: &mut Sim, out: &mut Vec<Violation>) {
             "timeline_consistency",
             "sampler armed but recorded no counter series".to_string(),
         ));
-    }
-}
-
-/// 64-bit FNV-1a.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
