@@ -3,7 +3,7 @@
 # Full-resolution runs; pass --fast through for reduced sweeps.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cargo build --release -p mpichgq-bench --bin figs
+cargo build --release -p mpichgq-bench -p mpichgq-apps --bin figs --bin qtop --bin qtrace
 mkdir -p results
 FAST="${1:-}"
 # Each batch runs its figures in parallel; a bare `wait` would return 0
@@ -31,8 +31,12 @@ fig sec3; fig ablations; fig chaos; batch
 fig af_conformance; fig qdisc_ablation; fig chaos_ranks; batch
 echo "results/ refreshed:"
 grep -H "^#" results/*.txt | grep -iE "summary|phases|adequate|penalty|saturate" || true
+# Shape gates, one validator per schema: every sampled timeline through
+# `qtop --check`, every lifecycle trace through `qtrace --check`.
+for t in results/*/timeline.json; do target/release/qtop --check "$t"; done
+for t in results/*/trace.json; do target/release/qtrace --check "$t"; done
 if command -v python3 >/dev/null; then
-  python3 scripts/check_metrics.py results/*/metrics.json results/*/timeline.json
+  python3 scripts/check_metrics.py results/*/metrics.json
   # Physics gate (full-resolution runs only): against the committed tree,
   # the regenerated one may differ in schedule cost and nothing else. A
   # change that means to move physics fails here and lists what moved.
