@@ -9,7 +9,8 @@
 //! qcheck --out DIR                   artifact directory (default results/qcheck)
 //! qcheck --threads 4                 determinism self-test: every seed's
 //!                                    partitioned scenario must fingerprint
-//!                                    identically at 1 and N threads
+//!                                    identically at 1 and N threads, and
+//!                                    match its one-shard run's physics
 //! ```
 //!
 //! On a violation: shrink to a minimal knob vector, write
@@ -18,8 +19,8 @@
 //! `scripts/check_metrics.py` validates its schema in CI.
 
 use mpichgq_qcheck::{
-    parse_repro, replay, repro_json, run_par_scenario, run_spec, shrink, summary_json, Inject,
-    RunOutcome, ScenarioSpec,
+    parse_repro, replay, repro_json, run_par_scenario, run_par_scenario_monolithic, run_spec,
+    shrink, summary_json, Inject, RunOutcome, ScenarioSpec,
 };
 use std::process::ExitCode;
 
@@ -175,17 +176,26 @@ fn main() -> ExitCode {
         let spec = ScenarioSpec::from_seed(seed);
         let out = run_spec(&spec, &args.inject);
         // Determinism self-test: the seed's partitioned scenario must land
-        // on the same FNV fingerprint at 1 and N threads. Any divergence
-        // is a parallel-engine bug, not a scenario bug.
+        // on the same FNV fingerprint at 1 and N threads, and on the same
+        // physics as the seed run as one shard. Any divergence is a
+        // parallel-engine bug, not a scenario bug.
         if args.threads > 1 {
-            let mono = run_par_scenario(seed, 1);
+            let one = run_par_scenario(seed, 1);
             let multi = run_par_scenario(seed, args.threads);
-            if (mono.fingerprint, mono.events) != (multi.fingerprint, multi.events) {
+            let whole = run_par_scenario_monolithic(seed);
+            if (one.fingerprint, one.events) != (multi.fingerprint, multi.events) {
                 determinism_breaks += 1;
                 eprintln!(
                     "seed {seed}: PARTITIONED DETERMINISM BREAK — {} shards, \
                      1 thread {:#018x} vs {} threads {:#018x}",
-                    mono.shards, mono.fingerprint, args.threads, multi.fingerprint
+                    one.shards, one.fingerprint, args.threads, multi.fingerprint
+                );
+            } else if one.physics != whole.physics {
+                determinism_breaks += 1;
+                eprintln!(
+                    "seed {seed}: PARTITIONED DETERMINISM BREAK — {} shards \
+                     {:#018x} vs one shard {:#018x}",
+                    one.shards, one.physics, whole.physics
                 );
             }
         }

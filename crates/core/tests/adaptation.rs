@@ -259,8 +259,8 @@ fn crash_restart_adaptation_is_bit_identical() {
     a.run_until(SimTime::from_secs(6));
     b.run_until(SimTime::from_secs(6));
     assert_eq!(
-        a.net.obs.metrics.snapshot_json(),
-        b.net.obs.metrics.snapshot_json(),
+        a.net.obs.snapshot_json(),
+        b.net.obs.snapshot_json(),
         "crash/restart adaptation run is not deterministic"
     );
 }

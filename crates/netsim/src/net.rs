@@ -1216,7 +1216,7 @@ impl Net {
         for (n, node) in self.nodes.iter().enumerate() {
             // Node-local series come from the copy that executes the node:
             // a foreign copy's rules and shapers sit idle at their initial
-            // state, and a merge would add those levels in.
+            // state and would publish a second, wrong reading of the node.
             if shard.is_some_and(|sc| sc.shard_of[n] != sc.shard) {
                 continue;
             }
@@ -1342,11 +1342,6 @@ impl Net {
     /// The timeline sampled so far, if the sampler is armed.
     pub fn timeline(&self) -> Option<&Timeline> {
         self.timeline.as_deref().map(|c| &c.tl)
-    }
-
-    /// Detach and return the sampled timeline, disarming the sampler.
-    pub fn take_timeline(&mut self) -> Option<Timeline> {
-        self.timeline.take().map(|c| c.tl)
     }
 
     /// Serialize the sampled timeline as deterministic JSON (the

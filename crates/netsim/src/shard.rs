@@ -560,12 +560,11 @@ mod tests {
         }
     }
 
-    /// A node-local gauge survives the per-shard registry merge: only the
-    /// copy that executes `r0` publishes its policer, so the merged bucket
-    /// level is the monolithic one — not that plus the idle, full bucket
-    /// of the foreign copy, which `Registry::merge_from` would add in.
+    /// A node-local policer is published by the one shard copy that
+    /// executes its node, with the monolithic run's values; the foreign
+    /// copy's idle, full bucket publishes nothing under that name.
     #[test]
-    fn merged_shard_registries_report_a_node_local_gauge_once() {
+    fn only_the_owning_shard_publishes_a_node_local_policer() {
         use crate::classifier::{FlowSpec, PolicingAction};
         use crate::packet::{Dscp, Proto};
         let limit = SimTime::from_millis(250);
@@ -602,20 +601,12 @@ mod tests {
                 std::mem::take(&mut net.obs.metrics)
             },
         );
-        let mut merged = mpichgq_obs::Registry::default();
-        for r in &shards {
-            merged.merge_from(r);
-        }
 
         let policed = mono
             .obs
             .metrics
             .counter_value("node001.rule000.policed_pkts");
         assert!(policed > Some(0), "the policer never bit: {policed:?}");
-        assert_eq!(
-            merged.counter_value("node001.rule000.policed_pkts"),
-            policed
-        );
         let level = mono
             .obs
             .metrics
@@ -624,10 +615,18 @@ mod tests {
             level.is_some_and(|l| l < 20_000.0),
             "bucket idle: {level:?}"
         );
-        assert_eq!(
-            merged.gauge_value("node001.rule000.bucket_level_bytes"),
-            level
-        );
+        let owner = part.shard_of(NodeId(1)) as usize;
+        for (i, r) in shards.iter().enumerate() {
+            let published = r
+                .counters()
+                .map(|(n, _)| n)
+                .chain(r.gauges().map(|(n, _)| n))
+                .any(|n| n.starts_with("node001.rule000."));
+            assert_eq!(published, i == owner, "shard {i}");
+        }
+        let r = &shards[owner];
+        assert_eq!(r.counter_value("node001.rule000.policed_pkts"), policed);
+        assert_eq!(r.gauge_value("node001.rule000.bucket_level_bytes"), level);
     }
 
     /// `run_until` with the sampler armed reaches the same state and the

@@ -5,7 +5,7 @@
 //! just counters. This histogram trades a bounded relative error for a
 //! **fixed bucket layout**: the bucket boundaries are a pure function of
 //! the value, independent of insertion order or data range, which makes
-//! snapshots byte-stable and merges commutative.
+//! snapshots byte-stable.
 //!
 //! ## Bucket layout
 //!
@@ -26,9 +26,8 @@
 //! ## Determinism
 //!
 //! * Counts are integers; `sum`, `min`, `max` are exact.
-//! * [`Histogram::merge`] adds per-bucket counts, so merge is commutative
-//!   and associative: quantiles of `merge(A, B)` equal those of
-//!   `merge(B, A)` by construction (a property test pins this).
+//! * Quantiles depend only on the multiset of observations, never on
+//!   their order (a property test pins this).
 //! * [`Histogram::write_json`] emits only non-empty buckets, sorted by
 //!   index, through the deterministic [`JsonWriter`] — two identical runs
 //!   produce byte-identical snapshots.
@@ -119,21 +118,6 @@ impl Histogram {
         if v > self.max {
             self.max = v;
         }
-    }
-
-    /// Fold `other` into `self` by adding per-bucket counts. Commutative
-    /// and associative, so quantiles are independent of merge order.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.buckets.len() > self.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     pub fn count(&self) -> u64 {
@@ -278,38 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_combined_observation() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in [3u64, 900, 17, 65_000, 4, 1 << 40] {
-            a.observe(v);
-            all.observe(v);
-        }
-        for v in [5u64, 900, 1 << 20, 12] {
-            b.observe(v);
-            all.observe(v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(ab.quantile(q), ba.quantile(q), "q={q}");
-            assert_eq!(ab.quantile(q), all.quantile(q), "q={q}");
-        }
-        assert_eq!(ab.count(), all.count());
-        assert_eq!(ab.sum, all.sum);
-        let json = |h: &Histogram| {
-            let mut w = JsonWriter::new();
-            h.write_json(&mut w);
-            w.finish()
-        };
-        assert_eq!(json(&ab), json(&ba));
-        assert_eq!(json(&ab), json(&all));
-    }
-
-    #[test]
     fn storage_reaches_only_the_largest_bucket_seen() {
         let json = |h: &Histogram| {
             let mut w = JsonWriter::new();
@@ -321,20 +273,21 @@ mod tests {
         small.observe(3);
         small.observe(3);
         assert_eq!(small.buckets.len(), 4);
+        let top = bucket_index(1 << 40);
+        // A larger value grows the storage to its bucket, whatever came first.
         let mut big = Histogram::new();
         big.observe(1 << 40);
         big.observe(5);
-        let top = bucket_index(1 << 40);
         assert_eq!(big.buckets.len(), top + 1);
-        // Unequal lengths merge either way round to the same histogram.
-        let (mut ab, mut ba) = (small.clone(), big.clone());
-        ab.merge(&big);
-        ba.merge(&small);
-        assert_eq!(ab.buckets.len(), top + 1);
-        assert_eq!(json(&ab), json(&ba));
-        assert_eq!(ab.quantile(0.5), Some(3));
-        assert_eq!(ab.quantile(1.0), Some(bucket_low(top)));
-        let buckets: Vec<_> = ab.nonzero_buckets().collect();
+        small.observe(1 << 40);
+        small.observe(5);
+        assert_eq!(small.buckets.len(), top + 1);
+        big.observe(3);
+        big.observe(3);
+        assert_eq!(json(&small), json(&big));
+        assert_eq!(small.quantile(0.5), Some(3));
+        assert_eq!(small.quantile(1.0), Some(bucket_low(top)));
+        let buckets: Vec<_> = small.nonzero_buckets().collect();
         assert_eq!(buckets, [(3, 2), (5, 1), (bucket_low(top), 1)]);
     }
 

@@ -240,81 +240,6 @@ impl Registry {
             .map(|(n, g)| (n, g.value))
     }
 
-    /// Fold another registry into this one, name by name. Counters add;
-    /// gauges add both current value and high-water (component gauges are
-    /// occupancy-style — queue depths, pending work — so sums are the
-    /// system-wide reading, and the summed high-water is an *upper bound*
-    /// on the true combined peak: the shards need not have peaked at the
-    /// same instant). When the run also sampled a timeline,
-    /// [`Registry::refine_gauge_peaks`] replaces that bound with the peak
-    /// of the merged series; for unsampled gauges the bound is what gets
-    /// reported. Histograms merge bucket-wise.
-    ///
-    /// Registration order in `self` follows first-seen order across the
-    /// merge sequence, but snapshots are name-sorted, so merging shards in
-    /// any fixed order yields byte-identical JSON.
-    pub fn merge_from(&mut self, other: &Registry) {
-        for (name, &v) in other.counter_names.iter().zip(&other.counter_values) {
-            self.add(name, v);
-        }
-        for (name, g) in other.gauge_names.iter().zip(&other.gauges) {
-            if !g.touched {
-                continue;
-            }
-            let id = self.gauge(name);
-            let mine = &mut self.gauges[id.0 as usize];
-            mine.value += g.value;
-            mine.high_water = if mine.touched {
-                mine.high_water + g.high_water
-            } else {
-                g.high_water
-            };
-            mine.touched = true;
-        }
-        for (name, h) in other.hist_names.iter().zip(&other.hists) {
-            if h.is_empty() {
-                continue;
-            }
-            let id = self.hist(name);
-            self.hists[id.0 as usize].merge(h);
-        }
-    }
-
-    /// Replace merged gauge high-water marks with the true combined peaks
-    /// read off a merged [`Timeline`](crate::Timeline). After
-    /// [`Registry::merge_from`] a gauge's high-water is the *sum* of
-    /// per-shard peaks — an upper bound, since the shards need not peak
-    /// simultaneously. The merged timeline's series for the same gauge is
-    /// the pointwise sum of the per-shard step functions, so its maximum
-    /// is the combined peak at sampling resolution. Gauges without a
-    /// sampled series keep the documented upper-bound fallback.
-    pub fn refine_gauge_peaks(&mut self, timeline: &crate::Timeline) {
-        for (name, g) in self.gauge_names.iter().zip(&mut self.gauges) {
-            if !g.touched {
-                continue;
-            }
-            if let Some(peak) = timeline.gauge_peak(name) {
-                g.high_water = peak.max(g.value);
-            }
-        }
-    }
-
-    /// Snapshot just this registry (no trace section) as a JSON document:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {...}}`. Used
-    /// for merged per-shard registries, which have no flight recorder.
-    pub fn snapshot_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("counters");
-        self.write_counters(&mut w);
-        w.key("gauges");
-        self.write_gauges(&mut w);
-        w.key("histograms");
-        self.write_histograms(&mut w);
-        w.end_object();
-        w.finish()
-    }
-
     /// Write `{"name": value, ...}` for all counters, name-sorted.
     pub(crate) fn write_counters(&self, w: &mut JsonWriter) {
         w.begin_object();

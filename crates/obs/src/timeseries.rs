@@ -18,14 +18,6 @@
 //! sampled at every instant since its first keeps no timestamps of its
 //! own: it reads them from the one column of instants the timeline has
 //! written.
-//!
-//! Shard merge mirrors [`crate::Registry::merge_from`]: series are keyed
-//! by name, and merging sums the per-shard step functions pointwise over
-//! the union of their sample timestamps (a shard contributes its value-so-
-//! far at every instant; before its first sample it contributes zero).
-//! Pointwise sum over a timestamp union is associative and commutative,
-//! so the merged timeline is independent of shard merge order — that is
-//! what makes 1-thread and N-thread runs byte-identical.
 
 use crate::json::JsonWriter;
 use crate::metrics::{MetricSink, Scope};
@@ -62,7 +54,7 @@ struct Series {
     /// While the series has been sampled at every instant since its first,
     /// the index of that first instant in [`Timeline::ticks`]: its
     /// timestamps are `ticks[first..first + len]` and `t_ns` stays empty.
-    /// [`OWN_TIMES`] once it skipped an instant or came out of a merge.
+    /// [`OWN_TIMES`] once it skipped an instant.
     first: u32,
     /// Where in its instant's write order the series was last written.
     pos: u32,
@@ -394,30 +386,6 @@ impl Timeline {
         }
     }
 
-    /// The maximum sample of a gauge series, if it has any samples.
-    pub fn gauge_peak(&self, name: &str) -> Option<f64> {
-        let (_, v) = self.gauge(name)?;
-        v.iter().copied().reduce(f64::max)
-    }
-
-    /// Fold `other` into `self`, series by name: the merged series is the
-    /// pointwise sum of the two step functions over the union of their
-    /// sample timestamps (a side contributes 0 before its first sample).
-    /// Order-independent, like [`crate::Registry::merge_from`]; both
-    /// timelines must share a grid.
-    pub fn merge_from(&mut self, other: &Timeline) {
-        assert_eq!(
-            self.interval_ns, other.interval_ns,
-            "cannot merge timelines with different sampling grids"
-        );
-        for (name, o) in other.names().zip(&other.series) {
-            let idx = self.index_of(name, o.kind, o.live);
-            let (s, _, ticks) = self.series_at(idx, o.kind);
-            s.live |= o.live;
-            merge_series(s, ticks, o, &other.ticks);
-        }
-    }
-
     /// Serialize into `w`. Schema:
     ///
     /// ```json
@@ -546,42 +514,6 @@ fn push_sample<T>(column: &mut Vec<T>, v: T) {
     column.push(v);
 }
 
-/// Replace `a`'s samples with the pointwise step-function sum of `a` and
-/// `b` over their timestamp union (each series read against its own
-/// timeline's column of instants).
-fn merge_series(a: &mut Series, a_ticks: &[u64], b: &Series, b_ticks: &[u64]) {
-    let (at, bt) = (a.times(a_ticks), b.times(b_ticks));
-    let (mut t_ns, mut u, mut f) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut au, mut bu) = (0u64, 0u64);
-    let (mut af, mut bf) = (0f64, 0f64);
-    while i < at.len() || j < bt.len() {
-        let ta = at.get(i).copied().unwrap_or(u64::MAX);
-        let tb = bt.get(j).copied().unwrap_or(u64::MAX);
-        let t = ta.min(tb);
-        if ta == t {
-            match a.kind {
-                SeriesKind::Counter => au = a.u[i],
-                SeriesKind::Gauge => af = a.f[i],
-            }
-            i += 1;
-        }
-        if tb == t {
-            match b.kind {
-                SeriesKind::Counter => bu = b.u[j],
-                SeriesKind::Gauge => bf = b.f[j],
-            }
-            j += 1;
-        }
-        t_ns.push(t);
-        match a.kind {
-            SeriesKind::Counter => u.push(au + bu),
-            SeriesKind::Gauge => f.push(af + bf),
-        }
-    }
-    (a.t_ns, a.u, a.f, a.first) = (t_ns, u, f, OWN_TIMES);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,46 +552,6 @@ mod tests {
         assert_eq!(c.get("kind").unwrap().as_str(), Some("counter"));
         assert_eq!(c.get("t0_ns").unwrap().as_u64(), Some(500));
         assert_eq!(c.get("dv").unwrap().as_array().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn merge_is_order_independent() {
-        let mk = |offs: u64, scale: u64| {
-            let mut t = tl();
-            for i in 1..=4u64 {
-                t.push_counter("c", offs + i * 1_000, i * scale);
-                t.push_gauge("g", offs + i * 1_000, (i * scale) as f64);
-            }
-            t
-        };
-        let (a, b, c) = (mk(0, 1), mk(500, 10), mk(250, 100));
-        let mut ab = tl();
-        for t in [&a, &b, &c] {
-            ab.merge_from(t);
-        }
-        let mut ba = tl();
-        for t in [&c, &b, &a] {
-            ba.merge_from(t);
-        }
-        assert_eq!(ab.to_json(), ba.to_json());
-    }
-
-    #[test]
-    fn merge_sums_step_functions() {
-        let mut a = tl();
-        a.push_counter("c", 1_000, 2);
-        a.push_counter("c", 3_000, 6);
-        let mut b = tl();
-        b.push_counter("c", 2_000, 10);
-        let mut m = tl();
-        m.merge_from(&a);
-        m.merge_from(&b);
-        let (t, v) = m.counter("c").unwrap();
-        assert_eq!(t, &[1_000, 2_000, 3_000]);
-        assert_eq!(v, &[2, 12, 16]);
-        assert_eq!(m.counter_at("c", 999), 0);
-        assert_eq!(m.counter_at("c", 2_500), 12);
-        assert_eq!(m.counter_at("c", 9_999), 16);
     }
 
     #[test]
@@ -733,20 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_timeline_accepts_scoped_pushes() {
-        let mut shard = tl();
-        shard.tick(1_000).counter_in(IFACE7, "enq_ef", 3);
-        let mut m = tl();
-        m.merge_from(&shard);
-        m.merge_from(&shard);
-        m.tick(2_000).counter_in(IFACE7, "enq_ef", 9);
-        assert_eq!(
-            m.counter("iface007.enq_ef"),
-            Some((&[1_000, 2_000][..], &[6, 9][..]))
-        );
-    }
-
-    #[test]
     fn scope_displays_the_formatted_prefixes() {
         for i in [0u64, 7, 999, 1000] {
             let s = Scope::new("iface", i);
@@ -759,16 +637,6 @@ mod tests {
         let node = Scope::new("node", 3);
         assert_eq!(node.sub("rule", 2).to_string(), "node003.rule002");
         assert_eq!(node.sub("shaper", 0).to_string(), "node003.shaper000");
-    }
-
-    #[test]
-    fn gauge_peak_tracks_maximum() {
-        let mut t = tl();
-        t.push_gauge("g", 1_000, 1.0);
-        t.push_gauge("g", 2_000, 8.0);
-        t.push_gauge("g", 3_000, 2.0);
-        assert_eq!(t.gauge_peak("g"), Some(8.0));
-        assert_eq!(t.gauge_peak("missing"), None);
     }
 
     #[test]
@@ -1052,38 +920,18 @@ mod tests {
     #[test]
     fn random_tick_programs_read_as_the_hash_keyed_reference() {
         let mut rng = SimRng::new(0x7157);
-        for case in 0..120 {
+        for _ in 0..120 {
             let instants = rng.range(1, 40);
-            let (pa, pb) = (
-                program(&mut rng, 0, instants, 0),
-                program(&mut rng, 300, instants, 0),
-            );
+            let pa = program(&mut rng, 0, instants, 0);
             let (mut a, mut ra) = (tl(), reference::Timeline::new(1_000));
             replay!(a, &pa);
             replay!(ra, &pa);
             assert_agree(&a, &ra, &mut rng);
-            // Shard merge in either order, then ticking on the merged one.
-            let (mut b, mut rb) = (tl(), reference::Timeline::new(1_000));
-            replay!(rb, &pb);
-            replay!(b, &pb);
-            let (mut m, mut rm) = (tl(), reference::Timeline::new(1_000));
-            let (mut n, mut rn) = (tl(), reference::Timeline::new(1_000));
-            m.merge_from(&a);
-            m.merge_from(&b);
-            rm.merge_from(&ra);
-            rm.merge_from(&rb);
-            n.merge_from(&b);
-            n.merge_from(&a);
-            rn.merge_from(&rb);
-            rn.merge_from(&ra);
-            assert_agree(&m, &rm, &mut rng);
-            assert_eq!(m.to_json(), n.to_json(), "case {case}: merge order");
-            assert_eq!(rm.to_json(), rn.to_json(), "case {case}: merge order");
-            // Counters of the continuation start above anything merged.
+            // Counters of the continuation start above anything written.
             let more = program(&mut rng, 60_000, 3, 1 << 20);
-            replay!(m, &more);
-            replay!(rm, &more);
-            assert_agree(&m, &rm, &mut rng);
+            replay!(a, &more);
+            replay!(ra, &more);
+            assert_agree(&a, &ra, &mut rng);
         }
     }
 }

@@ -228,24 +228,6 @@ impl Timeline {
         }
     }
 
-    /// Fold `other` into `self`, series by name: the merged series is the
-    /// pointwise sum of the two step functions over the union of their
-    /// sample timestamps (a side contributes 0 before its first sample).
-    /// Order-independent, like [`crate::Registry::merge_from`]; both
-    /// timelines must share a grid.
-    pub(crate) fn merge_from(&mut self, other: &Timeline) {
-        assert_eq!(
-            self.interval_ns, other.interval_ns,
-            "cannot merge timelines with different sampling grids"
-        );
-        for (name, o) in other.names.iter().zip(&other.series) {
-            let s = self.series_mut(name, o.kind, o.live);
-            s.live |= o.live;
-            let merged = merge_series(s, o);
-            *s = merged;
-        }
-    }
-
     /// Serialize into `w`. Schema:
     ///
     /// ```json
@@ -322,37 +304,4 @@ impl Timeline {
         self.write_json(&mut w);
         w.finish()
     }
-}
-
-/// Pointwise step-function sum of two series over their timestamp union.
-fn merge_series(a: &Series, b: &Series) -> Series {
-    let mut out = Series::new(a.kind, a.live || b.live);
-    let (mut i, mut j) = (0usize, 0usize);
-    let (mut au, mut bu) = (0u64, 0u64);
-    let (mut af, mut bf) = (0f64, 0f64);
-    while i < a.t_ns.len() || j < b.t_ns.len() {
-        let ta = a.t_ns.get(i).copied().unwrap_or(u64::MAX);
-        let tb = b.t_ns.get(j).copied().unwrap_or(u64::MAX);
-        let t = ta.min(tb);
-        if ta == t {
-            match a.kind {
-                SeriesKind::Counter => au = a.u[i],
-                SeriesKind::Gauge => af = a.f[i],
-            }
-            i += 1;
-        }
-        if tb == t {
-            match b.kind {
-                SeriesKind::Counter => bu = b.u[j],
-                SeriesKind::Gauge => bf = b.f[j],
-            }
-            j += 1;
-        }
-        out.t_ns.push(t);
-        match a.kind {
-            SeriesKind::Counter => out.u.push(au + bu),
-            SeriesKind::Gauge => out.f.push(af + bf),
-        }
-    }
-    out
 }

@@ -1,6 +1,6 @@
 //! Property tests of the histogram's determinism contract: the bucket
-//! layout is a total, invertible-to-lower-bound mapping, merge order never
-//! changes quantiles, and snapshots are byte-stable.
+//! layout is a total, invertible-to-lower-bound mapping, and snapshots
+//! are byte-stable whatever the order of observation.
 
 use mpichgq_obs::{bucket_index, bucket_low, Histogram, JsonWriter, NUM_BUCKETS};
 use proptest::prelude::*;
@@ -32,36 +32,6 @@ proptest! {
             prop_assert!(bucket_low(i + 1) > low);
             prop_assert!(v < bucket_low(i + 1));
         }
-    }
-
-    #[test]
-    fn merge_is_order_independent(
-        xs in proptest::collection::vec(any::<u64>(), 0..200),
-        ys in proptest::collection::vec(any::<u64>(), 0..200),
-    ) {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut combined = Histogram::new();
-        for &v in &xs {
-            a.observe(v);
-            combined.observe(v);
-        }
-        for &v in &ys {
-            b.observe(v);
-            combined.observe(v);
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            prop_assert_eq!(ab.quantile(q), ba.quantile(q), "q={}", q);
-            prop_assert_eq!(ab.quantile(q), combined.quantile(q), "q={}", q);
-        }
-        // Byte-identical snapshots, both across merge orders and against
-        // observing the union directly.
-        prop_assert_eq!(json(&ab), json(&ba));
-        prop_assert_eq!(json(&ab), json(&combined));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub(crate) mod spec;
 pub(crate) mod workload;
 
 pub use audit::audit_metrics_json;
-pub use parscen::{run_par_scenario, ParOutcome};
+pub use parscen::{run_par_scenario, run_par_scenario_monolithic, ParOutcome};
 pub use repro::{parse_repro, replay, repro_json, summary_json, Replay, Repro};
 pub use run::{run_spec, RunOutcome, Violation};
 pub use scenario::{build, draw_gara_op, BuiltScenario, GaraOp};

@@ -12,11 +12,17 @@
 //! worker rebuilds its shard from the same spec, so the run's FNV-1a
 //! fingerprint must be invariant in the thread count — that equality,
 //! checked seed by seed, is qcheck's parallel-engine determinism gate.
+//!
+//! Thread invariance does not show that the partitioned run computes the
+//! sequential run's physics. [`run_par_scenario_monolithic`] runs the same
+//! seed as one shard, and its [`ParOutcome::physics`] digest — which does
+//! not depend on where the partition cuts — must equal the partitioned
+//! run's: the monolithic run is the parallel engine's oracle.
 
 use crate::workload::{QcTcpSender, QcTcpSink, QcUdpPulse, QcUdpSink};
 use mpichgq_netsim::{run_partitioned, LinkCfg, Net, NodeId, Partition, QueueCfg, TopoBuilder};
 use mpichgq_sim::{Fnv, SimDelta, SimRng, SimTime};
-use mpichgq_tcp::{Stack, TcpCfg};
+use mpichgq_tcp::{ConnStats, Stack, TcpCfg};
 
 /// What a partitioned run reports. Equal fingerprints ⇔ every shard ended
 /// in a bit-identical state.
@@ -24,6 +30,10 @@ use mpichgq_tcp::{Stack, TcpCfg};
 pub struct ParOutcome {
     /// FNV-1a over per-shard digests in shard order.
     pub fingerprint: u64,
+    /// FNV-1a over what the partition cannot change: per-channel
+    /// `(tx_packets, rx_packets)` summed over the shard copies, then the
+    /// sorted multiset of per-connection [`ConnStats`].
+    pub physics: u64,
     /// Events processed, summed over shards.
     pub events: u64,
     /// Number of shards the seed's topology split into.
@@ -200,21 +210,88 @@ impl ParShape {
     }
 }
 
-/// FNV-1a digest of one shard's end state: engine clock + wire counters
-/// via [`Net::state_fingerprint`], plus per-connection TCP stats in
-/// socket-creation order. The shard's event count travels beside it.
-fn shard_digest(net: &Net, stack: &Stack) -> u64 {
-    let mut h = Fnv::resume(net.state_fingerprint());
-    for sock in stack.tcp_sock_ids() {
-        let st = stack.conn_stats(sock).expect("tcp sock has stats");
-        h.u64(st.segs_sent);
-        h.u64(st.bytes_sent);
-        h.u64(st.rtx_segs);
-        h.u64(st.rtos);
-        h.u64(st.fast_retransmits);
-        h.u64(st.dup_acks_received);
+/// One connection's counters, in a fixed field order.
+fn conn_row(st: ConnStats) -> [u64; 9] {
+    [
+        st.segs_sent,
+        st.bytes_sent,
+        st.rtx_segs,
+        st.rtos,
+        st.fast_retransmits,
+        st.dup_acks_received,
+        st.slow_start_restarts,
+        st.karn_violations,
+        st.invariant_violations,
+    ]
+}
+
+/// What one shard copy hands back at the end of its run.
+struct ShardEnd {
+    events: u64,
+    /// FNV-1a digest of the shard's end state: engine clock + wire
+    /// counters via [`Net::state_fingerprint`], plus per-connection TCP
+    /// stats in socket-creation order.
+    digest: u64,
+    /// `(tx_packets, rx_packets)` per channel, in channel order.
+    wires: Vec<(u64, u64)>,
+    conns: Vec<[u64; 9]>,
+}
+
+impl ShardEnd {
+    fn new(net: &Net, stack: &Stack) -> ShardEnd {
+        let conns: Vec<[u64; 9]> = stack
+            .tcp_sock_ids()
+            .into_iter()
+            .map(|sock| conn_row(stack.conn_stats(sock).expect("tcp sock has stats")))
+            .collect();
+        let wires = net.audit().chans;
+        let mut h = Fnv::resume(net.state_fingerprint());
+        conns.iter().flatten().for_each(|&v| h.u64(v));
+        ShardEnd {
+            events: net.events_processed(),
+            digest: h.finish(),
+            wires: wires.iter().map(|c| (c.tx_packets, c.rx_packets)).collect(),
+            conns,
+        }
     }
-    h.finish()
+}
+
+impl ParShape {
+    /// Run the scenario under `part` on `threads` worker threads.
+    fn run(&self, part: &Partition, threads: usize) -> ParOutcome {
+        let ends = run_partitioned(
+            part,
+            threads,
+            self.t_end,
+            |shard| self.build(shard, part),
+            |_, net, stack| ShardEnd::new(&net, &stack),
+        );
+        let (mut h, mut events) = (Fnv::new(), 0u64);
+        let mut wires = vec![(0u64, 0u64); ends[0].wires.len()];
+        let mut conns = Vec::new();
+        for end in &ends {
+            events += end.events;
+            h.u64(end.digest);
+            for (sum, &(tx, rx)) in wires.iter_mut().zip(&end.wires) {
+                *sum = (sum.0 + tx, sum.1 + rx);
+            }
+            conns.extend_from_slice(&end.conns);
+        }
+        conns.sort_unstable();
+        let mut p = Fnv::new();
+        for (tx, rx) in wires {
+            p.u64(tx);
+            p.u64(rx);
+        }
+        conns.iter().flatten().for_each(|&v| p.u64(v));
+        ParOutcome {
+            fingerprint: h.finish(),
+            physics: p.finish(),
+            events,
+            shards: part.shards(),
+            threads,
+        }
+    }
 }
 
 /// Expand `seed` into a partitioned scenario and run it on `threads`
@@ -223,70 +300,41 @@ fn shard_digest(net: &Net, stack: &Stack) -> u64 {
 /// parallel engine, which is exactly what the self-test hunts.
 pub fn run_par_scenario(seed: u64, threads: usize) -> ParOutcome {
     let shape = ParShape::from_seed(seed);
-    let topo = shape.topo();
-    let part = Partition::by_min_delay(&topo, SimDelta::from_millis(1))
+    let part = Partition::by_min_delay(&shape.topo(), SimDelta::from_millis(1))
         .expect("island topologies have positive WAN delays");
     assert_eq!(
         part.shards(),
         shape.islands as u32,
         "delay cut must split exactly at the WAN links"
     );
-    let per_shard = run_partitioned(
-        &part,
-        threads,
-        shape.t_end,
-        |shard| shape.build(shard, &part),
-        |_, net, stack| (net.events_processed(), shard_digest(&net, &stack)),
-    );
-    let mut h = Fnv::new();
-    let mut events = 0u64;
-    for &(ev, digest) in &per_shard {
-        events += ev;
-        h.u64(digest);
-    }
-    ParOutcome {
-        fingerprint: h.finish(),
-        events,
-        shards: part.shards(),
-        threads,
-    }
+    shape.run(&part, threads)
+}
+
+/// [`run_par_scenario`]'s scenario run as one shard: a cut above the WAN
+/// delay fuses every island, and a one-shard run keeps the monolithic
+/// RNG stream. Its [`ParOutcome::physics`] must equal the partitioned
+/// run's; a difference is a determinism break in the parallel engine.
+pub fn run_par_scenario_monolithic(seed: u64) -> ParOutcome {
+    let shape = ParShape::from_seed(seed);
+    let cut = shape.wan_delay + SimDelta::from_nanos(1);
+    let part = Partition::by_min_delay(&shape.topo(), cut).expect("the cut is positive");
+    assert_eq!(part.shards(), 1, "the cut fuses every island");
+    shape.run(&part, 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpichgq_obs::{Registry, Timeline};
 
-    /// A partitioned run's merged observability: the shard-merged timeline
-    /// plus the merged metrics registry.
-    struct ParTimelines {
-        /// Order-independent merge of the per-shard timelines (shards sampled
-        /// on the same grid, merged in shard order — but
-        /// `Timeline::merge_from` is commutative, so the order is cosmetic).
-        timeline: Timeline,
-        /// Merged registry after [`Registry::refine_gauge_peaks`]: gauge
-        /// high-water marks are true combined peaks at sampling resolution
-        /// wherever a series exists, the documented sum-of-peaks upper bound
-        /// elsewhere.
-        registry: Registry,
-        /// Gauge high-water marks as the naive registry merge left them
-        /// (sums of per-shard peaks), captured before refinement so tests can
-        /// prove the refinement actually tightens the bound.
-        summed_peaks: Vec<(String, f64)>,
-    }
-
-    /// [`run_par_scenario`] with the timeline sampler armed on every shard.
-    /// The sampling grid is a pure function of the seed, so — exactly like
-    /// the state fingerprint — the merged timeline's JSON must be
-    /// byte-identical in the thread count.
-    fn run_par_scenario_timeline(seed: u64, threads: usize) -> ParTimelines {
+    /// Each shard's `(timeline_json, metrics_json)` for [`run_par_scenario`]'s
+    /// partition with the timeline sampler armed on every shard.
+    fn run_par_scenario_observed(seed: u64, threads: usize) -> Vec<(String, String)> {
         let shape = ParShape::from_seed(seed);
-        let topo = shape.topo();
-        let part = Partition::by_min_delay(&topo, SimDelta::from_millis(1))
+        let part = Partition::by_min_delay(&shape.topo(), SimDelta::from_millis(1))
             .expect("island topologies have positive WAN delays");
         let t_end = shape.t_end;
         let interval = SimDelta::from_nanos((t_end.as_nanos() / 16).max(1_000_000));
-        let per_shard = run_partitioned(
+        run_partitioned(
             &part,
             threads,
             t_end,
@@ -297,31 +345,10 @@ mod tests {
             },
             |_, mut net, mut stack| {
                 net.timeline_finalize(&mut stack, t_end);
-                net.publish_metrics();
-                let tl = net.take_timeline().expect("sampler was armed");
-                (tl, std::mem::take(&mut net.obs.metrics))
+                let tl = net.timeline_json().expect("sampler was armed");
+                (tl, net.metrics_json())
             },
-        );
-        let mut timeline = Timeline::new(interval.as_nanos());
-        let mut registry = Registry::default();
-        for (tl, reg) in &per_shard {
-            timeline.merge_from(tl);
-            registry.merge_from(reg);
-        }
-        let names: Vec<String> = registry.gauges().map(|(n, _)| n.to_owned()).collect();
-        let summed_peaks: Vec<(String, f64)> = names
-            .into_iter()
-            .map(|n| {
-                let hw = registry.gauge_high_water(&n).expect("touched gauge");
-                (n, hw)
-            })
-            .collect();
-        registry.refine_gauge_peaks(&timeline);
-        ParTimelines {
-            timeline,
-            registry,
-            summed_peaks,
-        }
+        )
     }
 
     #[test]
@@ -331,58 +358,23 @@ mod tests {
         assert!(out.events > 1_000, "only {} events", out.events);
     }
 
+    /// The sampling grid is a pure function of the seed, so — exactly like
+    /// the state fingerprint — every shard's timeline and metrics snapshot
+    /// must be byte-identical in the thread count.
     #[test]
-    fn merged_timeline_is_thread_count_invariant() {
+    fn shard_timelines_and_metrics_are_thread_count_invariant() {
         for seed in 0..2 {
-            let one = run_par_scenario_timeline(seed, 1);
-            let four = run_par_scenario_timeline(seed, 4);
-            assert_eq!(
-                one.timeline.to_json(),
-                four.timeline.to_json(),
-                "seed {seed}: merged timeline depends on thread count"
-            );
-            assert_eq!(
-                one.registry.snapshot_json(),
-                four.registry.snapshot_json(),
-                "seed {seed}: merged registry depends on thread count"
-            );
+            let one = run_par_scenario_observed(seed, 1);
+            let four = run_par_scenario_observed(seed, 4);
+            assert!(one.len() >= 2, "seed {seed} did not partition");
+            for (i, (a, b)) in one.iter().zip(&four).enumerate() {
+                assert_eq!(
+                    a.0, b.0,
+                    "seed {seed} shard {i}: timeline depends on threads"
+                );
+                assert_eq!(a.1, b.1, "seed {seed} shard {i}: metrics depend on threads");
+            }
         }
-    }
-
-    /// Satellite check for the gauge-peak merge fix: the naive registry
-    /// merge sums per-shard high-water marks (an upper bound — shards
-    /// need not peak simultaneously), and `refine_gauge_peaks` replaces
-    /// that with the true combined peak read off the merged series.
-    #[test]
-    fn merged_gauge_peaks_are_refined_not_summed() {
-        let out = run_par_scenario_timeline(0, 2);
-        let name = "engine.pending_events";
-        let refined = out
-            .registry
-            .gauge_high_water(name)
-            .expect("every shard publishes the engine gauge");
-        let summed = out
-            .summed_peaks
-            .iter()
-            .find(|(n, _)| n == name)
-            .expect("captured before refinement")
-            .1;
-        let from_series = out
-            .timeline
-            .gauge_peak(name)
-            .expect("the sampler records the engine gauge");
-        let final_value = out.registry.gauge_value(name).unwrap_or(0.0);
-        // Each shard publishes this gauge once, at the end of its run, so
-        // the "peak" the naive merge sums is just every shard's last value
-        // — a bound on nothing. (It used to look like one: uninserted
-        // events were once all in the queue, which therefore only grew, and
-        // the last value was the largest.) The merged series knows better.
-        assert_eq!(summed, final_value);
-        assert_eq!(
-            refined,
-            from_series.max(final_value),
-            "refined peak must come from the merged series"
-        );
     }
 
     #[test]
@@ -392,11 +384,25 @@ mod tests {
             for threads in [2, 4] {
                 let n = run_par_scenario(seed, threads);
                 assert_eq!(
-                    (one.fingerprint, one.events, one.shards),
-                    (n.fingerprint, n.events, n.shards),
+                    (one.fingerprint, one.physics, one.events, one.shards),
+                    (n.fingerprint, n.physics, n.events, n.shards),
                     "seed {seed}: 1 vs {threads} threads diverged"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn partitioned_physics_matches_the_monolithic_run() {
+        for seed in 0..6 {
+            let whole = run_par_scenario_monolithic(seed);
+            let split = run_par_scenario(seed, 2);
+            assert_eq!(whole.shards, 1);
+            assert!(split.shards >= 2, "seed {seed} did not partition");
+            assert_eq!(
+                whole.physics, split.physics,
+                "seed {seed}: partitioned run diverged from the monolithic one"
+            );
         }
     }
 }
