@@ -955,34 +955,6 @@ impl Mpi<'_, '_> {
         rid
     }
 
-    /// Check, without receiving, whether a matching message is already
-    /// pending (`MPI_Iprobe` over the unexpected queue). Returns the
-    /// communicator rank of the source, the tag, and the length of the
-    /// first match in arrival order.
-    pub fn iprobe(
-        &self,
-        comm: CommId,
-        src: Option<usize>,
-        tag: Option<u32>,
-    ) -> Option<(usize, u32, u32)> {
-        let c = &self.eng.comms[comm.0 as usize];
-        let wire_ctx = c.ctx_pt2pt;
-        let src_world = src.map(|s| c.peer_world_rank(s));
-        self.eng.unexpected.iter().find_map(|u| {
-            if u.ctx != wire_ctx
-                || src_world.is_some_and(|s| s != u.src_world)
-                || tag.is_some_and(|t| t != u.tag)
-            {
-                return None;
-            }
-            let len = match &u.body {
-                UnexBody::Eager { len, .. } | UnexBody::Rts { len, .. } => *len,
-            };
-            let src_rank = c.rank_of_world(u.src_world)?;
-            Some((src_rank, u.tag, len))
-        })
-    }
-
     /// Test a request for completion; consumes it when done (`MPI_Test`).
     ///
     /// If the request failed because a peer rank died, the communicator's
@@ -1079,24 +1051,6 @@ impl Mpi<'_, '_> {
         }
     }
 
-    /// Duplicate a communicator with a fresh context (`MPI_Comm_dup`).
-    /// Attributes are not copied (no copy callbacks are registered).
-    pub fn comm_dup(&mut self, comm: CommId) -> CommId {
-        let c = &self.eng.comms[comm.0 as usize];
-        let new = Comm {
-            ctx_pt2pt: self.eng.next_ctx,
-            ctx_coll: self.eng.next_ctx + 1,
-            group: c.group.clone(),
-            my_rank: c.my_rank,
-            kind: c.kind.clone(),
-            attrs: Default::default(),
-            errhandler: c.errhandler,
-        };
-        self.eng.next_ctx += 2;
-        self.eng.comms.push(new);
-        CommId(self.eng.comms.len() as u32 - 1)
-    }
-
     /// Create a two-party intercommunicator with `peer_world`. Both parties
     /// must call this in matching order (a collective-call requirement, as
     /// in MPI). This is the communicator shape MPICH-GQ attaches QoS
@@ -1111,28 +1065,6 @@ impl Mpi<'_, '_> {
             kind: CommKind::Inter {
                 remote: Group::from_members(vec![peer_world]),
             },
-            attrs: Default::default(),
-            errhandler: self.eng.comms[COMM_WORLD.0 as usize].errhandler,
-        };
-        self.eng.next_ctx += 2;
-        self.eng.comms.push(new);
-        CommId(self.eng.comms.len() as u32 - 1)
-    }
-
-    /// Create an intracommunicator over a subset of world ranks (a local
-    /// shortcut for `MPI_Comm_create`; every member must call it with the
-    /// same member list, in matching creation order).
-    pub(crate) fn comm_create(&mut self, members: Vec<usize>) -> CommId {
-        let group = Group::from_members(members);
-        let my_rank = group
-            .rank_of(self.eng.rank)
-            .expect("comm_create by a non-member");
-        let new = Comm {
-            ctx_pt2pt: self.eng.next_ctx,
-            ctx_coll: self.eng.next_ctx + 1,
-            group,
-            my_rank,
-            kind: CommKind::Intra,
             attrs: Default::default(),
             errhandler: self.eng.comms[COMM_WORLD.0 as usize].errhandler,
         };

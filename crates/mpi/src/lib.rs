@@ -5,8 +5,9 @@
 //! ([`Group`], [`Comm`]), the standard *attribute* mechanism with
 //! put-triggered hooks — the paper's standards-compliant extension point
 //! (§4.1) — eager/rendezvous point-to-point with envelope matching
-//! ([`Mpi::isend`], [`Mpi::irecv`]), poll-able collectives ([`Barrier`],
-//! [`Allreduce`], …), and a job launcher ([`JobBuilder`]).
+//! ([`Mpi::isend`], [`Mpi::irecv`]), the poll-able binomial-tree
+//! collectives [`Bcast`] and [`Reduce`] with [`Allreduce`] built on them,
+//! and a job launcher ([`JobBuilder`]).
 //!
 //! Programs implement [`MpiProgram`] as explicit state machines driven by
 //! the engine's progress events, using the nonblocking [`Mpi`] API
@@ -22,7 +23,7 @@ pub(crate) mod group;
 pub(crate) mod job;
 pub(crate) mod wire;
 
-pub use coll::{Allgather, Allreduce, Barrier, Bcast, CollState, CommSplit, Gather, Reduce};
+pub use coll::{Allreduce, Bcast, CollState, Reduce};
 pub use comm::{AttrValue, Comm, CommEndpoints, CommId, CommKind, Keyval, COMM_WORLD};
 pub use engine::{ErrorHandler, InitHook, Mpi, MpiCfg, MpiError, MpiProgram, MsgInfo, Poll, ReqId};
 pub use group::Group;

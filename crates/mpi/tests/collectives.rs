@@ -1,10 +1,7 @@
 //! Collective-operation correctness across rank counts, including
-//! non-powers of two, plus communicator splitting.
+//! non-powers of two.
 
-use mpichgq_mpi::{
-    Allgather, Allreduce, Barrier, Bcast, CollState, CommId, CommSplit, Gather, JobBuilder, Mpi,
-    Poll, Reduce,
-};
+use mpichgq_mpi::{Allreduce, Bcast, CollState, JobBuilder, Mpi, Poll, Reduce};
 use mpichgq_netsim::{Framing, LinkCfg, NodeId, QueueCfg, TopoBuilder};
 use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::Sim;
@@ -42,37 +39,6 @@ fn run_all(n: usize, mk: impl Fn(usize) -> Box<dyn mpichgq_mpi::MpiProgram>) {
     let handle = job.launch(&mut sim);
     sim.run_until(SimTime::from_secs(60));
     assert!(handle.finished(), "collective deadlocked with {n} ranks");
-}
-
-#[test]
-fn allgather_all_sizes() {
-    for n in [1usize, 2, 3, 5, 8] {
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let seen_outer = seen.clone();
-        run_all(n, |r| {
-            let seen = seen.clone();
-            let mut ag: Option<Allgather> = None;
-            Box::new(move |mpi: &mut Mpi| {
-                if ag.is_none() {
-                    ag = Some(Allgather::new(mpi, mpi.comm_world(), vec![r as u8; r + 1]));
-                }
-                match ag.as_mut().unwrap().poll(mpi) {
-                    CollState::Ready => {
-                        seen.borrow_mut().push(ag.as_mut().unwrap().take_all());
-                        Poll::Done
-                    }
-                    CollState::Pending => Poll::Pending,
-                    CollState::Failed(r) => panic!("unexpected rank failure: {r}"),
-                }
-            })
-        });
-        let seen = seen_outer.borrow();
-        assert_eq!(seen.len(), n);
-        let expect: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; r + 1]).collect();
-        for got in seen.iter() {
-            assert_eq!(got, &expect, "n={n}");
-        }
-    }
 }
 
 #[test]
@@ -167,89 +133,4 @@ fn bcast_from_nonzero_root_five_ranks() {
         })
     });
     assert_eq!(*got_outer.borrow(), n);
-}
-
-#[test]
-fn comm_split_partitions_and_isolates() {
-    // 6 ranks split by parity; keys reverse the order within each half.
-    let n = 6;
-    let reports = Rc::new(RefCell::new(Vec::new()));
-    let reports_outer = reports.clone();
-    run_all(n, |r| {
-        let reports = reports.clone();
-        let mut split: Option<CommSplit> = None;
-        let mut sub: Option<CommId> = None;
-        let mut bar: Option<Barrier> = None;
-        Box::new(move |mpi: &mut Mpi| {
-            if split.is_none() {
-                let color = (r % 2) as i32;
-                let key = -(r as i32); // reverse order within the color
-                split = Some(CommSplit::new(mpi, mpi.comm_world(), color, key));
-            }
-            if sub.is_none() {
-                match split.as_mut().unwrap().poll(mpi) {
-                    CollState::Ready => {
-                        let c = split.as_mut().unwrap().take_comm();
-                        sub = Some(c);
-                        let comm = mpi.comm(c);
-                        reports
-                            .borrow_mut()
-                            .push((r, comm.my_rank, comm.group.members().to_vec()));
-                        // A barrier on the sub-communicator proves the new
-                        // context works end to end.
-                        bar = Some(Barrier::new(mpi, c));
-                    }
-                    CollState::Pending => return Poll::Pending,
-                    CollState::Failed(r) => panic!("unexpected rank failure: {r}"),
-                }
-            }
-            match bar.as_mut().unwrap().poll(mpi) {
-                CollState::Ready => Poll::Done,
-                CollState::Pending => Poll::Pending,
-                CollState::Failed(r) => panic!("unexpected rank failure: {r}"),
-            }
-        })
-    });
-    let reports = reports_outer.borrow();
-    assert_eq!(reports.len(), n);
-    for &(world, sub_rank, ref members) in reports.iter() {
-        let expect_members: Vec<usize> = if world % 2 == 0 {
-            vec![4, 2, 0] // keys -4 < -2 < 0
-        } else {
-            vec![5, 3, 1]
-        };
-        assert_eq!(members, &expect_members, "world rank {world}");
-        let expect_rank = expect_members.iter().position(|&m| m == world).unwrap();
-        assert_eq!(sub_rank, expect_rank, "world rank {world}");
-    }
-}
-
-#[test]
-fn gather_five_ranks_nonzero_root() {
-    let n = 5;
-    let out = Rc::new(RefCell::new(None));
-    let out_outer = out.clone();
-    run_all(n, |r| {
-        let out = out.clone();
-        let mut g: Option<Gather> = None;
-        Box::new(move |mpi: &mut Mpi| {
-            if g.is_none() {
-                g = Some(Gather::new(mpi, mpi.comm_world(), 2, vec![r as u8 * 10]));
-            }
-            match g.as_mut().unwrap().poll(mpi) {
-                CollState::Ready => {
-                    if mpi.rank() == 2 {
-                        *out.borrow_mut() = Some(g.as_mut().unwrap().take_collected());
-                    }
-                    Poll::Done
-                }
-                CollState::Pending => Poll::Pending,
-                CollState::Failed(r) => panic!("unexpected rank failure: {r}"),
-            }
-        })
-    });
-    assert_eq!(
-        *out_outer.borrow(),
-        Some(vec![vec![0], vec![10], vec![20], vec![30], vec![40]])
-    );
 }

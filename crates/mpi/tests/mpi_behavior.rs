@@ -2,9 +2,7 @@
 //! isolation, rendezvous, attributes, and collectives — all over the
 //! simulated network.
 
-use mpichgq_mpi::{
-    Barrier, Bcast, CollState, CommId, Gather, JobBuilder, Mpi, MpiCfg, Poll, Reduce,
-};
+use mpichgq_mpi::{Bcast, CollState, CommId, JobBuilder, Mpi, MpiCfg, Poll, Reduce};
 use mpichgq_netsim::{Framing, LinkCfg, NodeId, QueueCfg, TopoBuilder};
 use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::Sim;
@@ -305,38 +303,40 @@ fn wildcard_source_and_tag() {
 }
 
 #[test]
-fn comm_dup_isolates_contexts() {
+fn intercomm_pair_isolates_contexts() {
     let (mut sim, hosts) = star(2);
     let order = Rc::new(RefCell::new(Vec::new()));
     let order2 = order.clone();
 
-    // Sender: message on WORLD first, then on the dup.
+    // Sender: message on WORLD first, then on the intercommunicator.
     let mut state = 0;
     let sender = move |mpi: &mut Mpi| {
         if state == 0 {
             state = 1;
-            let d = mpi.comm_dup(mpi.comm_world());
+            let ic = mpi.intercomm_pair(1);
             mpi.isend_bytes(mpi.comm_world(), 1, 9, vec![b'w']);
-            mpi.isend_bytes(d, 1, 9, vec![b'd']);
+            // Remote-group rank 0 is world rank 1.
+            mpi.isend_bytes(ic, 0, 9, vec![b'i']);
         }
         Poll::Done
     };
-    // Receiver: posts the dup receive FIRST; it must get the dup message,
-    // not the world message, despite identical (src, tag).
+    // Receiver: posts the intercommunicator receive FIRST; it must get the
+    // intercommunicator's message, not the world message, though both come
+    // from rank 0 of their communicator with tag 9.
     let mut posted = false;
-    let mut rd: Option<mpichgq_mpi::ReqId> = None;
+    let mut ri: Option<mpichgq_mpi::ReqId> = None;
     let mut rw: Option<mpichgq_mpi::ReqId> = None;
     let receiver = move |mpi: &mut Mpi| {
         if !posted {
             posted = true;
-            let d = mpi.comm_dup(mpi.comm_world());
-            rd = Some(mpi.irecv(d, Some(0), Some(9)));
+            let ic = mpi.intercomm_pair(0);
+            ri = Some(mpi.irecv(ic, Some(0), Some(9)));
             rw = Some(mpi.irecv(mpi.comm_world(), Some(0), Some(9)));
         }
-        if let Some(r) = rd {
+        if let Some(r) = ri {
             if let Some(info) = mpi.test(r) {
-                order2.borrow_mut().push(('d', info.payload.unwrap()[0]));
-                rd = None;
+                order2.borrow_mut().push(('i', info.payload.unwrap()[0]));
+                ri = None;
             }
         }
         if let Some(r) = rw {
@@ -345,7 +345,7 @@ fn comm_dup_isolates_contexts() {
                 rw = None;
             }
         }
-        if rd.is_none() && rw.is_none() {
+        if ri.is_none() && rw.is_none() {
             Poll::Done
         } else {
             Poll::Pending
@@ -358,7 +358,7 @@ fn comm_dup_isolates_contexts() {
     run(&mut sim, 30);
     assert!(job.finished());
     let order = order.borrow();
-    assert!(order.contains(&('d', b'd')), "dup recv got {order:?}");
+    assert!(order.contains(&('i', b'i')), "intercomm recv got {order:?}");
     assert!(order.contains(&('w', b'w')), "world recv got {order:?}");
 }
 
@@ -403,57 +403,7 @@ fn intercommunicator_pair_messaging() {
 }
 
 #[test]
-fn barrier_synchronizes_four_ranks() {
-    let (mut sim, hosts) = star(4);
-    let release_times = Rc::new(RefCell::new(Vec::new()));
-
-    let mut job = JobBuilder::new();
-    #[allow(clippy::needless_range_loop)]
-    for r in 0..4 {
-        let times = release_times.clone();
-        let mut bar: Option<Barrier> = None;
-        let mut slept = false;
-        let delay = SimDelta::from_millis(100 * r as u64);
-        let prog = move |mpi: &mut Mpi| {
-            // Each rank waits a different time before entering the barrier.
-            if !slept {
-                slept = true;
-                mpi.set_timer(delay, 1);
-                return Poll::Pending;
-            }
-            if bar.is_none() {
-                if !mpi.take_timer(1) {
-                    return Poll::Pending;
-                }
-                bar = Some(Barrier::new(mpi, mpi.comm_world()));
-            }
-            match bar.as_mut().unwrap().poll(mpi) {
-                CollState::Ready => {
-                    times.borrow_mut().push(mpi.now());
-                    Poll::Done
-                }
-                CollState::Pending => Poll::Pending,
-                CollState::Failed(r) => panic!("unexpected rank failure: {r}"),
-            }
-        };
-        job = job.rank(hosts[r], Box::new(prog));
-    }
-    let handle = job.launch(&mut sim);
-    run(&mut sim, 30);
-    assert!(handle.finished());
-    let times = release_times.borrow();
-    assert_eq!(times.len(), 4);
-    // Nobody may exit before the last rank entered (t = 300 ms).
-    for &t in times.iter() {
-        assert!(
-            t >= SimTime::from_millis(300),
-            "barrier released early at {t}"
-        );
-    }
-}
-
-#[test]
-fn bcast_gather_reduce_roundtrip() {
+fn bcast_reduce_roundtrip() {
     let (mut sim, hosts) = star(4);
     let results = Rc::new(RefCell::new(Vec::new()));
 
@@ -463,7 +413,6 @@ fn bcast_gather_reduce_roundtrip() {
         let results = results.clone();
         let mut phase = 0u8;
         let mut bcast: Option<Bcast> = None;
-        let mut gather: Option<Gather> = None;
         let mut reduce: Option<Reduce> = None;
         let prog = move |mpi: &mut Mpi| {
             let w = mpi.comm_world();
@@ -482,19 +431,6 @@ fn bcast_gather_reduce_roundtrip() {
                         CollState::Ready => {
                             let data = bcast.as_mut().unwrap().take_data().unwrap();
                             assert_eq!(data, vec![10, 20, 30]);
-                            // Gather rank-stamped data to root 1.
-                            gather = Some(Gather::new(mpi, w, 1, vec![mpi.rank() as u8]));
-                            phase = 2;
-                        }
-                        CollState::Pending => return Poll::Pending,
-                        CollState::Failed(r) => panic!("unexpected rank failure: {r}"),
-                    },
-                    2 => match gather.as_mut().unwrap().poll(mpi) {
-                        CollState::Ready => {
-                            if mpi.rank() == 1 {
-                                let all = gather.as_mut().unwrap().take_collected();
-                                assert_eq!(all, vec![vec![0], vec![1], vec![2], vec![3]]);
-                            }
                             // Sum-reduce 8-byte little-endian integers to 0.
                             let mine = (mpi.rank() as u64 + 1).to_le_bytes().to_vec();
                             reduce = Some(Reduce::new(mpi, w, 0, mine, |a, b| {
@@ -502,12 +438,12 @@ fn bcast_gather_reduce_roundtrip() {
                                 let y = u64::from_le_bytes(b.try_into().unwrap());
                                 (x + y).to_le_bytes().to_vec()
                             }));
-                            phase = 3;
+                            phase = 2;
                         }
                         CollState::Pending => return Poll::Pending,
                         CollState::Failed(r) => panic!("unexpected rank failure: {r}"),
                     },
-                    3 => match reduce.as_mut().unwrap().poll(mpi) {
+                    2 => match reduce.as_mut().unwrap().poll(mpi) {
                         CollState::Ready => {
                             if mpi.rank() == 0 {
                                 let out = reduce.as_mut().unwrap().take_result().unwrap();
@@ -735,10 +671,8 @@ fn eager_limit_boundary_uses_both_protocols() {
 }
 
 #[test]
-fn iprobe_and_self_send() {
+fn unexpected_message_and_self_send() {
     let (mut sim, hosts) = star(2);
-    let log = Rc::new(RefCell::new(Vec::new()));
-    let log2 = log.clone();
 
     let mut sent = false;
     let sender = move |mpi: &mut Mpi| {
@@ -748,59 +682,37 @@ fn iprobe_and_self_send() {
         }
         Poll::Done
     };
-    let mut state = 0;
-    let mut req = None;
+    let mut waited = false;
     let receiver = move |mpi: &mut Mpi| {
         let w = mpi.comm_world();
-        match state {
-            0 => {
-                // Nothing posted: wait for the message to land unexpected.
-                state = 1;
-                mpi.set_timer(mpichgq_sim::SimDelta::from_secs(1), 1);
-                Poll::Pending
-            }
-            1 => {
-                if !mpi.take_timer(1) {
-                    return Poll::Pending;
-                }
-                // Probe sees the queued envelope without consuming it.
-                let probed = mpi.iprobe(w, Some(0), None);
-                log2.borrow_mut().push(("probe", probed));
-                assert_eq!(probed, Some((0, 6, 3)));
-                // Probe again: still there.
-                assert_eq!(mpi.iprobe(w, None, Some(6)), Some((0, 6, 3)));
-                assert_eq!(mpi.iprobe(w, None, Some(7)), None);
-                // Self-send: completes without touching the network.
-                let sreq = mpi.isend_bytes(w, 1, 42, vec![9]);
-                let rreq = mpi.irecv(w, Some(1), Some(42));
-                assert!(mpi.test(sreq).is_some(), "self-send completes at once");
-                let info = mpi.test(rreq).expect("self-recv completes at once");
-                assert_eq!(info.payload.unwrap(), vec![9]);
-                // Now receive the probed message; the probe is gone after.
-                req = Some(mpi.irecv(w, Some(0), Some(6)));
-                assert_eq!(mpi.iprobe(w, Some(0), None), None);
-                state = 2;
-                self_poll(mpi, &mut req)
-            }
-            _ => self_poll(mpi, &mut req),
+        if !waited {
+            // Nothing posted: wait for the message to land unexpected.
+            waited = true;
+            mpi.set_timer(SimDelta::from_secs(1), 1);
+            return Poll::Pending;
         }
+        if !mpi.take_timer(1) {
+            return Poll::Pending;
+        }
+        // Self-send: completes without touching the network, and does not
+        // match the unexpected message from rank 0.
+        let sreq = mpi.isend_bytes(w, 1, 42, vec![9]);
+        let rreq = mpi.irecv(w, Some(1), Some(42));
+        assert!(mpi.test(sreq).is_some(), "self-send completes at once");
+        let info = mpi.test(rreq).expect("self-recv completes at once");
+        assert_eq!(info.payload.unwrap(), vec![9]);
+        // The queued message matches a receive posted after it arrived.
+        let req = mpi.irecv(w, Some(0), Some(6));
+        let info = mpi.test(req).expect("unexpected message matches at once");
+        assert_eq!(info.payload.unwrap(), vec![1, 2, 3]);
+        Poll::Done
     };
-    fn self_poll(mpi: &mut Mpi, req: &mut Option<mpichgq_mpi::ReqId>) -> Poll {
-        match mpi.test(req.unwrap()) {
-            Some(info) => {
-                assert_eq!(info.payload.unwrap(), vec![1, 2, 3]);
-                Poll::Done
-            }
-            None => Poll::Pending,
-        }
-    }
     let job = JobBuilder::new()
         .rank(hosts[0], Box::new(sender))
         .rank(hosts[1], Box::new(receiver))
         .launch(&mut sim);
     run(&mut sim, 10);
     assert!(job.finished());
-    assert_eq!(log.borrow().len(), 1);
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! sender drain, and a restartable rank resumes from its checkpoint.
 
 use mpichgq_mpi::{
-    Allreduce, Barrier, CollState, CommSplit, ErrorHandler, Gather, JobBuilder, JobHandle, Mpi,
-    MpiProgram, Poll, Reduce, COMM_WORLD,
+    Allreduce, CollState, ErrorHandler, JobBuilder, JobHandle, Mpi, MpiProgram, Poll, Reduce,
+    COMM_WORLD,
 };
 use mpichgq_netsim::faults::{FaultAction, FaultPlan};
 use mpichgq_netsim::{Framing, LinkCfg, NodeId, QueueCfg, TopoBuilder};
@@ -57,7 +57,7 @@ fn crash_star(
 /// Shared scaffolding for the per-collective regression tests: the dead
 /// rank idles, every survivor drives the collective built by `mk_poll`.
 /// Ranks whose local part can complete before the crash may legitimately
-/// finish `Ready` (a gather leaf's send, say), but no survivor may hang,
+/// finish `Ready` (a reduce leaf's send, say), but no survivor may hang,
 /// every rank in `must_fail` must observe `CollState::Failed(dead)`, and
 /// any reported failure must name the dead rank.
 fn collective_failure_case(
@@ -110,32 +110,6 @@ fn sum_op(a: &[u8], b: &[u8]) -> Vec<u8> {
 }
 
 #[test]
-fn barrier_fails_when_rank_dies() {
-    collective_failure_case(4, 3, &[0, 1, 2], |_r| {
-        let mut bar: Option<Barrier> = None;
-        Box::new(move |mpi: &mut Mpi| {
-            if bar.is_none() {
-                bar = Some(Barrier::new(mpi, mpi.comm_world()));
-            }
-            bar.as_mut().unwrap().poll(mpi)
-        })
-    });
-}
-
-#[test]
-fn gather_fails_when_rank_dies() {
-    collective_failure_case(4, 1, &[0], |r| {
-        let mut g: Option<Gather> = None;
-        Box::new(move |mpi: &mut Mpi| {
-            if g.is_none() {
-                g = Some(Gather::new(mpi, mpi.comm_world(), 0, vec![r as u8]));
-            }
-            g.as_mut().unwrap().poll(mpi)
-        })
-    });
-}
-
-#[test]
 fn reduce_fails_when_rank_dies() {
     collective_failure_case(4, 2, &[0], |r| {
         let mut red: Option<Reduce> = None;
@@ -159,24 +133,6 @@ fn allreduce_fails_when_rank_dies() {
                 ar = Some(Allreduce::new(mpi, mpi.comm_world(), mine, sum_op));
             }
             ar.as_mut().unwrap().poll(mpi)
-        })
-    });
-}
-
-#[test]
-fn comm_split_fails_when_rank_dies() {
-    collective_failure_case(4, 3, &[0, 1, 2], |r| {
-        let mut split: Option<CommSplit> = None;
-        Box::new(move |mpi: &mut Mpi| {
-            if split.is_none() {
-                split = Some(CommSplit::new(
-                    mpi,
-                    mpi.comm_world(),
-                    (r % 2) as i32,
-                    r as i32,
-                ));
-            }
-            split.as_mut().unwrap().poll(mpi)
         })
     });
 }
