@@ -380,6 +380,14 @@ fn sec3(fast: bool) {
     println!("# every halo is policed away and TCP slow-starts (paper §3).");
 }
 
+/// One independent run of [`ablations`].
+enum Ablation {
+    /// The delivery ratio of one visualization run.
+    Delivery(Fig6Cfg),
+    /// The least reservation reaching 95 % delivery, by bisection.
+    MinReservation(Fig6Cfg),
+}
+
 /// Ablations of the design choices DESIGN.md §4 calls out:
 ///
 /// 1. edge policing action: drop vs demote;
@@ -389,21 +397,63 @@ fn sec3(fast: bool) {
 /// 5. layer-2 framing: where the paper's 1.06× reservation factor comes
 ///    from.
 fn ablations(fast: bool) {
-    let dur = if fast { 15 } else { 30 };
+    let dur = SimTime::from_secs(if fast { 15 } else { 30 });
+    let viz = |frame_bytes, fps, reservation_kbps| Fig6Cfg {
+        duration: dur,
+        ..Fig6Cfg::new(frame_bytes, fps, reservation_kbps)
+    };
+    let rtos = [200u64, 500, 1000];
+    // Every run is independent: the three minimum-RTO bisections (the
+    // longest, so they start first) and the six delivery runs share one
+    // pool, and the sections print in order from the collected values.
+    let mut runs: Vec<Ablation> = rtos
+        .iter()
+        .map(|&ms| {
+            Ablation::MinReservation(Fig6Cfg {
+                rto_min: SimDelta::from_millis(ms),
+                ..table1_probe(800.0, 1.0, fast)
+            })
+        })
+        .collect();
+    let actions = [
+        ("drop", PolicingAction::Drop),
+        ("demote", PolicingAction::Demote),
+    ];
+    for (_, policing_action) in actions {
+        runs.push(Ablation::Delivery(Fig6Cfg {
+            policing_action,
+            contention_bps: 100_000_000,
+            ..viz(30_000, 10.0, 1600.0)
+        }));
+    }
+    let shaping = [("off", false), ("on", true)];
+    for (_, shape_at_source) in shaping {
+        runs.push(Ablation::Delivery(Fig6Cfg {
+            shape_at_source,
+            ..viz(100_000, 1.0, 1000.0)
+        }));
+    }
+    let limits = [("64k_eager", 64 * 1024u32), ("8k_rendezvous", 8 * 1024)];
+    for (_, eager_limit) in limits {
+        runs.push(Ablation::Delivery(Fig6Cfg {
+            eager_limit,
+            ..viz(100_000, 1.0, 1_100.0)
+        }));
+    }
+    let got = par_map(&runs, |run| match *run {
+        Ablation::Delivery(cfg) => viz_delivery_ratio(cfg),
+        Ablation::MinReservation(probe) => min_reservation(probe, 800.0, 4.0, 0.95),
+    });
+    let (min_res, delivery) = got.split_at(rtos.len());
+    let (by_action, rest) = delivery.split_at(actions.len());
+    let (by_shaping, by_limit) = rest.split_at(shaping.len());
 
     // --- 1. drop vs demote at an undersized reservation -----------------
     println!("# ablation 1: policing action at an undersized reservation");
     println!("#   (2400 Kb/s attempted, 1600 Kb/s reserved, moderate contention)");
     println!("action,delivery_ratio");
-    for (label, action) in [
-        ("drop", PolicingAction::Drop),
-        ("demote", PolicingAction::Demote),
-    ] {
-        let mut cfg = Fig6Cfg::new(30_000, 10.0, 1600.0);
-        cfg.policing_action = action;
-        cfg.contention_bps = 100_000_000;
-        cfg.duration = SimTime::from_secs(dur);
-        println!("{label},{:.2}", viz_delivery_ratio(cfg));
+    for ((label, _), ratio) in actions.iter().zip(by_action) {
+        println!("{label},{ratio:.2}");
     }
 
     // --- 3. end-system shaping vs policing only -------------------------
@@ -411,22 +461,14 @@ fn ablations(fast: bool) {
         "# ablation 3: end-system shaping of the 1 fps burst (800 Kb/s target, 1000 Kb/s reserved)"
     );
     println!("shaping,delivery_ratio");
-    for (label, shape) in [("off", false), ("on", true)] {
-        let mut cfg = Fig6Cfg::new(100_000, 1.0, 1000.0);
-        cfg.shape_at_source = shape;
-        cfg.duration = SimTime::from_secs(dur);
-        println!("{label},{:.2}", viz_delivery_ratio(cfg));
+    for ((label, _), ratio) in shaping.iter().zip(by_shaping) {
+        println!("{label},{ratio:.2}");
     }
 
     // --- 4. burstiness penalty vs minimum RTO ---------------------------
     println!("# ablation 4: Table 1 cell (800 Kb/s, 1 fps, normal bucket) vs TCP minimum RTO");
     println!("rto_min_ms,min_reservation_kbps");
-    for rto_ms in [200u64, 500, 1000] {
-        let probe = Fig6Cfg {
-            rto_min: SimDelta::from_millis(rto_ms),
-            ..table1_probe(800.0, 1.0, fast)
-        };
-        let min = min_reservation(probe, 800.0, 4.0, 0.95);
+    for (rto_ms, min) in rtos.iter().zip(min_res) {
         println!("{rto_ms},{min:.0}");
     }
 
@@ -437,11 +479,8 @@ fn ablations(fast: bool) {
     println!("#   data still leaves as one TCP-paced burst. Shaping must happen below");
     println!("#   MPI (the token bucket or the globus-io shaper), as the paper argues.");
     println!("eager_limit,delivery_ratio");
-    for (label, limit) in [("64k_eager", 64 * 1024u32), ("8k_rendezvous", 8 * 1024)] {
-        let mut cfg = Fig6Cfg::new(100_000, 1.0, 1_100.0);
-        cfg.eager_limit = limit;
-        cfg.duration = SimTime::from_secs(dur);
-        println!("{label},{:.2}", viz_delivery_ratio(cfg));
+    for ((label, _), ratio) in limits.iter().zip(by_limit) {
+        println!("{label},{ratio:.2}");
     }
 
     // --- 5. framing overhead (the 1.06 factor) --------------------------

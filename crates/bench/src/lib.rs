@@ -16,3 +16,4 @@ pub mod output;
 mod par;
 
 pub use experiments::*;
+pub use par::par_map;

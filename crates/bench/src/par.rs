@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Map `f` over `items` on a pool of scoped worker threads (at most one
 /// per available core). Results come back in input order.
-pub(crate) fn par_map<A, R, F>(items: &[A], f: F) -> Vec<R>
+pub fn par_map<A, R, F>(items: &[A], f: F) -> Vec<R>
 where
     A: Sync,
     R: Send,
