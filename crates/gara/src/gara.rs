@@ -337,25 +337,6 @@ impl Gara {
             .insert(server.to_owned(), SlotTable::new(capacity_bytes_per_sec));
     }
 
-    pub fn managed_chan_count(&self) -> usize {
-        self.links.len()
-    }
-
-    /// Reconfigure a managed channel's reservable capacity in place,
-    /// keeping its admitted slots (the broker-side analogue of
-    /// [`SlotTable::set_capacity`]). Returns false if the channel is not
-    /// managed. Lowering below the committed peak leaves the table
-    /// transiently overcommitted; auditors see it via [`Gara::slot_tables`].
-    pub fn set_chan_capacity(&mut self, chan: ChanId, reservable_bps: u64) -> bool {
-        match self.links.get_mut(&chan) {
-            Some(t) => {
-                t.set_capacity(reservable_bps);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Managed network slot tables, for invariant auditors (qcheck checks
     /// peak ≤ capacity on every table after each scenario).
     pub fn slot_tables(&self) -> impl Iterator<Item = (ChanId, &SlotTable)> {
@@ -720,67 +701,6 @@ impl Gara {
         Ok(())
     }
 
-    /// Modify the CPU fraction of an active/pending CPU reservation, with
-    /// the same all-or-nothing admission as a fresh request ("essentially
-    /// the same calls are used" across resource types, §4.2).
-    pub fn modify_cpu_fraction(
-        &mut self,
-        net: &mut Net,
-        id: ResvId,
-        new_fraction: f64,
-    ) -> Result<(), ReserveError> {
-        let r = self.modify_cpu_fraction_inner(net, id, new_fraction);
-        if let Err(e) = &r {
-            self.count_modify_reject(net, e);
-        }
-        r
-    }
-
-    fn modify_cpu_fraction_inner(
-        &mut self,
-        net: &mut Net,
-        id: ResvId,
-        new_fraction: f64,
-    ) -> Result<(), ReserveError> {
-        if !(new_fraction > 0.0 && new_fraction <= 1.0) {
-            return Err(ReserveError::Invalid("CPU fraction out of (0,1]"));
-        }
-        let r = self
-            .resvs
-            .get(&id.0)
-            .ok_or(ReserveError::Invalid("no such modifiable reservation"))?;
-        let Request::Cpu(creq) = r.req.clone() else {
-            return Err(ReserveError::Invalid("not a CPU reservation"));
-        };
-        let slot = r.slots.iter().find_map(|s| match s {
-            SlotRef::Cpu(h, sid) => Some((*h, *sid)),
-            _ => None,
-        });
-        let Some((host, sid)) = slot else {
-            return Err(ReserveError::Invalid("reservation has no CPU slot"));
-        };
-        let amount = (new_fraction * CPU_UNITS).round() as u64;
-        self.cpus
-            .get_mut(&host)
-            .ok_or(ReserveError::Invalid("CPU table vanished"))?
-            .try_resize(sid, amount)
-            .map_err(ReserveError::Admission)?;
-        let active = self.statuses[id.0 as usize] == Status::Active;
-        if let Request::Cpu(c) = &mut self.resvs.get_mut(&id.0).unwrap().req {
-            c.fraction = new_fraction;
-        }
-        if active {
-            net.cpu_set_reservation(creq.host, creq.proc, Some(new_fraction))
-                .map_err(|_| ReserveError::Invalid("DSRT refused the new fraction"))?;
-        }
-        self.ctrs.modifies.bump(net);
-        let now = net.now();
-        net.obs
-            .trace
-            .record(now, "gara.modify_cpu", id.0, (new_fraction * 1000.0) as i64);
-        Ok(())
-    }
-
     /// Current status of any id ever issued (the polling interface);
     /// `None` for an id this broker never granted.
     pub fn status(&self, id: ResvId) -> Option<Status> {
@@ -794,15 +714,10 @@ impl Gara {
         self.listeners.push(f);
     }
 
-    /// Free EF capacity on a managed channel over a window (for programs
-    /// that "select from among alternative resources, according to their
-    /// availability", §4.2).
-    pub fn available_on(&self, chan: ChanId, start: SimTime, end: SimTime) -> Option<u64> {
-        self.links.get(&chan).map(|t| t.available(start, end))
-    }
-
     /// Free EF capacity along the whole path from `src` to `dst` over a
-    /// window: the minimum across every managed channel on the path.
+    /// window: the minimum across every managed channel on the path (for
+    /// programs that "select from among alternative resources, according
+    /// to their availability", §4.2).
     /// Returns `None` if the endpoints are unreachable; unmanaged paths
     /// report `u64::MAX` (no broker limit applies).
     pub fn available_on_path(

@@ -86,7 +86,7 @@ fn with_gara<R>(sim: &mut Sim, f: impl FnOnce(&mut Gara, &mut mpichgq_netsim::Ne
 fn admission_is_limited_to_reservable_fraction() {
     let (mut sim, src, dst) = dumbbell_sim();
     with_gara(&mut sim, |g, net| {
-        assert_eq!(g.managed_chan_count(), 2); // both trunk directions
+        assert_eq!(g.slot_tables().count(), 2); // both trunk directions
         g.reserve(net, net_request(src, dst, 3_000_000), StartSpec::Now, None)
             .unwrap();
         // 2 Mb/s left of the 5 Mb/s reservable.
@@ -331,7 +331,7 @@ fn failed_activation_retires_the_record_and_releases_its_slots() {
             assert_eq!(g.status(id), Some(Status::Failed));
         }
         assert!(matches!(
-            g.modify_cpu_fraction(net, refused, 0.1),
+            g.modify_network_rate(net, looped, 2_000_000),
             Err(ReserveError::Invalid("no such modifiable reservation"))
         ));
         assert!(log.borrow().is_empty());
@@ -597,49 +597,6 @@ fn injected_rejections_fail_then_clear() {
 }
 
 #[test]
-fn cpu_reservation_can_be_modified_live() {
-    let (mut sim, src, _dst) = dumbbell_sim();
-    let proc = sim.net.cpu_add_process(src);
-    sim.net.cpu_spawn_hog(src);
-    sim.net.cpu_start_work(src, proc, SimDelta::from_secs(100));
-    with_gara(&mut sim, |g, net| {
-        let id = g
-            .reserve(
-                net,
-                Request::Cpu(CpuRequest {
-                    host: src,
-                    proc,
-                    fraction: 0.5,
-                }),
-                StartSpec::Now,
-                None,
-            )
-            .unwrap();
-        assert!((net.cpu_share_of(src, proc) - 0.5).abs() < 1e-9);
-        // Grow the reservation in place.
-        g.modify_cpu_fraction(net, id, 0.9).unwrap();
-        assert!((net.cpu_share_of(src, proc) - 0.9).abs() < 1e-9);
-        // Growing past the admission cap fails and leaves 0.9 in force.
-        assert!(g.modify_cpu_fraction(net, id, 0.96).is_err());
-        assert!((net.cpu_share_of(src, proc) - 0.9).abs() < 1e-9);
-        // Shrinking frees capacity for another process.
-        g.modify_cpu_fraction(net, id, 0.2).unwrap();
-        let p2 = net.cpu_add_process(src);
-        g.reserve(
-            net,
-            Request::Cpu(CpuRequest {
-                host: src,
-                proc: p2,
-                fraction: 0.7,
-            }),
-            StartSpec::Now,
-            None,
-        )
-        .unwrap();
-    });
-}
-
-#[test]
 fn failed_multi_link_modify_rolls_back_infallibly() {
     // A reservation path crossing two managed trunks with different
     // reservable capacities: growing the rate succeeds on the roomier
@@ -666,13 +623,18 @@ fn failed_multi_link_modify_rolls_back_infallibly() {
     gara.manage_chan(t23, 5_000_000);
     install(&mut sim.stack, gara);
 
+    // Free capacity on one trunk over the next 1000 s, read off the
+    // broker's slot tables.
+    let free = |g: &Gara, chan: ChanId| {
+        let (_, t) = g.slot_tables().find(|(c, _)| *c == chan).unwrap();
+        t.available(SimTime::ZERO, SimTime::from_secs(1000))
+    };
     with_gara(&mut sim, |g, net| {
         let id = g
             .reserve(net, net_request(h1, h2, 4_000_000), StartSpec::Now, None)
             .unwrap();
-        let horizon = SimTime::from_secs(1000);
-        assert_eq!(g.available_on(t12, SimTime::ZERO, horizon), Some(4_000_000));
-        assert_eq!(g.available_on(t23, SimTime::ZERO, horizon), Some(1_000_000));
+        assert_eq!(free(g, t12), 4_000_000);
+        assert_eq!(free(g, t23), 1_000_000);
 
         // 6 Mb/s fits trunk 1 (8 reservable) but not trunk 2 (5 reservable).
         let err = g.modify_network_rate(net, id, 6_000_000).unwrap_err();
@@ -686,64 +648,13 @@ fn failed_multi_link_modify_rolls_back_infallibly() {
         // Prior state restored on BOTH trunks: the old rate is still
         // admitted, and the freed capacity adds up exactly.
         assert_eq!(g.status(id), Some(Status::Active));
-        assert_eq!(g.available_on(t12, SimTime::ZERO, horizon), Some(4_000_000));
-        assert_eq!(g.available_on(t23, SimTime::ZERO, horizon), Some(1_000_000));
+        assert_eq!(free(g, t12), 4_000_000);
+        assert_eq!(free(g, t23), 1_000_000);
 
         // A feasible modify still works after the refused one.
         g.modify_network_rate(net, id, 5_000_000).unwrap();
-        assert_eq!(g.available_on(t12, SimTime::ZERO, horizon), Some(3_000_000));
-        assert_eq!(g.available_on(t23, SimTime::ZERO, horizon), Some(0));
-    });
-}
-
-#[test]
-fn modify_rollback_survives_capacity_lowering_reconfiguration() {
-    // Broker lowers a trunk's reservable capacity below the committed peak
-    // *after* admission. A later refused modify must still roll back
-    // cleanly — `restore` bypasses admission, so the old (now formally
-    // overcommitted) amount is reinstated instead of the process dying.
-    use mpichgq_netsim::{LinkCfg, QueueCfg, TopoBuilder};
-    let mut b = TopoBuilder::new(78);
-    let h1 = b.host("h1");
-    let r1 = b.router("r1");
-    let r2 = b.router("r2");
-    let r3 = b.router("r3");
-    let h2 = b.host("h2");
-    let edge = LinkCfg::fast_ethernet(SimDelta::from_micros(50));
-    let trunk = LinkCfg::atm_vc(10_000_000, SimDelta::from_millis(2));
-    b.link(h1, r1, edge, QueueCfg::droptail_default());
-    let (t12, _) = b.link(r1, r2, trunk, QueueCfg::priority_default());
-    let (t23, _) = b.link(r2, r3, trunk, QueueCfg::priority_default());
-    b.link(r3, h2, edge, QueueCfg::droptail_default());
-    let mut sim = Sim::new(b.build());
-    let mut gara = Gara::new();
-    gara.manage_chan(t12, 8_000_000);
-    gara.manage_chan(t23, 8_000_000);
-    install(&mut sim.stack, gara);
-
-    with_gara(&mut sim, |g, net| {
-        let id = g
-            .reserve(net, net_request(h1, h2, 6_000_000), StartSpec::Now, None)
-            .unwrap();
-        // Reconfiguration squeezes the first trunk under the committed 6.
-        assert!(g.set_chan_capacity(t12, 4_000_000));
-        let over: Vec<_> = g
-            .slot_tables()
-            .filter(|(_, t)| t.max_overcommit() > 0)
-            .map(|(c, t)| (c, t.max_overcommit()))
-            .collect();
-        assert_eq!(over, vec![(t12, 2_000_000)]);
-
-        // Any modify is now refused at trunk 1 (over capacity), and the
-        // rollback leaves the original 6 Mb/s in force everywhere.
-        assert!(g.modify_network_rate(net, id, 7_000_000).is_err());
-        assert_eq!(g.status(id), Some(Status::Active));
-        for (_, t) in g.slot_tables() {
-            assert_eq!(t.len(), 1);
-        }
-        let horizon = SimTime::from_secs(1000);
-        assert_eq!(g.available_on(t23, SimTime::ZERO, horizon), Some(2_000_000));
-        assert_eq!(g.available_on(t12, SimTime::ZERO, horizon), Some(0));
+        assert_eq!(free(g, t12), 3_000_000);
+        assert_eq!(free(g, t23), 0);
     });
 }
 
@@ -825,7 +736,6 @@ fn identical_brokers_list_their_links_in_the_same_order() {
         for i in 0..12u32 {
             g.manage_chan(ChanId(i * 7 % 12), 1_000_000 * (i as u64 + 1));
         }
-        g.set_chan_capacity(ChanId(3), 5);
         g
     };
     let order = |g: &Gara| g.slot_tables().map(|(c, _)| c).collect::<Vec<_>>();

@@ -19,13 +19,27 @@
 //!
 //! Simulator simplifications, documented here once: sequence numbers are
 //! 64-bit (no wraparound), there is no SACK (Reno-era stacks), no Nagle
-//! (MPICH disables it), no delayed ACK by default (configurable), and the
-//! initial sequence number is zero.
+//! (MPICH disables it), no delayed ACK (every in-order segment is acked at
+//! once, so each connection has one timer, the retransmission timer), and
+//! the initial sequence number is zero. Slow-start restart after idle
+//! (RFC 2861) is always on.
 
 use mpichgq_sim::{SimDelta, SimTime};
 use std::collections::BTreeMap;
 
-/// Connection configuration (per-socket tunables).
+/// Initial slow-start threshold: unbounded, so the first slow start runs
+/// until the first loss.
+const INIT_SSTHRESH: f64 = u32::MAX as f64;
+/// Upper bound on the (backed-off) retransmission timeout.
+const RTO_MAX: SimDelta = SimDelta::from_secs(60);
+/// RTO before any RTT sample (RFC 6298 says 1 s).
+const RTO_INITIAL: SimDelta = SimDelta::from_secs(1);
+/// Duplicate-ACK threshold for fast retransmit.
+const DUPACK_THRESH: u32 = 3;
+
+/// Connection configuration (per-socket tunables). Everything else the
+/// Reno machine needs (initial ssthresh, RTO bounds, the dupack threshold)
+/// is a constant of this module at its RFC value.
 #[derive(Debug, Clone, Copy)]
 pub struct TcpCfg {
     /// Maximum segment size in bytes.
@@ -35,31 +49,14 @@ pub struct TcpCfg {
     pub send_buf: u32,
     /// Receive socket buffer; bounds the advertised window.
     pub recv_buf: u32,
-    /// Initial congestion window, in segments.
+    /// Initial congestion window, in segments; also the window that
+    /// slow-start restart collapses to after a send-idle period longer
+    /// than one RTO.
     pub init_cwnd_segs: u32,
-    /// Initial slow-start threshold in bytes.
-    pub init_ssthresh: u32,
+    /// Floor of the retransmission timeout. The paper's era ran coarse
+    /// timers: the experiments' `era_tcp` sets 500 ms (Table 1's
+    /// burstiness penalty rests on it; see DESIGN.md §5).
     pub rto_min: SimDelta,
-    pub rto_max: SimDelta,
-    /// Initial RTO before any RTT sample (RFC 6298 says 1 s).
-    pub rto_initial: SimDelta,
-    /// Duplicate-ACK threshold for fast retransmit.
-    pub dupack_thresh: u32,
-    /// Slow-start restart after idle (RFC 2861 / Jacobson): if the
-    /// connection has been send-idle for longer than one RTO, the
-    /// congestion window collapses back to its initial value. Real stacks
-    /// do this; it is what makes low-duty-cycle bursty senders (the
-    /// paper's 1-frame-per-second case, Table 1) re-probe the network on
-    /// every burst.
-    pub idle_restart: bool,
-    /// Delayed acknowledgments (RFC 1122): hold the ACK for the first
-    /// unacknowledged in-order segment up to `delack_delay`, acknowledging
-    /// every second segment immediately. Off by default here because the
-    /// experiments are calibrated without it; turning it on halves pure-ACK
-    /// traffic at the cost of slower slow-start.
-    pub delayed_ack: bool,
-    /// Delayed-ACK timeout (era stacks: 200 ms).
-    pub delack_delay: SimDelta,
     /// Disable Karn's algorithm (bug-injection switch for the qcheck
     /// fuzzer's self-test: with this set, RTT samples are armed on
     /// retransmitted bytes and survive retransmissions, reproducing the
@@ -70,21 +67,6 @@ pub struct TcpCfg {
     pub karn_disable: bool,
 }
 
-impl TcpCfg {
-    /// TCP tuning of the paper's era: the GARNET premium endpoints were
-    /// Sun Ultras whose stacks used coarse retransmission timers (minimum
-    /// RTO on the order of half a second) and delayed acknowledgments.
-    /// The coarse minimum RTO is what makes bursty flows pay for shallow
-    /// token buckets (Table 1; see EXPERIMENTS.md).
-    pub fn era_solaris() -> TcpCfg {
-        TcpCfg {
-            rto_min: SimDelta::from_millis(500),
-            delayed_ack: true,
-            ..TcpCfg::default()
-        }
-    }
-}
-
 impl Default for TcpCfg {
     fn default() -> Self {
         TcpCfg {
@@ -92,14 +74,7 @@ impl Default for TcpCfg {
             send_buf: 64 * 1024,
             recv_buf: 64 * 1024,
             init_cwnd_segs: 2,
-            init_ssthresh: u32::MAX,
             rto_min: SimDelta::from_millis(200),
-            rto_max: SimDelta::from_secs(60),
-            rto_initial: SimDelta::from_secs(1),
-            dupack_thresh: 3,
-            idle_restart: true,
-            delayed_ack: false,
-            delack_delay: SimDelta::from_millis(200),
             karn_disable: false,
         }
     }
@@ -270,11 +245,6 @@ pub struct Connection {
     max_sent: u64,
     /// Time of the last data transmission (for idle restart).
     last_send: SimTime,
-    /// A delayed ACK is owed for received in-order data.
-    delack_pending: bool,
-    /// Generation for the delayed-ACK timer (odd numbers; the RTO timer
-    /// uses even generations, so one dispatch entry point serves both).
-    delack_gen: u64,
 
     // --- receive side ---
     rcv_nxt: u64,
@@ -354,14 +324,14 @@ impl Connection {
             snd_wnd: cfg.recv_buf as u64, // until the peer tells us otherwise
             written: 1,                   // data starts after the SYN
             cwnd: (cfg.init_cwnd_segs * cfg.mss) as f64,
-            ssthresh: cfg.init_ssthresh as f64,
+            ssthresh: INIT_SSTHRESH,
             dupacks: 0,
             in_recovery: false,
             recover: 0,
             fin_queued: false,
             fin_seq: None,
             want_write: false,
-            rto: cfg.rto_initial,
+            rto: RTO_INITIAL,
             srtt: None,
             rttvar: SimDelta::ZERO,
             timer_gen: 0,
@@ -369,8 +339,6 @@ impl Connection {
             rtt_sample: None,
             max_sent: 0,
             last_send: SimTime::ZERO,
-            delack_pending: false,
-            delack_gen: 1,
             rcv_nxt: 0,
             delivered: 0,
             ooo: BTreeMap::new(),
@@ -560,7 +528,7 @@ impl Connection {
             self.process_ack(seg, now, outs);
         }
         if seg.len > 0 || seg.flags.fin {
-            self.process_data(seg, now, outs);
+            self.process_data(seg, outs);
         }
         self.send_data(now, outs);
         self.check_fully_closed(outs);
@@ -642,7 +610,7 @@ impl Connection {
             if self.in_recovery {
                 // Window inflation: one MSS per additional dupack.
                 self.cwnd += self.cfg.mss as f64;
-            } else if self.dupacks == self.cfg.dupack_thresh {
+            } else if self.dupacks == DUPACK_THRESH {
                 self.enter_fast_recovery(now, outs);
             }
         }
@@ -653,7 +621,7 @@ impl Connection {
         let flight = self.flight() as f64;
         self.ssthresh = (flight / 2.0).max((2 * self.cfg.mss) as f64);
         self.retransmit_head(now, outs);
-        self.cwnd = self.ssthresh + (self.cfg.dupack_thresh * self.cfg.mss) as f64;
+        self.cwnd = self.ssthresh + (DUPACK_THRESH * self.cfg.mss) as f64;
         self.in_recovery = true;
         self.recover = self.snd_nxt;
         outs.push(Out::Cc {
@@ -693,7 +661,7 @@ impl Connection {
         }
         let srtt = self.srtt.unwrap();
         let candidate = srtt + self.rttvar * 4;
-        self.rto = candidate.max(self.cfg.rto_min).min(self.cfg.rto_max);
+        self.rto = candidate.max(self.cfg.rto_min).min(RTO_MAX);
     }
 
     /// Karn's algorithm: a retransmission makes any outstanding RTT sample
@@ -798,7 +766,7 @@ impl Connection {
         }
     }
 
-    fn process_data(&mut self, seg: &SegIn, now: SimTime, outs: &mut Vec<Out>) {
+    fn process_data(&mut self, seg: &SegIn, outs: &mut Vec<Out>) {
         let mut advanced = false;
         if seg.len > 0 {
             let start = seg.seq;
@@ -843,23 +811,10 @@ impl Connection {
                 outs.push(Out::RemoteClosed);
             }
         }
-        // ACK policy: out-of-order and duplicate segments are acknowledged
-        // immediately (the dupacks drive fast retransmit at the peer), as is
-        // a FIN. Fresh in-order data may be delayed-acked if configured.
-        let fresh_in_order = advanced && seg.len > 0 && !seg.flags.fin;
-        if !self.cfg.delayed_ack || !fresh_in_order {
-            self.emit_ack(outs);
-        } else if self.delack_pending {
-            // Second unacknowledged segment: ack now (RFC 1122's every-2).
-            self.emit_ack(outs);
-        } else {
-            self.delack_pending = true;
-            self.delack_gen += 2;
-            outs.push(Out::ArmTimer {
-                at: now + self.cfg.delack_delay,
-                gen: self.delack_gen,
-            });
-        }
+        // Every segment is acknowledged at once: in-order data, a FIN, and
+        // out-of-order or duplicate segments (whose dupacks drive fast
+        // retransmit at the peer).
+        self.emit_ack(outs);
         if advanced && self.readable_bytes() > 0 {
             outs.push(Out::Readable);
         }
@@ -876,7 +831,6 @@ impl Connection {
     }
 
     fn emit_ack(&mut self, outs: &mut Vec<Out>) {
-        self.clear_delack();
         let wnd = self.recv_window();
         self.advertised_wnd = wnd;
         outs.push(Out::Seg(SegOut {
@@ -905,10 +859,7 @@ impl Connection {
         }
         // Slow-start restart: collapse cwnd after a send-idle period longer
         // than the RTO (RFC 2861).
-        if self.cfg.idle_restart
-            && self.flight() == 0
-            && self.written > self.snd_nxt
-            && now.since(self.last_send) > self.rto
+        if self.flight() == 0 && self.written > self.snd_nxt && now.since(self.last_send) > self.rto
         {
             let restart = (self.cfg.init_cwnd_segs * self.cfg.mss) as f64;
             if self.cwnd > restart {
@@ -993,13 +944,8 @@ impl Connection {
                 sent_any = true;
             }
         }
-        if sent_any {
-            // Data segments carry the current ack: any owed delayed ACK is
-            // piggybacked.
-            self.clear_delack();
-            if !self.timer_armed {
-                self.arm_timer(now, outs);
-            }
+        if sent_any && !self.timer_armed {
+            self.arm_timer(now, outs);
         }
         // Zero-window deadlock guard: data waiting, nothing in flight, peer
         // window closed — keep the timer running to probe.
@@ -1017,7 +963,7 @@ impl Connection {
     // ------------------------------------------------------------------
 
     fn arm_timer(&mut self, now: SimTime, outs: &mut Vec<Out>) {
-        self.timer_gen += 2;
+        self.timer_gen += 1;
         self.timer_armed = true;
         outs.push(Out::ArmTimer {
             at: now + self.rto,
@@ -1026,32 +972,18 @@ impl Connection {
     }
 
     fn cancel_timer(&mut self) {
-        self.timer_gen += 2;
+        self.timer_gen += 1;
         self.timer_armed = false;
     }
 
-    /// Any ACK we emit (pure or piggybacked) satisfies a pending delayed ACK.
-    fn clear_delack(&mut self) {
-        if self.delack_pending {
-            self.delack_pending = false;
-            self.delack_gen += 2;
-        }
-    }
-
-    /// A timer fired: the retransmission timer (even generations) or the
-    /// delayed-ACK timer (odd generations). Appends the actions to `outs`.
+    /// The retransmission timer armed with generation `gen` fired; a stale
+    /// generation is ignored. Appends the actions to `outs`.
     pub(crate) fn on_timer_into(&mut self, gen: u64, now: SimTime, outs: &mut Vec<Out>) {
         self.on_timer_inner(gen, now, outs);
         self.audit();
     }
 
     fn on_timer_inner(&mut self, gen: u64, now: SimTime, outs: &mut Vec<Out>) {
-        if gen % 2 == 1 {
-            if gen == self.delack_gen && self.delack_pending && self.state != State::Closed {
-                self.emit_ack(outs);
-            }
-            return;
-        }
         if gen != self.timer_gen || !self.timer_armed || self.state == State::Closed {
             return;
         }
@@ -1059,7 +991,7 @@ impl Connection {
         if self.state == State::SynSent || self.state == State::SynRcvd {
             // Handshake retransmission.
             self.retransmit_head(now, outs);
-            self.rto = (self.rto * 2).min(self.cfg.rto_max);
+            self.rto = (self.rto * 2).min(RTO_MAX);
             self.arm_timer(now, outs);
             return;
         }
@@ -1087,7 +1019,7 @@ impl Connection {
             self.note_retransmit(); // Karn
             self.stats.rtx_segs += 1;
             self.send_data(now, outs);
-            self.rto = (self.rto * 2).min(self.cfg.rto_max);
+            self.rto = (self.rto * 2).min(RTO_MAX);
             outs.push(Out::Cc {
                 kind: CcKind::Rto,
                 cwnd_bytes: self.cwnd as u64,
@@ -1112,7 +1044,7 @@ impl Connection {
             self.max_sent = self.max_sent.max(self.snd_nxt);
             self.stats.segs_sent += 1;
             self.stats.bytes_sent += 1;
-            self.rto = (self.rto * 2).min(self.cfg.rto_max);
+            self.rto = (self.rto * 2).min(RTO_MAX);
             self.arm_timer(now, outs);
         }
     }

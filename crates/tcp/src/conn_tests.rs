@@ -343,7 +343,7 @@ fn rto_goes_back_n_and_backs_off() {
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].seq, 1);
     assert_eq!(c.flight(), 1460);
-    assert_eq!(c.rto(), (before * 2).min(cfg.rto_max));
+    assert_eq!(c.rto(), before * 2);
     // A cumulative ACK beyond the rewound point (receiver had cached the
     // rest) pulls snd_nxt forward.
     let _ = c.on_segment(&ack_of(&c, 1 + 4 * 1460, 65535), t(3000));
@@ -364,10 +364,7 @@ fn rtt_estimation_tracks_samples_and_karn() {
 
 #[test]
 fn idle_restart_collapses_cwnd() {
-    let cfg = TcpCfg {
-        idle_restart: true,
-        ..TcpCfg::default()
-    };
+    let cfg = TcpCfg::default();
     let mut c = established(cfg);
     // Grow cwnd well past initial.
     let _ = c.write(8 * 1460, t(2));
@@ -379,26 +376,6 @@ fn idle_restart_collapses_cwnd() {
     let (_, outs) = c.write(10 * 1460, t(2500));
     let d = data_segs(&outs);
     assert_eq!(d.len(), cfg.init_cwnd_segs as usize, "idle restart");
-}
-
-#[test]
-fn no_idle_restart_when_disabled() {
-    let cfg = TcpCfg {
-        idle_restart: false,
-        ..TcpCfg::default()
-    };
-    let mut c = established(cfg);
-    let _ = c.write(8 * 1460, t(2));
-    for i in 1..=8u64 {
-        let _ = c.on_segment(&ack_of(&c, 1 + i * 1460, 65535), t(2 + i));
-    }
-    let grown = c.cwnd_bytes();
-    let (_, outs) = c.write(20 * 1460, t(2500));
-    let d = data_segs(&outs);
-    assert!(
-        d.len() * 1460 >= grown as usize - 1460,
-        "window kept after idle"
-    );
 }
 
 #[test]
@@ -526,17 +503,6 @@ fn duplicate_data_reacked_not_redelivered() {
     assert_eq!(c.readable_bytes(), 0);
 }
 
-// ----------------------------------------------------------------------
-// Delayed acknowledgments (RFC 1122)
-// ----------------------------------------------------------------------
-
-fn delack_cfg() -> TcpCfg {
-    TcpCfg {
-        delayed_ack: true,
-        ..TcpCfg::default()
-    }
-}
-
 fn data_at(seq: u64, len: u32) -> SegIn {
     SegIn {
         seq,
@@ -551,87 +517,30 @@ fn data_at(seq: u64, len: u32) -> SegIn {
 }
 
 #[test]
-fn delack_holds_first_segment_acks_second() {
-    let mut c = established(delack_cfg());
-    // First in-order segment: no ACK, a delack timer instead.
-    let outs = c.on_segment(&data_at(1, 1000), t(2));
-    assert!(
-        segs(&outs).is_empty(),
-        "first segment must not be acked yet"
-    );
-    assert!(outs
-        .iter()
-        .any(|o| matches!(o, Out::ArmTimer { at, .. } if *at == t(202))));
-    // Second segment: immediate cumulative ACK.
-    let outs = c.on_segment(&data_at(1001, 1000), t(3));
-    let a = segs(&outs);
-    assert_eq!(a.len(), 1);
-    assert_eq!(a[0].ack, 2001);
-}
-
-#[test]
-fn delack_timer_flushes_lone_segment() {
-    let mut c = established(delack_cfg());
-    let outs = c.on_segment(&data_at(1, 1000), t(2));
-    let gen = outs
-        .iter()
-        .find_map(|o| match o {
-            Out::ArmTimer { gen, .. } => Some(*gen),
-            _ => None,
-        })
-        .unwrap();
-    assert_eq!(gen % 2, 1, "delack timers use odd generations");
-    let outs = on_timer(&mut c, gen, t(202));
-    let a = segs(&outs);
-    assert_eq!(a.len(), 1);
-    assert_eq!(a[0].ack, 1001);
-    // A stale delack firing later does nothing.
-    assert!(on_timer(&mut c, gen, t(400)).is_empty());
-}
-
-#[test]
-fn delack_out_of_order_acks_immediately() {
-    let mut c = established(delack_cfg());
-    // A hole: dupack must go out at once (fast retransmit depends on it).
-    let outs = c.on_segment(&data_at(1461, 1000), t(2));
-    let a = segs(&outs);
-    assert_eq!(a.len(), 1);
-    assert_eq!(a[0].ack, 1);
-}
-
-#[test]
-fn delack_piggybacks_on_data() {
-    let mut c = established(delack_cfg());
-    let _ = c.on_segment(&data_at(1, 1000), t(2)); // delack pending
-                                                   // We now send data: the segment carries the ack; the pending delack is
-                                                   // satisfied and its timer generation invalidated.
-    let (_, outs) = c.write(500, t(3));
-    let d = data_segs(&outs);
-    assert_eq!(d.len(), 1);
-    assert_eq!(d[0].ack, 1001);
-    // The old delack timer is stale now.
-    let outs = on_timer(&mut c, 1, t(202));
-    assert!(segs(&outs).is_empty());
-}
-
-#[test]
-fn delack_off_acks_every_segment() {
+fn every_in_order_segment_is_acked_at_once() {
     let mut c = established(TcpCfg::default());
-    let outs = c.on_segment(&data_at(1, 1000), t(2));
-    assert_eq!(segs(&outs).len(), 1, "immediate ack when delack disabled");
+    for (k, at) in [(0u64, 2), (1, 3)] {
+        let outs = c.on_segment(&data_at(1 + k * 1000, 1000), t(at));
+        let a = segs(&outs);
+        assert_eq!(a.len(), 1, "one immediate ACK per segment");
+        assert_eq!(a[0].ack, 1 + (k + 1) * 1000);
+        assert!(
+            !outs.iter().any(|o| matches!(o, Out::ArmTimer { .. })),
+            "receiving data arms no timer"
+        );
+    }
 }
 
 // ----------------------------------------------------------------------
 // Karn's algorithm (pinned regressions for the RTO go-back-N bug)
 // ----------------------------------------------------------------------
 
-/// The retransmission timer armed by a batch of outs (even generations;
-/// delayed-ACK generations are odd).
+/// The retransmission timer armed by a batch of outs.
 fn rtx_timer(outs: &[Out]) -> (u64, SimTime) {
     outs.iter()
         .rev()
         .find_map(|o| match o {
-            Out::ArmTimer { gen, at } if gen % 2 == 0 => Some((*gen, *at)),
+            Out::ArmTimer { gen, at } => Some((*gen, *at)),
             _ => None,
         })
         .expect("retransmission timer armed")

@@ -17,7 +17,7 @@ use mpichgq_netsim::{
 use mpichgq_sim::FxHashMap;
 use mpichgq_sim::{SimDelta, SimTime};
 use std::any::{Any, TypeId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Identifies a socket in the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,13 +27,15 @@ pub struct SockId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppId(pub(crate) u32);
 
-/// Whether a socket carries real bytes (integrity-checked transfers) or
-/// counted bytes only (bulk experiments, where copying real payloads
-/// through every queue would be waste).
+/// What a TCP socket carries: byte counts, never payloads. A program that
+/// needs message content keeps it beside the stream (MPI queues each
+/// record and hands it over once its bytes have arrived). With one variant
+/// the parameter of [`Ctx::tcp_connect`] and [`Ctx::tcp_listen`] that
+/// takes it chooses nothing; it stays only because the performance ledger
+/// under `benchmark/` names it, and goes with the ledger's next revision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataMode {
     Counted,
-    Bytes,
 }
 
 /// Application event interface. All methods have empty defaults; programs
@@ -79,23 +81,15 @@ pub fn control_token(id: ControllerId, payload: u64) -> u64 {
     ((id.0 as u64) << 56) | payload
 }
 
-/// Real-byte stream storage for one direction of a TCP socket pair.
-#[derive(Debug, Default)]
-struct StreamBuf {
-    /// Stream offset of `data[0]` (first app byte is offset 1, after SYN).
-    start: u64,
-    data: VecDeque<u8>,
-}
-
 enum SockKind {
     Tcp(Box<Connection>),
-    Listener { cfg: TcpCfg, mode: DataMode },
+    Listener { cfg: TcpCfg },
     Udp,
 }
 
-/// One of a TCP socket's two timers as the engine sees it. The connection
-/// re-arms on almost every ACK; only the arm that can fire next is an
-/// engine event.
+/// A TCP socket's retransmission timer as the engine sees it. The
+/// connection re-arms on almost every ACK; only the arm that can fire next
+/// is an engine event.
 #[derive(Debug, Clone, Copy, Default)]
 struct TimerSlot {
     /// The latest arm: deadline, reserved engine seq, generation.
@@ -110,21 +104,17 @@ struct Sock {
     host: NodeId,
     owner: AppId,
     kind: SockKind,
-    mode: DataMode,
     lport: u16,
     peer: Option<(NodeId, u16)>,
-    /// The other endpoint's socket (simulator-side link for byte streams).
-    peer_sock: Option<SockId>,
     from_listener: Option<SockId>,
-    tx: StreamBuf,
     /// Recorder series name for data-segment sequence traces (Figure 7).
     trace: Option<String>,
     /// Set when the owning host crashed: the socket keeps its final
     /// connection state (audits still sum its counters) but never
     /// produces or consumes anything again.
     dead: bool,
-    /// Retransmission timer (even generations) and delayed-ACK timer (odd).
-    timers: [TimerSlot; 2],
+    /// The retransmission timer.
+    timer: TimerSlot,
 }
 
 struct AppSlot {
@@ -134,8 +124,8 @@ struct AppSlot {
 }
 
 // Timer token layout: [kind:8][index:24][payload:32]. A TCP token's payload
-// is the timer slot (generation parity); the generation itself is a `u64`
-// that outgrows 32 bits on a long-lived connection and stays in the slot.
+// is unused: the generation is a `u64` that outgrows 32 bits on a
+// long-lived connection, so it stays in the socket's slot.
 const KIND_TCP: u64 = 1;
 const KIND_APP: u64 = 2;
 
@@ -453,8 +443,7 @@ impl Stack {
     #[inline(never)]
     fn arm_tcp_timer(&mut self, net: &mut Net, sock: SockId, at: SimTime, gen: u64) {
         let s = &mut self.socks[sock.0 as usize];
-        let parity = (gen & 1) as u32;
-        let slot = &mut s.timers[parity as usize];
+        let slot = &mut s.timer;
         let seq = net.reserve_host_timer();
         // The arm this one replaces never became an event.
         if slot.want.is_some_and(|(a, s, _)| slot.live != Some((a, s))) {
@@ -463,18 +452,18 @@ impl Stack {
         slot.want = Some((at, seq, gen));
         if slot.live.is_none_or(|(live_at, _)| at < live_at) {
             slot.live = Some((at, seq));
-            net.set_host_timer_keyed(s.host, at, seq, encode_token(KIND_TCP, sock.0, parity));
+            net.set_host_timer_keyed(s.host, at, seq, encode_token(KIND_TCP, sock.0, 0));
         }
     }
 
-    /// A TCP timer event fired for `sock`'s slot `parity`. Returns the
-    /// generation to hand to `Connection::on_timer` if the latest arm is
-    /// due exactly now; otherwise re-inserts under the latest arm's key
-    /// (deadline moved later) or ignores the event (superseded).
+    /// A TCP timer event fired for `sock`. Returns the generation to hand
+    /// to `Connection::on_timer` if the latest arm is due exactly now;
+    /// otherwise re-inserts under the latest arm's key (deadline moved
+    /// later) or ignores the event (superseded).
     #[inline(never)]
-    fn tcp_timer_due(&mut self, net: &mut Net, sock: SockId, parity: u32) -> Option<u64> {
+    fn tcp_timer_due(&mut self, net: &mut Net, sock: SockId) -> Option<u64> {
         let s = &mut self.socks[sock.0 as usize];
-        let slot = &mut s.timers[parity as usize & 1];
+        let slot = &mut s.timer;
         let cur = net.cursor();
         if slot.live != Some(cur) {
             return None;
@@ -482,7 +471,7 @@ impl Stack {
         let (at, seq, gen) = slot.want.expect("live timer event without an arm");
         if (at, seq) > cur {
             slot.live = Some((at, seq));
-            net.set_host_timer_keyed(s.host, at, seq, encode_token(KIND_TCP, sock.0, parity));
+            net.set_host_timer_keyed(s.host, at, seq, encode_token(KIND_TCP, sock.0, 0));
             return None;
         }
         *slot = TimerSlot::default();
@@ -544,10 +533,8 @@ impl Stack {
         // No connection: a SYN for a listening port performs a passive open.
         if seg.flags.syn && !seg.flags.ack {
             if let Some(&listener) = self.listeners.get(&(host, pkt.dst_port)) {
-                let (cfg, mode, owner) = match &self.socks[listener.0 as usize].kind {
-                    SockKind::Listener { cfg, mode } => {
-                        (*cfg, *mode, self.socks[listener.0 as usize].owner)
-                    }
+                let (cfg, owner) = match &self.socks[listener.0 as usize].kind {
+                    SockKind::Listener { cfg } => (*cfg, self.socks[listener.0 as usize].owner),
                     _ => unreachable!("listener map points at non-listener"),
                 };
                 let now = net.now();
@@ -557,30 +544,14 @@ impl Stack {
                     host,
                     owner,
                     kind: SockKind::Tcp(Box::new(conn)),
-                    mode,
                     lport: pkt.dst_port,
                     peer: Some((pkt.src, pkt.src_port)),
-                    peer_sock: None,
                     from_listener: Some(listener),
-                    tx: StreamBuf {
-                        start: 1,
-                        data: VecDeque::new(),
-                    },
                     trace: None,
                     dead: false,
-                    timers: Default::default(),
+                    timer: TimerSlot::default(),
                 });
                 self.conns.insert(key, sock);
-                // Link the two endpoints for byte-stream transport.
-                let client_key = (pkt.src, pkt.src_port, host, pkt.dst_port);
-                if let Some(&client) = self.conns.get(&client_key) {
-                    assert_eq!(
-                        self.socks[client.0 as usize].mode, mode,
-                        "DataMode mismatch between connect and listen"
-                    );
-                    self.socks[client.0 as usize].peer_sock = Some(sock);
-                    self.socks[sock.0 as usize].peer_sock = Some(client);
-                }
                 self.apply_outs(net, sock, &mut outs);
             }
             // No listener: silently drop (a real stack would RST).
@@ -614,7 +585,7 @@ impl NetHandler for Stack {
                     // net layer, but this one may fire after a restart).
                     return;
                 }
-                let Some(gen) = self.tcp_timer_due(net, sock, payload) else {
+                let Some(gen) = self.tcp_timer_due(net, sock) else {
                     return;
                 };
                 let now = net.now();
@@ -754,7 +725,7 @@ impl Ctx<'_> {
     }
 
     /// Open a TCP connection to (`dst`, `dport`).
-    pub fn tcp_connect(&mut self, dst: NodeId, dport: u16, cfg: TcpCfg, mode: DataMode) -> SockId {
+    pub fn tcp_connect(&mut self, dst: NodeId, dport: u16, cfg: TcpCfg, _: DataMode) -> SockId {
         assert_ne!(self.host, dst, "loopback connections are not modeled");
         let lport = self.stack.alloc_port(self.host);
         let now = self.net.now();
@@ -764,18 +735,12 @@ impl Ctx<'_> {
             host: self.host,
             owner: self.app,
             kind: SockKind::Tcp(Box::new(conn)),
-            mode,
             lport,
             peer: Some((dst, dport)),
-            peer_sock: None,
             from_listener: None,
-            tx: StreamBuf {
-                start: 1,
-                data: VecDeque::new(),
-            },
             trace: None,
             dead: false,
-            timers: Default::default(),
+            timer: TimerSlot::default(),
         });
         self.stack
             .conns
@@ -785,21 +750,18 @@ impl Ctx<'_> {
     }
 
     /// Listen for TCP connections on `port`.
-    pub fn tcp_listen(&mut self, port: u16, cfg: TcpCfg, mode: DataMode) -> SockId {
+    pub fn tcp_listen(&mut self, port: u16, cfg: TcpCfg, _: DataMode) -> SockId {
         let sock = SockId(self.stack.socks.len() as u32);
         self.stack.socks.push(Sock {
             host: self.host,
             owner: self.app,
-            kind: SockKind::Listener { cfg, mode },
-            mode,
+            kind: SockKind::Listener { cfg },
             lport: port,
             peer: None,
-            peer_sock: None,
             from_listener: None,
-            tx: StreamBuf::default(),
             trace: None,
             dead: false,
-            timers: Default::default(),
+            timer: TimerSlot::default(),
         });
         let prev = self.stack.listeners.insert((self.host, port), sock);
         assert!(
@@ -812,74 +774,23 @@ impl Ctx<'_> {
 
     /// Write counted bytes; returns how many were accepted (send buffer).
     pub fn send(&mut self, sock: SockId, len: u64) -> u64 {
-        let s = &mut self.stack.socks[sock.0 as usize];
-        if s.dead {
+        if self.stack.socks[sock.0 as usize].dead {
             return 0;
         }
-        assert_eq!(s.mode, DataMode::Counted, "send() on a Bytes-mode socket");
         let now = self.net.now();
         self.stack
             .drive(self.net, sock, |c, outs| c.write_into(len, now, outs))
             .expect("send on non-TCP socket")
     }
 
-    /// Write real bytes; returns how many were accepted.
-    pub fn send_bytes(&mut self, sock: SockId, bytes: &[u8]) -> usize {
-        let s = &mut self.stack.socks[sock.0 as usize];
-        if s.dead {
-            return 0;
-        }
-        assert_eq!(
-            s.mode,
-            DataMode::Bytes,
-            "send_bytes() on a Counted-mode socket"
-        );
-        let (now, len) = (self.net.now(), bytes.len() as u64);
-        let accepted = self
-            .stack
-            .drive(self.net, sock, |c, outs| c.write_into(len, now, outs))
-            .expect("send on non-TCP socket") as usize;
-        // Segments carry sequence numbers; the bytes wait for `recv_bytes`.
-        let s = &mut self.stack.socks[sock.0 as usize];
-        s.tx.data.extend(&bytes[..accepted]);
-        accepted
-    }
-
     /// Read up to `max` counted bytes.
     pub fn recv(&mut self, sock: SockId, max: u64) -> u64 {
-        let s = &mut self.stack.socks[sock.0 as usize];
-        if s.dead {
+        if self.stack.socks[sock.0 as usize].dead {
             return 0;
         }
-        assert_eq!(s.mode, DataMode::Counted, "recv() on a Bytes-mode socket");
         self.stack
             .drive(self.net, sock, |c, outs| c.read_into(max, outs))
             .expect("recv on non-TCP socket")
-    }
-
-    /// Read up to `max` real bytes.
-    pub fn recv_bytes(&mut self, sock: SockId, max: u64) -> Vec<u8> {
-        let s = &mut self.stack.socks[sock.0 as usize];
-        if s.dead {
-            return Vec::new();
-        }
-        assert_eq!(
-            s.mode,
-            DataMode::Bytes,
-            "recv_bytes() on a Counted-mode socket"
-        );
-        let peer = s.peer_sock.expect("bytes-mode socket without linked peer");
-        let n = self
-            .stack
-            .drive(self.net, sock, |c, outs| c.read_into(max, outs))
-            .expect("recv on non-TCP socket");
-        let ps = &mut self.stack.socks[peer.0 as usize];
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            out.push(ps.tx.data.pop_front().expect("stream byte store underrun"));
-        }
-        ps.tx.start += n;
-        out
     }
 
     /// True when the peer has closed and all data has been drained.
@@ -967,15 +878,12 @@ impl Ctx<'_> {
             host: self.host,
             owner: self.app,
             kind: SockKind::Udp,
-            mode: DataMode::Counted,
             lport: port,
             peer: None,
-            peer_sock: None,
             from_listener: None,
-            tx: StreamBuf::default(),
             trace: None,
             dead: false,
-            timers: Default::default(),
+            timer: TimerSlot::default(),
         });
         let prev = self.stack.udp_binds.insert((self.host, port), sock);
         assert!(

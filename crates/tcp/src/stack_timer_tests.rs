@@ -1,4 +1,4 @@
-//! TCP timer slots: one live engine event per timer, however often the
+//! The TCP timer slot: one live engine event per socket, however often the
 //! connection re-arms. A child module of `stack` so it can drive the two
 //! out-of-line slot methods directly and see what reaches `on_timer`.
 
@@ -8,20 +8,20 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 /// Routes TCP timer events into [`Stack::tcp_timer_due`] and records the
-/// verdict instead of running the connection: `(now, slot, generation
-/// handed to on_timer)`.
+/// verdict instead of running the connection: `(now, generation handed to
+/// on_timer)`.
 struct Probe {
     stack: Stack,
-    fired: Vec<(SimTime, u32, Option<u64>)>,
+    fired: Vec<(SimTime, Option<u64>)>,
 }
 
 impl NetHandler for Probe {
     fn deliver(&mut self, _n: &mut Net, _h: NodeId, _p: Packet) {}
     fn host_timer(&mut self, net: &mut Net, _host: NodeId, token: u64) {
-        let (kind, index, slot) = decode_token(token);
+        let (kind, index, _) = decode_token(token);
         assert_eq!(kind, KIND_TCP);
-        let due = self.stack.tcp_timer_due(net, SockId(index), slot);
-        self.fired.push((net.now(), slot, due));
+        let due = self.stack.tcp_timer_due(net, SockId(index));
+        self.fired.push((net.now(), due));
     }
     fn cpu_done(&mut self, _n: &mut Net, _h: NodeId, _p: ProcId) {}
     fn control(&mut self, _n: &mut Net, _t: u64) {}
@@ -34,8 +34,8 @@ impl App for Listen {
     }
 }
 
-/// A net plus a stack holding one (listener) socket, `SockId(0)`: slots
-/// exist on every socket and the slot logic never looks at its kind.
+/// A net plus a stack holding one (listener) socket, `SockId(0)`: the slot
+/// exists on every socket and its logic never looks at the socket's kind.
 fn probe() -> (Net, Probe) {
     let d = Dumbbell::build(10_000_000, SimDelta::from_millis(1), 1);
     let mut net = d.net;
@@ -63,14 +63,13 @@ fn elided(net: &mut Net) -> u64 {
 fn deadline_moving_later_keeps_one_event() {
     let (mut net, mut p) = probe();
     for (k, at) in [10, 20, 30, 40].into_iter().enumerate() {
-        p.stack
-            .arm_tcp_timer(&mut net, SOCK, ms(at), 2 * (k as u64 + 1));
+        p.stack.arm_tcp_timer(&mut net, SOCK, ms(at), k as u64 + 1);
         assert_eq!(net.pending_events(), 1, "arm {k} inserted an event");
     }
     net.run_to_quiescence(&mut p);
     // The first arm's event looks at the latest deadline and moves there;
     // the two arms in between never became events at all.
-    assert_eq!(p.fired, vec![(ms(10), 0, None), (ms(40), 0, Some(8))]);
+    assert_eq!(p.fired, vec![(ms(10), None), (ms(40), Some(4))]);
     assert_eq!(net.events_processed(), 2);
     assert_eq!(elided(&mut net), 2);
 }
@@ -78,73 +77,51 @@ fn deadline_moving_later_keeps_one_event() {
 #[test]
 fn deadline_moving_earlier_supersedes_the_live_event() {
     let (mut net, mut p) = probe();
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(30), 2);
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(10), 4);
+    p.stack.arm_tcp_timer(&mut net, SOCK, ms(30), 1);
+    p.stack.arm_tcp_timer(&mut net, SOCK, ms(10), 2);
     assert_eq!(net.pending_events(), 2);
     net.run_to_quiescence(&mut p);
-    assert_eq!(p.fired, vec![(ms(10), 0, Some(4)), (ms(30), 0, None)]);
+    assert_eq!(p.fired, vec![(ms(10), Some(2)), (ms(30), None)]);
     assert_eq!(elided(&mut net), 0);
 }
 
 #[test]
 fn superseded_event_is_ignored_even_after_a_later_rearm() {
     let (mut net, mut p) = probe();
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(30), 2);
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(10), 4);
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(50), 6);
+    p.stack.arm_tcp_timer(&mut net, SOCK, ms(30), 1);
+    p.stack.arm_tcp_timer(&mut net, SOCK, ms(10), 2);
+    p.stack.arm_tcp_timer(&mut net, SOCK, ms(50), 3);
     net.run_to_quiescence(&mut p);
     // 10 ms: live, moves to 50 ms. 30 ms: the superseded first event must
     // not be mistaken for the live one. 50 ms: due.
     assert_eq!(
         p.fired,
-        vec![(ms(10), 0, None), (ms(30), 0, None), (ms(50), 0, Some(6))]
+        vec![(ms(10), None), (ms(30), None), (ms(50), Some(3))]
     );
 }
 
 #[test]
 fn a_consumed_or_cancelled_timer_rearms_cleanly() {
     let (mut net, mut p) = probe();
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(10), 2);
+    p.stack.arm_tcp_timer(&mut net, SOCK, ms(10), 1);
     net.run_until(&mut p, ms(15));
-    assert_eq!(p.fired, vec![(ms(10), 0, Some(2))]);
+    assert_eq!(p.fired, vec![(ms(10), Some(1))]);
     // The connection cancels by bumping its generation and telling nobody;
     // its next arm carries the newer generation, and that is the one a
     // fire must deliver.
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(20), 6);
+    p.stack.arm_tcp_timer(&mut net, SOCK, ms(20), 3);
     assert_eq!(net.pending_events(), 1);
-    // Cancel again (gen 8, silent), re-arm before the event fires.
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(35), 10);
+    // Cancel again (gen 4, silent), re-arm before the event fires.
+    p.stack.arm_tcp_timer(&mut net, SOCK, ms(35), 5);
     assert_eq!(net.pending_events(), 1);
     net.run_to_quiescence(&mut p);
-    assert_eq!(p.fired[1..], [(ms(20), 0, None), (ms(35), 0, Some(10))]);
+    assert_eq!(p.fired[1..], [(ms(20), None), (ms(35), Some(5))]);
 }
 
-#[test]
-fn rto_and_delayed_ack_slots_are_independent() {
-    let (mut net, mut p) = probe();
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(50), 2);
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(5), 3);
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(60), 4);
-    p.stack.arm_tcp_timer(&mut net, SOCK, ms(7), 5);
-    // One live event per slot: the earlier delayed ACK did not supersede
-    // the RTO, and neither re-arm inserted anything.
-    assert_eq!(net.pending_events(), 2);
-    net.run_to_quiescence(&mut p);
-    assert_eq!(
-        p.fired,
-        vec![
-            (ms(5), 1, None),
-            (ms(7), 1, Some(5)),
-            (ms(50), 0, None),
-            (ms(60), 0, Some(4)),
-        ]
-    );
-}
-
-/// Generations grow by 2 per arm and used to be truncated to `u32` in the
-/// timer token: past 2^31 arms `on_timer` was handed a generation the
-/// connection no longer recognised (a lost RTO), and a stale event could
-/// alias a live one. The token now names the slot only.
+/// Generations grow by one per arm or cancel and used to be truncated to
+/// `u32` in the timer token: past 2^32 of them `on_timer` was handed a
+/// generation the connection no longer recognised (a lost RTO), and a
+/// stale event could alias a live one. The token now names the socket only.
 #[test]
 fn generations_beyond_u32_survive_and_stale_fires_stay_out() {
     let (mut net, mut p) = probe();
@@ -154,7 +131,7 @@ fn generations_beyond_u32_survive_and_stale_fires_stay_out() {
     net.run_to_quiescence(&mut p);
     assert_eq!(
         p.fired,
-        vec![(ms(10), 0, Some(2 * big + 2)), (ms(20), 0, None)],
+        vec![(ms(10), Some(2 * big + 2)), (ms(20), None)],
         "the live fire carries all 64 bits; the stale one (same low 32 \
          bits) must not reach on_timer"
     );

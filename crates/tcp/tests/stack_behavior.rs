@@ -5,9 +5,17 @@ use mpichgq_netsim::{topology::Dumbbell, Net, NodeId};
 use mpichgq_sim::{SimDelta, SimTime};
 use mpichgq_tcp::{App, Controller, Ctx, DataMode, Sim, SockId, Stack, TcpCfg};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-type PortData = Rc<RefCell<Vec<(u16, Vec<u8>)>>>;
+/// Per server socket: the port it was accepted on and the bytes it read.
+type PortData = Rc<RefCell<BTreeMap<u32, (u16, u64)>>>;
+
+/// A distinct byte count per destination port (several segments each), so
+/// a segment handed to the wrong socket shows up as a wrong total.
+fn bytes_for(port: u16) -> u64 {
+    (port as u64 - 5000) * 10_000 + 7
+}
 
 fn sim2() -> (Sim, NodeId, NodeId) {
     let d = Dumbbell::build(10_000_000, SimDelta::from_millis(1), 33);
@@ -18,9 +26,9 @@ fn sim2() -> (Sim, NodeId, NodeId) {
 #[test]
 fn concurrent_connections_between_same_hosts_demux_correctly() {
     // Three sockets between one host pair, each carrying a distinct byte
-    // pattern; the payloads must not cross.
+    // count; each server socket must read exactly its own.
     let (mut sim, a, b) = sim2();
-    let results: PortData = Rc::new(RefCell::new(Vec::new()));
+    let results: PortData = Rc::new(RefCell::new(BTreeMap::new()));
 
     struct Server {
         results: PortData,
@@ -28,13 +36,16 @@ fn concurrent_connections_between_same_hosts_demux_correctly() {
     impl App for Server {
         fn on_start(&mut self, ctx: &mut Ctx) {
             for port in [5001, 5002, 5003] {
-                ctx.tcp_listen(port, TcpCfg::default(), DataMode::Bytes);
+                ctx.tcp_listen(port, TcpCfg::default(), DataMode::Counted);
             }
         }
         fn on_readable(&mut self, sock: SockId, ctx: &mut Ctx) {
-            let data = ctx.recv_bytes(sock, 1024);
+            let n = ctx.recv(sock, u64::MAX);
             let (_, port) = ctx.sock_name(sock);
-            self.results.borrow_mut().push((port, data));
+            let mut r = self.results.borrow_mut();
+            let entry = r.entry(sock.0).or_insert((port, 0));
+            assert_eq!(entry.0, port);
+            entry.1 += n;
         }
     }
     struct Client {
@@ -44,14 +55,14 @@ fn concurrent_connections_between_same_hosts_demux_correctly() {
     impl App for Client {
         fn on_start(&mut self, ctx: &mut Ctx) {
             for port in [5001, 5002, 5003] {
-                let s = ctx.tcp_connect(self.dst, port, TcpCfg::default(), DataMode::Bytes);
+                let s = ctx.tcp_connect(self.dst, port, TcpCfg::default(), DataMode::Counted);
                 self.socks.push(s);
             }
         }
         fn on_connected(&mut self, sock: SockId, ctx: &mut Ctx) {
             let (_, dport) = ctx.sock_peer(sock).unwrap();
-            let n = ctx.send_bytes(sock, &[dport as u8 - 0x88; 4]); // 5001 -> 0x69...
-            assert_eq!(n, 4);
+            let want = bytes_for(dport);
+            assert_eq!(ctx.send(sock, want), want);
         }
     }
     sim.spawn_app(
@@ -68,13 +79,16 @@ fn concurrent_connections_between_same_hosts_demux_correctly() {
         }),
     );
     sim.run_until(SimTime::from_secs(5));
-    let mut got = results.borrow().clone();
+    let mut got: Vec<(u16, u64)> = results.borrow().values().copied().collect();
     got.sort();
-    let expect: Vec<(u16, Vec<u8>)> = [5001u16, 5002, 5003]
+    let expect: Vec<(u16, u64)> = [5001u16, 5002, 5003]
         .iter()
-        .map(|&p| (p, vec![p as u8 - 0x88; 4]))
+        .map(|&p| (p, bytes_for(p)))
         .collect();
-    assert_eq!(got, expect);
+    assert_eq!(
+        got, expect,
+        "one server socket per port, each with its own bytes"
+    );
 }
 
 #[test]
@@ -204,13 +218,11 @@ fn host_crash_kills_apps_and_restart_respawns_via_hook() {
     }
     impl App for Server {
         fn on_start(&mut self, ctx: &mut Ctx) {
-            ctx.tcp_listen(7000, TcpCfg::default(), DataMode::Bytes);
+            ctx.tcp_listen(7000, TcpCfg::default(), DataMode::Counted);
         }
         fn on_readable(&mut self, sock: SockId, ctx: &mut Ctx) {
-            let data = ctx.recv_bytes(sock, 1024);
-            self.log
-                .borrow_mut()
-                .push(format!("{} got {}", self.tag, data.len()));
+            let n = ctx.recv(sock, 1024);
+            self.log.borrow_mut().push(format!("{} got {n}", self.tag));
         }
     }
     struct Client {
@@ -219,11 +231,10 @@ fn host_crash_kills_apps_and_restart_respawns_via_hook() {
     }
     impl App for Client {
         fn on_start(&mut self, ctx: &mut Ctx) {
-            let s = ctx.tcp_connect(self.dst, 7000, TcpCfg::default(), DataMode::Bytes);
-            let _ = s;
+            ctx.tcp_connect(self.dst, 7000, TcpCfg::default(), DataMode::Counted);
         }
         fn on_connected(&mut self, sock: SockId, ctx: &mut Ctx) {
-            ctx.send_bytes(sock, &[0xAB; 4]);
+            assert_eq!(ctx.send(sock, 4), 4);
         }
         fn on_peer_failed(&mut self, host: NodeId, _ctx: &mut Ctx) {
             self.log
@@ -235,7 +246,7 @@ fn host_crash_kills_apps_and_restart_respawns_via_hook() {
                 .borrow_mut()
                 .push(format!("peer {} restarted", host.0));
             // Reconnect: the respawn hook has already relaunched the server.
-            ctx.tcp_connect(self.dst, 7000, TcpCfg::default(), DataMode::Bytes);
+            ctx.tcp_connect(self.dst, 7000, TcpCfg::default(), DataMode::Counted);
         }
     }
 

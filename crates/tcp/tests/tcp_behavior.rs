@@ -8,16 +8,9 @@ use mpichgq_tcp::{App, Ctx, DataMode, Sim, SockId, TcpCfg};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// Pure function of the stream offset, so sender-side regeneration after a
-/// partial write matches the expectation exactly.
-fn pattern_byte(i: u64) -> u8 {
-    (i.wrapping_mul(6364136223846793005).wrapping_add(0x12345) >> 32) as u8
-}
-
 #[derive(Default)]
 struct Shared {
     received: u64,
-    received_bytes: Vec<u8>,
     eof: bool,
     closed_count: u32,
     finish_time: Option<SimTime>,
@@ -31,10 +24,8 @@ struct Sender {
     total: u64,
     sent: u64,
     cfg: TcpCfg,
-    mode: DataMode,
     sock: Option<SockId>,
     shared: Rc<RefCell<Shared>>,
-    pattern: Option<Box<dyn FnMut(u64) -> u8>>,
     close_when_done: bool,
 }
 
@@ -43,14 +34,7 @@ impl Sender {
         let sock = self.sock.unwrap();
         while self.sent < self.total {
             let want = (self.total - self.sent).min(16 * 1024);
-            let n = match self.mode {
-                DataMode::Counted => ctx.send(sock, want),
-                DataMode::Bytes => {
-                    let gen = self.pattern.as_mut().unwrap();
-                    let buf: Vec<u8> = (self.sent..self.sent + want).map(gen).collect();
-                    ctx.send_bytes(sock, &buf) as u64
-                }
-            };
+            let n = ctx.send(sock, want);
             self.sent += n;
             if n < want {
                 break; // buffer full; wait for on_writable
@@ -65,7 +49,7 @@ impl Sender {
 
 impl App for Sender {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        self.sock = Some(ctx.tcp_connect(self.dst, self.port, self.cfg, self.mode));
+        self.sock = Some(ctx.tcp_connect(self.dst, self.port, self.cfg, DataMode::Counted));
     }
     fn on_connected(&mut self, _sock: SockId, ctx: &mut Ctx) {
         self.pump(ctx);
@@ -86,7 +70,6 @@ impl App for Sender {
 struct Receiver {
     port: u16,
     cfg: TcpCfg,
-    mode: DataMode,
     shared: Rc<RefCell<Shared>>,
     /// If set, don't read anything until this timer fires (flow-control test).
     hold_reads_until: Option<SimDelta>,
@@ -97,24 +80,11 @@ struct Receiver {
 impl Receiver {
     fn drain(&mut self, sock: SockId, ctx: &mut Ctx) {
         loop {
-            match self.mode {
-                DataMode::Counted => {
-                    let n = ctx.recv(sock, 64 * 1024);
-                    if n == 0 {
-                        break;
-                    }
-                    self.shared.borrow_mut().received += n;
-                }
-                DataMode::Bytes => {
-                    let bytes = ctx.recv_bytes(sock, 64 * 1024);
-                    if bytes.is_empty() {
-                        break;
-                    }
-                    let mut sh = self.shared.borrow_mut();
-                    sh.received += bytes.len() as u64;
-                    sh.received_bytes.extend_from_slice(&bytes);
-                }
+            let n = ctx.recv(sock, 64 * 1024);
+            if n == 0 {
+                break;
             }
+            self.shared.borrow_mut().received += n;
         }
         if ctx.at_eof(sock) {
             let mut sh = self.shared.borrow_mut();
@@ -128,7 +98,7 @@ impl Receiver {
 
 impl App for Receiver {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.tcp_listen(self.port, self.cfg, self.mode);
+        ctx.tcp_listen(self.port, self.cfg, DataMode::Counted);
         if let Some(d) = self.hold_reads_until {
             self.holding = true;
             ctx.set_timer(d, 1);
@@ -171,7 +141,6 @@ fn transfer_setup(
     bottleneck_bps: u64,
     delay_ms: u64,
     total: u64,
-    mode: DataMode,
     cfg: TcpCfg,
     hold: Option<SimDelta>,
 ) -> Setup {
@@ -184,7 +153,6 @@ fn transfer_setup(
         Box::new(Receiver {
             port: 5000,
             cfg,
-            mode,
             shared: shared.clone(),
             hold_reads_until: hold,
             holding: false,
@@ -199,10 +167,8 @@ fn transfer_setup(
             total,
             sent: 0,
             cfg,
-            mode,
             sock: None,
             shared: shared.clone(),
-            pattern: Some(Box::new(pattern_byte)),
             close_when_done: true,
         }),
     );
@@ -212,14 +178,7 @@ fn transfer_setup(
 #[test]
 fn counted_transfer_delivers_everything_and_closes() {
     let total = 300_000;
-    let mut s = transfer_setup(
-        10_000_000,
-        2,
-        total,
-        DataMode::Counted,
-        TcpCfg::default(),
-        None,
-    );
+    let mut s = transfer_setup(10_000_000, 2, total, TcpCfg::default(), None);
     s.sim.run_until(SimTime::from_secs(30));
     let sh = s.shared.borrow();
     assert_eq!(sh.received, total);
@@ -228,38 +187,12 @@ fn counted_transfer_delivers_everything_and_closes() {
 }
 
 #[test]
-fn bytes_transfer_preserves_content() {
-    let total = 100_000u64;
-    let mut s = transfer_setup(
-        10_000_000,
-        2,
-        total,
-        DataMode::Bytes,
-        TcpCfg::default(),
-        None,
-    );
-    s.sim.run_until(SimTime::from_secs(30));
-    let sh = s.shared.borrow();
-    assert_eq!(sh.received, total);
-    // Regenerate the pattern and compare.
-    let expect: Vec<u8> = (0..total).map(pattern_byte).collect();
-    assert_eq!(sh.received_bytes, expect, "byte stream corrupted");
-}
-
-#[test]
 fn clean_link_throughput_approaches_bottleneck() {
     // 10 Mb/s bottleneck, 2 ms one-way core delay, 4 MB transfer. The
     // default 64 KB windows stay below the 150 KB bottleneck queue, so the
     // flow is genuinely lossless.
     let total = 4_000_000u64;
-    let mut s = transfer_setup(
-        10_000_000,
-        2,
-        total,
-        DataMode::Counted,
-        TcpCfg::default(),
-        None,
-    );
+    let mut s = transfer_setup(10_000_000, 2, total, TcpCfg::default(), None);
     s.sim.run_until(SimTime::from_secs(60));
     let sh = s.shared.borrow();
     assert_eq!(sh.received, total);
@@ -285,7 +218,7 @@ fn small_socket_buffers_limit_throughput() {
         recv_buf: 8 * 1024,
         ..TcpCfg::default()
     };
-    let mut s = transfer_setup(100_000_000, 10, total, DataMode::Counted, cfg, None);
+    let mut s = transfer_setup(100_000_000, 10, total, cfg, None);
     s.sim.run_until(SimTime::from_secs(60));
     let sh = s.shared.borrow();
     assert_eq!(sh.received, total);
@@ -309,7 +242,7 @@ fn congestion_losses_recover_via_fast_retransmit() {
         recv_buf: 512 * 1024,
         ..TcpCfg::default()
     };
-    let mut s = transfer_setup(5_000_000, 5, total, DataMode::Counted, cfg, None);
+    let mut s = transfer_setup(5_000_000, 5, total, cfg, None);
     s.sim.run_until(SimTime::from_secs(120));
     let sh = s.shared.borrow();
     assert_eq!(sh.received, total, "reliability under loss");
@@ -342,7 +275,6 @@ fn policed_flow_collapses_but_remains_reliable() {
         Box::new(Receiver {
             port: 5000,
             cfg: TcpCfg::default(),
-            mode: DataMode::Counted,
             shared: shared.clone(),
             hold_reads_until: None,
             holding: false,
@@ -357,10 +289,8 @@ fn policed_flow_collapses_but_remains_reliable() {
             total,
             sent: 0,
             cfg: TcpCfg::default(),
-            mode: DataMode::Counted,
             sock: None,
             shared: shared.clone(),
-            pattern: None,
             close_when_done: true,
         }),
     );
@@ -390,7 +320,6 @@ fn zero_window_stalls_then_resumes() {
         10_000_000,
         2,
         total,
-        DataMode::Counted,
         TcpCfg::default(),
         Some(SimDelta::from_secs(2)),
     );
@@ -405,14 +334,7 @@ fn zero_window_stalls_then_resumes() {
 #[test]
 fn deterministic_across_runs() {
     let run = || {
-        let mut s = transfer_setup(
-            5_000_000,
-            5,
-            1_000_000,
-            DataMode::Counted,
-            TcpCfg::default(),
-            None,
-        );
+        let mut s = transfer_setup(5_000_000, 5, 1_000_000, TcpCfg::default(), None);
         s.sim.run_until(SimTime::from_secs(60));
         let t = s.shared.borrow().finish_time;
         (t, s.sim.net.events_processed())
@@ -421,18 +343,15 @@ fn deterministic_across_runs() {
 }
 
 #[test]
-fn era_solaris_profile_still_delivers() {
-    // The era profile (coarse timers + delayed ACKs) changes timing, never
-    // correctness.
+fn era_rto_min_still_delivers() {
+    // The experiments' era profile (a 500 ms RTO floor: the paper's hosts
+    // ran coarse retransmission timers) changes timing, never correctness.
     let total = 500_000u64;
-    let mut s = transfer_setup(
-        10_000_000,
-        2,
-        total,
-        DataMode::Counted,
-        TcpCfg::era_solaris(),
-        None,
-    );
+    let cfg = TcpCfg {
+        rto_min: SimDelta::from_millis(500),
+        ..TcpCfg::default()
+    };
+    let mut s = transfer_setup(10_000_000, 2, total, cfg, None);
     s.sim.run_until(SimTime::from_secs(60));
     let sh = s.shared.borrow();
     assert_eq!(sh.received, total);
