@@ -844,6 +844,52 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_bound_keeps_every_histogram_and_no_span() {
+        let mut t = PacketTracer::new(0);
+        let mut fr = FlightRecorder::default();
+        fr.enable(8);
+        t.add_deadline_rule(FlowSpec::any(), 2_000_000); // 2 ms deadline
+
+        // (id, dscp, queue wait ms, delivery ms after birth)
+        for (id, dscp, wait_ms, deliver_ms) in [
+            (1, Dscp::Ef, 0, 1),
+            (2, Dscp::BestEffort, 2, 3), // miss
+            (3, Dscp::BestEffort, 1, 2),
+        ] {
+            let mut p = probe(1000);
+            p.id = id;
+            p.dscp = dscp;
+            p.born = SimTime::from_millis(10 * id);
+            t.on_send(p.born, &p);
+            t.on_shaped(p.born, id);
+            t.on_enqueue(p.born, id);
+            let start = p.born + mpichgq_sim::SimDelta::from_millis(wait_ms);
+            t.on_tx_start(start, &p, ChanId(0), 1_000, 1_000);
+            let at = p.born + mpichgq_sim::SimDelta::from_millis(deliver_ms);
+            t.on_delivered(at, &p, &mut fr);
+        }
+        let mut dropped = probe(1000);
+        dropped.id = 4;
+        t.on_send(SimTime::ZERO, &dropped);
+        t.on_drop(SimTime::ZERO, 4, SpanKind::DropQueueFull, 0);
+
+        let f = &t.flows()[0];
+        assert_eq!((f.delivered, f.delay.count(), f.jitter.count()), (3, 3, 2));
+        assert_eq!((f.misses, f.max_miss_streak), (1, 1));
+        assert_eq!(f.worst_delay_ns, 3_000_000);
+        assert_eq!(t.total_misses(), 1);
+        assert_eq!((t.ef_wait.count(), t.be_wait.count()), (1, 2));
+        assert_eq!(t.be_wait.max(), Some(2_000_000));
+        let misses: Vec<_> = fr.events().filter(|e| e.kind == "slo.miss").collect();
+        assert_eq!((misses.len(), misses[0].value), (1, 3_000_000));
+        // Per packet: shaped + queue/tx/wire + e2e, one slo.miss, one drop
+        // instant. None is kept and the log never allocated.
+        assert_eq!(t.spans_dropped(), 3 * 5 + 1 + 1);
+        assert!(t.spans().is_empty());
+        assert_eq!(t.spans.capacity(), 0);
+    }
+
+    #[test]
     fn chrome_trace_names_only_channels_that_carry_spans() {
         // h0 -- r -- h1: four channels; the packet crosses 0 (h0->r) and
         // 2 (r->h1), the reverse directions stay idle and unnamed.

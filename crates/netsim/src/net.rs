@@ -1050,6 +1050,13 @@ impl Net {
     /// lifecycle spans (histograms and SLO counters are unbounded either
     /// way; spans past the bound are counted, not kept). Re-enabling
     /// keeps existing tracer state.
+    ///
+    /// `max_spans == 0` is valid: the span log never allocates and every
+    /// span counts in `trace.spans_dropped`, while flows, delay, jitter
+    /// and queue-wait histograms, deadline misses and `slo.miss` events
+    /// update as usual. qcheck's fuzz scenarios trace this way; the
+    /// Chrome trace export then holds only process-name metadata and the
+    /// `otherData` summary.
     pub fn enable_packet_tracing_with(&mut self, max_spans: usize) {
         // A cross-shard packet's span would start in the sender's tracer
         // and end in the receiver's — neither copy sees a whole lifecycle,

@@ -182,7 +182,10 @@ pub fn build(spec: &ScenarioSpec, inject: &Inject) -> BuiltScenario {
         })
         .collect();
     let mut net = b.build();
-    net.enable_packet_tracing();
+    // The battery's lifecycle invariants read the tracer's per-flow
+    // delivery counts and histograms, never its span log, so a fuzz
+    // scenario keeps none: bound 0 counts every span as dropped.
+    net.enable_packet_tracing_with(0);
 
     // --- AF marking (qdisc scenarios only). --------------------------------
     // Some UDP flows enter the network as Assured Forwarding behind a

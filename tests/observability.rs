@@ -232,3 +232,39 @@ fn fig7_chrome_trace_bytes_are_pinned() {
     assert!(spans > 1_000, "{spans} spans");
     assert!(trace.len() <= spans * 192 + 4096);
 }
+
+/// A tracer with a span bound of 0 (how the fuzzer traces) still exports
+/// a trace that `qtrace --check` accepts: no span events, only process
+/// metadata, with every span counted in `otherData.spans_dropped` and
+/// the per-flow summary intact.
+#[test]
+fn zero_bound_chrome_trace_passes_qtrace_check() {
+    let built = mpichgq::qcheck::build(
+        &mpichgq::qcheck::ScenarioSpec::from_seed(0),
+        &mpichgq::qcheck::Inject::default(),
+    );
+    let mut sim = built.sim;
+    sim.run_until(built.t_end);
+    let tracer = sim.net.packet_tracer().expect("fuzz scenarios trace");
+    let json = sim.net.chrome_trace_json();
+    mpichgq_apps::qtrace::check(&json)
+        .unwrap_or_else(|errs| panic!("shape check failed: {errs:?}"));
+    let doc = parse(&json).expect("trace parses");
+    let events = doc
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("traceEvents array");
+    assert!(!events.is_empty(), "flows are named");
+    for e in events {
+        assert_eq!(e.get("ph").and_then(|p| p.as_str()), Some("M"), "{e:?}");
+    }
+    let other = doc.get("otherData").expect("otherData");
+    let dropped = other.get("spans_dropped").and_then(|v| v.as_u64());
+    assert_eq!(dropped, Some(tracer.spans_dropped()));
+    assert!(tracer.spans_dropped() > 0);
+    let flows = other
+        .get("flows")
+        .and_then(|f| f.as_array())
+        .expect("flows");
+    assert_eq!(flows.len(), tracer.flows().len());
+}

@@ -9,7 +9,8 @@
 //! experiment's `metrics.json` can be audited after the fact.
 
 use mpichgq::qcheck::{
-    audit_metrics_json, parse_repro, replay, repro_json, run_spec, shrink, Inject, ScenarioSpec,
+    audit_metrics_json, build, parse_repro, replay, repro_json, run_spec, shrink, Inject,
+    ScenarioSpec,
 };
 use mpichgq_bench::{
     chaos_ranks_run, chaos_run, fig1_tcp_sawtooth, fig7_seq_trace, ChaosCfg, ChaosRanksCfg,
@@ -147,6 +148,22 @@ fn pinned_corpus_fingerprints_are_unchanged_by_the_interval_tree_swap() {
         );
         assert_eq!(out.events, events, "seed {seed}: event count drifted");
     }
+}
+
+/// A fuzz scenario traces with a span bound of 0: the battery's
+/// `lifecycle_histogram` and `lifecycle_delivered` read the tracer's
+/// flows, so they must stay armed while the span log keeps nothing.
+#[test]
+fn fuzzed_scenarios_trace_flows_but_keep_no_spans() {
+    let built = build(&ScenarioSpec::from_seed(0), &Inject::default());
+    let mut sim = built.sim;
+    sim.run_until(built.t_end);
+    let tracer = sim.net.packet_tracer().expect("fuzz scenarios trace");
+    assert!(tracer.spans().is_empty());
+    assert!(tracer.spans_dropped() > 0, "seed 0 carried no traffic");
+    assert!(!tracer.flows().is_empty());
+    let delivered: u64 = tracer.flows().iter().map(|f| f.delivered).sum();
+    assert_eq!(delivered, sim.net.audit().delivered);
 }
 
 #[test]
